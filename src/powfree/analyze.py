@@ -18,7 +18,7 @@ from .bounds import BoundCertificate, closed_form_root, rational_witness
 from .bounds import asymptotic_target
 from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, count_free, count_tail_restricted
 from .errors import BudgetExceededError, LemmaViolationError
-from .words import Threshold, _scan_violation, min_violation_length
+from .words import Threshold, _scan_violation, _suffix_violation, _window_checks
 
 __all__ = [
     "GrowthEstimate",
@@ -87,30 +87,21 @@ class FjAudit:
     c_next: int
 
 
-def _rejected_extensions(k: int, t: Threshold, i: int, budget: int):
+def _rejected_extensions(k: int, t: Threshold, i: int, pairs, budget: int):
     """All words of length i+1 with a free length-i prefix that are not free."""
     if k ** (i + 1) > budget:
         raise BudgetExceededError(
             f"audit is exhaustive: k**(i+1) = {k}**{i + 1} exceeds the work budget {budget}",
             parameter="len")
-    out = []
-    for w in product(range(1, k + 1), repeat=i + 1):
-        if _scan_violation(w[:i], t) is None and _scan_violation(w, t) is not None:
-            out.append(w)
-    return out
+    return [w for w in product(range(1, k + 1), repeat=i + 1)
+            if _scan_violation(w[:i], pairs) is None
+            and _suffix_violation(w, i + 1, pairs) is not None]
 
 
-def _windows(t: Threshold, end: int):
-    """(period, window, tail) triples with window <= end, ascending period."""
-    out = []
-    j = 1
-    while True:
-        m = min_violation_length(j, t)
-        if m > end:
-            break
-        out.append((j, m, m - j))
-        j += 1
-    return out
+def _by_period(rejected, end: int, pairs):
+    """Per (period, window) pair, the rejected words whose window ending at end is periodic."""
+    return [(j, m, [w for w in rejected if _suffix_violation(w, end, ((j, m),)) is not None])
+            for j, m in pairs]
 
 
 def fj_audit(k: int, n: int, strict: bool, i: int,
@@ -125,26 +116,24 @@ def fj_audit(k: int, n: int, strict: bool, i: int,
     does not balance k*C_i - C_{i+1} exactly.
     """
     t = Threshold.dejean(n, strict)
-    series = count_free(k, t, i + 1, method="incremental")
+    series = count_free(k, t, i + 1, method="canonical")
     counts = series.counts
-    rejected = _rejected_extensions(k, t, i, budget)
+    end = i + 1
+    pairs = _window_checks(t, end)
+    rejected = _rejected_extensions(k, t, i, pairs, budget)
     f_total = len(rejected)
     if k * counts[i] - counts[i + 1] != f_total:
         raise LemmaViolationError(
             f"extension balance failed: k*C_{i} - C_{i + 1} = "
             f"{k * counts[i] - counts[i + 1]} but {f_total} rejected extensions found")
-    end = i + 1
     rows = []
     covered = 0
-    for j, m, tail in _windows(t, end):
-        cnt = sum(
-            1 for w in rejected
-            if w[end - 1] == w[end - 1 - j] and w[end - m + j:] == w[end - m:end - j]
-        )
-        bound = counts[end - tail]
+    for j, m, matched in _by_period(rejected, end, pairs):
+        cnt = len(matched)
+        bound = counts[end - (m - j)]
         if cnt > bound:
             raise LemmaViolationError(
-                f"period-{j} census {cnt} exceeds its bound C_{end - tail} = {bound} "
+                f"period-{j} census {cnt} exceeds its bound C_{end - (m - j)} = {bound} "
                 f"(k={k}, n={n}, strict={strict}, i={i})")
         rows.append(FjAuditRow(period=j, count=cnt, bound=bound))
         covered += cnt
@@ -159,23 +148,18 @@ def suffix_determination_check(k: int, n: int, strict: bool, i: int,
                                budget: int = DEFAULT_NAIVE_BUDGET) -> bool:
     """Verify rejected extensions are recoverable from their shortened prefixes.
 
-    For every rejected extension and every period j whose minimal window
-    ends at the last letter, drop the window's tail and regenerate it by
-    copying letters from one period back; the rebuilt word must equal the
-    original.  This is the injection that makes the per-period census at
-    most the free-word count at the shortened length.
+    For every period j, dropping the tail of the period-j window must map the
+    rejected extensions with a periodic period-j window injectively: there
+    are as many distinct shortened prefixes as such extensions.  This is the
+    injection that makes the per-period census at most the free-word count
+    at the shortened length.
     """
     t = Threshold.dejean(n, strict)
     end = i + 1
-    for w in _rejected_extensions(k, t, i, budget):
-        for j, m, tail in _windows(t, end):
-            if w[end - 1] == w[end - 1 - j] and w[end - m + j:] == w[end - m:end - j]:
-                rebuilt = list(w[:end - tail])
-                for pos in range(end - tail, end):
-                    rebuilt.append(rebuilt[pos - j])
-                if tuple(rebuilt) != w:
-                    return False
-    return True
+    pairs = _window_checks(t, end)
+    rejected = _rejected_extensions(k, t, i, pairs, budget)
+    return all(len({w[:end - (m - j)] for w in matched}) == len(matched)
+               for j, m, matched in _by_period(rejected, end, pairs))
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,9 @@ def rational_witness(k: int, n: int, strict: bool = False,
                      precision_bits: int = 40) -> Fraction | None:
     """Exact rational witness within 2**-precision_bits below the root.
 
-    Bisects between the parabola vertex (always inside the solution interval
-    when one exists) and b (always outside, above the larger root), keeping
-    the lower end in the solution set.  The result therefore satisfies the
+    The root is (b + sqrt(disc)) / 2; rounding sqrt(disc) down to a multiple
+    of 2**-precision_bits with an integer square root keeps the result
+    between the parabola vertex b/2 and the root, so it satisfies the
     condition exactly and never exceeds the true root; more precision bits
     only ever move it upward.  None exactly when closed_form_root is None.
     """
@@ -91,16 +91,8 @@ def rational_witness(k: int, n: int, strict: bool = False,
     if closed_form_root(k, n, strict) is None:
         return None
     b, c = _quadratic(k, n, strict)
-    lo = Fraction(b, 2)
-    hi = Fraction(b)
-    tol = Fraction(1, 2 ** precision_bits)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if mid * mid - b * mid + c <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    scale = 2 ** precision_bits
+    return Fraction(b * scale + math.isqrt((b * b - 4 * c) * scale * scale), 2 * scale)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from fractions import Fraction
 from .analyze import REPORT_COLUMNS, conjecture_report, fj_audit, suffix_determination_check
 from .bounds import certify
 from .cache import CountCache
-from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, count_free, count_tail_restricted
+from .counting import (DEFAULT_NAIVE_BUDGET, METHODS, CountSeries, count_free,
+                       count_tail_restricted)
 from .errors import BudgetExceededError, LemmaViolationError, NoWitnessError
 from .words import Threshold, Word, find_violation
 
@@ -317,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
     p.add_argument("--plus", action="store_true")
     p.add_argument("--max-len", type=int, required=True, help="largest length to count")
-    p.add_argument("--engine", choices=("auto", "naive", "incremental", "canonical"),
-                   default="auto")
+    p.add_argument("--engine", choices=("auto", *METHODS), default="auto")
     p.add_argument("--tail-max", type=int, default=None,
                    help="restrict to forbidden powers with tail at most this long")
     p.set_defaults(func=cmd_count)

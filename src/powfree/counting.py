@@ -1,15 +1,16 @@
-"""Exact counting of threshold-free words, by three interchangeable engines.
+"""Exact counting of threshold-free words, by two interchangeable engines.
 
-naive        filters every word of every length through the detector; it is
-             the test oracle and refuses work beyond its budget.
-incremental  depth-first extension of free words, one letter at a time,
-             rejecting on the minimal suffix window per period.
-canonical    depth-first over canonical patterns (first occurrences of
-             distinct letters appear in increasing order); a pattern with d
-             distinct letters stands for perm(k, d) concrete words, which is
-             sound because freeness is invariant under letter renaming.  Its
-             state space does not depend on k, so it is the default for
-             large alphabets.
+naive      filters every word of every length through the detector; it is
+           the test oracle and refuses work beyond its budget.
+canonical  (the default) one depth-first walk over canonical patterns: first
+           occurrences of distinct letters appear in increasing order.  It
+           fills the table P[L][d] of free patterns of length L with d <= k
+           distinct letters, then C_L = sum_d P[L][d] * perm(k, d).  This is
+           sound because freeness is invariant under letter renaming, so a
+           pattern with d distinct letters stands for perm(k, d) concrete
+           words, and the walk never visits more nodes than a walk over
+           words.  P[L][d] does not depend on k, so the state space stops
+           growing once k >= L.
 
 All counts are Python ints, hence exact at any size.
 """
@@ -21,9 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from math import perm
 
 from .errors import BudgetExceededError
-from .words import Threshold, _scan_violation, min_violation_length
+from .words import Threshold, _scan_violation, _suffix_violation, _window_checks
 
 __all__ = [
     "METHODS",
@@ -33,7 +35,7 @@ __all__ = [
     "count_tail_restricted",
 ]
 
-METHODS = ("naive", "incremental", "canonical")
+METHODS = ("naive", "canonical")
 DEFAULT_NAIVE_BUDGET = 10**8
 
 # Depth at which the search tree is split into per-prefix subtree tasks.
@@ -108,176 +110,99 @@ class CountSeries:
         if any(str(c) != s for c, s in zip(counts, record["counts"])):
             raise ValueError("counts are not canonical decimal strings")
         tail_max = record["tail_max"]
+        method = str(record["method"])
+        if method == "incremental":
+            # Earlier releases had a third engine; its counts are the same.
+            method = "canonical"
         return cls(
             k=int(record["k"]),
             threshold=Threshold(int(record["num"]), int(record["den"]), bool(record["strict"])),
             counts=counts,
-            method=str(record["method"]),
+            method=method,
             tail_max=None if tail_max is None else int(tail_max),
         )
 
 
-def _window_checks(t: Threshold, max_length: int, tail_max: int | None):
-    """(period, window) pairs, window = minimal forbidden length at that period.
+def _dfs(k, pairs, max_length, table, w, distinct, frontier=None):
+    """Walk free canonical patterns extending w, tallying table[length][distinct].
 
-    Ordered by window ascending (windows are nondecreasing in the period), so
-    extension checks can stop at the first window longer than the word.
+    Canonical patterns introduce letters in increasing order, so the next
+    letter is one already used or distinct + 1 (while that stays <= k).
+    Given a frontier list, the patterns of length max_length are also
+    collected there, as prefixes for subtree tasks.
     """
-    pairs = []
-    j = 1
-    while True:
-        m = min_violation_length(j, t)
-        if m > max_length:
-            break
-        if tail_max is None or m - j <= tail_max:
-            pairs.append((j, m))
-        j += 1
-    return pairs
-
-
-def _ok(w, ln, pairs) -> bool:
-    for j, m in pairs:
-        if m > ln:
-            break
-        if w[ln - 1] == w[ln - 1 - j] and w[ln - m + j:ln] == w[ln - m:ln - j]:
-            return False
-    return True
-
-
-def _dfs_words(k, pairs, max_length, counts, w):
     ln = len(w) + 1
-    for a in range(1, k + 1):
-        w.append(a)
-        if _ok(w, ln, pairs):
-            counts[ln] += 1
-            if ln < max_length:
-                _dfs_words(k, pairs, max_length, counts, w)
-        w.pop()
-
-
-def _dfs_words_frontier(k, pairs, split, max_length, counts, w, out):
-    ln = len(w) + 1
-    for a in range(1, k + 1):
-        w.append(a)
-        if _ok(w, ln, pairs):
-            counts[ln] += 1
-            if ln == split:
-                out.append(tuple(w))
-            elif ln < max_length:
-                _dfs_words_frontier(k, pairs, split, max_length, counts, w, out)
-        w.pop()
-
-
-def _dfs_patterns(k, pairs, max_length, counts, w, distinct, weight):
-    ln = len(w) + 1
+    row = table[ln]
     for a in range(1, min(distinct + 1, k) + 1):
         w.append(a)
-        if _ok(w, ln, pairs):
-            if a > distinct:
-                wt = weight * (k - distinct)
-                d = distinct + 1
-            else:
-                wt = weight
-                d = distinct
-            counts[ln] += wt
+        if _suffix_violation(w, ln, pairs) is None:
+            d = distinct + 1 if a > distinct else distinct
+            row[d] += 1
             if ln < max_length:
-                _dfs_patterns(k, pairs, max_length, counts, w, d, wt)
+                _dfs(k, pairs, max_length, table, w, d, frontier)
+            elif frontier is not None:
+                frontier.append(tuple(w))
         w.pop()
 
 
-def _dfs_patterns_frontier(k, pairs, split, max_length, counts, w, distinct, weight, out):
-    ln = len(w) + 1
-    for a in range(1, min(distinct + 1, k) + 1):
-        w.append(a)
-        if _ok(w, ln, pairs):
-            if a > distinct:
-                wt = weight * (k - distinct)
-                d = distinct + 1
-            else:
-                wt = weight
-                d = distinct
-            counts[ln] += wt
-            if ln == split:
-                out.append(tuple(w))
-            elif ln < max_length:
-                _dfs_patterns_frontier(k, pairs, split, max_length, counts, w, d, wt, out)
-        w.pop()
+def _new_table(k, max_length):
+    return [[0] * (min(k, max_length) + 1) for _ in range(max_length + 1)]
 
 
-def _perm(k: int, d: int) -> int:
-    out = 1
-    for i in range(d):
-        out *= k - i
-    return out
-
-
-def _subtree_counts(args):
-    """Count completions of a chunk of frontier prefixes (worker task)."""
-    method, k, num, den, strict, tail_max, max_length, prefixes = args
-    t = Threshold(num, den, strict)
-    pairs = _window_checks(t, max_length, tail_max)
-    counts = [0] * (max_length + 1)
+def _subtree_table(args):
+    """Pattern table of the completions of a chunk of frontier prefixes (worker task)."""
+    k, num, den, strict, tail_max, max_length, prefixes = args
+    pairs = _window_checks(Threshold(num, den, strict), max_length, tail_max)
+    table = _new_table(k, max_length)
     for pref in prefixes:
-        w = list(pref)
-        if method == "incremental":
-            _dfs_words(k, pairs, max_length, counts, w)
-        else:
-            d = max(pref)
-            _dfs_patterns(k, pairs, max_length, counts, w, d, _perm(k, d))
-    return counts
+        _dfs(k, pairs, max_length, table, list(pref), max(pref))
+    return table
 
 
 def _count_naive(k, t, max_length, tail_max, budget):
     if k ** max_length > budget:
         raise BudgetExceededError(
             f"naive engine: k**max_length = {k}**{max_length} exceeds the work budget "
-            f"{budget}; use the incremental or canonical engine",
+            f"{budget}; use the canonical engine",
             parameter="max-len",
         )
+    pairs = _window_checks(t, max_length, tail_max)
     counts = [0] * (max_length + 1)
     counts[0] = 1
     for i in range(1, max_length + 1):
         counts[i] = sum(
             1 for w in product(range(1, k + 1), repeat=i)
-            if _scan_violation(w, t, tail_max) is None
+            if _scan_violation(w, pairs) is None
         )
     return counts
 
 
-def _count_tree(method, k, t, max_length, tail_max, workers):
+def _pattern_table(k, t, max_length, tail_max, workers):
+    """P[L][d]: free canonical patterns of length L with d <= k distinct letters."""
     pairs = _window_checks(t, max_length, tail_max)
-    counts = [0] * (max_length + 1)
-    counts[0] = 1
+    table = _new_table(k, max_length)
+    table[0][0] = 1
     if max_length == 0:
-        return counts
+        return table
 
-    parallel = workers > 1 and max_length >= _MIN_PARALLEL_LENGTH
-    if not parallel:
-        if method == "incremental":
-            _dfs_words(k, pairs, max_length, counts, [])
-        else:
-            _dfs_patterns(k, pairs, max_length, counts, [], 0, 1)
-        return counts
+    if workers <= 1 or max_length < _MIN_PARALLEL_LENGTH:
+        _dfs(k, pairs, max_length, table, [], 0)
+        return table
 
     split = min(_SPLIT_DEPTH, max_length - 1)
     frontier: list[tuple[int, ...]] = []
-    if method == "incremental":
-        _dfs_words_frontier(k, pairs, split, max_length, counts, [], frontier)
-    else:
-        _dfs_patterns_frontier(k, pairs, split, max_length, counts, [], 0, 1, frontier)
+    _dfs(k, pairs, split, table, [], 0, frontier)
     chunks = [frontier[i::workers] for i in range(workers)]
     chunks = [c for c in chunks if c]
     if not chunks:
-        return counts
-    tasks = [
-        (method, k, t.num, t.den, t.strict, tail_max, max_length, chunk)
-        for chunk in chunks
-    ]
+        return table
+    tasks = [(k, t.num, t.den, t.strict, tail_max, max_length, chunk) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for sub in pool.map(_subtree_counts, tasks):
-            for i in range(split + 1, max_length + 1):
-                counts[i] += sub[i]
-    return counts
+        for sub in pool.map(_subtree_table, tasks):
+            for row, sub_row in zip(table, sub):
+                for d, c in enumerate(sub_row):
+                    row[d] += c
+    return table
 
 
 def _count(k, t, max_length, tail_max, method, workers, budget):
@@ -288,13 +213,14 @@ def _count(k, t, max_length, tail_max, method, workers, budget):
     if tail_max is not None and tail_max < 1:
         raise ValueError("tail_max must be positive")
     if method is None:
-        method = "canonical" if k > 6 else "incremental"
+        method = "canonical"
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "naive":
         counts = _count_naive(k, t, max_length, tail_max, budget)
     else:
-        counts = _count_tree(method, k, t, max_length, tail_max, workers)
+        table = _pattern_table(k, t, max_length, tail_max, workers)
+        counts = [sum(c * perm(k, d) for d, c in enumerate(row)) for row in table]
     return CountSeries(k=k, threshold=t, counts=tuple(counts), method=method, tail_max=tail_max)
 
 

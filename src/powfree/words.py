@@ -154,27 +154,51 @@ def min_violation_length(period: int, t: Threshold) -> int:
     return -((-period * t.num) // t.den)
 
 
-def _scan_violation(letters, t: Threshold, tail_max: int | None = None):
+def _window_checks(t: Threshold, max_length: int, tail_max: int | None = None):
+    """(period, window) pairs, window = minimal forbidden length at that period.
+
+    Per (end, period) only the minimal-length window needs testing: a longer
+    forbidden suffix with the same period contains the minimal one, so the
+    minimal window is periodic whenever any violating window is.  Pairs are
+    ordered by window ascending (windows are nondecreasing in the period), so
+    a suffix test can stop at the first window longer than the word.  With
+    tail_max set, periods whose minimal window has a tail longer than
+    tail_max are exempt (and so are all longer windows at that period, whose
+    tails are longer still).
+    """
+    pairs = []
+    j = 1
+    while True:
+        m = min_violation_length(j, t)
+        if m > max_length:
+            break
+        if tail_max is None or m - j <= tail_max:
+            pairs.append((j, m))
+        j += 1
+    return pairs
+
+
+def _suffix_violation(w, end, pairs):
+    """First (period, window) pair whose window ending at w[end-1] is periodic, or None."""
+    for j, m in pairs:
+        if m > end:
+            break
+        if w[end - 1] == w[end - 1 - j] and w[end - m + j:end] == w[end - m:end - j]:
+            return j, m
+    return None
+
+
+def _scan_violation(letters, pairs):
     """First forbidden power by end index, ties by smallest period.
 
-    Per (end, period) only the minimal-length window is tested: a longer
-    forbidden suffix with the same period contains the minimal one, so the
-    minimal window is periodic whenever any violating window is.  Returns
-    (start, period, length) or None.  With tail_max set, periods whose
-    minimal window has a tail longer than tail_max are exempt (and so are
-    all longer windows at that period, whose tails are longer still).
+    pairs comes from _window_checks with a max_length of at least
+    len(letters).  Returns (start, period, length) or None.
     """
-    n = len(letters)
-    for end in range(2, n + 1):
-        for j in range(1, end):
-            m = min_violation_length(j, t)
-            if m > end:
-                break
-            if tail_max is not None and m - j > tail_max:
-                continue
-            s = end - m
-            if letters[end - 1] == letters[end - 1 - j] and letters[s + j:end] == letters[s:end - j]:
-                return s, j, m
+    for end in range(2, len(letters) + 1):
+        hit = _suffix_violation(letters, end, pairs)
+        if hit is not None:
+            j, m = hit
+            return end - m, j, m
     return None
 
 
@@ -184,26 +208,12 @@ def find_violation(word: Word, t: Threshold) -> ViolationWitness | None:
     Deterministic: smallest end index wins, ties broken by smallest period,
     and the reported length is the minimal violating length at that period.
     """
-    hit = _scan_violation(word.letters, t)
+    hit = _scan_violation(word.letters, _window_checks(t, len(word)))
     if hit is None:
         return None
     start, period, length = hit
     return ViolationWitness(start=start, period=period, length=length,
                             exponent=Fraction(length, period))
-
-
-def _extension_ok(letters, t: Threshold, tail_max: int | None = None) -> bool:
-    """Suffix-only freeness check; valid when letters[:-1] is known free."""
-    end = len(letters)
-    for j in range(1, end):
-        m = min_violation_length(j, t)
-        if m > end:
-            break
-        if tail_max is not None and m - j > tail_max:
-            continue
-        if letters[end - 1] == letters[end - 1 - j] and letters[end - m + j:end] == letters[end - m:end - j]:
-            return False
-    return True
 
 
 def extension_ok(word: Word, t: Threshold) -> bool:
@@ -214,4 +224,5 @@ def extension_ok(word: Word, t: Threshold) -> bool:
     minimal forbidden window ending there.  Behavior is unspecified when the
     prefix invariant does not hold.
     """
-    return _extension_ok(word.letters, t)
+    end = len(word)
+    return _suffix_violation(word.letters, end, _window_checks(t, end)) is None

@@ -34,7 +34,7 @@ def test_criterion_01_base_cases():
     for k in range(3, 9):
         for n in range(2, 6):
             for strict in (False, True):
-                series = count_free(k, Threshold.dejean(n, strict), 2, "incremental")
+                series = count_free(k, Threshold.dejean(n, strict), 2, "canonical")
                 assert series.counts[0] == 1
                 assert series.counts[1] == k
                 if strict and n == 2:
@@ -44,15 +44,16 @@ def test_criterion_01_base_cases():
 
 
 def test_criterion_02_engine_agreement():
-    """naive, incremental, canonical produce identical counts, exactly."""
+    """naive and canonical produce identical counts, exactly; the oracle pins a prefix."""
     for k in (1, 2, 3, 4):
         for n in (2, 3, 4, 5):
             for strict in (False, True):
                 t = Threshold.dejean(n, strict)
                 naive = count_free(k, t, 9, "naive").counts
-                incremental = count_free(k, t, 9, "incremental").counts
                 canonical = count_free(k, t, 9, "canonical").counts
-                assert naive == incremental == canonical, (k, n, strict)
+                oracle = tuple(count_series(k, t.num, t.den, strict, 6))
+                assert naive == canonical, (k, n, strict)
+                assert naive[:7] == oracle, (k, n, strict)
 
 
 @pytest.mark.parametrize("k,n", [(10, 3), (20, 3), (12, 4)])
@@ -139,7 +140,7 @@ def test_criterion_09_no_certificate_regime():
 
 def test_criterion_10_fekete_and_bracket():
     """Doubling subsequence of C_i^(1/i) is non-increasing; lower <= upper."""
-    ternary = count_free(3, Threshold(2), 24, "incremental")
+    ternary = count_free(3, Threshold(2), 24, "canonical")
     for i in range(1, 13):
         c2i, ci = ternary.counts[2 * i], ternary.counts[i]
         assert math.exp(math.log(c2i) / (2 * i)) <= math.exp(math.log(ci) / i) + 1e-12
@@ -159,10 +160,10 @@ def test_criterion_10_fekete_and_bracket():
 def test_criterion_11_tail_restricted_sanity():
     """tail_max >= L is vacuous; tail_max = 1 matches the filtered oracle."""
     t = Threshold(2)
-    full = count_free(3, t, 8, "incremental")
-    vacuous = count_tail_restricted(3, t, 8, 8, "incremental")
+    full = count_free(3, t, 8, "canonical")
+    vacuous = count_tail_restricted(3, t, 8, 8, "canonical")
     assert vacuous.counts == full.counts
     oracle = tuple(count_series(3, 2, 1, False, 6, tail_max=1))
-    got = count_tail_restricted(3, t, 1, 6, "incremental")
+    got = count_tail_restricted(3, t, 1, 6, "canonical")
     assert got.counts == oracle
     assert got.counts[:4] == (1, 3, 6, 12)

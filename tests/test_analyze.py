@@ -21,7 +21,7 @@ from oracles import count_series, is_free
 
 class TestGrowthEstimate:
     def test_bracket_on_ternary_squarefree(self):
-        series = count_free(3, Threshold(2), 16, "incremental")
+        series = count_free(3, Threshold(2), 16, "canonical")
         est = growth_estimate(series)
         assert est.upper >= 1.30
         assert float(est.lower) <= est.upper + 1e-9
@@ -29,7 +29,7 @@ class TestGrowthEstimate:
             Fraction(series.counts[i + 1], series.counts[i]) for i in range(16))
 
     def test_doubling_subsequence_nonincreasing(self):
-        counts = count_free(3, Threshold(2), 16, "incremental").counts
+        counts = count_free(3, Threshold(2), 16, "canonical").counts
         for i in range(1, 9):
             low = math.exp(math.log(counts[2 * i]) / (2 * i))
             high = math.exp(math.log(counts[i]) / i)
@@ -43,7 +43,7 @@ class TestGrowthEstimate:
         assert float(est.lower) <= est.upper + 1e-9
 
     def test_degenerate_single_letter_alphabet(self):
-        series = count_free(1, Threshold(2), 5, "incremental")
+        series = count_free(1, Threshold(2), 5, "canonical")
         est = growth_estimate(series)
         assert est.upper == 0.0
         assert est.lower == 0

@@ -83,6 +83,16 @@ class TestRationalWitness:
             assert float(w) <= root + 1e-9
             assert root - float(w) <= 2 ** -30 + 1e-9
             assert condition_margin(k, n, strict, w) >= 0
+        # exact: one step of 2**-p above the witness is already past the root
+        for n in range(2, 8):
+            for k in range(n + 1, 80):
+                for strict in (False, True):
+                    if closed_form_root(k, n, strict) is None:
+                        continue
+                    for bits in (1, 7, 40):
+                        w = rational_witness(k, n, strict, bits)
+                        assert condition_margin(k, n, strict, w) >= 0
+                        assert condition_margin(k, n, strict, w + Fraction(1, 2 ** bits)) < 0
 
     def test_none_exactly_when_root_is_none(self):
         for k, n, strict in ((2, 2, True), (3, 3, False), (10, 6, False), (2, 2, False)):
@@ -119,10 +129,10 @@ class TestCertify:
         assert cert.strict and cert.verified_up_to == 7
 
     def test_no_witness(self):
-        series = count_free(2, Threshold.dejean(2, True), 5, "incremental")
+        series = count_free(2, Threshold.dejean(2, True), 5, "canonical")
         with pytest.raises(NoWitnessError, match="no witness"):
             certify(2, 2, True, series)
-        series = count_free(3, Threshold.dejean(3), 4, "incremental")
+        series = count_free(3, Threshold.dejean(3), 4, "canonical")
         with pytest.raises(NoWitnessError):
             certify(3, 3, False, series)
 

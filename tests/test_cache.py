@@ -15,7 +15,7 @@ def cache(tmp_path):
 
 
 def test_roundtrip(cache):
-    s = count_free(3, Threshold(2), 7, "incremental")
+    s = count_free(3, Threshold(2), 7, "canonical")
     cache.put(s)
     got = cache.get(3, Threshold(2))
     assert got == s
@@ -28,8 +28,8 @@ def test_empty_cache(cache):
 
 def test_longest_series_wins(cache):
     t = Threshold(2)
-    long = count_free(3, t, 10, "incremental")
-    short = count_free(3, t, 6, "incremental")
+    long = count_free(3, t, 10, "canonical")
+    short = count_free(3, t, 6, "canonical")
     cache.put(long)
     cache.put(short)
     assert cache.get(3, t).max_length == 10
@@ -43,10 +43,10 @@ def test_longest_series_wins(cache):
 def test_keys_are_disjoint(cache):
     from powfree import count_tail_restricted
     t = Threshold(2)
-    cache.put(count_free(3, t, 5, "incremental"))
-    cache.put(count_free(3, Threshold(2, 1, True), 5, "incremental"))
-    cache.put(count_tail_restricted(3, t, 2, 5, "incremental"))
-    cache.put(count_free(2, t, 5, "incremental"))
+    cache.put(count_free(3, t, 5, "canonical"))
+    cache.put(count_free(3, Threshold(2, 1, True), 5, "canonical"))
+    cache.put(count_tail_restricted(3, t, 2, 5, "canonical"))
+    cache.put(count_free(2, t, 5, "canonical"))
     assert len(cache.entries()) == 4
     assert cache.get(3, t).tail_max is None
     assert cache.get(3, t, tail_max=2).tail_max == 2
@@ -54,7 +54,7 @@ def test_keys_are_disjoint(cache):
 
 
 def test_corrupt_records_reported_and_skipped(cache, caplog):
-    good = count_free(3, Threshold(2), 5, "incremental")
+    good = count_free(3, Threshold(2), 5, "canonical")
     cache.put(good)
     with open(cache.path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
@@ -69,7 +69,7 @@ def test_corrupt_records_reported_and_skipped(cache, caplog):
 
 
 def test_write_is_atomic_replace(cache):
-    cache.put(count_free(2, Threshold(2), 4, "incremental"))
+    cache.put(count_free(2, Threshold(2), 4, "canonical"))
     leftovers = [p for p in os.listdir(cache.path.parent) if p.endswith(".tmp")]
     assert leftovers == []
     # every line of the file parses on its own

@@ -87,6 +87,10 @@ class TestCount:
         code, _ = run(capsys, "count", "--k", "10", "--beta", "2", "--max-len", "9",
                       "--engine", "naive")
         assert code == 3
+        with pytest.raises(SystemExit) as info:  # the retired engine is a usage error
+            main(["count", "--k", "3", "--beta", "2", "--max-len", "4",
+                  "--engine", "incremental"])
+        assert info.value.code == 2
 
     def test_big_counts_round_trip(self, capsys):
         code, out = run(capsys, "count", "--k", "12", "--beta", "3/2", "--max-len", "8",
@@ -127,9 +131,22 @@ class TestCountCache:
         assert code == 0
         entries = json.loads(out)["entries"]
         assert entries == [{"k": 3, "beta": "2", "plus": False, "tail_max": None,
-                            "method": "incremental", "max_length": 4}]
+                            "method": "canonical", "max_length": 4}]
         code, _ = run(capsys, "cache", "clear", "--cache", str(path), "--no-timestamp")
         assert code == 0 and not path.exists()
+
+    def test_records_of_the_retired_engine_still_load(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record = count_free(3, Threshold(2), 4, "canonical").to_record()
+        record["method"] = "incremental"  # written by releases that had that engine
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        stored = CountCache(path).get(3, Threshold(2))
+        assert stored.counts == (1, 3, 6, 12, 18) and stored.method == "canonical"
+        code, out = run(capsys, "cache", "list", "--cache", str(path), "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["entries"] == [{"k": 3, "beta": "2", "plus": False,
+                                               "tail_max": None, "method": "canonical",
+                                               "max_length": 4}]
 
     def test_cache_without_path_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("POWFREE_CACHE", raising=False)

@@ -29,11 +29,11 @@ def test_base_counts(k, n):
     assert strict.counts[2] == (k * k if n == 2 else k * (k - 1))
 
 
-@pytest.mark.parametrize("method", ["naive", "incremental", "canonical"])
+@pytest.mark.parametrize("method", ["naive", "canonical", pytest.param(None, id="auto")])
 def test_ternary_squarefree_series(method):
     s = count_free(3, Threshold(2), 7, method)
     assert s.counts == TERNARY_SQUAREFREE
-    assert s.method == method
+    assert s.method == (method or "canonical")
 
 
 def test_binary_overlapfree_series():
@@ -49,7 +49,7 @@ def test_engines_and_oracle_agree_small_grid():
             for strict in (False, True):
                 t = Threshold.dejean(n, strict)
                 expected = tuple(count_series(k, t.num, t.den, strict, 7))
-                for method in ("naive", "incremental", "canonical"):
+                for method in ("naive", "canonical"):
                     assert count_free(k, t, 7, method).counts == expected, (k, n, strict, method)
 
 
@@ -62,7 +62,7 @@ def test_canonical_weights_total_alphabet_power():
 
 @pytest.mark.parametrize("k,t,L", [(3, Threshold(2), 12), (2, Threshold(2, 1, True), 12)])
 def test_submultiplicative(k, t, L):
-    counts = count_free(k, t, L, "incremental").counts
+    counts = count_free(k, t, L, "canonical").counts
     for m in range(L + 1):
         for n in range(L + 1 - m):
             assert counts[m + n] <= counts[m] * counts[n]
@@ -72,15 +72,15 @@ def test_counts_monotone_in_extended_order():
     ladder = [Threshold.dejean(3), Threshold.dejean(3, True),
               Threshold(2), Threshold(2, 1, True)]
     assert ladder == sorted(ladder, key=Threshold.order_key)
-    series = [count_free(3, t, 7, "incremental").counts for t in ladder]
+    series = [count_free(3, t, 7, "canonical").counts for t in ladder]
     for smaller, larger in zip(series, series[1:]):
         assert all(a <= b for a, b in zip(smaller, larger))
 
 
 def test_tail_restriction_vacuous_when_tail_max_reaches_length():
     for k, t in ((3, Threshold(2)), (2, Threshold(2, 1, True))):
-        full = count_free(k, t, 6, "incremental")
-        restricted = count_tail_restricted(k, t, 6, 6, "incremental")
+        full = count_free(k, t, 6, "canonical")
+        restricted = count_tail_restricted(k, t, 6, 6, "canonical")
         assert restricted.counts == full.counts
         assert restricted.tail_max == 6
 
@@ -96,7 +96,7 @@ def test_tail_restricted_engines_and_oracle_agree():
     for k, n, strict, tail_max in ((3, 2, False, 1), (2, 2, False, 2), (3, 3, True, 2)):
         t = Threshold.dejean(n, strict)
         expected = tuple(count_series(k, t.num, t.den, strict, 6, tail_max))
-        for method in ("naive", "incremental", "canonical"):
+        for method in ("naive", "canonical"):
             got = count_tail_restricted(k, t, tail_max, 6, method)
             assert got.counts == expected, (k, n, strict, tail_max, method)
 
@@ -111,11 +111,13 @@ def test_naive_budget_refused():
 
 def test_workers_do_not_change_counts():
     t = Threshold(2)
-    assert (count_free(3, t, 10, "incremental", workers=2).counts
-            == count_free(3, t, 10, "incremental", workers=1).counts)
+    assert (count_free(3, t, 10, "canonical", workers=2).counts
+            == count_free(3, t, 10, "canonical", workers=1).counts)
     td = Threshold.dejean(3)
     assert (count_free(9, td, 9, "canonical", workers=2).counts
             == count_free(9, td, 9, "canonical", workers=1).counts)
+    assert (count_tail_restricted(9, td, 2, 9, "canonical", workers=2).counts
+            == count_tail_restricted(9, td, 2, 9, "canonical", workers=1).counts)
 
 
 def test_record_roundtrip():
@@ -129,7 +131,7 @@ def test_record_roundtrip():
 
 
 def test_digest_ignores_method_but_not_counts():
-    a = count_free(3, Threshold(2), 6, "incremental")
+    a = count_free(3, Threshold(2), 6, "naive")
     b = count_free(3, Threshold(2), 6, "canonical")
     assert a.digest() == b.digest()
     assert a.digest() != a.prefix(5).digest()
@@ -137,14 +139,16 @@ def test_digest_ignores_method_but_not_counts():
 
 def test_edge_cases():
     assert count_free(5, Threshold(2), 0).counts == (1,)
-    assert count_free(1, Threshold(2), 4, "incremental").counts == (1, 1, 0, 0, 0)
-    s = count_free(1, Threshold(2), 4, "incremental")
+    assert count_free(1, Threshold(2), 4, "canonical").counts == (1, 1, 0, 0, 0)
+    s = count_free(1, Threshold(2), 4, "canonical")
     assert s.ratios() == (Fraction(1), Fraction(0))
     assert s.prefix(2).counts == (1, 1, 0)
     with pytest.raises(ValueError):
         s.prefix(9)
     with pytest.raises(ValueError):
         count_free(3, Threshold(2), 4, "transfer-matrix")
+    with pytest.raises(ValueError):
+        count_free(3, Threshold(2), 4, "incremental")
     with pytest.raises(ValueError):
         count_tail_restricted(3, Threshold(2), 0, 4)
     with pytest.raises(ValueError):
