@@ -3,15 +3,19 @@
 One JSON record per line, self-describing (k, num, den, strict, tail_max,
 method, counts as decimal strings).  Writes replace the whole file via
 write-temp-then-rename, so concurrent readers always see a complete file;
-one record is kept per key, the one with the longest counts.
+writers hold an exclusive flock on the sidecar file <cache>.lock from read
+to rename, so concurrent writers do not drop each other's records.  One
+record is kept per key, the one with the longest counts.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from .counting import CountSeries
@@ -63,23 +67,35 @@ class CountCache:
 
     def put(self, series: CountSeries) -> None:
         """Store a series; an existing longer series for the same key wins."""
-        entries = self._load()
-        key = _key(series.k, series.threshold, series.tail_max)
-        kept = entries.get(key)
-        if kept is None or series.max_length > kept.max_length:
-            entries[key] = series
-        self._write(entries)
+        with self._write_lock():
+            entries = self._load()
+            key = _key(series.k, series.threshold, series.tail_max)
+            kept = entries.get(key)
+            if kept is None or series.max_length > kept.max_length:
+                entries[key] = series
+            self._write(entries)
 
     def entries(self) -> list[CountSeries]:
         return sorted(self._load().values(),
                       key=lambda s: _sort_key(_key(s.k, s.threshold, s.tail_max)))
 
     def clear(self) -> None:
-        if self.path.exists():
-            self.path.unlink()
+        with self._write_lock():
+            if self.path.exists():
+                self.path.unlink()
+
+    @contextmanager
+    def _write_lock(self):
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        lock_path = self.path.with_name(self.path.name + ".lock")
+        with open(lock_path, "a") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(fh, fcntl.LOCK_UN)
 
     def _write(self, entries: dict[Key, CountSeries]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

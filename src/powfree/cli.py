@@ -286,14 +286,25 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", choices=("json", "csv"), default="json",
                         help="output format (default json)")
     common.add_argument("--cache", metavar="PATH", default=None,
                         help="count cache file (default $POWFREE_CACHE if set)")
-    common.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="parallel workers for enumeration (default: available cores)")
+    common.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
+                        help="parallel workers for long enumerations, at most one per core "
+                             "(default: available cores)")
     common.add_argument("--budget", type=int, default=DEFAULT_NAIVE_BUDGET,
                         help="work budget for exhaustive engines (candidate words)")
     common.add_argument("--no-timestamp", action="store_true",

@@ -10,7 +10,17 @@ canonical  (the default) one depth-first walk over canonical patterns: first
            pattern with d distinct letters stands for perm(k, d) concrete
            words, and the walk never visits more nodes than a walk over
            words.  P[L][d] does not depend on k, so the state space stops
-           growing once k >= L.
+           growing once k >= L.  Each node is tested once, by
+           words._forbidden_next, for the old letters that would end a
+           forbidden power (each window forbids at most one; the fresh
+           letter never completes a power), and its children are tallied
+           from that set, so the last level is never visited.
+
+With workers > 1 (capped at the cores) and L >= _MIN_PARALLEL_LENGTH, the
+walk is deepened one level at a time until the frontier holds
+_TASKS_PER_WORKER prefixes per worker, or reaches length L-1, or empties;
+each prefix becomes one pool task returning its own table, and the tables
+are summed.  Shorter enumerations run in-process.
 
 All counts are Python ints, hence exact at any size.
 """
@@ -18,6 +28,7 @@ All counts are Python ints, hence exact at any size.
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -25,7 +36,7 @@ from itertools import product
 from math import perm
 
 from .errors import BudgetExceededError
-from .words import Threshold, _scan_violation, _suffix_violation, _window_checks
+from .words import Threshold, _forbidden_next, _scan_violation, _window_checks
 
 __all__ = [
     "METHODS",
@@ -38,10 +49,12 @@ __all__ = [
 METHODS = ("naive", "canonical")
 DEFAULT_NAIVE_BUDGET = 10**8
 
-# Depth at which the search tree is split into per-prefix subtree tasks.
-_SPLIT_DEPTH = 4
-# Below this length a parallel pool costs more than it saves.
-_MIN_PARALLEL_LENGTH = 8
+# The parallel frontier is deepened until it holds this many prefixes per worker.
+_TASKS_PER_WORKER = 8
+# Below this length a parallel pool costs more than it saves: measured with
+# k=20 on 2 cores, two workers first win at L=12 for squares, overlaps and
+# 3/2+ and first tie there for 3/2 and 4/3.
+_MIN_PARALLEL_LENGTH = 12
 
 
 @dataclass(frozen=True)
@@ -123,25 +136,31 @@ class CountSeries:
         )
 
 
-def _dfs(k, pairs, max_length, table, w, distinct, frontier=None):
+def _dfs(k, pairs, max_length, table, w, distinct):
     """Walk free canonical patterns extending w, tallying table[length][distinct].
 
     Canonical patterns introduce letters in increasing order, so the next
-    letter is one already used or distinct + 1 (while that stays <= k).
-    Given a frontier list, the patterns of length max_length are also
-    collected there, as prefixes for subtree tasks.
+    letter is one already used or distinct + 1 (while that stays <= k).  The
+    fresh letter never completes a power; the old ones that would are found
+    by one _forbidden_next test per node, which also tallies the children,
+    so the leaves themselves are never visited.
     """
     ln = len(w) + 1
     row = table[ln]
-    for a in range(1, min(distinct + 1, k) + 1):
-        w.append(a)
-        if _suffix_violation(w, ln, pairs) is None:
-            d = distinct + 1 if a > distinct else distinct
-            row[d] += 1
-            if ln < max_length:
-                _dfs(k, pairs, max_length, table, w, d, frontier)
-            elif frontier is not None:
-                frontier.append(tuple(w))
+    bad = _forbidden_next(w, pairs)
+    row[distinct] += distinct - len(bad)
+    if distinct < k:
+        row[distinct + 1] += 1
+    if ln == max_length:
+        return
+    for a in range(1, distinct + 1):
+        if a not in bad:
+            w.append(a)
+            _dfs(k, pairs, max_length, table, w, distinct)
+            w.pop()
+    if distinct < k:
+        w.append(distinct + 1)
+        _dfs(k, pairs, max_length, table, w, distinct + 1)
         w.pop()
 
 
@@ -150,12 +169,10 @@ def _new_table(k, max_length):
 
 
 def _subtree_table(args):
-    """Pattern table of the completions of a chunk of frontier prefixes (worker task)."""
-    k, num, den, strict, tail_max, max_length, prefixes = args
-    pairs = _window_checks(Threshold(num, den, strict), max_length, tail_max)
+    """Pattern table of the completions of one frontier prefix (worker task)."""
+    k, pairs, max_length, prefix, distinct = args
     table = _new_table(k, max_length)
-    for pref in prefixes:
-        _dfs(k, pairs, max_length, table, list(pref), max(pref))
+    _dfs(k, pairs, max_length, table, list(prefix), distinct)
     return table
 
 
@@ -185,19 +202,30 @@ def _pattern_table(k, t, max_length, tail_max, workers):
     if max_length == 0:
         return table
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or max_length < _MIN_PARALLEL_LENGTH:
         _dfs(k, pairs, max_length, table, [], 0)
         return table
 
-    split = min(_SPLIT_DEPTH, max_length - 1)
-    frontier: list[tuple[int, ...]] = []
-    _dfs(k, pairs, split, table, [], 0, frontier)
-    chunks = [frontier[i::workers] for i in range(workers)]
-    chunks = [c for c in chunks if c]
-    if not chunks:
+    # Deepen the frontier one level at a time until the pool can balance it.
+    frontier = [((), 0)]
+    depth = 0
+    while frontier and len(frontier) < _TASKS_PER_WORKER * workers and depth < max_length - 1:
+        depth += 1
+        row = table[depth]
+        deeper = []
+        for w, distinct in frontier:
+            bad = _forbidden_next(w, pairs)
+            deeper += [(w + (a,), distinct) for a in range(1, distinct + 1) if a not in bad]
+            if distinct < k:
+                deeper.append((w + (distinct + 1,), distinct + 1))
+        for _, distinct in deeper:
+            row[distinct] += 1
+        frontier = deeper
+    if not frontier:
         return table
-    tasks = [(k, t.num, t.den, t.strict, tail_max, max_length, chunk) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    tasks = [(k, pairs, max_length, w, distinct) for w, distinct in frontier]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         for sub in pool.map(_subtree_table, tasks):
             for row, sub_row in zip(table, sub):
                 for d, c in enumerate(sub_row):

@@ -188,6 +188,30 @@ def _suffix_violation(w, end, pairs):
     return None
 
 
+def _forbidden_next(w, pairs):
+    """Letters whose append to the free word w would end a forbidden power.
+
+    With p = len(w), appending a completes the period-j window of length m
+    iff a == w[p-j] and w[p+1-m+j:p] == w[p+1-m:p-j].  So each pair forbids
+    at most one letter, one already in w, and the whole test runs once per
+    word instead of once per candidate letter.
+    """
+    p = len(w)
+    bad = set()
+    for j, m in pairs:
+        if m > p + 1:
+            break
+        a = w[p - j]
+        if a in bad:
+            continue
+        # A tail longer than the new letter ends at w[p-1]: test that letter
+        # before comparing slices, which rejects most periods cheaply.
+        if m - j == 1 or (w[p - 1] == w[p - 1 - j]
+                          and w[p + 1 - m + j:p] == w[p + 1 - m:p - j]):
+            bad.add(a)
+    return bad
+
+
 def _scan_violation(letters, pairs):
     """First forbidden power by end index, ties by smallest period.
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import multiprocessing
 import os
 
 import pytest
@@ -76,3 +77,23 @@ def test_write_is_atomic_replace(cache):
     with open(cache.path, encoding="utf-8") as fh:
         for line in fh:
             json.loads(line)
+
+
+def _put_many(path, ks, start):
+    cache = CountCache(path)
+    start.wait(timeout=60)
+    for k in ks:
+        cache.put(count_free(k, Threshold(2), 3, "canonical"))
+
+
+def test_concurrent_writers_keep_every_record(cache):
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(2)
+    writers = [ctx.Process(target=_put_many, args=(str(cache.path), range(lo, lo + 25), start))
+               for lo in (1, 26)]
+    for p in writers:
+        p.start()
+    for p in writers:
+        p.join(timeout=60)
+    assert [p.exitcode for p in writers] == [0, 0]
+    assert sorted(s.k for s in cache.entries()) == list(range(1, 51))

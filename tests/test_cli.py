@@ -92,6 +92,12 @@ class TestCount:
                   "--engine", "incremental"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, workers):
+        with pytest.raises(SystemExit) as info:
+            main(["count", "--k", "3", "--beta", "2", "--max-len", "4", "--workers", workers])
+        assert info.value.code == 2
+
     def test_big_counts_round_trip(self, capsys):
         code, out = run(capsys, "count", "--k", "12", "--beta", "3/2", "--max-len", "8",
                         "--engine", "canonical", "--no-timestamp")

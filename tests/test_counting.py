@@ -12,6 +12,7 @@ from powfree import (
     count_free,
     count_tail_restricted,
 )
+from powfree import counting
 
 from oracles import count_series
 
@@ -44,6 +45,7 @@ def test_binary_overlapfree_series():
 
 
 def test_engines_and_oracle_agree_small_grid():
+    # k < 7, so the canonical rows are capped at d <= k.
     for k in (2, 3):
         for n in (2, 3):
             for strict in (False, True):
@@ -51,6 +53,11 @@ def test_engines_and_oracle_agree_small_grid():
                 expected = tuple(count_series(k, t.num, t.den, strict, 7))
                 for method in ("naive", "canonical"):
                     assert count_free(k, t, 7, method).counts == expected, (k, n, strict, method)
+                for tail_max in (1, 2):
+                    expected = tuple(count_series(k, t.num, t.den, strict, 7, tail_max))
+                    for method in ("naive", "canonical"):
+                        got = count_tail_restricted(k, t, tail_max, 7, method)
+                        assert got.counts == expected, (k, n, strict, tail_max, method)
 
 
 def test_canonical_weights_total_alphabet_power():
@@ -110,14 +117,53 @@ def test_naive_budget_refused():
 
 
 def test_workers_do_not_change_counts():
+    assert 13 >= counting._MIN_PARALLEL_LENGTH  # every case below reaches the pool
     t = Threshold(2)
-    assert (count_free(3, t, 10, "canonical", workers=2).counts
-            == count_free(3, t, 10, "canonical", workers=1).counts)
+    assert (count_free(3, t, 14, "canonical", workers=2).counts
+            == count_free(3, t, 14, "canonical", workers=1).counts)
     td = Threshold.dejean(3)
-    assert (count_free(9, td, 9, "canonical", workers=2).counts
-            == count_free(9, td, 9, "canonical", workers=1).counts)
-    assert (count_tail_restricted(9, td, 2, 9, "canonical", workers=2).counts
-            == count_tail_restricted(9, td, 2, 9, "canonical", workers=1).counts)
+    assert (count_free(9, td, 13, "canonical", workers=2).counts
+            == count_free(9, td, 13, "canonical", workers=1).counts)
+    assert (count_tail_restricted(9, td, 2, 13, "canonical", workers=2).counts
+            == count_tail_restricted(9, td, 2, 13, "canonical", workers=1).counts)
+    # Finite languages empty the frontier before the pool starts.
+    finite = count_free(2, t, 14, "canonical", workers=2).counts
+    assert finite == count_free(2, t, 14, "canonical", workers=1).counts
+    assert finite[4:] == (0,) * 11
+    assert count_free(1, t, 13, "canonical", workers=2).counts == (1, 1) + (0,) * 12
+
+
+class _InlinePool:
+    """Executor stand-in that records its size and runs the tasks in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers,cores,expected", [
+    (64, 4, 4),      # capped at the cores
+    (3, 64, 3),      # as asked
+    (64, 64, 24),    # capped at the tasks: 24 overlap-free binary patterns of length 11
+])
+def test_pool_size_is_capped(monkeypatch, workers, cores, expected):
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    t = Threshold(2, 1, True)
+    got = count_free(2, t, 12, "canonical", workers=workers)
+    assert _InlinePool.sizes == [expected]
+    assert got.counts == count_free(2, t, 12, "canonical", workers=1).counts
 
 
 def test_record_roundtrip():

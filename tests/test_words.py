@@ -15,6 +15,7 @@ from powfree import (
     find_violation,
     min_violation_length,
 )
+from powfree.words import _forbidden_next, _suffix_violation, _window_checks
 
 from oracles import all_violations, is_free
 
@@ -223,3 +224,19 @@ class TestExtensionOk:
             return
         w = Word(letters, 4)
         assert extension_ok(w, t) == (find_violation(w, t) is None)
+
+
+class TestForbiddenNext:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 4), max_size=40),
+           st.sampled_from(DEJEAN_THRESHOLDS),
+           st.sampled_from([None, 1, 2, 3]))
+    def test_matches_per_letter_suffix_test(self, draws, t, tail_max):
+        pairs = _window_checks(t, len(draws) + 1, tail_max)
+        w = []
+        for a in draws:  # keep the draws that leave the prefix free
+            w.append(a)
+            if _suffix_violation(w, len(w), pairs) is not None:
+                w.pop()
+        expected = {a for a in range(1, 6) if _suffix_violation(w + [a], len(w) + 1, pairs)}
+        assert _forbidden_next(w, pairs) == expected
