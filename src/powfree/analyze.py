@@ -4,7 +4,9 @@ The audit replays, exhaustively at small scale, the counting argument behind
 the certificates: among one-letter extensions of free words, those that leave
 the language are classified by the period of the minimal forbidden window
 ending at the new letter, and each class is dominated by the number of free
-words at the index the window's tail rewinds to.
+words at the index the window's tail rewinds to.  One walk over the free
+words finds the rejected extensions, and one per-period census of them
+yields both the bound check and the suffix-determination (injectivity) check.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .bounds import BoundCertificate, closed_form_root, rational_witness
 from .bounds import asymptotic_target
 from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, count_free, count_tail_restricted
 from .errors import BudgetExceededError, LemmaViolationError
-from .words import Threshold, _scan_violation, _suffix_violation, _window_checks
+from .words import Threshold, _suffix_violation, _window_checks
 
 __all__ = [
     "GrowthEstimate",
@@ -85,50 +86,57 @@ class FjAudit:
     f_total: int  # directly enumerated rejected extensions
     c_i: int
     c_next: int
+    suffix_determined: bool  # each period class maps injectively to shortened prefixes
 
 
-def _rejected_extensions(k: int, t: Threshold, i: int, pairs, budget: int):
-    """All words of length i+1 with a free length-i prefix that are not free."""
+def _rejected_extensions(k: int, i: int, pairs, budget: int):
+    """All words of length i+1 with a free length-i prefix that are not free.
+
+    Grows free words only: a letter appended to a free word can only complete
+    a forbidden power ending there, so one suffix test per extension decides.
+    """
     if k ** (i + 1) > budget:
         raise BudgetExceededError(
             f"audit is exhaustive: k**(i+1) = {k}**{i + 1} exceeds the work budget {budget}",
             parameter="len")
-    return [w for w in product(range(1, k + 1), repeat=i + 1)
-            if _scan_violation(w[:i], pairs) is None
-            and _suffix_violation(w, i + 1, pairs) is not None]
-
-
-def _by_period(rejected, end: int, pairs):
-    """Per (period, window) pair, the rejected words whose window ending at end is periodic."""
-    return [(j, m, [w for w in rejected if _suffix_violation(w, end, ((j, m),)) is not None])
-            for j, m in pairs]
+    letters = range(1, k + 1)
+    free = [()]
+    for length in range(1, i + 1):
+        free = [w + (a,) for w in free for a in letters
+                if _suffix_violation(w + (a,), length, pairs) is None]
+    return [w + (a,) for w in free for a in letters
+            if _suffix_violation(w + (a,), i + 1, pairs) is not None]
 
 
 def fj_audit(k: int, n: int, strict: bool, i: int,
              budget: int = DEFAULT_NAIVE_BUDGET) -> FjAudit:
     """Exhaustive census of rejected one-letter extensions, by window period.
 
-    Counts, for each period j, the rejected extensions whose minimal
-    forbidden window of period j ends at the last letter, and pairs each
-    count with the free-word count it must not exceed.  Raises
-    LemmaViolationError if any per-period bound fails, if the per-period
-    counts do not cover all rejected extensions, or if the rejected total
+    Walks the free words once for the rejected extensions, counts for each
+    period j those whose period-j forbidden window ends at the last letter,
+    and pairs each count with the free-word count it must not exceed.  The
+    same census gives suffix_determined: dropping the window's tail maps each
+    period class injectively, the injection behind the bound.  Raises
+    ValueError if i < 0, and LemmaViolationError if a per-period bound fails,
+    if the census does not cover all rejected extensions, or if their total
     does not balance k*C_i - C_{i+1} exactly.
     """
+    if i < 0:
+        raise ValueError("audit prefix length i must be at least 0")
     t = Threshold.dejean(n, strict)
-    series = count_free(k, t, i + 1, method="canonical")
-    counts = series.counts
+    counts = count_free(k, t, i + 1, method="canonical").counts
     end = i + 1
     pairs = _window_checks(t, end)
-    rejected = _rejected_extensions(k, t, i, pairs, budget)
+    rejected = _rejected_extensions(k, i, pairs, budget)
     f_total = len(rejected)
     if k * counts[i] - counts[i + 1] != f_total:
         raise LemmaViolationError(
             f"extension balance failed: k*C_{i} - C_{i + 1} = "
             f"{k * counts[i] - counts[i + 1]} but {f_total} rejected extensions found")
     rows = []
-    covered = 0
-    for j, m, matched in _by_period(rejected, end, pairs):
+    injective = True
+    for j, m in pairs:
+        matched = [w for w in rejected if _suffix_violation(w, end, ((j, m),)) is not None]
         cnt = len(matched)
         bound = counts[end - (m - j)]
         if cnt > bound:
@@ -136,30 +144,23 @@ def fj_audit(k: int, n: int, strict: bool, i: int,
                 f"period-{j} census {cnt} exceeds its bound C_{end - (m - j)} = {bound} "
                 f"(k={k}, n={n}, strict={strict}, i={i})")
         rows.append(FjAuditRow(period=j, count=cnt, bound=bound))
-        covered += cnt
+        injective = injective and len({w[:end - (m - j)] for w in matched}) == cnt
+    covered = sum(r.count for r in rows)
     if covered < f_total:
         raise LemmaViolationError(
             f"period census covers {covered} < {f_total} rejected extensions")
     return FjAudit(k=k, n=n, strict=strict, i=i, rows=tuple(rows),
-                   f_total=f_total, c_i=counts[i], c_next=counts[i + 1])
+                   f_total=f_total, c_i=counts[i], c_next=counts[i + 1],
+                   suffix_determined=injective)
 
 
 def suffix_determination_check(k: int, n: int, strict: bool, i: int,
                                budget: int = DEFAULT_NAIVE_BUDGET) -> bool:
-    """Verify rejected extensions are recoverable from their shortened prefixes.
+    """Whether rejected extensions are recoverable from their shortened prefixes.
 
-    For every period j, dropping the tail of the period-j window must map the
-    rejected extensions with a periodic period-j window injectively: there
-    are as many distinct shortened prefixes as such extensions.  This is the
-    injection that makes the per-period census at most the free-word count
-    at the shortened length.
+    Reads suffix_determined off the one census fj_audit takes (same errors).
     """
-    t = Threshold.dejean(n, strict)
-    end = i + 1
-    pairs = _window_checks(t, end)
-    rejected = _rejected_extensions(k, t, i, pairs, budget)
-    return all(len({w[:end - (m - j)] for w in matched}) == len(matched)
-               for j, m, matched in _by_period(rejected, end, pairs))
+    return fj_audit(k, n, strict, i, budget).suffix_determined
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .analyze import REPORT_COLUMNS, conjecture_report, fj_audit, suffix_determination_check
+from .analyze import REPORT_COLUMNS, conjecture_report, fj_audit
 from .bounds import certify
 from .cache import CountCache
 from .counting import (DEFAULT_NAIVE_BUDGET, METHODS, CountSeries, count_free,
@@ -220,11 +220,9 @@ def cmd_audit(args) -> int:
     if args.n < 2:
         raise UsageError("n must be at least 2")
     audit = fj_audit(args.k, args.n, args.plus, args.len, budget=args.budget)
-    suffix_ok = suffix_determination_check(args.k, args.n, args.plus, args.len,
-                                           budget=args.budget)
     rows = [{"j": r.period, "F_j_count": r.count, "bound": r.bound,
              "pass": r.count <= r.bound} for r in audit.rows]
-    all_pass = all(r["pass"] for r in rows) and suffix_ok
+    all_pass = all(r["pass"] for r in rows) and audit.suffix_determined
     if args.out == "csv":
         _emit_csv(rows, ("j", "F_j_count", "bound", "pass"))
     else:
@@ -235,7 +233,7 @@ def cmd_audit(args) -> int:
             "f_total": audit.f_total,
             "k_Ci_minus_Cnext": audit.k * audit.c_i - audit.c_next,
             "covered": sum(r["F_j_count"] for r in rows),
-            "suffix_determination": suffix_ok,
+            "suffix_determination": audit.suffix_determined,
             "all_pass": all_pass,
         }
         _emit_json(doc, args)

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import count, product
 
 import pytest
 
@@ -16,7 +17,7 @@ from powfree import (
     suffix_determination_check,
 )
 
-from oracles import count_series, is_free
+from oracles import count_series, factor_is_power, forbidden_exponent, is_free
 
 
 class TestGrowthEstimate:
@@ -83,23 +84,38 @@ class TestExtensionAudit:
                 index = i + 1 - (-(-j // (n - 1)))
             assert row.bound == counts[index]
 
-    def test_f_total_matches_independent_enumeration(self):
-        from itertools import product
-        k, n, strict, i = 3, 2, False, 5
+    @pytest.mark.parametrize("k,n,strict,i", AUDIT_INSTANCES)
+    def test_f_total_matches_independent_enumeration(self, k, n, strict, i):
+        """Brute force over all k**(i+1) words, through the oracles only."""
         t = Threshold.dejean(n, strict)
+        end = i + 1
+        rejected = [
+            w for w in product(range(1, k + 1), repeat=end)
+            if is_free(w[:i], t.num, t.den, strict) and not is_free(w, t.num, t.den, strict)]
+        census = []
+        for j in range(1, end):
+            m = next(m for m in count(j + 1) if forbidden_exponent(m, j, t.num, t.den, strict))
+            if m <= end:
+                census.append((j, sum(1 for w in rejected if factor_is_power(w, end - m, j, m))))
         audit = fj_audit(k, n, strict, i)
-        direct = sum(
-            1 for w in product(range(1, k + 1), repeat=i + 1)
-            if is_free(w[:i], t.num, t.den, strict) and not is_free(w, t.num, t.den, strict))
-        assert audit.f_total == direct
+        assert audit.f_total == len(rejected)
+        assert [(r.period, r.count) for r in audit.rows] == census
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             fj_audit(4, 3, False, 6, budget=100)
 
+    @pytest.mark.parametrize("i", [-1, -2])
+    def test_negative_length_is_rejected(self, i):
+        with pytest.raises(ValueError):
+            fj_audit(3, 2, False, i)
+        with pytest.raises(ValueError):
+            suffix_determination_check(3, 2, False, i)
+
     @pytest.mark.parametrize("k,n,strict,i", AUDIT_INSTANCES)
     def test_suffix_determination(self, k, n, strict, i):
         assert suffix_determination_check(k, n, strict, i) is True
+        assert fj_audit(k, n, strict, i).suffix_determined is True
 
 
 class TestConjectureReport:

@@ -209,6 +209,11 @@ class TestAudit:
         assert doc["f_total"] == doc["k_Ci_minus_Cnext"]
         assert doc["covered"] >= doc["f_total"]
 
+    @pytest.mark.parametrize("length", ["-1", "-2"])
+    def test_negative_length_is_usage_error(self, capsys, length):
+        code, out = run(capsys, "audit", "--k", "3", "--n", "2", "--len", length)
+        assert code == 2 and out == ""
+
 
 class TestReport:
     def test_csv_columns(self, capsys):
