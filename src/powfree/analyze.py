@@ -1,12 +1,13 @@
 """Growth-rate estimation, the extension-census audit, and exploratory reports.
 
-The audit replays, exhaustively at small scale, the counting argument behind
-the certificates: among one-letter extensions of free words, those that leave
-the language are classified by the period of the minimal forbidden window
-ending at the new letter, and each class is dominated by the number of free
-words at the index the window's tail rewinds to.  One walk over the free
-words finds the rejected extensions, and one per-period census of them
-yields both the bound check and the suffix-determination (injectivity) check.
+The audit replays the counting argument behind the certificates: among
+one-letter extensions of free words, those that leave the language are
+classified by the period of the minimal forbidden window ending at the new
+letter, and each class is dominated by the number of free words at the
+index the window's tail rewinds to.  One walk over free canonical patterns,
+by the counter's level step, finds the rejected extensions, and one
+per-period census of them yields both the bound check and the
+suffix-determination (injectivity) check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .bounds import BoundCertificate, closed_form_root, rational_witness
 from .bounds import asymptotic_target
-from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, count_free, count_tail_restricted
+from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, _grow, count_free, count_tail_restricted
 from .errors import BudgetExceededError, LemmaViolationError
 from .words import Threshold, _suffix_violation, _window_checks
 
@@ -90,45 +91,39 @@ class FjAudit:
 
 
 def _rejected_extensions(k: int, i: int, pairs, budget: int):
-    """All words of length i+1 with a free length-i prefix that are not free.
-
-    Grows free words only: a letter appended to a free word can only complete
-    a forbidden power ending there, so one suffix test per extension decides.
-    """
-    if k ** (i + 1) > budget:
-        raise BudgetExceededError(
-            f"audit is exhaustive: k**(i+1) = {k}**{i + 1} exceeds the work budget {budget}",
-            parameter="len")
-    letters = range(1, k + 1)
-    free = [()]
+    """(pattern, distinct) per rejected extension; a fresh letter never ends a power."""
+    level = [((), 0)]
     for length in range(1, i + 1):
-        free = [w + (a,) for w in free for a in letters
-                if _suffix_violation(w + (a,), length, pairs) is None]
-    return [w + (a,) for w in free for a in letters
+        if len(level) * k * length > budget:
+            raise BudgetExceededError(f"audit walk: {len(level) * k * length} pattern letters "
+                                      f"exceed the work budget {budget}", parameter="len")
+        level = _grow(k, pairs, level)
+    return [(w + (a,), d) for w, d in level for a in range(1, d + 1)
             if _suffix_violation(w + (a,), i + 1, pairs) is not None]
 
 
 def fj_audit(k: int, n: int, strict: bool, i: int,
              budget: int = DEFAULT_NAIVE_BUDGET) -> FjAudit:
-    """Exhaustive census of rejected one-letter extensions, by window period.
+    """Census of rejected one-letter extensions, by window period.
 
-    Walks the free words once for the rejected extensions, counts for each
-    period j those whose period-j forbidden window ends at the last letter,
-    and pairs each count with the free-word count it must not exceed.  The
-    same census gives suffix_determined: dropping the window's tail maps each
-    period class injectively, the injection behind the bound.  Raises
-    ValueError if i < 0, and LemmaViolationError if a per-period bound fails,
-    if the census does not cover all rejected extensions, or if their total
-    does not balance k*C_i - C_{i+1} exactly.
+    Walks the free canonical patterns once (d distinct letters weigh perm(k, d)
+    words), counts per period j the rejected extensions whose period-j window
+    ends at the last letter, and pairs each with the count it must not exceed.
+    suffix_determined: dropping the tail maps each class injectively, over
+    patterns iff over words (renaming is a bijection in a class; a tail copies
+    earlier letters).  Raises ValueError if i < 0; BudgetExceededError, before
+    counting, if a step to length L could write len(level) * k * L > budget
+    letters; and LemmaViolationError if a per-period bound, the census
+    coverage or the balance k*C_i - C_{i+1} = f_total fails.
     """
     if i < 0:
         raise ValueError("audit prefix length i must be at least 0")
     t = Threshold.dejean(n, strict)
-    counts = count_free(k, t, i + 1, method="canonical").counts
     end = i + 1
     pairs = _window_checks(t, end)
     rejected = _rejected_extensions(k, i, pairs, budget)
-    f_total = len(rejected)
+    counts = count_free(k, t, end, method="canonical").counts
+    f_total = sum(math.perm(k, d) for _, d in rejected)
     if k * counts[i] - counts[i + 1] != f_total:
         raise LemmaViolationError(
             f"extension balance failed: k*C_{i} - C_{i + 1} = "
@@ -136,15 +131,15 @@ def fj_audit(k: int, n: int, strict: bool, i: int,
     rows = []
     injective = True
     for j, m in pairs:
-        matched = [w for w in rejected if _suffix_violation(w, end, ((j, m),)) is not None]
-        cnt = len(matched)
+        matched = [(w, d) for w, d in rejected if _suffix_violation(w, end, ((j, m),)) is not None]
+        cnt = sum(math.perm(k, d) for _, d in matched)
         bound = counts[end - (m - j)]
         if cnt > bound:
             raise LemmaViolationError(
                 f"period-{j} census {cnt} exceeds its bound C_{end - (m - j)} = {bound} "
                 f"(k={k}, n={n}, strict={strict}, i={i})")
         rows.append(FjAuditRow(period=j, count=cnt, bound=bound))
-        injective = injective and len({w[:end - (m - j)] for w in matched}) == cnt
+        injective = injective and len({w[:end - (m - j)] for w, _ in matched}) == len(matched)
     covered = sum(r.count for r in rows)
     if covered < f_total:
         raise LemmaViolationError(

@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel workers for long enumerations, at most one per core "
                              "(default: available cores)")
     common.add_argument("--budget", type=int, default=DEFAULT_NAIVE_BUDGET,
-                        help="work budget for exhaustive engines (candidate words)")
+                        help="work budget: candidate words k**L for the naive engine, "
+                             "letters of the next pattern level for audit")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the generated_at field for byte-reproducible output")
 

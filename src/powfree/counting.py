@@ -17,7 +17,7 @@ canonical  (the default) one depth-first walk over canonical patterns: first
            from that set, so the last level is never visited.
 
 With workers > 1 (capped at the cores) and L >= _MIN_PARALLEL_LENGTH, the
-walk is deepened one level at a time until the frontier holds
+walk is deepened by _grow, one level at a time, until the frontier holds
 _TASKS_PER_WORKER prefixes per worker, or reaches length L-1, or empties;
 each prefix becomes one pool task returning its own table, and the tables
 are summed.  Shorter enumerations run in-process.
@@ -164,6 +164,17 @@ def _dfs(k, pairs, max_length, table, w, distinct):
         w.pop()
 
 
+def _grow(k, pairs, level):
+    """Free (pattern, distinct) children of level; also the audit's level step."""
+    out = []
+    for w, distinct in level:
+        bad = _forbidden_next(w, pairs)
+        out += [(w + (a,), distinct) for a in range(1, distinct + 1) if a not in bad]
+        if distinct < k:
+            out.append((w + (distinct + 1,), distinct + 1))
+    return out
+
+
 def _new_table(k, max_length):
     return [[0] * (min(k, max_length) + 1) for _ in range(max_length + 1)]
 
@@ -179,8 +190,8 @@ def _subtree_table(args):
 def _count_naive(k, t, max_length, tail_max, budget):
     if k ** max_length > budget:
         raise BudgetExceededError(
-            f"naive engine: k**max_length = {k}**{max_length} exceeds the work budget "
-            f"{budget}; use the canonical engine",
+            f"naive engine: k**max_length = {k}**{max_length} candidate words exceed the "
+            f"work budget {budget}; use the canonical engine",
             parameter="max-len",
         )
     pairs = _window_checks(t, max_length, tail_max)
@@ -212,16 +223,9 @@ def _pattern_table(k, t, max_length, tail_max, workers):
     depth = 0
     while frontier and len(frontier) < _TASKS_PER_WORKER * workers and depth < max_length - 1:
         depth += 1
-        row = table[depth]
-        deeper = []
-        for w, distinct in frontier:
-            bad = _forbidden_next(w, pairs)
-            deeper += [(w + (a,), distinct) for a in range(1, distinct + 1) if a not in bad]
-            if distinct < k:
-                deeper.append((w + (distinct + 1,), distinct + 1))
-        for _, distinct in deeper:
-            row[distinct] += 1
-        frontier = deeper
+        frontier = _grow(k, pairs, frontier)
+        for _, distinct in frontier:
+            table[depth][distinct] += 1
     if not frontier:
         return table
     tasks = [(k, pairs, max_length, w, distinct) for w, distinct in frontier]

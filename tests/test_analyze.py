@@ -57,6 +57,7 @@ class TestGrowthEstimate:
 AUDIT_INSTANCES = [
     (4, 3, False, 6), (3, 2, False, 5), (2, 2, True, 6),
     (3, 3, False, 5), (2, 3, True, 7), (4, 4, True, 5),
+    (6, 3, False, 4), (5, 4, True, 4),  # k > i: every level can take a fresh letter
 ]
 
 
@@ -102,8 +103,18 @@ class TestExtensionAudit:
         assert [(r.period, r.count) for r in audit.rows] == census
 
     def test_budget_guard(self):
+        # Growing 136 patterns of length 8 to length 9 may write 136 * 20 * 9 letters.
+        with pytest.raises(BudgetExceededError, match="pattern letters"):
+            fj_audit(20, 3, False, 10, budget=10_000)
+        assert fj_audit(20, 3, False, 8, budget=10_000).f_total > 0
+
+    def test_refused_audit_counts_nothing(self, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("count_free called before the budget check")
+
+        monkeypatch.setattr("powfree.analyze.count_free", no_count)
         with pytest.raises(BudgetExceededError):
-            fj_audit(4, 3, False, 6, budget=100)
+            fj_audit(20, 3, False, 15)
 
     @pytest.mark.parametrize("i", [-1, -2])
     def test_negative_length_is_rejected(self, i):

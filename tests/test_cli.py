@@ -214,6 +214,18 @@ class TestAudit:
         code, out = run(capsys, "audit", "--k", "3", "--n", "2", "--len", length)
         assert code == 2 and out == ""
 
+    def test_certificate_scale(self, capsys):
+        code, out = run(capsys, "audit", "--k", "20", "--n", "3", "--len", "11",
+                        "--no-timestamp")
+        doc = json.loads(out)
+        assert code == 0 and doc["all_pass"] is True
+        assert doc["suffix_determination"] is True
+        assert doc["f_total"] == doc["k_Ci_minus_Cnext"]
+
+    def test_budget_exceeded_exit_code(self, capsys):
+        code, out = run(capsys, "audit", "--k", "20", "--n", "3", "--len", "15")
+        assert code == 3 and out == ""
+
 
 class TestReport:
     def test_csv_columns(self, capsys):
