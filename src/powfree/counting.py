@@ -36,7 +36,7 @@ from itertools import product
 from math import perm
 
 from .errors import BudgetExceededError
-from .words import Threshold, _forbidden_next, _scan_violation, _window_checks
+from .words import Threshold, _forbidden_next, _suffix_violation, _window_checks
 
 __all__ = [
     "METHODS",
@@ -198,10 +198,12 @@ def _count_naive(k, t, max_length, tail_max, budget):
     counts = [0] * (max_length + 1)
     counts[0] = 1
     for i in range(1, max_length + 1):
-        counts[i] = sum(
-            1 for w in product(range(1, k + 1), repeat=i)
-            if _scan_violation(w, pairs) is None
-        )
+        for w in product(range(1, k + 1), repeat=i):
+            for end in range(2, i + 1):
+                if _suffix_violation(w, end, pairs) is not None:
+                    break
+            else:
+                counts[i] += 1
     return counts
 
 

@@ -4,6 +4,12 @@ Letters are integer indices 1..k.  A factor w[s:e] is a power of period j
 when w[t] == w[t-j] for every t in [s+j, e); its exponent is the rational
 (e-s)/j.  Every exponent comparison below is an integer cross
 multiplication; detection never touches floating point.
+
+Two window tests share one window list (_window_checks).  Growing a word a
+letter at a time (the counting engines, the audit, extension_ok) tests only
+the windows ending at the new letter (_suffix_violation, _forbidden_next).
+A whole word (find_violation) is scanned one period at a time: O(n) bytes of
+big-integer and bytes.find work in C per period, O(n^2/beta) bytes in all.
 """
 
 from __future__ import annotations
@@ -212,31 +218,45 @@ def _forbidden_next(w, pairs):
     return bad
 
 
-def _scan_violation(letters, pairs):
-    """First forbidden power by end index, ties by smallest period.
-
-    pairs comes from _window_checks with a max_length of at least
-    len(letters).  Returns (start, period, length) or None.
-    """
-    for end in range(2, len(letters) + 1):
-        hit = _suffix_violation(letters, end, pairs)
-        if hit is not None:
-            j, m = hit
-            return end - m, j, m
-    return None
-
-
 def find_violation(word: Word, t: Threshold) -> ViolationWitness | None:
     """Earliest-ending forbidden power of word under t, or None if t-free.
 
     Deterministic: smallest end index wins, ties broken by smallest period,
     and the reported length is the minimal violating length at that period.
+
+    The scan goes one period at a time.  Each byte lane of the letters (lane
+    r holds byte r of every letter, one byte per letter) is read as one big
+    integer and XORed with itself shifted by j letters; OR-ing the lanes
+    gives a difference string whose byte p is zero iff letter p equals
+    letter p-j.  A run of m-j zero bytes starting at p >= j is a window of
+    period j and length m ending where the run ends, so bytes.find of the
+    first such run gives the earliest window at that period.  Every letter
+    is one byte of the difference string, so a run can only start on a
+    letter.  Each find stops before the best end so far, and the scan stops
+    at the first window no shorter than that end.  Each period costs O(n)
+    byte operations in C; the whole scan is O(n^2/beta) bytes.
     """
-    hit = _scan_violation(word.letters, _window_checks(t, len(word)))
+    letters = word.letters
+    n = len(letters)
+    width = max(1, (max(letters, default=0).bit_length() + 7) // 8)
+    lanes = [int.from_bytes(bytes((a >> shift) & 255 for a in letters), "big")
+             for shift in range(0, 8 * width, 8)]
+    hit = None
+    best_end = n + 1
+    for j, m in _window_checks(t, n):
+        if m >= best_end:
+            break
+        diff = 0
+        for lane in lanes:
+            diff |= lane ^ (lane >> 8 * j)
+        p = diff.to_bytes(n, "big").find(bytes(m - j), j, best_end - 1)
+        if p >= 0:
+            best_end = p + m - j
+            hit = (j, m)
     if hit is None:
         return None
-    start, period, length = hit
-    return ViolationWitness(start=start, period=period, length=length,
+    period, length = hit
+    return ViolationWitness(start=best_end - length, period=period, length=length,
                             exponent=Fraction(length, period))
 
 

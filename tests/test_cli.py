@@ -8,6 +8,12 @@ from powfree import REPORT_COLUMNS, CountCache, Threshold, count_free
 from powfree.cli import main
 
 
+def thue_morse_ternary(length, offset=0):
+    """Square-free word over a, b, c: first differences of the Thue-Morse word."""
+    t = [bin(i).count("1") & 1 for i in range(offset, offset + length + 1)]
+    return "".join("abc"[t[i + 1] - t[i] + 1] for i in range(length))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -43,6 +49,24 @@ class TestCheck:
         lines = out.strip().splitlines()
         assert lines[0] == "word,beta,plus,free,start,period,length,exponent_num,exponent_den"
         assert lines[1] == "hotshots,2,false,false,0,4,8,2,1"
+
+    @pytest.mark.parametrize("plus", [False, True])
+    def test_long_square_free_word(self, capsys, plus):
+        word = thue_morse_ternary(2400, offset=1234)
+        flags = ["--plus"] if plus else []
+        code, out = run(capsys, "check", word, "--beta", "2", *flags, "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["free"] is True
+        # "aaa" planted 30 letters from the end: a square, or a cube under 2+.
+        p = len(word) - 30
+        planted = word[:p] + word[p - 1] * 2 + word[p:-2]
+        code, out = run(capsys, "check", planted, "--beta", "2", *flags, "--no-timestamp")
+        assert code == 1
+        doc = json.loads(out)
+        length = 3 if plus else 2
+        assert doc["free"] is False
+        assert (doc["witness"]["start"], doc["witness"]["period"], doc["witness"]["length"]) == \
+            (p - 1, 1, length)
 
     def test_bad_word_is_usage_error(self, capsys):
         code, _ = run(capsys, "check", "abc!", "--beta", "2")

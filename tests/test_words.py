@@ -20,6 +20,16 @@ from powfree.words import _forbidden_next, _suffix_violation, _window_checks
 from oracles import all_violations, is_free
 
 DEJEAN_THRESHOLDS = [Threshold.dejean(n, s) for n in (2, 3, 4, 5) for s in (False, True)]
+SCAN_THRESHOLDS = DEJEAN_THRESHOLDS + [Threshold(7, 4), Threshold(7, 4, True), Threshold(3)]
+# Letter sets whose letters take one, two, three and six bytes, with values
+# that differ only in a low byte, only in a high byte, or share no byte.
+ALPHABETS = [
+    (1, 2, 3, 4, 5),
+    (1, 255, 256, 257, 512),
+    (256, 1, 257, 511, 65535),
+    (65536, 65537, 1, 256, 70000),
+    (2**40, 2**40 + 1, 2**40 + 256, 3, 65536),
+]
 
 
 def oracle_first_violation(letters, t):
@@ -28,6 +38,17 @@ def oracle_first_violation(letters, t):
     if not hits:
         return None
     return min(hits, key=lambda v: (v[0] + v[2], v[1], v[2]))
+
+
+def scan_by_end(letters, t):
+    """First forbidden power by end index: the minimal-window test at every end."""
+    pairs = _window_checks(t, len(letters))
+    for end in range(2, len(letters) + 1):
+        hit = _suffix_violation(letters, end, pairs)
+        if hit is not None:
+            j, m = hit
+            return end - m, j, m
+    return None
 
 
 class TestThreshold:
@@ -158,6 +179,49 @@ class TestFindViolation:
             assert got is None
         else:
             assert (got.start, got.period, got.length) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(3, 5),
+           st.sampled_from(SCAN_THRESHOLDS), st.sampled_from(ALPHABETS), st.integers(0, 60))
+    def test_long_words_against_scan_by_end(self, rng, k, t, alphabet, plant):
+        # Grow a t-free word of up to 400 letters over k letters, backing off
+        # a few letters at a dead end, so that powers can end far in; then
+        # copy a block of it elsewhere to plant a long repetition.
+        n = rng.randint(0, 400)
+        pairs = _window_checks(t, n + 1)
+        w = []
+        for _ in range(3 * n):
+            if len(w) >= n:
+                break
+            allowed = sorted(set(range(1, k + 1)) - _forbidden_next(w, pairs))
+            if allowed:
+                w.append(rng.choice(allowed))
+            else:
+                del w[-rng.randint(1, 4):]
+        if plant:
+            s, at = rng.randint(0, len(w)), rng.randint(0, len(w))
+            w[at:at] = w[s:s + plant]
+        letters = tuple(alphabet[a - 1] for a in w)
+        got = find_violation(Word(letters, max(alphabet)), t)
+        expected = scan_by_end(letters, t)
+        assert (None if got is None else (got.start, got.period, got.length)) == expected
+
+    def test_zero_bytes_across_a_letter_boundary_are_no_match(self):
+        # As two-byte letters 1 = 00 01, 257 = 01 01 and 256 = 01 00, so the
+        # period-1 differences of 1, 257, 256 are 01 00 and 00 01: two zero
+        # bytes in a row that belong to different letters.  Only "2 2" repeats.
+        letters = (1, 257, 256, 2, 2)
+        v = find_violation(Word(letters, 257), Threshold(2))
+        assert (v.start, v.period, v.length) == (3, 1, 2) == scan_by_end(letters, Threshold(2))
+        assert find_violation(Word(letters[:4], 257), Threshold(2)) is None
+
+    def test_tie_at_the_earliest_end_goes_to_the_smaller_period(self):
+        # 2,1,2 (period 2) and 1,2,3,4,2,1,2 (period 5) both end the word,
+        # and neither starts it.
+        letters = (5, 1, 2, 3, 4, 2, 1, 2)
+        t = Threshold(4, 3, True)
+        v = find_violation(Word(letters, 5), t)
+        assert (v.start, v.period, v.length) == (5, 2, 3) == scan_by_end(letters, t)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=12),
