@@ -5,7 +5,8 @@ method, counts as decimal strings).  Writes replace the whole file via
 write-temp-then-rename, so concurrent readers always see a complete file;
 writers hold an exclusive flock on the sidecar file <cache>.lock from read
 to rename, so concurrent writers do not drop each other's records.  One
-record is kept per key, the one with the longest counts.
+record is kept per key, the one with the longest counts.  get validates
+only the records of its key; put and entries validate every record.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = ["CountCache"]
 log = logging.getLogger(__name__)
 
 Key = tuple[int, int, int, bool, int | None]
+_KEY_FIELDS = ("k", "num", "den", "strict", "tail_max")
 
 
 def _key(k: int, t: Threshold, tail_max: int | None) -> Key:
@@ -41,7 +43,9 @@ class CountCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def _load(self) -> dict[Key, CountSeries]:
+    def _load(self, only: Key | None = None) -> dict[Key, CountSeries]:
+        """Parse the records; given only, validate just those whose raw key fields
+        equal it (to_record writes thresholds in lowest terms)."""
         entries: dict[Key, CountSeries] = {}
         if not self.path.exists():
             return entries
@@ -50,7 +54,10 @@ class CountCache:
                 if not line.strip():
                     continue
                 try:
-                    series = CountSeries.from_record(json.loads(line))
+                    record = json.loads(line)
+                    if only is not None and tuple(record[f] for f in _KEY_FIELDS) != only:
+                        continue
+                    series = CountSeries.from_record(record)
                 except (ValueError, KeyError, TypeError) as exc:
                     log.warning("skipping corrupt cache record %s:%d (%s)",
                                 self.path, lineno, exc)
@@ -63,7 +70,8 @@ class CountCache:
 
     def get(self, k: int, t: Threshold, tail_max: int | None = None) -> CountSeries | None:
         """Longest stored series for the key, or None."""
-        return self._load().get(_key(k, t, tail_max))
+        key = _key(k, t, tail_max)
+        return self._load(only=key).get(key)
 
     def put(self, series: CountSeries) -> None:
         """Store a series; an existing longer series for the same key wins."""

@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Commands: check, count, certify, audit, report, cache.  Outputs go to
-stdout as JSON (default) or CSV; counts and exact rationals are always
-emitted as decimal strings so downstream tools never lose precision.
+Commands: check, count, certify, audit, report, cache.  Each command builds
+its result once, as a JSON document and the rows of a CSV table, and one
+emitter (_emit) prints it to stdout as JSON (default) or CSV; counts and
+exact rationals are always emitted as decimal strings so downstream tools
+never lose precision.
 
 Exit codes: 0 success (word free / all checks pass), 1 negative result
 (violation found, or no witness exists), 2 usage error, 3 work budget
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
@@ -75,19 +76,17 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _emit_json(doc: dict, args) -> None:
+def _emit(args, doc: dict, rows: list[dict], columns) -> None:
+    """Print one result: rows under columns as CSV (a missing field is a blank
+    cell), or doc as JSON with a generated_at timestamp unless --no-timestamp."""
+    if args.out == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(row.get(c)) for c in columns] for row in rows)
+        return
     if not args.no_timestamp:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(doc, indent=2))
-
-
-def _emit_csv(rows: list[dict], columns) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row[c]) for c in columns])
-    sys.stdout.write(buf.getvalue())
+    print(json.dumps(doc, indent=2, default=_frac_str))
 
 
 def _csv_cell(value):
@@ -125,51 +124,28 @@ def _series_for(k: int, t: Threshold, max_length: int, method: str | None,
 def cmd_check(args) -> int:
     word = parse_cli_word(args.word)
     t = Threshold.parse(args.beta, strict=args.plus)
-    witness = find_violation(word, t)
-    doc = {
-        "command": "check",
-        "word": args.word,
-        "beta": f"{t.num}/{t.den}" if t.den != 1 else str(t.num),
-        "plus": t.strict,
-        "free": witness is None,
+    found = find_violation(word, t)
+    head = {"word": args.word, "beta": f"{t.num}/{t.den}" if t.den != 1 else str(t.num),
+            "plus": t.strict, "free": found is None}
+    witness = None if found is None else {
+        "start": found.start,
+        "period": found.period,
+        "length": found.length,
+        "exponent_num": str(found.exponent.numerator),
+        "exponent_den": str(found.exponent.denominator),
+        "tail_length": found.tail_length,
     }
-    wrow = None
-    if witness is not None:
-        wrow = {
-            "start": witness.start,
-            "period": witness.period,
-            "length": witness.length,
-            "exponent_num": str(witness.exponent.numerator),
-            "exponent_den": str(witness.exponent.denominator),
-            "tail_length": witness.tail_length,
-        }
-    doc["witness"] = wrow
-    if args.out == "csv":
-        row = {"word": args.word, "beta": doc["beta"], "plus": t.strict,
-               "free": witness is None,
-               "start": None if wrow is None else wrow["start"],
-               "period": None if wrow is None else wrow["period"],
-               "length": None if wrow is None else wrow["length"],
-               "exponent_num": None if wrow is None else wrow["exponent_num"],
-               "exponent_den": None if wrow is None else wrow["exponent_den"]}
-        _emit_csv([row], ("word", "beta", "plus", "free", "start", "period",
-                          "length", "exponent_num", "exponent_den"))
-    else:
-        _emit_json(doc, args)
-    return EXIT_OK if witness is None else EXIT_NEGATIVE
+    _emit(args, {"command": "check", **head, "witness": witness}, [{**head, **(witness or {})}],
+          (*head, "start", "period", "length", "exponent_num", "exponent_den"))
+    return EXIT_OK if found is None else EXIT_NEGATIVE
 
 
 def cmd_count(args) -> int:
     t = Threshold.parse(args.beta, strict=args.plus)
     method = None if args.engine == "auto" else args.engine
     series = _series_for(args.k, t, args.max_len, method, args.tail_max, args)
-    if args.out == "csv":
-        rows = [{"i": i, "count": str(c)} for i, c in enumerate(series.counts)]
-        _emit_csv(rows, ("i", "count"))
-    else:
-        doc = {"command": "count"}
-        doc.update(series.to_record())
-        _emit_json(doc, args)
+    _emit(args, {"command": "count", **series.to_record()},
+          [{"i": i, "count": str(c)} for i, c in enumerate(series.counts)], ("i", "count"))
     return EXIT_OK
 
 
@@ -182,37 +158,22 @@ def cmd_certify(args) -> int:
         raise UsageError(f"{op} required for the witness condition (got k={args.k}, n={args.n})")
     t = Threshold.dejean(args.n, args.plus)
     series = _series_for(args.k, t, args.max_len, "canonical", None, args)
+    fields = {"k": args.k, "n": args.n, "plus": args.plus}
     try:
         cert = certify(args.k, args.n, args.plus, series, args.precision_bits)
     except NoWitnessError as exc:
-        doc = {"command": "certify", "status": "no-witness", "k": args.k,
-               "n": args.n, "plus": args.plus, "detail": str(exc)}
-        if args.out == "csv":
-            _emit_csv([{"k": args.k, "n": args.n, "plus": args.plus,
-                        "status": "no-witness"}], ("k", "n", "plus", "status"))
-        else:
-            _emit_json(doc, args)
+        _emit(args, {"command": "certify", "status": "no-witness", **fields, "detail": str(exc)},
+              [{**fields, "status": "no-witness"}], (*fields, "status"))
         return EXIT_NEGATIVE
-    doc = {
-        "command": "certify",
-        "status": "ok",
-        "k": cert.k,
-        "n": cert.n,
-        "plus": cert.strict,
+    fields.update({
         "x_witness_num": str(cert.x_witness.numerator),
         "x_witness_den": str(cert.x_witness.denominator),
         "condition_margin_num": str(cert.condition_margin.numerator),
         "condition_margin_den": str(cert.condition_margin.denominator),
         "verified_up_to": cert.verified_up_to,
         "series_digest": cert.series_digest,
-    }
-    if args.out == "csv":
-        row = {c: doc[c] for c in ("k", "n", "plus", "x_witness_num", "x_witness_den",
-                                   "condition_margin_num", "condition_margin_den",
-                                   "verified_up_to", "series_digest")}
-        _emit_csv([row], tuple(row))
-    else:
-        _emit_json(doc, args)
+    })
+    _emit(args, {"command": "certify", "status": "ok", **fields}, [fields], tuple(fields))
     return EXIT_OK
 
 
@@ -223,20 +184,17 @@ def cmd_audit(args) -> int:
     rows = [{"j": r.period, "F_j_count": r.count, "bound": r.bound,
              "pass": r.count <= r.bound} for r in audit.rows]
     all_pass = all(r["pass"] for r in rows) and audit.suffix_determined
-    if args.out == "csv":
-        _emit_csv(rows, ("j", "F_j_count", "bound", "pass"))
-    else:
-        doc = {
-            "command": "audit",
-            "k": audit.k, "n": audit.n, "plus": audit.strict, "i": audit.i,
-            "rows": rows,
-            "f_total": audit.f_total,
-            "k_Ci_minus_Cnext": audit.k * audit.c_i - audit.c_next,
-            "covered": sum(r["F_j_count"] for r in rows),
-            "suffix_determination": audit.suffix_determined,
-            "all_pass": all_pass,
-        }
-        _emit_json(doc, args)
+    doc = {
+        "command": "audit",
+        "k": audit.k, "n": audit.n, "plus": audit.strict, "i": audit.i,
+        "rows": rows,
+        "f_total": audit.f_total,
+        "k_Ci_minus_Cnext": audit.k * audit.c_i - audit.c_next,
+        "covered": sum(r["F_j_count"] for r in rows),
+        "suffix_determination": audit.suffix_determined,
+        "all_pass": all_pass,
+    }
+    _emit(args, doc, rows, ("j", "F_j_count", "bound", "pass"))
     return EXIT_OK if all_pass else EXIT_LEMMA
 
 
@@ -245,21 +203,15 @@ def cmd_report(args) -> int:
     k_values = parse_int_values(args.k)
     if any(n < 2 for n in n_values):
         raise UsageError("n values must be at least 2")
-    rows = conjecture_report(n_values, k_values, max_length=args.max_len,
-                             tail_max=args.tail_max, workers=args.workers)
-    if args.out == "csv":
-        dicts = [{c: getattr(r, c) for c in REPORT_COLUMNS} for r in rows]
-        _emit_csv(dicts, REPORT_COLUMNS)
-    else:
-        nested: dict = {}
-        for r in rows:
-            entry = {c: getattr(r, c) for c in REPORT_COLUMNS if c not in ("k", "n")}
-            for key in ("witness", "witness_plus"):
-                if entry[key] is not None:
-                    entry[key] = _frac_str(entry[key])
-            nested.setdefault(str(r.n), {})[str(r.k)] = entry
-        _emit_json({"command": "report", "columns": list(REPORT_COLUMNS),
-                    "rows_by_n_then_k": nested}, args)
+    rows = [{c: getattr(r, c) for c in REPORT_COLUMNS}
+            for r in conjecture_report(n_values, k_values, max_length=args.max_len,
+                                       tail_max=args.tail_max, workers=args.workers)]
+    nested: dict = {}
+    for row in rows:
+        entry = {c: v for c, v in row.items() if c not in ("k", "n")}
+        nested.setdefault(str(row["n"]), {})[str(row["k"])] = entry
+    _emit(args, {"command": "report", "columns": list(REPORT_COLUMNS),
+                 "rows_by_n_then_k": nested}, rows, REPORT_COLUMNS)
     return EXIT_OK
 
 
@@ -270,17 +222,14 @@ def cmd_cache(args) -> int:
     if args.action == "clear":
         cache.clear()
         if args.out == "json":
-            _emit_json({"command": "cache", "action": "clear", "path": str(cache.path)}, args)
+            _emit(args, {"command": "cache", "action": "clear", "path": str(cache.path)}, [], ())
         return EXIT_OK
     rows = [{"k": s.k, "beta": str(s.threshold).rstrip("+"),
              "plus": s.threshold.strict,
              "tail_max": s.tail_max, "method": s.method,
              "max_length": s.max_length} for s in cache.entries()]
-    if args.out == "csv":
-        _emit_csv(rows, ("k", "beta", "plus", "tail_max", "method", "max_length"))
-    else:
-        _emit_json({"command": "cache", "action": "list",
-                    "path": str(cache.path), "entries": rows}, args)
+    _emit(args, {"command": "cache", "action": "list", "path": str(cache.path), "entries": rows},
+          rows, ("k", "beta", "plus", "tail_max", "method", "max_length"))
     return EXIT_OK
 
 
@@ -370,10 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"powfree {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"powfree {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -230,6 +229,9 @@ def _pattern_table(k, t, max_length, tail_max, workers):
             table[depth][distinct] += 1
     if not frontier:
         return table
+    # Imported here: runs that start no pool skip the import of multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     tasks = [(k, pairs, max_length, w, distinct) for w, distinct in frontier]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         for sub in pool.map(_subtree_table, tasks):

@@ -69,6 +69,30 @@ def test_corrupt_records_reported_and_skipped(cache, caplog):
     assert sum("corrupt" in rec.message for rec in caplog.records) == 3
 
 
+def test_get_validates_only_the_records_of_its_key(cache, monkeypatch):
+    from powfree import CountSeries, count_tail_restricted
+    t = Threshold(2)
+    for k in (2, 3, 4):
+        cache.put(count_free(k, t, 5, "canonical"))
+    cache.put(count_free(3, Threshold(2, 1, True), 5, "canonical"))
+    cache.put(count_tail_restricted(3, t, 1, 5, "canonical"))
+    validated = []
+    from_record = CountSeries.from_record
+
+    def counted(record):
+        validated.append((record["k"], record["strict"], record["tail_max"]))
+        return from_record(record)
+
+    monkeypatch.setattr(CountSeries, "from_record", staticmethod(counted))
+    assert cache.get(3, t) == count_free(3, t, 5, "canonical")
+    assert validated == [(3, False, None)]
+    assert cache.get(3, t, tail_max=2) is None
+    assert validated == [(3, False, None)]
+    validated.clear()
+    assert len(cache.entries()) == 5
+    assert len(validated) == 5
+
+
 def test_write_is_atomic_replace(cache):
     cache.put(count_free(2, Threshold(2), 4, "canonical"))
     leftovers = [p for p in os.listdir(cache.path.parent) if p.endswith(".tmp")]

@@ -1,11 +1,16 @@
 """Command-line surface: schemas, exit codes, caching, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from powfree import REPORT_COLUMNS, CountCache, Threshold, count_free
-from powfree.cli import main
+import powfree
+from powfree import REPORT_COLUMNS, CountCache, Threshold, count_free, count_tail_restricted
+from powfree.cli import entry, main
 
 
 def thue_morse_ternary(length, offset=0):
@@ -178,6 +183,19 @@ class TestCountCache:
                                                "tail_max": None, "method": "canonical",
                                                "max_length": 4}]
 
+    def test_csv_list_and_clear(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = CountCache(path)
+        cache.put(count_free(3, Threshold(2), 4, "canonical"))
+        cache.put(count_tail_restricted(4, Threshold(3, 2, True), 2, 5, "canonical"))
+        code, out = run(capsys, "cache", "list", "--cache", str(path), "--out", "csv")
+        assert code == 0
+        assert out.splitlines() == ["k,beta,plus,tail_max,method,max_length",
+                                    "3,2,false,,canonical,4",
+                                    "4,3/2,true,2,canonical,5"]
+        code, out = run(capsys, "cache", "clear", "--cache", str(path), "--out", "csv")
+        assert code == 0 and out == "" and not path.exists()
+
     def test_cache_without_path_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("POWFREE_CACHE", raising=False)
         code, _ = run(capsys, "cache", "list")
@@ -200,6 +218,23 @@ class TestCertify:
                         "--no-timestamp")
         assert code == 1
         assert json.loads(out)["status"] == "no-witness"
+
+    def test_csv_row_is_the_json_fields(self, capsys):
+        argv = ("certify", "--k", "20", "--n", "3", "--max-len", "10")
+        _, out = run(capsys, *argv, "--no-timestamp")
+        doc = json.loads(out)
+        code, out = run(capsys, *argv, "--out", "csv")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == ("k,n,plus,x_witness_num,x_witness_den,condition_margin_num,"
+                          "condition_margin_den,verified_up_to,series_digest")
+        assert row.split(",") == ["20", "3", "false"] + [str(doc[c]) for c in header.split(",")[3:]]
+        assert doc["series_digest"] == count_free(20, Threshold.dejean(3), 10).digest()
+
+    def test_no_witness_csv(self, capsys):
+        code, out = run(capsys, "certify", "--k", "2", "--n", "2", "--plus", "--out", "csv")
+        assert code == 1
+        assert out.splitlines() == ["k,n,plus,status", "2,2,true,no-witness"]
 
     def test_k_equal_n_without_plus_is_usage_error(self, capsys):
         code, _ = run(capsys, "certify", "--k", "3", "--n", "3")
@@ -290,3 +325,72 @@ class TestReproducibility:
         a.pop("generated_at")
         b.pop("generated_at")
         assert a == b
+
+
+CERTIFICATE_FIELDS = ["k", "n", "plus", "x_witness_num", "x_witness_den", "condition_margin_num",
+                      "condition_margin_den", "verified_up_to", "series_digest"]
+
+
+class TestOutputShapes:
+    @pytest.mark.parametrize("argv,keys", [
+        (["check", "hotshots", "--beta", "2"],
+         ["command", "word", "beta", "plus", "free", "witness"]),
+        (["count", "--k", "3", "--beta", "2", "--max-len", "3"],
+         ["command", "k", "num", "den", "strict", "tail_max", "method", "counts"]),
+        (["certify", "--k", "20", "--n", "3", "--max-len", "6"],
+         ["command", "status", *CERTIFICATE_FIELDS]),
+        (["certify", "--k", "2", "--n", "2", "--plus"],
+         ["command", "status", "k", "n", "plus", "detail"]),
+        (["audit", "--k", "3", "--n", "2", "--len", "4"],
+         ["command", "k", "n", "plus", "i", "rows", "f_total", "k_Ci_minus_Cnext", "covered",
+          "suffix_determination", "all_pass"]),
+        (["report", "--n", "3", "--k", "20", "--max-len", "4"],
+         ["command", "columns", "rows_by_n_then_k"]),
+    ], ids=["check", "count", "certify", "certify-no-witness", "audit", "report"])
+    def test_json_key_order(self, capsys, argv, keys):
+        _, out = run(capsys, *argv, "--no-timestamp")
+        assert list(json.loads(out)) == keys
+        _, out = run(capsys, *argv)
+        assert list(json.loads(out)) == keys + ["generated_at"]
+
+    def test_nested_json_key_order(self, capsys):
+        _, out = run(capsys, "check", "hotshots", "--beta", "2", "--no-timestamp")
+        assert list(json.loads(out)["witness"]) == ["start", "period", "length", "exponent_num",
+                                                    "exponent_den", "tail_length"]
+        _, out = run(capsys, "audit", "--k", "3", "--n", "2", "--len", "4", "--no-timestamp")
+        rows = json.loads(out)["rows"]
+        assert rows and all(list(r) == ["j", "F_j_count", "bound", "pass"] for r in rows)
+        _, out = run(capsys, "report", "--n", "3", "--k", "20", "--max-len", "4",
+                     "--no-timestamp")
+        assert list(json.loads(out)["rows_by_n_then_k"]["3"]["20"]) == list(REPORT_COLUMNS[2:])
+
+    def test_cache_json_key_order(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        CountCache(path).put(count_free(3, Threshold(2), 4, "canonical"))
+        _, out = run(capsys, "cache", "list", "--cache", str(path), "--no-timestamp")
+        doc = json.loads(out)
+        assert list(doc) == ["command", "action", "path", "entries"]
+        assert list(doc["entries"][0]) == ["k", "beta", "plus", "tail_max", "method", "max_length"]
+        _, out = run(capsys, "cache", "clear", "--cache", str(path), "--no-timestamp")
+        assert list(json.loads(out)) == ["command", "action", "path"]
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("word,code,free", [("hotshots", 1, False), ("minimize", 0, True)])
+    def test_exit_code_of_the_console_script(self, capsys, monkeypatch, word, code, free):
+        monkeypatch.setattr(sys, "argv", ["powfree", "check", word, "--beta", "2",
+                                          "--no-timestamp"])
+        with pytest.raises(SystemExit) as info:
+            entry()
+        assert info.value.code == code
+        assert json.loads(capsys.readouterr().out)["free"] is free
+
+    def test_import_leaves_out_the_process_pool(self):
+        src = str(Path(powfree.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        probe = ("import sys, powfree.cli; print(sorted(m for m in "
+                 "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 """Counting engines: agreement, known values, weights, budgets."""
 
+import concurrent.futures
 from dataclasses import replace
 from fractions import Fraction
 
@@ -157,7 +158,7 @@ class _InlinePool:
     (64, 64, 24),    # capped at the tasks: 24 overlap-free binary patterns of length 11
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cores, expected):
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     t = Threshold(2, 1, True)
