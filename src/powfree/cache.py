@@ -5,8 +5,9 @@ method, counts as decimal strings).  Writes replace the whole file via
 write-temp-then-rename, so concurrent readers always see a complete file;
 writers hold an exclusive flock on the sidecar file <cache>.lock from read
 to rename, so concurrent writers do not drop each other's records.  One
-record is kept per key, the one with the longest counts.  get validates
-only the records of its key; put and entries validate every record.
+record is kept per key, the one with the longest counts.  get and put
+validate only the records of their key, and put writes the other keys'
+lines back as they were read; entries validates every record.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ class CountCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def _load(self, only: Key | None = None) -> dict[Key, CountSeries]:
+    def _load(self, only: Key | None = None,
+              others: list[str] | None = None) -> dict[Key, CountSeries]:
         """Parse the records; given only, validate just those whose raw key fields
-        equal it (to_record writes thresholds in lowest terms)."""
+        equal it (to_record writes thresholds in lowest terms), and append the
+        other parsed lines, newline-terminated, to others when it is given."""
         entries: dict[Key, CountSeries] = {}
         if not self.path.exists():
             return entries
@@ -56,6 +59,8 @@ class CountCache:
                 try:
                     record = json.loads(line)
                     if only is not None and tuple(record[f] for f in _KEY_FIELDS) != only:
+                        if others is not None:
+                            others.append(line if line.endswith("\n") else line + "\n")
                         continue
                     series = CountSeries.from_record(record)
                 except (ValueError, KeyError, TypeError) as exc:
@@ -75,13 +80,13 @@ class CountCache:
 
     def put(self, series: CountSeries) -> None:
         """Store a series; an existing longer series for the same key wins."""
+        key = _key(series.k, series.threshold, series.tail_max)
         with self._write_lock():
-            entries = self._load()
-            key = _key(series.k, series.threshold, series.tail_max)
-            kept = entries.get(key)
+            lines: list[str] = []
+            kept = self._load(only=key, others=lines).get(key)
             if kept is None or series.max_length > kept.max_length:
-                entries[key] = series
-            self._write(entries)
+                kept = series
+            self._write(lines + [json.dumps(kept.to_record()) + "\n"])
 
     def entries(self) -> list[CountSeries]:
         return sorted(self._load().values(),
@@ -103,12 +108,11 @@ class CountCache:
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
-    def _write(self, entries: dict[Key, CountSeries]) -> None:
+    def _write(self, lines: list[str]) -> None:
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for key in sorted(entries, key=_sort_key):
-                    fh.write(json.dumps(entries[key].to_record()) + "\n")
+                fh.writelines(lines)
             os.replace(tmp, self.path)
         except BaseException:
             if os.path.exists(tmp):

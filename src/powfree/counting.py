@@ -14,7 +14,9 @@ canonical  (the default) one depth-first walk over canonical patterns: first
            words._forbidden_next, for the old letters that would end a
            forbidden power (each window forbids at most one; the fresh
            letter never completes a power), and its children are tallied
-           from that set, so the last level is never visited.
+           from that set.  A node at length L-2 tallies its children and
+           grandchildren from one pass (words._forbidden_next_two), so the
+           last two levels are never visited.
 
 With workers > 1 (capped at the cores) and L >= _MIN_PARALLEL_LENGTH, the
 walk is deepened by _grow, one level at a time, until the frontier holds
@@ -35,7 +37,8 @@ from itertools import product
 from math import perm
 
 from .errors import BudgetExceededError
-from .words import Threshold, _forbidden_next, _suffix_violation, _window_checks
+from .words import (Threshold, _forbidden_next, _forbidden_next_two, _suffix_violation,
+                    _window_checks)
 
 __all__ = [
     "METHODS",
@@ -50,9 +53,16 @@ DEFAULT_NAIVE_BUDGET = 10**8
 
 # The parallel frontier is deepened until it holds this many prefixes per worker.
 _TASKS_PER_WORKER = 8
-# Below this length a parallel pool costs more than it saves: measured with
-# k=20 on 2 cores, two workers first win at L=12 for squares, overlaps and
-# 3/2+ and first tie there for 3/2 and 4/3.
+# Below this length a parallel pool mostly costs more than it saves.  Seconds
+# at k=20 on 2 cores, serial / 2 workers, best of 5:
+#   L    2            2+           3/2          3/2+         4/3
+#   11   0.018/0.040  0.086/0.073
+#   12   0.090/0.074  0.33/0.24    0.013/0.035  0.065/0.069  0.002/0.025
+#   13                             0.056/0.069  0.45/0.29    0.014/0.029
+#   14                             0.35/0.22                 0.067/0.078
+#   15                                                       0.50/0.24
+# No one length suits every threshold: at 12 squares and overlaps get the
+# pool where it wins, and 3/2 and 4/3 pay at most ~25 ms until L=14-15.
 _MIN_PARALLEL_LENGTH = 12
 
 
@@ -141,10 +151,14 @@ def _dfs(k, pairs, max_length, table, w, distinct):
     Canonical patterns introduce letters in increasing order, so the next
     letter is one already used or distinct + 1 (while that stays <= k).  The
     fresh letter never completes a power; the old ones that would are found
-    by one _forbidden_next test per node, which also tallies the children,
-    so the leaves themselves are never visited.
+    by one _forbidden_next test per node, which also tallies the children.
+    At length max_length - 2, _tally_last_two counts the children and
+    grandchildren at once, so the last two levels are never visited.
     """
     ln = len(w) + 1
+    if ln + 1 == max_length:
+        _tally_last_two(k, pairs, table, w, distinct)
+        return
     row = table[ln]
     bad = _forbidden_next(w, pairs)
     row[distinct] += distinct - len(bad)
@@ -161,6 +175,32 @@ def _dfs(k, pairs, max_length, table, w, distinct):
         w.append(distinct + 1)
         _dfs(k, pairs, max_length, table, w, distinct + 1)
         w.pop()
+
+
+def _tally_last_two(k, pairs, table, w, distinct):
+    """Tally the children and grandchildren of w from one window pass.
+
+    An old child c has distinct - |common | {c if repeat} | {a : (c, a) in
+    named}| old children (words._forbidden_next_two): summed, that is
+    arithmetic on |common|, corrected for the few children a longer window
+    names.
+    """
+    p = len(w)
+    bad, repeat, common, named = _forbidden_next_two(w, pairs)
+    old = distinct - len(bad)
+    leaves = old * (distinct - len(common))
+    if repeat:
+        leaves -= distinct - len(bad | common)
+    # With repeat no free w holds two equal adjacent letters, so no named
+    # letter is its own child.
+    leaves -= sum(c not in bad and a not in common for c, a in named)
+    table[p + 1][distinct] += old
+    table[p + 2][distinct] += leaves
+    if distinct < k:
+        table[p + 1][distinct + 1] += 1
+        table[p + 2][distinct + 1] += old + distinct + 1 - len(common) - repeat
+        if distinct + 1 < k:
+            table[p + 2][distinct + 2] += 1
 
 
 def _grow(k, pairs, level):

@@ -5,9 +5,11 @@ when w[t] == w[t-j] for every t in [s+j, e); its exponent is the rational
 (e-s)/j.  Every exponent comparison below is an integer cross
 multiplication; detection never touches floating point.
 
-Two window tests share one window list (_window_checks).  Growing a word a
+The window tests share one window list (_window_checks).  Growing a word a
 letter at a time (the counting engines, the audit, extension_ok) tests only
-the windows ending at the new letter (_suffix_violation, _forbidden_next).
+the windows ending at the new letter (_suffix_violation, _forbidden_next),
+or, for the counting walk's last two levels, at the next two letters
+(_forbidden_next_two).
 A whole word (find_violation) is scanned one period at a time: O(n) bytes of
 big-integer and bytes.find work in C per period, O(n^2/beta) bytes in all.
 """
@@ -216,6 +218,39 @@ def _forbidden_next(w, pairs):
                           and w[p + 1 - m + j:p] == w[p + 1 - m:p - j]):
             bad.add(a)
     return bad
+
+
+def _forbidden_next_two(w, pairs):
+    """_forbidden_next(w, pairs), plus the forbidden next letters of each child w+c.
+
+    Returns (bad, repeat, common, named).  With p = len(w), a grandchild
+    letter a ends a periodic window (j, m) iff a == (w+c)[p+1-j] and, when
+    m-j >= 2, c == w[p-j] and w[p+2-m+j:p] == w[p+2-m:p-j].  So the tail-1
+    windows forbid common after every child c, plus c itself when repeat
+    (period 1), and a longer window adds (c, a) to named for the one child
+    c = w[p-j] it names, never the fresh one.
+    """
+    p = len(w)
+    bad, common, named = set(), set(), set()
+    for j, m in pairs:
+        if m > p + 2:
+            break
+        if m - j == 1:
+            if m <= p + 1:
+                bad.add(w[p - j])
+            if j > 1:
+                common.add(w[p + 1 - j])
+            continue
+        c = w[p - j]
+        # Tail 2 compares no letter of w; for j = p, w[p-1-j] would wrap.
+        if c not in bad and (m - j == 2 or (w[p - 1] == w[p - 1 - j]
+                                            and w[p + 2 - m + j:p] == w[p + 2 - m:p - j])):
+            # One more equal letter at its start makes the window forbid c after w.
+            if m <= p + 1 and w[p + 1 - m + j] == w[p + 1 - m]:
+                bad.add(c)
+            else:
+                named.add((c, c if j == 1 else w[p + 1 - j]))
+    return bad, pairs[:1] == [(1, 2)], common, named
 
 
 def find_violation(word: Word, t: Threshold) -> ViolationWitness | None:

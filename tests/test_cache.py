@@ -93,6 +93,37 @@ def test_get_validates_only_the_records_of_its_key(cache, monkeypatch):
     assert len(validated) == 5
 
 
+def test_put_validates_only_the_records_of_its_key(cache, monkeypatch, caplog):
+    from powfree import CountSeries
+    t = Threshold(2)
+    for k in (2, 3, 4):
+        cache.put(count_free(k, t, 5, "canonical"))
+    bad = count_free(5, t, 5, "canonical").to_record()
+    bad["counts"] = ["1", "-3"]
+    with open(cache.path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(bad))  # no final newline
+    others = [line for line in cache.path.read_text().splitlines() if '"k": 3,' not in line]
+    validated = []
+    from_record = CountSeries.from_record
+
+    def counted(record):
+        validated.append(record["k"])
+        return from_record(record)
+
+    monkeypatch.setattr(CountSeries, "from_record", staticmethod(counted))
+    cache.put(count_free(3, t, 7, "canonical"))
+    assert validated == [3]
+    # The other keys' lines are kept as they were, a bad body included ...
+    lines = cache.path.read_text().splitlines()
+    assert lines[:-1] == others
+    monkeypatch.undo()
+    # ... and readers still skip that body with a warning.
+    with caplog.at_level(logging.WARNING):
+        assert [s.k for s in cache.entries()] == [2, 3, 4]
+    assert sum("corrupt" in rec.message for rec in caplog.records) == 1
+    assert cache.get(3, t).max_length == 7
+
+
 def test_write_is_atomic_replace(cache):
     cache.put(count_free(2, Threshold(2), 4, "canonical"))
     leftovers = [p for p in os.listdir(cache.path.parent) if p.endswith(".tmp")]

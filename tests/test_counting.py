@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powfree import (
     BudgetExceededError,
@@ -14,11 +16,16 @@ from powfree import (
     count_tail_restricted,
 )
 from powfree import counting
+from powfree.words import _forbidden_next, _suffix_violation, _window_checks
 
 from oracles import count_series
 
 TERNARY_SQUAREFREE = (1, 3, 6, 12, 18, 30, 42, 60)
 BINARY_OVERLAPFREE = (1, 2, 4, 6, 10, 14)
+# Dejean thresholds, plus ones whose period-1 window has a tail of 1 (7/4) or 2.
+TWO_LEVEL_THRESHOLDS = ([Threshold.dejean(n, s) for n in (2, 3, 4, 5) for s in (False, True)]
+                        + [Threshold(a, b, s) for a, b in ((7, 4), (5, 2), (3, 1))
+                           for s in (False, True)])
 
 
 @pytest.mark.parametrize("k", [3, 5, 8])
@@ -59,6 +66,46 @@ def test_engines_and_oracle_agree_small_grid():
                     for method in ("naive", "canonical"):
                         got = count_tail_restricted(k, t, tail_max, 7, method)
                         assert got.counts == expected, (k, n, strict, tail_max, method)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=30), st.integers(0, 3),
+       st.sampled_from(TWO_LEVEL_THRESHOLDS), st.sampled_from([None, 1, 2, 3]))
+def test_last_two_levels_match_per_child_tests(draws, extra_k, t, tail_max):
+    pairs = _window_checks(t, len(draws) + 2, tail_max)
+    w, distinct = [], 0
+    for a in draws:  # keep the canonical draws that leave the pattern free
+        w.append(min(a, distinct + 1))
+        if _suffix_violation(w, len(w), pairs) is not None:
+            w.pop()
+        else:
+            distinct = max(distinct, w[-1])
+    k, L = distinct + extra_k, len(w) + 2
+    expected = counting._new_table(k, L)
+    bad = _forbidden_next(w, pairs)
+    children = [c for c in range(1, distinct + 1) if c not in bad]
+    for c in children + ([distinct + 1] if distinct < k else []):
+        d = max(distinct, c)
+        expected[L - 1][d] += 1
+        expected[L][d] += d - len(_forbidden_next(w + [c], pairs))
+        if d < k:
+            expected[L][d + 1] += 1
+    table = counting._new_table(k, L)
+    counting._dfs(k, pairs, L, table, list(w), distinct)
+    assert table[L - 1:] == expected[L - 1:]
+
+
+def test_edge_lengths_match_naive_and_oracle():
+    # L = 1 stays on the one-level path; L = 2 tallies both levels at the root.
+    for t in TWO_LEVEL_THRESHOLDS:
+        for k in (1, 2):
+            for tail_max in (None, 1):
+                for L in range(4):
+                    expected = tuple(count_series(k, t.num, t.den, t.strict, L, tail_max))
+                    for method in ("naive", "canonical"):
+                        got = (count_free(k, t, L, method) if tail_max is None
+                               else count_tail_restricted(k, t, tail_max, L, method))
+                        assert got.counts == expected, (t, k, tail_max, L, method)
 
 
 def test_canonical_weights_total_alphabet_power():

@@ -15,7 +15,8 @@ from powfree import (
     find_violation,
     min_violation_length,
 )
-from powfree.words import _forbidden_next, _suffix_violation, _window_checks
+from powfree.words import (_forbidden_next, _forbidden_next_two, _suffix_violation,
+                           _window_checks)
 
 from oracles import all_violations, is_free
 
@@ -304,3 +305,20 @@ class TestForbiddenNext:
                 w.pop()
         expected = {a for a in range(1, 6) if _suffix_violation(w + [a], len(w) + 1, pairs)}
         assert _forbidden_next(w, pairs) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 4), max_size=30),
+           st.sampled_from(SCAN_THRESHOLDS + [Threshold(5, 2), Threshold(3, 1, True)]),
+           st.sampled_from([None, 1, 2, 3]))
+    def test_two_levels_match_per_child_tests(self, draws, t, tail_max):
+        pairs = _window_checks(t, len(draws) + 2, tail_max)
+        w = []
+        for a in draws:
+            w.append(a)
+            if _suffix_violation(w, len(w), pairs) is not None:
+                w.pop()
+        bad, repeat, common, named = _forbidden_next_two(w, pairs)
+        assert bad == _forbidden_next(w, pairs)
+        for c in set(range(1, 6)) - bad:  # 5 is a fresh letter
+            got = common | ({c} if repeat else set()) | {a for b, a in named if b == c}
+            assert got == _forbidden_next(w + [c], pairs), c
