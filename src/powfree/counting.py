@@ -10,13 +10,13 @@ canonical  (the default) one depth-first walk over canonical patterns: first
            pattern with d distinct letters stands for perm(k, d) concrete
            words, and the walk never visits more nodes than a walk over
            words.  P[L][d] does not depend on k, so the state space stops
-           growing once k >= L.  Each node is tested once, by
-           words._forbidden_next, for the old letters that would end a
-           forbidden power (each window forbids at most one; the fresh
-           letter never completes a power), and its children are tallied
-           from that set.  A node at length L-2 tallies its children and
-           grandchildren from one pass (words._forbidden_next_two), so the
-           last two levels are never visited.
+           growing once k >= L.  Each visited pattern makes one pass,
+           words._forbidden_next_two, for the old letters that would end a
+           forbidden power after it and after each of its children (each
+           window forbids at most one; the fresh letter never completes a
+           power).  From it the pattern tallies its next two lengths and
+           lists its free grandchildren, so the walk visits every other
+           length and never the last two.
 
 With workers > 1 (capped at the cores) and L >= _MIN_PARALLEL_LENGTH, the
 walk is deepened by _grow, one level at a time, until the frontier holds
@@ -37,8 +37,7 @@ from itertools import product
 from math import perm
 
 from .errors import BudgetExceededError
-from .words import (Threshold, _forbidden_next, _forbidden_next_two, _suffix_violation,
-                    _window_checks)
+from .words import Threshold, _forbidden_next_two, _suffix_violation, _window_checks
 
 __all__ = [
     "METHODS",
@@ -149,65 +148,65 @@ def _dfs(k, pairs, max_length, table, w, distinct):
     """Walk free canonical patterns extending w, tallying table[length][distinct].
 
     Canonical patterns introduce letters in increasing order, so the next
-    letter is one already used or distinct + 1 (while that stays <= k).  The
-    fresh letter never completes a power; the old ones that would are found
-    by one _forbidden_next test per node, which also tallies the children.
-    At length max_length - 2, _tally_last_two counts the children and
-    grandchildren at once, so the last two levels are never visited.
-    """
-    ln = len(w) + 1
-    if ln + 1 == max_length:
-        _tally_last_two(k, pairs, table, w, distinct)
-        return
-    row = table[ln]
-    bad = _forbidden_next(w, pairs)
-    row[distinct] += distinct - len(bad)
-    if distinct < k:
-        row[distinct + 1] += 1
-    if ln == max_length:
-        return
-    for a in range(1, distinct + 1):
-        if a not in bad:
-            w.append(a)
-            _dfs(k, pairs, max_length, table, w, distinct)
-            w.pop()
-    if distinct < k:
-        w.append(distinct + 1)
-        _dfs(k, pairs, max_length, table, w, distinct + 1)
-        w.pop()
-
-
-def _tally_last_two(k, pairs, table, w, distinct):
-    """Tally the children and grandchildren of w from one window pass.
-
-    An old child c has distinct - |common | {c if repeat} | {a : (c, a) in
-    named}| old children (words._forbidden_next_two): summed, that is
-    arithmetic on |common|, corrected for the few children a longer window
-    names.
+    letter is one already used or distinct + 1 (while that stays <= k).  One
+    pass, words._forbidden_next_two, gives the children of w and the letters
+    each child may not be followed by: an old child c forbids common, c
+    itself when repeat, and the letters named pairs with c; the fresh child
+    is never named.  From it w tallies its children and grandchildren, by
+    arithmetic on the set sizes, and then walks its free grandchildren, so
+    the walk visits every other length and never the last two.  A pattern
+    with an odd remainder (the root or a pool prefix) first steps one letter.
     """
     p = len(w)
     bad, repeat, common, named = _forbidden_next_two(w, pairs)
     old = distinct - len(bad)
+    table[p + 1][distinct] += old
+    if distinct < k:
+        table[p + 1][distinct + 1] += 1
+    if (max_length - p) % 2:
+        if p + 1 < max_length:
+            for c in range(1, min(distinct + 1, k) + 1):
+                if c not in bad:
+                    w.append(c)
+                    _dfs(k, pairs, max_length, table, w, max(distinct, c))
+                    w.pop()
+        return
     leaves = old * (distinct - len(common))
     if repeat:
         leaves -= distinct - len(bad | common)
     # With repeat no free w holds two equal adjacent letters, so no named
     # letter is its own child.
     leaves -= sum(c not in bad and a not in common for c, a in named)
-    table[p + 1][distinct] += old
     table[p + 2][distinct] += leaves
     if distinct < k:
-        table[p + 1][distinct + 1] += 1
         table[p + 2][distinct + 1] += old + distinct + 1 - len(common) - repeat
         if distinct + 1 < k:
             table[p + 2][distinct + 2] += 1
+    if p + 2 == max_length:
+        return
+    for c in range(1, min(distinct + 1, k) + 1):
+        if c in bad:
+            continue
+        d = max(distinct, c)
+        ban = common | {a for b, a in named if b == c} if named else common
+        w.append(c)
+        for a in range(1, d + 1):
+            if a not in ban and (a != c or not repeat):
+                w.append(a)
+                _dfs(k, pairs, max_length, table, w, d)
+                w.pop()
+        if d < k:
+            w.append(d + 1)
+            _dfs(k, pairs, max_length, table, w, d + 1)
+            w.pop()
+        w.pop()
 
 
 def _grow(k, pairs, level):
     """Free (pattern, distinct) children of level; also the audit's level step."""
     out = []
     for w, distinct in level:
-        bad = _forbidden_next(w, pairs)
+        bad = _forbidden_next_two(w, pairs)[0]
         out += [(w + (a,), distinct) for a in range(1, distinct + 1) if a not in bad]
         if distinct < k:
             out.append((w + (distinct + 1,), distinct + 1))

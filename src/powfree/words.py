@@ -6,10 +6,10 @@ when w[t] == w[t-j] for every t in [s+j, e); its exponent is the rational
 multiplication; detection never touches floating point.
 
 The window tests share one window list (_window_checks).  Growing a word a
-letter at a time (the counting engines, the audit, extension_ok) tests only
-the windows ending at the new letter (_suffix_violation, _forbidden_next),
-or, for the counting walk's last two levels, at the next two letters
-(_forbidden_next_two).
+letter at a time (the naive engine, the audit's census, extension_ok) tests
+only the windows ending at the new letter (_suffix_violation); a pattern of
+the counting walk or of the audit's level step tests, in one pass, the
+windows ending at its next two letters (_forbidden_next_two).
 A whole word (find_violation) is scanned one period at a time: O(n) bytes of
 big-integer and bytes.find work in C per period, O(n^2/beta) bytes in all.
 """
@@ -196,39 +196,19 @@ def _suffix_violation(w, end, pairs):
     return None
 
 
-def _forbidden_next(w, pairs):
-    """Letters whose append to the free word w would end a forbidden power.
-
-    With p = len(w), appending a completes the period-j window of length m
-    iff a == w[p-j] and w[p+1-m+j:p] == w[p+1-m:p-j].  So each pair forbids
-    at most one letter, one already in w, and the whole test runs once per
-    word instead of once per candidate letter.
-    """
-    p = len(w)
-    bad = set()
-    for j, m in pairs:
-        if m > p + 1:
-            break
-        a = w[p - j]
-        if a in bad:
-            continue
-        # A tail longer than the new letter ends at w[p-1]: test that letter
-        # before comparing slices, which rejects most periods cheaply.
-        if m - j == 1 or (w[p - 1] == w[p - 1 - j]
-                          and w[p + 1 - m + j:p] == w[p + 1 - m:p - j]):
-            bad.add(a)
-    return bad
-
-
 def _forbidden_next_two(w, pairs):
-    """_forbidden_next(w, pairs), plus the forbidden next letters of each child w+c.
+    """Forbidden next letters of the free word w and of each of its children w+c.
 
-    Returns (bad, repeat, common, named).  With p = len(w), a grandchild
-    letter a ends a periodic window (j, m) iff a == (w+c)[p+1-j] and, when
-    m-j >= 2, c == w[p-j] and w[p+2-m+j:p] == w[p+2-m:p-j].  So the tail-1
-    windows forbid common after every child c, plus c itself when repeat
-    (period 1), and a longer window adds (c, a) to named for the one child
-    c = w[p-j] it names, never the fresh one.
+    Returns (bad, repeat, common, named).  With p = len(w), appending a
+    completes the period-j window of length m iff a == w[p-j] and
+    w[p+1-m+j:p] == w[p+1-m:p-j], so each window forbids at most one letter,
+    one already in w, and bad is found in one pass instead of once per
+    candidate letter.  A grandchild letter a ends the window iff
+    a == (w+c)[p+1-j] and, when m-j >= 2, c == w[p-j] and
+    w[p+2-m+j:p] == w[p+2-m:p-j].  So the tail-1 windows forbid common after
+    every child c, plus c itself when repeat (period 1), and a longer window
+    adds (c, a) to named for the one child c = w[p-j] it names, never the
+    fresh one.
     """
     p = len(w)
     bad, common, named = set(), set(), set()

@@ -16,7 +16,7 @@ from powfree import (
     count_tail_restricted,
 )
 from powfree import counting
-from powfree.words import _forbidden_next, _suffix_violation, _window_checks
+from powfree.words import _suffix_violation, _window_checks
 
 from oracles import count_series
 
@@ -69,10 +69,13 @@ def test_engines_and_oracle_agree_small_grid():
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.integers(1, 6), max_size=30), st.integers(0, 3),
+@given(st.lists(st.integers(1, 6), max_size=30), st.integers(0, 3), st.integers(1, 5),
        st.sampled_from(TWO_LEVEL_THRESHOLDS), st.sampled_from([None, 1, 2, 3]))
-def test_last_two_levels_match_per_child_tests(draws, extra_k, t, tail_max):
-    pairs = _window_checks(t, len(draws) + 2, tail_max)
+def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_max):
+    # The walk runs 1-5 letters past a free prefix, as a pool task starts it:
+    # an odd remainder takes the one-letter step, four or five letters an
+    # inner two-letter step.
+    pairs = _window_checks(t, len(draws) + steps, tail_max)
     w, distinct = [], 0
     for a in draws:  # keep the canonical draws that leave the pattern free
         w.append(min(a, distinct + 1))
@@ -80,19 +83,36 @@ def test_last_two_levels_match_per_child_tests(draws, extra_k, t, tail_max):
             w.pop()
         else:
             distinct = max(distinct, w[-1])
-    k, L = distinct + extra_k, len(w) + 2
+    k, L = distinct + extra_k, len(w) + steps
     expected = counting._new_table(k, L)
-    bad = _forbidden_next(w, pairs)
-    children = [c for c in range(1, distinct + 1) if c not in bad]
-    for c in children + ([distinct + 1] if distinct < k else []):
-        d = max(distinct, c)
-        expected[L - 1][d] += 1
-        expected[L][d] += d - len(_forbidden_next(w + [c], pairs))
-        if d < k:
-            expected[L][d + 1] += 1
+    level = [(w, distinct)]
+    for length in range(len(w) + 1, L + 1):
+        level = [(v + [a], max(d, a)) for v, d in level for a in range(1, min(d + 1, k) + 1)
+                 if _suffix_violation(v + [a], length, pairs) is None]
+        for _, d in level:
+            expected[length][d] += 1
     table = counting._new_table(k, L)
     counting._dfs(k, pairs, L, table, list(w), distinct)
-    assert table[L - 1:] == expected[L - 1:]
+    assert table == expected
+
+
+@pytest.mark.parametrize("k,t,L", [(3, Threshold(2), 11), (3, Threshold(2), 12),
+                                   (20, Threshold(3, 2), 9), (20, Threshold(3, 2, True), 10)])
+def test_walk_makes_one_pass_per_visited_pattern(monkeypatch, k, t, L):
+    # The serial walk visits lengths L-2, L-4, ... and, for odd L, the root,
+    # which steps one letter first; never length L-1.
+    lengths = []
+    real = counting._forbidden_next_two
+
+    def counted(w, pairs):
+        lengths.append(len(w))
+        return real(w, pairs)
+
+    monkeypatch.setattr(counting, "_forbidden_next_two", counted)
+    table = counting._pattern_table(k, t, L, None, 1)
+    visited = range(L - 2, -1, -2)
+    assert len(lengths) == sum(sum(table[i]) for i in visited) + L % 2
+    assert set(lengths) == set(visited) | {0}
 
 
 def test_edge_lengths_match_naive_and_oracle():

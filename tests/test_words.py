@@ -15,8 +15,7 @@ from powfree import (
     find_violation,
     min_violation_length,
 )
-from powfree.words import (_forbidden_next, _forbidden_next_two, _suffix_violation,
-                           _window_checks)
+from powfree.words import _forbidden_next_two, _suffix_violation, _window_checks
 
 from oracles import all_violations, is_free
 
@@ -194,7 +193,7 @@ class TestFindViolation:
         for _ in range(3 * n):
             if len(w) >= n:
                 break
-            allowed = sorted(set(range(1, k + 1)) - _forbidden_next(w, pairs))
+            allowed = sorted(set(range(1, k + 1)) - _forbidden_next_two(w, pairs)[0])
             if allowed:
                 w.append(rng.choice(allowed))
             else:
@@ -304,7 +303,7 @@ class TestForbiddenNext:
             if _suffix_violation(w, len(w), pairs) is not None:
                 w.pop()
         expected = {a for a in range(1, 6) if _suffix_violation(w + [a], len(w) + 1, pairs)}
-        assert _forbidden_next(w, pairs) == expected
+        assert _forbidden_next_two(w, pairs)[0] == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(1, 4), max_size=30),
@@ -318,7 +317,8 @@ class TestForbiddenNext:
             if _suffix_violation(w, len(w), pairs) is not None:
                 w.pop()
         bad, repeat, common, named = _forbidden_next_two(w, pairs)
-        assert bad == _forbidden_next(w, pairs)
+        assert bad == {c for c in range(1, 6) if _suffix_violation(w + [c], len(w) + 1, pairs)}
         for c in set(range(1, 6)) - bad:  # 5 is a fresh letter
             got = common | ({c} if repeat else set()) | {a for b, a in named if b == c}
-            assert got == _forbidden_next(w + [c], pairs), c
+            expected = {a for a in range(1, 7) if _suffix_violation(w + [c, a], len(w) + 2, pairs)}
+            assert got == expected, c
