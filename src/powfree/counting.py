@@ -10,31 +10,46 @@ canonical  (the default) one depth-first walk over canonical patterns: first
            pattern with d distinct letters stands for perm(k, d) concrete
            words, and the walk never visits more nodes than a walk over
            words.  P[L][d] does not depend on k, so the state space stops
-           growing once k >= L.  Each visited pattern makes one pass,
-           words._forbidden_next_two, for the old letters that would end a
-           forbidden power after it and after each of its children (each
-           window forbids at most one; the fresh letter never completes a
-           power).  From it the pattern tallies its next two lengths and
-           lists its free grandchildren, so the walk visits every other
-           length and never the last two.
+           growing once k >= L.
 
-With workers > 1 (capped at the cores) and L >= _MIN_PARALLEL_LENGTH, the
-walk is deepened by _grow, one level at a time, until the frontier holds
+The canonical walk has two implementations with identical tables.  The
+kernel, _walk.c, is compiled once with the system C compiler into
+$XDG_CACHE_HOME/powfree/ (default ~/.cache/powfree/) when this module is
+first imported, and loaded with ctypes at the first walk.  Each node keeps
+its forbidden next letters in a bitmask, tallies its children by popcount
+and walks them.  Its uint64 cells are exact up to L = 25.  The Python walk,
+_dfs, is the reference; it runs when no compiler or no writable cache
+directory exists, and above L = 25.  Each pattern it visits makes one pass,
+words._forbidden_next_two, for the old letters that would end a forbidden
+power after it and after each of its children (each window forbids at most
+one; the fresh letter never completes a power).  From it the pattern
+tallies its next two lengths and lists its free grandchildren, so the walk
+visits every other length and never the last two.
+
+With workers > 1 (capped at the cores) the walk first runs to L-2, a few
+percent of the work, and estimates the patterns up to L as its total times
+the square of its last row ratio.  Only when that estimate exceeds the
+pool crossover measured for the walk in use is a pool started: the walk is
+deepened by _grow, one level at a time, until the frontier holds
 _TASKS_PER_WORKER prefixes per worker, or reaches length L-1, or empties;
 each prefix becomes one pool task returning its own table, and the tables
-are summed.  Shorter enumerations run in-process.
+are summed.
 
 All counts are Python ints, hence exact at any size.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import logging
 import os
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import perm
+from pathlib import Path
 
 from .errors import BudgetExceededError
 from .words import Threshold, _forbidden_next_two, _suffix_violation, _window_checks
@@ -47,22 +62,36 @@ __all__ = [
     "count_tail_restricted",
 ]
 
+log = logging.getLogger(__name__)
+
 METHODS = ("naive", "canonical")
 DEFAULT_NAIVE_BUDGET = 10**8
 
 # The parallel frontier is deepened until it holds this many prefixes per worker.
 _TASKS_PER_WORKER = 8
-# Below this length a parallel pool mostly costs more than it saves.  Seconds
-# at k=20 on 2 cores, serial / 2 workers, best of 5:
-#   L    2            2+           3/2          3/2+         4/3
-#   11   0.018/0.040  0.086/0.073
-#   12   0.090/0.074  0.33/0.24    0.013/0.035  0.065/0.069  0.002/0.025
-#   13                             0.056/0.069  0.45/0.29    0.014/0.029
-#   14                             0.35/0.22                 0.067/0.078
-#   15                                                       0.50/0.24
-# No one length suits every threshold: at 12 squares and overlaps get the
-# pool where it wins, and 3/2 and 4/3 pay at most ~25 ms until L=14-15.
-_MIN_PARALLEL_LENGTH = 12
+# A pool starts when the patterns of length <= L, estimated from a walk to
+# L-2, exceed the crossover of the walk in use.  Estimate, then seconds at
+# k=20 on 2 cores, serial / 2 workers, best of 3-5:
+#   kernel
+#   2     L13  3.3M 0.027/0.041   L14 21.5M 0.158/0.120
+#   2+    L12  3.3M 0.018/0.037   L13 21.5M 0.171/0.129
+#   3/2   L14  2.7M 0.028/0.044   L15 17.7M 0.174/0.128   L16 123M 0.755/0.629
+#   3/2+  L13  2.6M 0.029/0.039   L14 17.4M 0.172/0.114   L15 121M 0.842/0.604
+#   4/3   L15  2.4M 0.019/0.041   L16 15.8M 0.113/0.123   L17 109M 1.073/0.587
+#   _dfs
+#   2     L11 0.09M 0.018/0.043   L12 0.52M 0.098/0.087   L13 3.3M 0.466/0.308
+#   2+    L10 0.09M 0.012/0.036   L11 0.52M 0.098/0.080   L12 3.3M 0.428/0.287
+#   3/2   L12 0.07M 0.022/0.032   L13 0.43M 0.113/0.078   L14 2.7M 0.626/0.304
+#   3/2+  L11 0.07M 0.021/0.037   L12 0.42M 0.072/0.077   L13 2.6M 0.449/0.306
+#   4/3   L13 0.07M 0.021/0.038   L14 0.39M 0.067/0.072   L15 2.4M 0.502/0.337
+# No one length suits every threshold, but one estimate per walk does.
+_KERNEL_POOL_NODES = 12_000_000
+_DFS_POOL_NODES = 300_000
+
+_KERNEL_SOURCE = Path(__file__).with_name("_walk.c")
+_CC_FLAGS = ("-O2", "-shared", "-fPIC")
+# P[L][d] is at most the Bell number B_L, and B_25 < 2**64 < B_26.
+_KERNEL_MAX_LENGTH = 25
 
 
 @dataclass(frozen=True)
@@ -217,12 +246,127 @@ def _new_table(k, max_length):
     return [[0] * (min(k, max_length) + 1) for _ in range(max_length + 1)]
 
 
-def _subtree_table(args):
-    """Pattern table of the completions of one frontier prefix (worker task)."""
-    k, pairs, max_length, prefix, distinct = args
+def _kernel_file():
+    """Where the kernel built from this source, with these flags, for this interpreter lives."""
+    try:
+        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
+    except OSError as exc:
+        log.debug("no walk kernel source (%s); counting uses the Python walk", exc)
+        return None
+    key.update(repr((_CC_FLAGS, sys.implementation.cache_tag)).encode())
+    # Without an absolute XDG_CACHE_HOME or HOME there is nowhere safe to build.
+    home = os.environ.get("HOME", "")
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.join(home, ".cache"))
+    if not cache.is_absolute():
+        log.debug("cache directory %s is not absolute; counting uses the Python walk", cache)
+        return None
+    return cache / "powfree" / f"walk-{key.hexdigest()[:16]}.so"
+
+
+def _build_kernel(path):
+    """Compile the kernel into path, unless it is there or a build cannot succeed.
+
+    No compiler starts without a compiler on PATH and a writable directory.
+    A failed compile leaves path.failed behind, so later imports do not retry
+    it.  The library is compiled under a per-process name and renamed into
+    place, so a concurrent first run never loads a half-written file.
+    """
+    if path is None:
+        return
+    failed = path.with_name(path.name + ".failed")
+    if path.exists() or failed.exists():
+        return
+    import shutil
+    import subprocess
+
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not os.access(path.parent, os.W_OK):
+            raise PermissionError(f"{path.parent} is not writable")
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            raise FileNotFoundError("no C compiler on PATH")
+        done = subprocess.run([cc, *_CC_FLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)],
+                              capture_output=True)
+        if done.returncode:
+            failed.write_bytes(done.stderr)
+            raise OSError(f"{cc} exited with {done.returncode}; see {failed}")
+        os.replace(tmp, path)
+    except OSError as exc:
+        log.debug("walk kernel not built (%s); counting uses the Python walk", exc)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
+@functools.cache
+def _kernel():
+    """The compiled walk, taking _walk's arguments for max_length <= 25, or None if unbuilt."""
+    if _KERNEL_PATH is None or not _KERNEL_PATH.exists():
+        return None
+    import ctypes
+
+    try:
+        fn = ctypes.CDLL(str(_KERNEL_PATH)).powfree_walk
+    except (OSError, AttributeError) as exc:
+        log.debug("cannot load %s (%s); counting uses the Python walk", _KERNEL_PATH, exc)
+        return None
+    ints = ctypes.POINTER(ctypes.c_int)
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, ints, ints, ctypes.c_int,
+                   ctypes.POINTER(ctypes.c_uint64), ctypes.c_char_p, ctypes.c_int, ctypes.c_int]
+    fn.restype = ctypes.c_int
+
+    def walk(k, pairs, max_length, prefix, distinct):
+        # Only distinct < k is asked, so min(k, L) serves and a huge k fits a c_int.
+        k = min(k, max_length)
+        cells = (ctypes.c_uint64 * ((max_length + 1) * (k + 1)))()
+        periods = (ctypes.c_int * len(pairs))(*(j for j, _ in pairs))
+        windows = (ctypes.c_int * len(pairs))(*(m for _, m in pairs))
+        if fn(k, len(pairs), periods, windows, max_length, cells, bytes(prefix), len(prefix),
+              distinct):
+            raise RuntimeError(f"walk kernel refused L={max_length}, prefix {prefix}")
+        flat = list(cells)  # Python ints: tables stay exact and picklable
+        return [flat[i:i + k + 1] for i in range(0, len(flat), k + 1)]
+
+    return walk
+
+
+def _kernel_for(max_length):
+    return _kernel() if max_length <= _KERNEL_MAX_LENGTH else None
+
+
+def _walk(k, pairs, max_length, prefix, distinct):
+    """Table of the free completions of a free prefix shorter than max_length."""
+    kernel = _kernel_for(max_length)
+    if kernel is not None:
+        return kernel(k, pairs, max_length, prefix, distinct)
     table = _new_table(k, max_length)
     _dfs(k, pairs, max_length, table, list(prefix), distinct)
     return table
+
+
+def _subtree_table(args):
+    """Pattern table of the completions of one frontier prefix (worker task)."""
+    return _walk(*args)
+
+
+def _estimated_patterns(k, pairs, max_length):
+    """Estimate of the free patterns of length <= max_length >= 3, from a walk to L-2.
+
+    The total up to L-2 is scaled by the square of its last row ratio; at
+    k=20 it read 0.84x the true total at L = 13-17.
+    """
+    short = _walk(k, pairs, max_length - 2, (), 0)
+    short[0][0] = 1
+    rows = [sum(row) for row in short]
+    return sum(rows) * (rows[-1] / rows[-2]) ** 2 if rows[-1] else 0.0
+
+
+def _pool_pays(k, pairs, max_length):
+    """Whether the walk to max_length is estimated past its measured pool crossover."""
+    crossover = _DFS_POOL_NODES if _kernel_for(max_length) is None else _KERNEL_POOL_NODES
+    return max_length >= 3 and _estimated_patterns(k, pairs, max_length) > crossover
 
 
 def _count_naive(k, t, max_length, tail_max, budget):
@@ -248,17 +392,18 @@ def _count_naive(k, t, max_length, tail_max, budget):
 def _pattern_table(k, t, max_length, tail_max, workers):
     """P[L][d]: free canonical patterns of length L with d <= k distinct letters."""
     pairs = _window_checks(t, max_length, tail_max)
-    table = _new_table(k, max_length)
-    table[0][0] = 1
     if max_length == 0:
-        return table
+        return [[1]]
 
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or max_length < _MIN_PARALLEL_LENGTH:
-        _dfs(k, pairs, max_length, table, [], 0)
+    if workers <= 1 or not _pool_pays(k, pairs, max_length):
+        table = _walk(k, pairs, max_length, (), 0)
+        table[0][0] = 1
         return table
 
     # Deepen the frontier one level at a time until the pool can balance it.
+    table = _new_table(k, max_length)
+    table[0][0] = 1
     frontier = [((), 0)]
     depth = 0
     while frontier and len(frontier) < _TASKS_PER_WORKER * workers and depth < max_length - 1:
@@ -315,3 +460,9 @@ def count_tail_restricted(k: int, t: Threshold, tail_max: int, max_length: int,
     longer tails are permitted, so the language contains the t-free one.
     """
     return _count(k, t, max_length, tail_max, method, workers, budget)
+
+
+_KERNEL_PATH = _kernel_file()
+# Built at import, outside any timed call, so that a cold first run does not
+# count the compiler into its first enumeration; a warm import costs a stat.
+_build_kernel(_KERNEL_PATH)

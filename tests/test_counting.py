@@ -1,8 +1,13 @@
 """Counting engines: agreement, known values, weights, budgets."""
 
 import concurrent.futures
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +31,30 @@ BINARY_OVERLAPFREE = (1, 2, 4, 6, 10, 14)
 TWO_LEVEL_THRESHOLDS = ([Threshold.dejean(n, s) for n in (2, 3, 4, 5) for s in (False, True)]
                         + [Threshold(a, b, s) for a, b in ((7, 4), (5, 2), (3, 1))
                            for s in (False, True)])
+HAS_CC = bool(shutil.which("cc") or shutil.which("gcc"))
+
+
+@pytest.fixture
+def python_walk(monkeypatch):
+    """Force the pure-Python walk, _dfs, as when no kernel can be built."""
+    monkeypatch.setattr(counting, "_kernel", lambda: None)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Iterate a test body under both walks: the kernel (where one builds), then _dfs alone."""
+    def each():
+        yield "kernel" if counting._kernel() is not None else "python (no kernel)"
+        monkeypatch.setattr(counting, "_kernel", lambda: None)
+        yield "python"
+    return each()
+
+
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Let every enumeration that has patterns left at L-2 start the pool."""
+    monkeypatch.setattr(counting, "_KERNEL_POOL_NODES", 0)
+    monkeypatch.setattr(counting, "_DFS_POOL_NODES", 0)
 
 
 @pytest.mark.parametrize("k", [3, 5, 8])
@@ -39,10 +68,11 @@ def test_base_counts(k, n):
 
 
 @pytest.mark.parametrize("method", ["naive", "canonical", pytest.param(None, id="auto")])
-def test_ternary_squarefree_series(method):
-    s = count_free(3, Threshold(2), 7, method)
-    assert s.counts == TERNARY_SQUAREFREE
-    assert s.method == (method or "canonical")
+def test_ternary_squarefree_series(walks, method):
+    for walk in walks:
+        s = count_free(3, Threshold(2), 7, method)
+        assert s.counts == TERNARY_SQUAREFREE, walk
+        assert s.method == (method or "canonical")
 
 
 def test_binary_overlapfree_series():
@@ -52,20 +82,21 @@ def test_binary_overlapfree_series():
     assert s.counts[2] == 4  # period-1 squares have exponent exactly 2, allowed
 
 
-def test_engines_and_oracle_agree_small_grid():
+def test_engines_and_oracle_agree_small_grid(walks):
     # k < 7, so the canonical rows are capped at d <= k.
-    for k in (2, 3):
+    for k, walk in ((k, walk) for walk in walks for k in (2, 3)):
         for n in (2, 3):
             for strict in (False, True):
                 t = Threshold.dejean(n, strict)
                 expected = tuple(count_series(k, t.num, t.den, strict, 7))
                 for method in ("naive", "canonical"):
-                    assert count_free(k, t, 7, method).counts == expected, (k, n, strict, method)
+                    got = count_free(k, t, 7, method)
+                    assert got.counts == expected, (k, n, strict, method, walk)
                 for tail_max in (1, 2):
                     expected = tuple(count_series(k, t.num, t.den, strict, 7, tail_max))
                     for method in ("naive", "canonical"):
                         got = count_tail_restricted(k, t, tail_max, 7, method)
-                        assert got.counts == expected, (k, n, strict, tail_max, method)
+                        assert got.counts == expected, (k, n, strict, tail_max, method, walk)
 
 
 @settings(max_examples=400, deadline=None)
@@ -74,7 +105,8 @@ def test_engines_and_oracle_agree_small_grid():
 def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_max):
     # The walk runs 1-5 letters past a free prefix, as a pool task starts it:
     # an odd remainder takes the one-letter step, four or five letters an
-    # inner two-letter step.
+    # inner two-letter step.  The kernel, up to its length cap, walks the
+    # same prefix.
     pairs = _window_checks(t, len(draws) + steps, tail_max)
     w, distinct = [], 0
     for a in draws:  # keep the canonical draws that leave the pattern free
@@ -94,12 +126,15 @@ def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_ma
     table = counting._new_table(k, L)
     counting._dfs(k, pairs, L, table, list(w), distinct)
     assert table == expected
+    kernel = counting._kernel_for(L)
+    if kernel is not None:
+        assert kernel(k, pairs, L, w, distinct) == expected
 
 
 @pytest.mark.parametrize("k,t,L", [(3, Threshold(2), 11), (3, Threshold(2), 12),
                                    (20, Threshold(3, 2), 9), (20, Threshold(3, 2, True), 10)])
-def test_walk_makes_one_pass_per_visited_pattern(monkeypatch, k, t, L):
-    # The serial walk visits lengths L-2, L-4, ... and, for odd L, the root,
+def test_walk_makes_one_pass_per_visited_pattern(monkeypatch, python_walk, k, t, L):
+    # The serial Python walk visits lengths L-2, L-4, ... and, for odd L, the root,
     # which steps one letter first; never length L-1.
     lengths = []
     real = counting._forbidden_next_two
@@ -115,9 +150,9 @@ def test_walk_makes_one_pass_per_visited_pattern(monkeypatch, k, t, L):
     assert set(lengths) == set(visited) | {0}
 
 
-def test_edge_lengths_match_naive_and_oracle():
+def test_edge_lengths_match_naive_and_oracle(walks):
     # L = 1 stays on the one-level path; L = 2 tallies both levels at the root.
-    for t in TWO_LEVEL_THRESHOLDS:
+    for t, walk in ((t, walk) for walk in walks for t in TWO_LEVEL_THRESHOLDS):
         for k in (1, 2):
             for tail_max in (None, 1):
                 for L in range(4):
@@ -125,14 +160,14 @@ def test_edge_lengths_match_naive_and_oracle():
                     for method in ("naive", "canonical"):
                         got = (count_free(k, t, L, method) if tail_max is None
                                else count_tail_restricted(k, t, tail_max, L, method))
-                        assert got.counts == expected, (t, k, tail_max, L, method)
+                        assert got.counts == expected, (t, k, tail_max, L, method, walk)
 
 
-def test_canonical_weights_total_alphabet_power():
+def test_canonical_weights_total_alphabet_power(walks):
     vacuous = Threshold(1000, 1)
-    for k in range(1, 9):
+    for k, walk in ((k, walk) for walk in walks for k in range(1, 9)):
         s = count_free(k, vacuous, 6, "canonical")
-        assert s.counts == tuple(k ** i for i in range(7))
+        assert s.counts == tuple(k ** i for i in range(7)), walk
 
 
 @pytest.mark.parametrize("k,t,L", [(3, Threshold(2), 12), (2, Threshold(2, 1, True), 12)])
@@ -167,13 +202,14 @@ def test_tail_restricted_known_values():
     assert s.counts == (1, 2, 2, 2, 0)
 
 
-def test_tail_restricted_engines_and_oracle_agree():
-    for k, n, strict, tail_max in ((3, 2, False, 1), (2, 2, False, 2), (3, 3, True, 2)):
-        t = Threshold.dejean(n, strict)
-        expected = tuple(count_series(k, t.num, t.den, strict, 6, tail_max))
-        for method in ("naive", "canonical"):
-            got = count_tail_restricted(k, t, tail_max, 6, method)
-            assert got.counts == expected, (k, n, strict, tail_max, method)
+def test_tail_restricted_engines_and_oracle_agree(walks):
+    for walk in walks:
+        for k, n, strict, tail_max in ((3, 2, False, 1), (2, 2, False, 2), (3, 3, True, 2)):
+            t = Threshold.dejean(n, strict)
+            expected = tuple(count_series(k, t.num, t.den, strict, 6, tail_max))
+            for method in ("naive", "canonical"):
+                got = count_tail_restricted(k, t, tail_max, 6, method)
+                assert got.counts == expected, (k, n, strict, tail_max, method, walk)
 
 
 def test_naive_budget_refused():
@@ -184,21 +220,36 @@ def test_naive_budget_refused():
     assert "engine" in str(info.value)  # suggests an alternative
 
 
-def test_workers_do_not_change_counts():
-    assert 13 >= counting._MIN_PARALLEL_LENGTH  # every case below reaches the pool
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    """The real process pool, recording that it started."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def test_workers_do_not_change_counts(monkeypatch, pool_always, walks):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     t = Threshold(2)
-    assert (count_free(3, t, 14, "canonical", workers=2).counts
-            == count_free(3, t, 14, "canonical", workers=1).counts)
     td = Threshold.dejean(3)
-    assert (count_free(9, td, 13, "canonical", workers=2).counts
-            == count_free(9, td, 13, "canonical", workers=1).counts)
-    assert (count_tail_restricted(9, td, 2, 13, "canonical", workers=2).counts
-            == count_tail_restricted(9, td, 2, 13, "canonical", workers=1).counts)
-    # Finite languages empty the frontier before the pool starts.
-    finite = count_free(2, t, 14, "canonical", workers=2).counts
-    assert finite == count_free(2, t, 14, "canonical", workers=1).counts
-    assert finite[4:] == (0,) * 11
-    assert count_free(1, t, 13, "canonical", workers=2).counts == (1, 1) + (0,) * 12
+    for walk in walks:
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        assert (count_free(3, t, 14, "canonical", workers=2).counts
+                == count_free(3, t, 14, "canonical", workers=1).counts), walk
+        assert (count_free(9, td, 13, "canonical", workers=2).counts
+                == count_free(9, td, 13, "canonical", workers=1).counts), walk
+        assert (count_tail_restricted(9, td, 2, 13, "canonical", workers=2).counts
+                == count_tail_restricted(9, td, 2, 13, "canonical", workers=1).counts), walk
+        assert _RecordingPool.started == [2, 2, 2]  # every case above reached the pool
+        # A finite language is empty at L-2, so it starts no pool.
+        finite = count_free(2, t, 14, "canonical", workers=2).counts
+        assert finite == count_free(2, t, 14, "canonical", workers=1).counts
+        assert finite[4:] == (0,) * 11
+        assert count_free(1, t, 13, "canonical", workers=2).counts == (1, 1) + (0,) * 12
+        assert len(_RecordingPool.started) == 3
 
 
 class _InlinePool:
@@ -224,7 +275,7 @@ class _InlinePool:
     (3, 64, 3),      # as asked
     (64, 64, 24),    # capped at the tasks: 24 overlap-free binary patterns of length 11
 ])
-def test_pool_size_is_capped(monkeypatch, workers, cores, expected):
+def test_pool_size_is_capped(monkeypatch, pool_always, workers, cores, expected):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(_InlinePool, "sizes", [])
@@ -232,6 +283,117 @@ def test_pool_size_is_capped(monkeypatch, workers, cores, expected):
     got = count_free(2, t, 12, "canonical", workers=workers)
     assert _InlinePool.sizes == [expected]
     assert got.counts == count_free(2, t, 12, "canonical", workers=1).counts
+
+
+def test_pool_starts_from_the_node_estimate(monkeypatch, walks):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    t = Threshold(3, 2)
+    pairs = counting._window_checks(t, 13, None)
+    for walk in walks:
+        total = sum(map(sum, counting._pattern_table(20, t, 13, None, 1)))
+        estimate = counting._estimated_patterns(20, pairs, 13)
+        assert 0.5 * total < estimate < 1.5 * total, walk
+        for crossover, sizes in ((estimate + 1, []), (estimate - 1, [2])):
+            monkeypatch.setattr(counting, "_KERNEL_POOL_NODES", crossover)
+            monkeypatch.setattr(counting, "_DFS_POOL_NODES", crossover)
+            monkeypatch.setattr(_InlinePool, "sizes", [])
+            assert count_free(20, t, 13, workers=2) == count_free(20, t, 13), walk
+            assert _InlinePool.sizes == sizes, walk
+
+
+def test_short_enumerations_start_no_pool(monkeypatch, walks):
+    # report's rows (L=8) and the sweep's cache misses (L=10) stay in-process
+    # under either walk's crossover.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    for walk in walks:
+        for t in (Threshold(2), Threshold(2, 1, True), Threshold(3, 2), Threshold(4, 3)):
+            count_free(20, t, 10, workers=2)
+            assert _InlinePool.sizes == [], (t, walk)
+
+
+def test_walk_beyond_the_kernel_cap_is_python(monkeypatch):
+    # Rows of uint64 are exact while the Bell number B_L < 2**64, i.e. L <= 25.
+    calls = []
+    real = counting._dfs
+    monkeypatch.setattr(counting, "_dfs", lambda *a: calls.append(a[2]) or real(*a))
+    for L in (25, 26):
+        assert count_free(2, Threshold(2), L).counts == (1, 2, 2, 2) + (0,) * (L - 3)
+    assert calls[-1] == 26 and counting._kernel_for(26) is None
+    if counting._kernel() is not None:
+        assert set(calls) == {26}
+
+
+def test_kernel_is_built_only_under_an_absolute_cache_directory(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert counting._kernel_file().parent == tmp_path / "powfree"
+    monkeypatch.setenv("XDG_CACHE_HOME", "")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert counting._kernel_file().parent == tmp_path / ".cache" / "powfree"
+    for home in ("", "relative"):
+        monkeypatch.setenv("HOME", home)
+        assert counting._kernel_file() is None
+    monkeypatch.delenv("HOME")
+    assert counting._kernel_file() is None
+
+
+def _run_counting(env, probe):
+    src = str(Path(counting.__file__).resolve().parents[1])
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-c", probe], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+_PROBE = ("import sys; from powfree import counting, Threshold, count_free; "
+          "ctypes = 'ctypes' in sys.modules; c = count_free(20, Threshold(3, 2), 12).counts; "
+          "print(ctypes, counting._kernel() is not None, c)")
+
+
+def _failing_compilers(tmp_path):
+    """PATH with cc and gcc stand-ins that log each start to tmp_path/compiled and fail."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for name in ("cc", "gcc"):
+        (bin_dir / name).write_text(f"#!/bin/sh\necho {name} >> {tmp_path / 'compiled'}\nexit 1\n")
+        (bin_dir / name).chmod(0o755)
+    return os.pathsep.join((str(bin_dir), os.environ.get("PATH", "")))
+
+
+def _python_walk_output():
+    return f"False False {count_free(20, Threshold(3, 2), 12).counts}\n"
+
+
+def test_unbuildable_cache_directory_falls_back_without_a_compiler(tmp_path):
+    # XDG_CACHE_HOME under a regular file cannot be created.
+    (tmp_path / "file").write_text("")
+    env = {"XDG_CACHE_HOME": str(tmp_path / "file" / "x"), "PATH": _failing_compilers(tmp_path)}
+    assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
+    assert not (tmp_path / "compiled").exists()
+
+
+def test_failed_compile_is_not_retried(tmp_path):
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache"), "PATH": _failing_compilers(tmp_path)}
+    for _ in range(2):
+        assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
+    assert (tmp_path / "compiled").read_text() == "cc\n"
+    assert [f.suffix for f in (tmp_path / "cache" / "powfree").iterdir()] == [".failed"]
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_concurrent_first_builds_both_load_the_kernel(tmp_path):
+    procs = [_run_counting({"XDG_CACHE_HOME": str(tmp_path)}, _PROBE) for _ in range(2)]
+    outs = [p.communicate(timeout=120) for p in procs]
+    expected = str(count_free(20, Threshold(3, 2), 12).counts)
+    for out, err in outs:
+        assert err == ""
+        # Building needs no ctypes; the first walk loads the kernel.
+        assert out.split(" ", 2) == ["False", "True", expected + "\n"]
+    built = sorted(f.name for f in (tmp_path / "powfree").iterdir())
+    assert len(built) == 1 and built[0].endswith(".so")
+    assert (tmp_path / "powfree").stat().st_mode & 0o777 == 0o700
 
 
 def test_record_roundtrip():
