@@ -26,14 +26,15 @@ one; the fresh letter never completes a power).  From it the pattern
 tallies its next two lengths and lists its free grandchildren, so the walk
 visits every other length and never the last two.
 
-With workers > 1 (capped at the cores) the walk first runs to L-2, a few
-percent of the work, and estimates the patterns up to L as its total times
-the square of its last row ratio.  Only when that estimate exceeds the
-pool crossover measured for the walk in use is a pool started: the walk is
-deepened by _grow, one level at a time, until the frontier holds
-_TASKS_PER_WORKER prefixes per worker, or reaches length L-1, or empties;
-each prefix becomes one pool task returning its own table, and the tables
-are summed.
+With workers > 1 (capped at the cores) the walk is first deepened by
+_grow, one level at a time, until the frontier holds _TASKS_PER_WORKER
+prefixes per worker, or reaches length L-1, or empties.  The rows it tallies
+on the way give an estimate of the patterns shorter than L
+(_estimated_patterns); times the window pairs, that is the walk's window
+tests.  Only when they exceed the pool crossover measured for the walk in
+use is a pool started: each prefix becomes one pool task returning its own
+table, and the tables are summed.  Otherwise the frontier is dropped and the
+walk runs in-process from the root, as with one worker.
 
 All counts are Python ints, hence exact at any size.
 """
@@ -69,24 +70,12 @@ DEFAULT_NAIVE_BUDGET = 10**8
 
 # The parallel frontier is deepened until it holds this many prefixes per worker.
 _TASKS_PER_WORKER = 8
-# A pool starts when the patterns of length <= L, estimated from a walk to
-# L-2, exceed the crossover of the walk in use.  Estimate, then seconds at
-# k=20 on 2 cores, serial / 2 workers, best of 3-5:
-#   kernel
-#   2     L13  3.3M 0.027/0.041   L14 21.5M 0.158/0.120
-#   2+    L12  3.3M 0.018/0.037   L13 21.5M 0.171/0.129
-#   3/2   L14  2.7M 0.028/0.044   L15 17.7M 0.174/0.128   L16 123M 0.755/0.629
-#   3/2+  L13  2.6M 0.029/0.039   L14 17.4M 0.172/0.114   L15 121M 0.842/0.604
-#   4/3   L15  2.4M 0.019/0.041   L16 15.8M 0.113/0.123   L17 109M 1.073/0.587
-#   _dfs
-#   2     L11 0.09M 0.018/0.043   L12 0.52M 0.098/0.087   L13 3.3M 0.466/0.308
-#   2+    L10 0.09M 0.012/0.036   L11 0.52M 0.098/0.080   L12 3.3M 0.428/0.287
-#   3/2   L12 0.07M 0.022/0.032   L13 0.43M 0.113/0.078   L14 2.7M 0.626/0.304
-#   3/2+  L11 0.07M 0.021/0.037   L12 0.42M 0.072/0.077   L13 2.6M 0.449/0.306
-#   4/3   L13 0.07M 0.021/0.038   L14 0.39M 0.067/0.072   L15 2.4M 0.502/0.337
-# No one length suits every threshold, but one estimate per walk does.
-_KERNEL_POOL_NODES = 12_000_000
-_DFS_POOL_NODES = 300_000
+# A pool starts when the window tests of a walk to L -- its patterns shorter
+# than L, estimated from the frontier's rows, times the (period, window) pairs
+# -- exceed the crossover of the walk in use.  Measured on 2 cores at 2 workers
+# for k=20 and k = 2-5 languages; the table is in BENCH_11.json.
+_KERNEL_POOL_TESTS = 10_000_000
+_DFS_POOL_TESTS = 200_000
 
 _KERNEL_SOURCE = Path(__file__).with_name("_walk.c")
 _CC_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -247,13 +236,17 @@ def _new_table(k, max_length):
 
 
 def _kernel_file():
-    """Where the kernel built from this source, with these flags, for this interpreter lives."""
+    """Where the kernel for this source, these flags, this machine and this interpreter lives."""
     try:
         key = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
     except OSError as exc:
         log.debug("no walk kernel source (%s); counting uses the Python walk", exc)
         return None
-    key.update(repr((_CC_FLAGS, sys.implementation.cache_tag)).encode())
+    if os.name != "posix":
+        log.debug("no walk kernel on %s; counting uses the Python walk", os.name)
+        return None
+    platform = (sys.platform, os.uname().machine, sys.implementation.cache_tag)
+    key.update(repr((_CC_FLAGS, platform)).encode())
     # Without an absolute XDG_CACHE_HOME or HOME there is nowhere safe to build.
     home = os.environ.get("HOME", "")
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.join(home, ".cache"))
@@ -263,13 +256,23 @@ def _kernel_file():
     return cache / "powfree" / f"walk-{key.hexdigest()[:16]}.so"
 
 
+def _check_private(path):
+    """Refuse a path that another user owns or could write: its code would run in-process."""
+    st = os.stat(path)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise PermissionError(f"{path} is not private to this user "
+                              f"(uid {st.st_uid}, mode {st.st_mode & 0o777:o})")
+
+
 def _build_kernel(path):
     """Compile the kernel into path, unless it is there or a build cannot succeed.
 
-    No compiler starts without a compiler on PATH and a writable directory.
-    A failed compile leaves path.failed behind, so later imports do not retry
-    it.  The library is compiled under a per-process name and renamed into
-    place, so a concurrent first run never loads a half-written file.
+    No compiler starts without a compiler on PATH and a writable directory
+    that this user owns and no one else may write (mkdir does not change the
+    mode of a directory that exists).  A failed compile leaves path.failed
+    behind, so later imports do not retry it.  The library is compiled under
+    a per-process name and renamed into place, so a concurrent first run never
+    loads a half-written file.
     """
     if path is None:
         return
@@ -282,6 +285,7 @@ def _build_kernel(path):
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        _check_private(path.parent)
         if not os.access(path.parent, os.W_OK):
             raise PermissionError(f"{path.parent} is not writable")
         cc = shutil.which("cc") or shutil.which("gcc")
@@ -292,6 +296,7 @@ def _build_kernel(path):
         if done.returncode:
             failed.write_bytes(done.stderr)
             raise OSError(f"{cc} exited with {done.returncode}; see {failed}")
+        os.chmod(tmp, 0o700)  # under umask 002 the compiler leaves it group-writable
         os.replace(tmp, path)
     except OSError as exc:
         log.debug("walk kernel not built (%s); counting uses the Python walk", exc)
@@ -302,12 +307,17 @@ def _build_kernel(path):
 
 @functools.cache
 def _kernel():
-    """The compiled walk, taking _walk's arguments for max_length <= 25, or None if unbuilt."""
+    """The compiled walk, taking _walk's arguments for max_length <= 25, or None if unbuilt.
+
+    Only a library in a directory private to this user, itself private, is loaded.
+    """
     if _KERNEL_PATH is None or not _KERNEL_PATH.exists():
         return None
     import ctypes
 
     try:
+        _check_private(_KERNEL_PATH.parent)
+        _check_private(_KERNEL_PATH)
         fn = ctypes.CDLL(str(_KERNEL_PATH)).powfree_walk
     except (OSError, AttributeError) as exc:
         log.debug("cannot load %s (%s); counting uses the Python walk", _KERNEL_PATH, exc)
@@ -346,27 +356,43 @@ def _walk(k, pairs, max_length, prefix, distinct):
     return table
 
 
-def _subtree_table(args):
-    """Pattern table of the completions of one frontier prefix (worker task)."""
-    return _walk(*args)
+def _frontier(k, pairs, max_length, size):
+    """Rows of the free prefixes, grown one level at a time, up to the frontier.
 
-
-def _estimated_patterns(k, pairs, max_length):
-    """Estimate of the free patterns of length <= max_length >= 3, from a walk to L-2.
-
-    The total up to L-2 is scaled by the square of its last row ratio; at
-    k=20 it read 0.84x the true total at L = 13-17.
+    Growing stops when the frontier holds size prefixes, or they reach length
+    max_length-1, or none are left.  Returns the table, the frontier and its depth.
     """
-    short = _walk(k, pairs, max_length - 2, (), 0)
-    short[0][0] = 1
-    rows = [sum(row) for row in short]
-    return sum(rows) * (rows[-1] / rows[-2]) ** 2 if rows[-1] else 0.0
+    table = _new_table(k, max_length)
+    table[0][0] = 1
+    frontier = [((), 0)]
+    depth = 0
+    while frontier and len(frontier) < size and depth < max_length - 1:
+        depth += 1
+        frontier = _grow(k, pairs, frontier)
+        for _, distinct in frontier:
+            table[depth][distinct] += 1
+    return table, frontier, depth
 
 
-def _pool_pays(k, pairs, max_length):
-    """Whether the walk to max_length is estimated past its measured pool crossover."""
-    crossover = _DFS_POOL_NODES if _kernel_for(max_length) is None else _KERNEL_POOL_NODES
-    return max_length >= 3 and _estimated_patterns(k, pairs, max_length) > crossover
+def _estimated_patterns(table, k, depth, max_length):
+    """Estimate of the free patterns of length <= max_length from the rows up to depth >= 1.
+
+    Every pattern with j < k letters has one fresh child; one with j letters is
+    taken to have j - f old children, where f is the mean number of old letters
+    forbidden after a pattern of length depth-1, read off the last two rows.
+    The rows are carried on by letter count to max_length.  From the frontier
+    of 16 prefixes it read 0.74-0.91x the true total at k=20 (nine thresholds,
+    L = 11-18) and 0.7-2.3x on ten k = 2-9 languages up to L = 25.
+    """
+    prev, row = table[depth - 1], table[depth]
+    old = sum(row) - sum(prev[:k])
+    f = (sum(j * c for j, c in enumerate(prev)) - old) / sum(prev)
+    total = sum(map(sum, table[:depth + 1]))
+    for _ in range(depth, max_length):
+        row = [(c * (j - f) if j > f else 0) + (row[j - 1] if j else 0)
+               for j, c in enumerate(row)]
+        total += sum(row)
+    return total
 
 
 def _count_naive(k, t, max_length, tail_max, budget):
@@ -396,32 +422,26 @@ def _pattern_table(k, t, max_length, tail_max, workers):
         return [[1]]
 
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or not _pool_pays(k, pairs, max_length):
-        table = _walk(k, pairs, max_length, (), 0)
-        table[0][0] = 1
-        return table
+    if workers > 1 and max_length > 1:
+        table, frontier, depth = _frontier(k, pairs, max_length, _TASKS_PER_WORKER * workers)
+        if not frontier:
+            return table
+        crossover = _DFS_POOL_TESTS if _kernel_for(max_length) is None else _KERNEL_POOL_TESTS
+        tests = _estimated_patterns(table, k, depth, max_length - 1) * len(pairs)
+        if tests > crossover:
+            # Imported here: runs that start no pool skip the import of multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
 
-    # Deepen the frontier one level at a time until the pool can balance it.
-    table = _new_table(k, max_length)
+            tasks = [(k, pairs, max_length, w, distinct) for w, distinct in frontier]
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+                for sub in pool.map(_walk, *zip(*tasks)):
+                    for row, sub_row in zip(table, sub):
+                        for d, c in enumerate(sub_row):
+                            row[d] += c
+            return table
+
+    table = _walk(k, pairs, max_length, (), 0)
     table[0][0] = 1
-    frontier = [((), 0)]
-    depth = 0
-    while frontier and len(frontier) < _TASKS_PER_WORKER * workers and depth < max_length - 1:
-        depth += 1
-        frontier = _grow(k, pairs, frontier)
-        for _, distinct in frontier:
-            table[depth][distinct] += 1
-    if not frontier:
-        return table
-    # Imported here: runs that start no pool skip the import of multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = [(k, pairs, max_length, w, distinct) for w, distinct in frontier]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        for sub in pool.map(_subtree_table, tasks):
-            for row, sub_row in zip(table, sub):
-                for d, c in enumerate(sub_row):
-                    row[d] += c
     return table
 
 

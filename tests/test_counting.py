@@ -52,9 +52,9 @@ def walks(monkeypatch):
 
 @pytest.fixture
 def pool_always(monkeypatch):
-    """Let every enumeration that has patterns left at L-2 start the pool."""
-    monkeypatch.setattr(counting, "_KERNEL_POOL_NODES", 0)
-    monkeypatch.setattr(counting, "_DFS_POOL_NODES", 0)
+    """Let every enumeration whose frontier does not empty start the pool."""
+    monkeypatch.setattr(counting, "_KERNEL_POOL_TESTS", 0)
+    monkeypatch.setattr(counting, "_DFS_POOL_TESTS", 0)
 
 
 @pytest.mark.parametrize("k", [3, 5, 8])
@@ -244,7 +244,7 @@ def test_workers_do_not_change_counts(monkeypatch, pool_always, walks):
         assert (count_tail_restricted(9, td, 2, 13, "canonical", workers=2).counts
                 == count_tail_restricted(9, td, 2, 13, "canonical", workers=1).counts), walk
         assert _RecordingPool.started == [2, 2, 2]  # every case above reached the pool
-        # A finite language is empty at L-2, so it starts no pool.
+        # A finite language empties its frontier, so it starts no pool.
         finite = count_free(2, t, 14, "canonical", workers=2).counts
         assert finite == count_free(2, t, 14, "canonical", workers=1).counts
         assert finite[4:] == (0,) * 11
@@ -266,8 +266,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def map(self, fn, *columns):
+        return map(fn, *columns)
 
 
 @pytest.mark.parametrize("workers,cores,expected", [
@@ -285,21 +285,46 @@ def test_pool_size_is_capped(monkeypatch, pool_always, workers, cores, expected)
     assert got.counts == count_free(2, t, 12, "canonical", workers=1).counts
 
 
+@pytest.mark.parametrize("k,t,L,low,high", [
+    (20, Threshold(3, 2), 13, 0.5, 1.5),
+    (20, Threshold(2, 1, True), 12, 0.5, 1.5),
+    (3, Threshold(2), 25, 0.5, 3),         # ternary squares grow slowly
+    (2, Threshold(3), 25, 0.5, 3),
+])
+def test_node_estimate_reads_the_frontier_rows(k, t, L, low, high):
+    pairs = counting._window_checks(t, L, None)
+    table, frontier, depth = counting._frontier(k, pairs, L, 16)
+    rows = [sum(row) for row in counting._pattern_table(k, t, L, None, 1)]
+    assert len(frontier) >= 16 and [sum(row) for row in table[:depth + 1]] == rows[:depth + 1]
+    total = sum(rows)
+    assert low * total < counting._estimated_patterns(table, k, depth, L) < high * total
+
+
 def test_pool_starts_from_the_node_estimate(monkeypatch, walks):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     t = Threshold(3, 2)
     pairs = counting._window_checks(t, 13, None)
+    table, _, depth = counting._frontier(20, pairs, 13, 16)
+    tests = counting._estimated_patterns(table, 20, depth, 12) * len(pairs)
     for walk in walks:
-        total = sum(map(sum, counting._pattern_table(20, t, 13, None, 1)))
-        estimate = counting._estimated_patterns(20, pairs, 13)
-        assert 0.5 * total < estimate < 1.5 * total, walk
-        for crossover, sizes in ((estimate + 1, []), (estimate - 1, [2])):
-            monkeypatch.setattr(counting, "_KERNEL_POOL_NODES", crossover)
-            monkeypatch.setattr(counting, "_DFS_POOL_NODES", crossover)
+        for crossover, sizes in ((tests + 1, []), (tests - 1, [2])):
+            monkeypatch.setattr(counting, "_KERNEL_POOL_TESTS", crossover)
+            monkeypatch.setattr(counting, "_DFS_POOL_TESTS", crossover)
             monkeypatch.setattr(_InlinePool, "sizes", [])
             assert count_free(20, t, 13, workers=2) == count_free(20, t, 13), walk
             assert _InlinePool.sizes == sizes, walk
+
+
+def test_slow_languages_reach_the_pool_beyond_the_kernel_cap(monkeypatch):
+    # Ternary squares at L=30 are walked by _dfs; on a 2-core host 2 workers took 0.056 s
+    # against 0.078 s serial, and the estimate of their window tests is past _dfs's crossover.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    t = Threshold(2)
+    assert count_free(3, t, 30, workers=2) == count_free(3, t, 30)
+    assert _InlinePool.sizes == [2]
 
 
 def test_short_enumerations_start_no_pool(monkeypatch, walks):
@@ -337,6 +362,37 @@ def test_kernel_is_built_only_under_an_absolute_cache_directory(monkeypatch, tmp
         assert counting._kernel_file() is None
     monkeypatch.delenv("HOME")
     assert counting._kernel_file() is None
+
+
+def test_kernel_file_is_named_for_the_machine(monkeypatch, tmp_path):
+    # A cache shared between machines must not hand one a library built for another.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    here = counting._kernel_file()
+    uname = os.uname()
+    other = type("uname", (), {"machine": uname.machine + "-other"})
+    monkeypatch.setattr(counting.os, "uname", lambda: other)
+    assert counting._kernel_file() != here
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_kernel_loads_only_from_private_files(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    path = counting._kernel_file()
+    counting._build_kernel(path)
+    assert path.stat().st_mode & 0o777 == 0o700
+    monkeypatch.setattr(counting, "_KERNEL_PATH", path)
+    load = counting._kernel.__wrapped__  # uncached
+    assert load() is not None
+    for target in (path.parent, path):
+        target.chmod(0o770)  # group-writable
+        assert load() is None
+        target.chmod(0o702)  # writable by others
+        assert load() is None
+        target.chmod(0o700)
+    assert load() is not None
+    owner = path.stat().st_uid
+    monkeypatch.setattr(counting.os, "getuid", lambda: owner + 1)
+    assert load() is None
 
 
 def _run_counting(env, probe):
@@ -380,6 +436,20 @@ def test_failed_compile_is_not_retried(tmp_path):
         assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
     assert (tmp_path / "compiled").read_text() == "cc\n"
     assert [f.suffix for f in (tmp_path / "cache" / "powfree").iterdir()] == [".failed"]
+
+
+def test_shared_cache_directory_is_neither_built_in_nor_loaded_from(monkeypatch, tmp_path):
+    # Another user could plant a library in a directory anyone may write.
+    shared = tmp_path / "powfree"
+    shared.mkdir()
+    shared.chmod(0o777)
+    env = {"XDG_CACHE_HOME": str(tmp_path), "PATH": _failing_compilers(tmp_path)}
+    assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
+    assert not (tmp_path / "compiled").exists() and list(shared.iterdir()) == []
+    if counting._KERNEL_PATH is not None and counting._KERNEL_PATH.exists():
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        shutil.copy(counting._KERNEL_PATH, counting._kernel_file())
+        assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
