@@ -13,14 +13,13 @@ suffix-determination (injectivity) check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import BoundCertificate, closed_form_root, rational_witness
 from .bounds import asymptotic_target
 from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, _grow, count_free, count_tail_restricted
 from .errors import BudgetExceededError, LemmaViolationError
-from .words import Threshold, _suffix_violation, _window_checks
+from .words import Threshold, _Value, _suffix_violation, _window_checks
 
 __all__ = [
     "GrowthEstimate",
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(_Value):
     """A bracket around the growth rate of a counted language.
 
     upper is min over i of C_i**(1/i), a true upper bound for factorial
@@ -44,6 +42,7 @@ class GrowthEstimate:
     one is supplied, otherwise the smallest observed count ratio.
     """
 
+    __slots__ = ("k", "threshold", "lower", "upper", "ratios")
     k: int
     threshold: Threshold
     lower: Fraction
@@ -70,15 +69,16 @@ def growth_estimate(series: CountSeries, cert: BoundCertificate | None = None) -
                           lower=lower, upper=upper, ratios=ratios)
 
 
-@dataclass(frozen=True)
-class FjAuditRow:
+class FjAuditRow(_Value):
+    __slots__ = ("period", "count", "bound")
     period: int
     count: int  # rejected extensions whose minimal forbidden window has this period
     bound: int  # free words at the index the window's tail rewinds to
 
 
-@dataclass(frozen=True)
-class FjAudit:
+class FjAudit(_Value):
+    __slots__ = ("k", "n", "strict", "i", "rows", "f_total", "c_i", "c_next",
+                 "suffix_determined")
     k: int
     n: int
     strict: bool
@@ -158,8 +158,10 @@ def suffix_determination_check(k: int, n: int, strict: bool, i: int,
     return fj_audit(k, n, strict, i, budget).suffix_determined
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(_Value):
+    __slots__ = ("k", "n", "root", "root_plus", "target", "target_plus", "witness",
+                 "witness_plus", "big_jump", "small_variation", "resid_times_k2",
+                 "resid_plus_times_k2", "alpha_ratio", "alpha_prime_ratio")
     k: int
     n: int
     root: float | None

@@ -20,12 +20,11 @@ and every count ratio are checked in exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import CountSeries
 from .errors import LemmaViolationError, NoWitnessError
-from .words import Threshold
+from .words import Threshold, _Value
 
 __all__ = [
     "BoundCertificate",
@@ -95,8 +94,7 @@ def rational_witness(k: int, n: int, strict: bool = False,
     return Fraction(b * scale + math.isqrt((b * b - 4 * c) * scale * scale), 2 * scale)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(_Value):
     """A machine-checked growth lower bound for the n/(n-1) language over k letters.
 
     Every field was verified in exact rational arithmetic: the witness
@@ -105,6 +103,8 @@ class BoundCertificate:
     the count series identified by series_digest.
     """
 
+    __slots__ = ("k", "n", "strict", "x_witness", "condition_margin", "verified_up_to",
+                 "series_digest")
     k: int
     n: int
     strict: bool

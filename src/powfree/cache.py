@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import logging
 import os
 import tempfile
 from contextlib import contextmanager
@@ -25,10 +24,15 @@ from .words import Threshold
 
 __all__ = ["CountCache"]
 
-log = logging.getLogger(__name__)
-
 Key = tuple[int, int, int, bool, int | None]
 _KEY_FIELDS = ("k", "num", "den", "strict", "tail_max")
+
+
+def _log():
+    """This module's logger; logging is imported only when something is logged."""
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 def _key(k: int, t: Threshold, tail_max: int | None) -> Key:
@@ -64,8 +68,8 @@ class CountCache:
                         continue
                     series = CountSeries.from_record(record)
                 except (ValueError, KeyError, TypeError) as exc:
-                    log.warning("skipping corrupt cache record %s:%d (%s)",
-                                self.path, lineno, exc)
+                    _log().warning("skipping corrupt cache record %s:%d (%s)",
+                                   self.path, lineno, exc)
                     continue
                 key = _key(series.k, series.threshold, series.tail_max)
                 kept = entries.get(key)

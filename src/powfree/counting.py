@@ -43,17 +43,15 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import logging
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import perm
 from pathlib import Path
 
 from .errors import BudgetExceededError
-from .words import Threshold, _forbidden_next_two, _suffix_violation, _window_checks
+from .words import Threshold, _Value, _forbidden_next_two, _suffix_violation, _window_checks
 
 __all__ = [
     "METHODS",
@@ -62,8 +60,6 @@ __all__ = [
     "count_free",
     "count_tail_restricted",
 ]
-
-log = logging.getLogger(__name__)
 
 METHODS = ("naive", "canonical")
 DEFAULT_NAIVE_BUDGET = 10**8
@@ -83,19 +79,20 @@ _CC_FLAGS = ("-O2", "-shared", "-fPIC")
 _KERNEL_MAX_LENGTH = 25
 
 
-@dataclass(frozen=True)
-class CountSeries:
+class CountSeries(_Value):
     """Exact counts C_0..C_L of threshold-free words for fixed (k, threshold).
 
     tail_max, when set, marks the tail-restricted language: only forbidden
     powers whose tail is at most tail_max letters are excluded.
     """
 
+    __slots__ = ("k", "threshold", "counts", "method", "tail_max")
+    _defaults = {"tail_max": None}
     k: int
     threshold: Threshold
     counts: tuple[int, ...]
     method: str
-    tail_max: int | None = None
+    tail_max: int | None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -113,7 +110,7 @@ class CountSeries:
     def prefix(self, max_length: int) -> "CountSeries":
         if max_length > self.max_length:
             raise ValueError("series too short for requested prefix")
-        return replace(self, counts=self.counts[:max_length + 1])
+        return self.replace(counts=self.counts[:max_length + 1])
 
     def ratios(self) -> tuple[Fraction, ...]:
         """Consecutive ratios C_{i+1}/C_i, stopping at the first zero count."""
@@ -231,6 +228,13 @@ def _grow(k, pairs, level):
     return out
 
 
+def _log():
+    """This module's logger; logging is imported only when something is logged."""
+    import logging
+
+    return logging.getLogger(__name__)
+
+
 def _new_table(k, max_length):
     return [[0] * (min(k, max_length) + 1) for _ in range(max_length + 1)]
 
@@ -240,20 +244,20 @@ def _kernel_file():
     try:
         key = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
     except OSError as exc:
-        log.debug("no walk kernel source (%s); counting uses the Python walk", exc)
+        _log().debug("no walk kernel source (%s); counting uses the Python walk", exc)
         return None
     if os.name != "posix":
-        log.debug("no walk kernel on %s; counting uses the Python walk", os.name)
+        _log().debug("no walk kernel on %s; counting uses the Python walk", os.name)
         return None
-    platform = (sys.platform, os.uname().machine, sys.implementation.cache_tag)
-    key.update(repr((_CC_FLAGS, platform)).encode())
+    machine, tag = os.uname().machine, sys.implementation.cache_tag
+    key.update(repr((_CC_FLAGS, (sys.platform, machine, tag))).encode())
     # Without an absolute XDG_CACHE_HOME or HOME there is nowhere safe to build.
     home = os.environ.get("HOME", "")
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.join(home, ".cache"))
     if not cache.is_absolute():
-        log.debug("cache directory %s is not absolute; counting uses the Python walk", cache)
+        _log().debug("cache directory %s is not absolute; counting uses the Python walk", cache)
         return None
-    return cache / "powfree" / f"walk-{key.hexdigest()[:16]}.so"
+    return cache / "powfree" / f"walk-{tag}-{machine}-{key.hexdigest()[:16]}.so"
 
 
 def _check_private(path):
@@ -272,7 +276,9 @@ def _build_kernel(path):
     mode of a directory that exists).  A failed compile leaves path.failed
     behind, so later imports do not retry it.  The library is compiled under
     a per-process name and renamed into place, so a concurrent first run never
-    loads a half-written file.
+    loads a half-written file.  Once it is in place, the libraries and .failed
+    markers of earlier keys for this interpreter and machine are removed;
+    those of other interpreters and machines stay.
     """
     if path is None:
         return
@@ -298,8 +304,13 @@ def _build_kernel(path):
             raise OSError(f"{cc} exited with {done.returncode}; see {failed}")
         os.chmod(tmp, 0o700)  # under umask 002 the compiler leaves it group-writable
         os.replace(tmp, path)
+        prefix = path.name.rpartition("-")[0]
+        for suffix in (".so", ".so.failed"):
+            for old in path.parent.glob(f"{prefix}-{'[0-9a-f]' * 16}{suffix}"):
+                if old != path:
+                    old.unlink(missing_ok=True)
     except OSError as exc:
-        log.debug("walk kernel not built (%s); counting uses the Python walk", exc)
+        _log().debug("walk kernel not built (%s); counting uses the Python walk", exc)
     finally:
         if tmp.exists():
             tmp.unlink()
@@ -320,7 +331,7 @@ def _kernel():
         _check_private(_KERNEL_PATH)
         fn = ctypes.CDLL(str(_KERNEL_PATH)).powfree_walk
     except (OSError, AttributeError) as exc:
-        log.debug("cannot load %s (%s); counting uses the Python walk", _KERNEL_PATH, exc)
+        _log().debug("cannot load %s (%s); counting uses the Python walk", _KERNEL_PATH, exc)
         return None
     ints = ctypes.POINTER(ctypes.c_int)
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ints, ints, ctypes.c_int,

@@ -17,7 +17,6 @@ big-integer and bytes.find work in C per period, O(n^2/beta) bytes in all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -30,8 +29,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Threshold:
+class _Value:
+    """Base of the immutable value types: fields bound once, then compared by value.
+
+    A subclass names the fields it adds, in order, in __slots__ and the
+    defaults of trailing ones in _defaults.  __post_init__ validates, and may
+    normalise a field with object.__setattr__.  Plain slots instead of
+    dataclasses keep inspect, ast and dis, and generated code, out of every
+    start-up.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__} missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected or repeated "
+                            f"fields {sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with some fields changed, validated as a new value is."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class Threshold(_Value):
     """An exponent bound beta = num/den (> 1) with a strictness flag.
 
     strict=False forbids factors of exponent >= beta (beta-free reading);
@@ -39,9 +106,11 @@ class Threshold:
     reading, which admits a strictly larger language).
     """
 
+    __slots__ = ("num", "den", "strict")
+    _defaults = {"den": 1, "strict": False}
     num: int
-    den: int = 1
-    strict: bool = False
+    den: int
+    strict: bool
 
     def __post_init__(self):
         if self.num < 1 or self.den < 1:
@@ -95,10 +164,10 @@ class Threshold:
         return base + "+" if self.strict else base
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """A finite sequence of letters over the alphabet {1..k}."""
 
+    __slots__ = ("letters", "k")
     letters: tuple[int, ...]
     k: int
 
@@ -127,10 +196,10 @@ class Word:
         return self.letters[i]
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
+class ViolationWitness(_Value):
     """A located forbidden power: word[start : start+length] has the given period."""
 
+    __slots__ = ("start", "period", "length", "exponent")
     start: int
     period: int
     length: int

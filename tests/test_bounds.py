@@ -1,7 +1,6 @@
 """Witness conditions, closed-form roots, exact certification."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -142,7 +141,7 @@ class TestCertify:
         dented = list(series.counts)
         dented[6] //= 50
         with pytest.raises(LemmaViolationError, match="ratio check failed"):
-            certify(10, 3, False, replace(series, counts=tuple(dented)))
+            certify(10, 3, False, series.replace(counts=tuple(dented)))
 
     def test_series_mismatch_rejected(self):
         series = count_free(10, Threshold.dejean(3), 8, "canonical")

@@ -243,8 +243,7 @@ class TestCertify:
     def test_poisoned_cache_trips_lemma_canary(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
         good = count_free(10, Threshold.dejean(3), 4, "canonical")
-        from dataclasses import replace
-        CountCache(path).put(replace(good, counts=(1, 10, 90, 9, 1)))
+        CountCache(path).put(good.replace(counts=(1, 10, 90, 9, 1)))
         code, _ = run(capsys, "certify", "--k", "10", "--n", "3", "--max-len", "4",
                       "--cache", str(path))
         assert code == 4
@@ -385,12 +384,27 @@ class TestEntryPoint:
         assert info.value.code == code
         assert json.loads(capsys.readouterr().out)["free"] is free
 
-    def test_import_leaves_out_the_process_pool(self):
+    @staticmethod
+    def _loaded_after_import(names):
+        """Which of names a fresh interpreter holds in sys.modules after import powfree.cli."""
         src = str(Path(powfree.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        probe = ("import sys, powfree.cli; print(sorted(m for m in "
-                 "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+        probe = f"import sys, powfree.cli; print(sorted(set({names!r}) & set(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
-        assert out.strip() == "[]"
+        return out.strip()
+
+    def test_import_leaves_out_the_process_pool(self):
+        names = ("multiprocessing", "concurrent.futures.process")
+        assert self._loaded_after_import(names) == "[]"
+
+    def test_import_leaves_out_dataclasses_and_logging(self):
+        # Each of these costs milliseconds of every invocation's start-up.
+        assert self._loaded_after_import(("dataclasses", "inspect", "logging")) == "[]"
+
+    def test_import_loads_every_traced_module(self):
+        # perfbench/launcher.py looks each module up in sys.modules to wrap its calls.
+        names = tuple(f"powfree.{m}"
+                      for m in ("analyze", "bounds", "cache", "cli", "counting", "words"))
+        assert self._loaded_after_import(names) == str(sorted(names))

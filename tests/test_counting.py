@@ -1,11 +1,11 @@
 """Counting engines: agreement, known values, weights, budgets."""
 
 import concurrent.futures
+import logging
 import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -395,6 +395,45 @@ def test_kernel_loads_only_from_private_files(monkeypatch, tmp_path):
     assert load() is None
 
 
+def test_build_removes_only_stale_libraries_of_this_interpreter_and_machine(monkeypatch,
+                                                                            tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text('#!/bin/sh\n: > "$5"\n')  # cc -O2 -shared -fPIC -o OUT SRC
+    (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    path = counting._kernel_file()
+    path.parent.mkdir(mode=0o700)
+    prefix, _, current = path.name.rpartition("-")
+    stale = [f"{prefix}-{'0' * 16}.so", f"{prefix}-{'1' * 16}.so.failed"]
+    kept = [f"walk-{'2' * 16}.so",  # named before the prefix existed
+            f"walk-cpython-0-{os.uname().machine}-{'3' * 16}.so",
+            f"{prefix}x-{'4' * 16}.so", f"{prefix}-{'5' * 16}.so.failed.notes",
+            f"{prefix}-{'6' * 16}.so.99.tmp"]  # another process's build in progress
+    for name in stale + kept:
+        (path.parent / name).write_text("")
+    counting._build_kernel(path)
+    assert sorted(f.name for f in path.parent.iterdir()) == sorted(kept + [path.name])
+    # Neither a build that finds its library nor a load removes anything.
+    for name in stale:
+        (path.parent / name).write_text("")
+    counting._build_kernel(path)
+    monkeypatch.setattr(counting, "_KERNEL_PATH", path)
+    counting._kernel.__wrapped__()  # the empty stand-in library does not load
+    assert sorted(f.name for f in path.parent.iterdir()) == sorted(kept + stale + [path.name])
+
+
+def test_unbuildable_cache_directory_logs_the_fallback(monkeypatch, caplog):
+    monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null/x")
+    with caplog.at_level(logging.DEBUG, logger="powfree.counting"):
+        counting._build_kernel(counting._kernel_file())
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("powfree.counting", logging.DEBUG)
+    assert record.getMessage().startswith("walk kernel not built (")
+    assert record.getMessage().endswith("); counting uses the Python walk")
+
+
 def _run_counting(env, probe):
     src = str(Path(counting.__file__).resolve().parents[1])
     env = {**os.environ, **env}
@@ -500,4 +539,4 @@ def test_edge_cases():
     with pytest.raises(ValueError):
         count_free(0, Threshold(2), 4)
     with pytest.raises(ValueError):
-        replace(count_free(2, Threshold(2), 2), method="guess")
+        count_free(2, Threshold(2), 2).replace(method="guess")
