@@ -390,21 +390,21 @@ class TestEntryPoint:
         src = str(Path(powfree.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        probe = f"import sys, powfree.cli; print(sorted(set({names!r}) & set(sys.modules)))"
+        probe = f"import sys, powfree.cli; print(*sorted(set({names!r}) & set(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
-        return out.strip()
+        return out.split()
 
     def test_import_leaves_out_the_process_pool(self):
         names = ("multiprocessing", "concurrent.futures.process")
-        assert self._loaded_after_import(names) == "[]"
+        assert self._loaded_after_import(names) == []
 
     def test_import_leaves_out_dataclasses_and_logging(self):
         # Each of these costs milliseconds of every invocation's start-up.
-        assert self._loaded_after_import(("dataclasses", "inspect", "logging")) == "[]"
+        assert self._loaded_after_import(("dataclasses", "inspect", "logging")) == []
 
     def test_import_loads_every_traced_module(self):
         # perfbench/launcher.py looks each module up in sys.modules to wrap its calls.
         names = tuple(f"powfree.{m}"
                       for m in ("analyze", "bounds", "cache", "cli", "counting", "words"))
-        assert self._loaded_after_import(names) == str(sorted(names))
+        assert self._loaded_after_import(names) == sorted(names)
