@@ -38,6 +38,7 @@ from .errors import (
     LemmaViolationError,
     NoWitnessError,
     PowfreeError,
+    ValidationError,
 )
 from .words import (
     Threshold,
@@ -66,6 +67,7 @@ __all__ = [
     "REPORT_COLUMNS",
     "ReportRow",
     "Threshold",
+    "ValidationError",
     "ViolationWitness",
     "Word",
     "asymptotic_target",

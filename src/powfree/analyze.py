@@ -5,9 +5,11 @@ one-letter extensions of free words, those that leave the language are
 classified by the period of the minimal forbidden window ending at the new
 letter, and each class is dominated by the number of free words at the
 index the window's tail rewinds to.  One walk over free canonical patterns,
-by the counter's level step, finds the rejected extensions, and one
-per-period census of them yields both the bound check and the
-suffix-determination (injectivity) check.
+by the counter's level step, holds the levels up to length i-1 and streams
+length i through one census pass: each rejected extension is tallied into
+its period classes as it is found, and checked against the previous member
+of each class for the suffix-determination (injectivity) check, so no list
+of rejected extensions is kept.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from .bounds import BoundCertificate, closed_form_root, rational_witness
 from .bounds import asymptotic_target
 from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, _grow, count_free, count_tail_restricted
-from .errors import BudgetExceededError, LemmaViolationError
+from .errors import BudgetExceededError, LemmaViolationError, ValidationError
 from .words import Threshold, _Value, _suffix_violation, _window_checks
 
 __all__ = [
@@ -52,7 +54,7 @@ class GrowthEstimate(_Value):
 
 def growth_estimate(series: CountSeries, cert: BoundCertificate | None = None) -> GrowthEstimate:
     if len(series.counts) < 3:
-        raise ValueError("series too short: need counts up to length 2 at least")
+        raise ValidationError("series too short: need counts up to length 2 at least")
     upper = math.inf
     for i in range(1, len(series.counts)):
         c = series.counts[i]
@@ -90,16 +92,35 @@ class FjAudit(_Value):
     suffix_determined: bool  # each period class maps injectively to shortened prefixes
 
 
-def _rejected_extensions(k: int, i: int, pairs, budget: int):
-    """(pattern, distinct) per rejected extension; a fresh letter never ends a power."""
-    level = [((), 0)]
-    for length in range(1, i + 1):
-        if len(level) * k * length > budget:
-            raise BudgetExceededError(f"audit walk: {len(level) * k * length} pattern letters "
-                                      f"exceed the work budget {budget}", parameter="len")
-        level = _grow(k, pairs, level)
-    return [(w + (a,), d) for w, d in level for a in range(1, d + 1)
-            if _suffix_violation(w + (a,), i + 1, pairs) is not None]
+def _census(k: int, end: int, pairs, leaves):
+    """One pass over the free (pattern, distinct) leaves of length end-1.
+
+    Each old letter a that leaves the language extends a leaf w to a rejected
+    v = w + (a,), weighing perm(k, d) words.  Returns f_total, the weight per
+    (period, window) pair whose window ends at v's last letter, and whether
+    every class maps injectively by dropping the tail, v -> v[:end-(m-j)].
+    The leaves come in lexicographic order, so the members of a class that
+    share a shortened prefix s all lie in s's subtree and arrive next to each
+    other: comparing each member's prefix with the previous member's suffices.
+    """
+    f_total = 0
+    counts = [0] * len(pairs)
+    last = [None] * len(pairs)
+    injective = True
+    for w, d in leaves:
+        for a in range(1, d + 1):
+            v = w + (a,)
+            if _suffix_violation(v, end, pairs) is None:
+                continue
+            weight = math.perm(k, d)
+            f_total += weight
+            for c, pair in enumerate(pairs):
+                if _suffix_violation(v, end, (pair,)) is not None:
+                    counts[c] += weight
+                    shortened = v[:end - (pair[1] - pair[0])]
+                    injective = injective and shortened != last[c]
+                    last[c] = shortened
+    return f_total, counts, injective
 
 
 def fj_audit(k: int, n: int, strict: bool, i: int,
@@ -107,40 +128,45 @@ def fj_audit(k: int, n: int, strict: bool, i: int,
     """Census of rejected one-letter extensions, by window period.
 
     Walks the free canonical patterns once (d distinct letters weigh perm(k, d)
-    words), counts per period j the rejected extensions whose period-j window
-    ends at the last letter, and pairs each with the count it must not exceed.
+    words), holding the levels up to length i-1 and streaming length i through
+    one census pass (_census), then counts the free words to length i+1.  Per
+    period j it counts the rejected extensions whose period-j window ends at
+    the last letter and pairs each with the count it must not exceed.
     suffix_determined: dropping the tail maps each class injectively, over
     patterns iff over words (renaming is a bijection in a class; a tail copies
-    earlier letters).  Raises ValueError if i < 0; BudgetExceededError, before
+    earlier letters).  Raises ValidationError if i < 0; BudgetExceededError, before
     counting, if a step to length L could write len(level) * k * L > budget
-    letters; and LemmaViolationError if a per-period bound, the census
-    coverage or the balance k*C_i - C_{i+1} = f_total fails.
+    letters; and LemmaViolationError if the balance k*C_i - C_{i+1} = f_total,
+    a per-period bound or the census coverage fails, checked in that order.
     """
     if i < 0:
-        raise ValueError("audit prefix length i must be at least 0")
+        raise ValidationError("audit prefix length i must be at least 0")
     t = Threshold.dejean(n, strict)
     end = i + 1
     pairs = _window_checks(t, end)
-    rejected = _rejected_extensions(k, i, pairs, budget)
+    leaves = [((), 0)]
+    for length in range(1, i + 1):
+        if len(leaves) * k * length > budget:
+            raise BudgetExceededError(f"audit walk: {len(leaves) * k * length} pattern letters "
+                                      f"exceed the work budget {budget}", parameter="len")
+        leaves = _grow(k, pairs, leaves)
+        if length < i:
+            leaves = list(leaves)
+    f_total, class_counts, injective = _census(k, end, pairs, leaves)
     counts = count_free(k, t, end, method="canonical").counts
-    f_total = sum(math.perm(k, d) for _, d in rejected)
     if k * counts[i] - counts[i + 1] != f_total:
         raise LemmaViolationError(
             f"extension balance failed: k*C_{i} - C_{i + 1} = "
             f"{k * counts[i] - counts[i + 1]} but {f_total} rejected extensions found")
     rows = []
-    injective = True
-    for j, m in pairs:
-        matched = [(w, d) for w, d in rejected if _suffix_violation(w, end, ((j, m),)) is not None]
-        cnt = sum(math.perm(k, d) for _, d in matched)
+    for (j, m), cnt in zip(pairs, class_counts):
         bound = counts[end - (m - j)]
         if cnt > bound:
             raise LemmaViolationError(
                 f"period-{j} census {cnt} exceeds its bound C_{end - (m - j)} = {bound} "
                 f"(k={k}, n={n}, strict={strict}, i={i})")
         rows.append(FjAuditRow(period=j, count=cnt, bound=bound))
-        injective = injective and len({w[:end - (m - j)] for w, _ in matched}) == len(matched)
-    covered = sum(r.count for r in rows)
+    covered = sum(class_counts)
     if covered < f_total:
         raise LemmaViolationError(
             f"period census covers {covered} < {f_total} rejected extensions")
@@ -200,7 +226,7 @@ def conjecture_report(n_values, k_values, max_length: int = 8, tail_max: int = 2
     asserted.
     """
     if max_length < 2:
-        raise ValueError("max_length must be at least 2")
+        raise ValidationError("max_length must be at least 2")
     rows = []
     for n in sorted(set(n_values)):
         for k in sorted(set(k_values)):

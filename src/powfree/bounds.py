@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .counting import CountSeries
-from .errors import LemmaViolationError, NoWitnessError
+from .errors import LemmaViolationError, NoWitnessError, ValidationError
 from .words import Threshold, _Value
 
 __all__ = [
@@ -40,9 +40,9 @@ __all__ = [
 def _quadratic(k: int, n: int, strict: bool) -> tuple[int, int]:
     """Coefficients (b, c) of x^2 - b x + c <= 0, the witness condition."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ValidationError(f"need n >= 2, got {n}")
     if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+        raise ValidationError(f"need k >= 1, got {k}")
     if strict:
         return k + 3 - n, k + 1
     return k + 2 - n, k
@@ -52,7 +52,7 @@ def condition_margin(k: int, n: int, strict: bool, x: Fraction) -> Fraction:
     """Exact slack of the witness condition at x; nonnegative iff x qualifies."""
     x = Fraction(x)
     if x <= 1:
-        raise ValueError("witness must exceed 1")
+        raise ValidationError("witness must exceed 1")
     base = k + 1 if strict else k
     return base - (n - 1) * x / (x - 1) - x
 
@@ -86,7 +86,7 @@ def rational_witness(k: int, n: int, strict: bool = False,
     only ever move it upward.  None exactly when closed_form_root is None.
     """
     if precision_bits < 1:
-        raise ValueError("precision_bits must be positive")
+        raise ValidationError("precision_bits must be positive")
     if closed_form_root(k, n, strict) is None:
         return None
     b, c = _quadratic(k, n, strict)
@@ -124,11 +124,11 @@ def certify(k: int, n: int, strict: bool, series: CountSeries,
     """
     expected = Threshold.dejean(n, strict)
     if series.k != k or series.threshold != expected or series.tail_max is not None:
-        raise ValueError(
+        raise ValidationError(
             f"series is for k={series.k}, threshold {series.threshold}, "
             f"tail_max={series.tail_max}; expected k={k}, threshold {expected}, unrestricted")
     if series.max_length < 2:
-        raise ValueError("series too short to certify (need counts up to length 2)")
+        raise ValidationError("series too short to certify (need counts up to length 2)")
     x = rational_witness(k, n, strict, precision_bits)
     if x is None:
         raise NoWitnessError(
@@ -152,9 +152,9 @@ def certify(k: int, n: int, strict: bool, series: CountSeries,
 def asymptotic_target(k: int, n: int, strict: bool = False) -> float:
     """The conjectured growth value with the order-1/k^2 term dropped."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ValidationError(f"need n >= 2, got {n}")
     if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+        raise ValidationError(f"need k >= 1, got {k}")
     base = k + 2 - n if strict else k + 1 - n
     return base - (n - 1) / k
 
@@ -167,5 +167,5 @@ def taylor_coefficients(n: int) -> tuple[int, int, int]:
     expansion starts 1 + (1-n) y + (1-n) y^2.
     """
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ValidationError(f"need n >= 2, got {n}")
     return (1, 1 - n, 1 - n)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -113,6 +112,9 @@ class CountCache:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
     def _write(self, lines: list[str]) -> None:
+        # Imported here: runs that store nothing skip tempfile's imports (shutil, random, ...).
+        import tempfile
+
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

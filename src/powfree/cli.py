@@ -7,8 +7,9 @@ exact rationals are always emitted as decimal strings so downstream tools
 never lose precision.
 
 Exit codes: 0 success (word free / all checks pass), 1 negative result
-(violation found, or no witness exists), 2 usage error, 3 work budget
-exceeded, 4 exactly-checked inequality failed (internal bug canary).
+(violation found, or no witness exists), 2 usage error (ValidationError), 3
+work budget exceeded, 4 exactly-checked inequality failed (internal bug
+canary).  Any other exception is a bug and is not caught.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .bounds import certify
 from .cache import CountCache
 from .counting import (DEFAULT_NAIVE_BUDGET, METHODS, CountSeries, count_free,
                        count_tail_restricted)
-from .errors import BudgetExceededError, LemmaViolationError, NoWitnessError
+from .errors import BudgetExceededError, LemmaViolationError, NoWitnessError, ValidationError
 from .words import Threshold, Word, find_violation
 
 EXIT_OK = 0
@@ -37,7 +38,7 @@ EXIT_BUDGET = 3
 EXIT_LEMMA = 4
 
 
-class UsageError(ValueError):
+class UsageError(ValidationError):
     pass
 
 
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # UsageError included
+    except ValidationError as exc:  # UsageError included
         print(f"powfree {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

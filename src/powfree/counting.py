@@ -50,7 +50,7 @@ from itertools import product
 from math import perm
 from pathlib import Path
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ValidationError
 from .words import Threshold, _Value, _forbidden_next_two, _suffix_violation, _window_checks
 
 __all__ = [
@@ -96,12 +96,12 @@ class CountSeries(_Value):
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValidationError(f"unknown method {self.method!r}")
         if self.k < 1:
-            raise ValueError("alphabet size must be positive")
+            raise ValidationError("alphabet size must be positive")
         object.__setattr__(self, "counts", tuple(self.counts))
         if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
+            raise ValidationError("counts must be nonnegative")
 
     @property
     def max_length(self) -> int:
@@ -109,7 +109,7 @@ class CountSeries(_Value):
 
     def prefix(self, max_length: int) -> "CountSeries":
         if max_length > self.max_length:
-            raise ValueError("series too short for requested prefix")
+            raise ValidationError("series too short for requested prefix")
         return self.replace(counts=self.counts[:max_length + 1])
 
     def ratios(self) -> tuple[Fraction, ...]:
@@ -144,7 +144,7 @@ class CountSeries(_Value):
     def from_record(cls, record: dict) -> "CountSeries":
         counts = tuple(int(c) for c in record["counts"])
         if any(str(c) != s for c, s in zip(counts, record["counts"])):
-            raise ValueError("counts are not canonical decimal strings")
+            raise ValidationError("counts are not canonical decimal strings")
         tail_max = record["tail_max"]
         method = str(record["method"])
         if method == "incremental":
@@ -218,14 +218,17 @@ def _dfs(k, pairs, max_length, table, w, distinct):
 
 
 def _grow(k, pairs, level):
-    """Free (pattern, distinct) children of level; also the audit's level step."""
-    out = []
+    """Yield the free (pattern, distinct) children of level in lexicographic order.
+
+    Also the audit's level step, which walks the last level without holding it.
+    """
     for w, distinct in level:
         bad = _forbidden_next_two(w, pairs)[0]
-        out += [(w + (a,), distinct) for a in range(1, distinct + 1) if a not in bad]
+        for a in range(1, distinct + 1):
+            if a not in bad:
+                yield w + (a,), distinct
         if distinct < k:
-            out.append((w + (distinct + 1,), distinct + 1))
-    return out
+            yield w + (distinct + 1,), distinct + 1
 
 
 def _log():
@@ -379,7 +382,7 @@ def _frontier(k, pairs, max_length, size):
     depth = 0
     while frontier and len(frontier) < size and depth < max_length - 1:
         depth += 1
-        frontier = _grow(k, pairs, frontier)
+        frontier = list(_grow(k, pairs, frontier))
         for _, distinct in frontier:
             table[depth][distinct] += 1
     return table, frontier, depth
@@ -458,15 +461,15 @@ def _pattern_table(k, t, max_length, tail_max, workers):
 
 def _count(k, t, max_length, tail_max, method, workers, budget):
     if k < 1:
-        raise ValueError("alphabet size must be positive")
+        raise ValidationError("alphabet size must be positive")
     if max_length < 0:
-        raise ValueError("max_length must be nonnegative")
+        raise ValidationError("max_length must be nonnegative")
     if tail_max is not None and tail_max < 1:
-        raise ValueError("tail_max must be positive")
+        raise ValidationError("tail_max must be positive")
     if method is None:
         method = "canonical"
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValidationError(f"unknown method {method!r}")
     if method == "naive":
         counts = _count_naive(k, t, max_length, tail_max, budget)
     else:

@@ -5,6 +5,13 @@ class PowfreeError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ValidationError(PowfreeError, ValueError):
+    """An argument is out of range or malformed: a usage error, not a bug.
+
+    A ValueError too, so callers that catch ValueError keep working.
+    """
+
+
 class BudgetExceededError(PowfreeError):
     """An exhaustive operation would exceed its configured work budget."""
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import ValidationError
+
 __all__ = [
     "Threshold",
     "Word",
@@ -114,19 +116,20 @@ class Threshold(_Value):
 
     def __post_init__(self):
         if self.num < 1 or self.den < 1:
-            raise ValueError(f"threshold must be a positive rational, got {self.num}/{self.den}")
+            raise ValidationError(
+                f"threshold must be a positive rational, got {self.num}/{self.den}")
         g = math.gcd(self.num, self.den)
         if g > 1:
             object.__setattr__(self, "num", self.num // g)
             object.__setattr__(self, "den", self.den // g)
         if self.num <= self.den:
-            raise ValueError(f"threshold must exceed 1, got {self.num}/{self.den}")
+            raise ValidationError(f"threshold must exceed 1, got {self.num}/{self.den}")
 
     @classmethod
     def dejean(cls, n: int, strict: bool = False) -> "Threshold":
         """The repetition bound n/(n-1)."""
         if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
+            raise ValidationError(f"need n >= 2, got {n}")
         return cls(n, n - 1, strict)
 
     @classmethod
@@ -142,7 +145,7 @@ class Threshold(_Value):
                 return cls(int(p), int(q), strict)
             return cls(int(s), 1, strict)
         except ValueError as exc:
-            raise ValueError(f"cannot parse threshold {text!r}: {exc}") from None
+            raise ValidationError(f"cannot parse threshold {text!r}: {exc}") from None
 
     def forbids(self, length: int, period: int) -> bool:
         """Whether a power of this length and period is a violation."""
@@ -173,11 +176,11 @@ class Word(_Value):
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("alphabet size must be positive")
+            raise ValidationError("alphabet size must be positive")
         object.__setattr__(self, "letters", tuple(self.letters))
         for a in self.letters:
             if not 1 <= a <= self.k:
-                raise ValueError(f"letter {a} outside alphabet 1..{self.k}")
+                raise ValidationError(f"letter {a} outside alphabet 1..{self.k}")
 
     @classmethod
     def from_text(cls, text: str, k: int = 26) -> "Word":
@@ -185,7 +188,7 @@ class Word(_Value):
         letters = []
         for ch in text.lower():
             if not "a" <= ch <= "z":
-                raise ValueError(f"not an ASCII letter: {ch!r}")
+                raise ValidationError(f"not an ASCII letter: {ch!r}")
             letters.append(ord(ch) - ord("a") + 1)
         return cls(tuple(letters), k)
 
@@ -207,9 +210,9 @@ class ViolationWitness(_Value):
 
     def __post_init__(self):
         if self.start < 0 or self.period < 1 or self.length <= self.period:
-            raise ValueError("witness must describe a power of exponent > 1")
+            raise ValidationError("witness must describe a power of exponent > 1")
         if self.exponent != Fraction(self.length, self.period):
-            raise ValueError("exponent must equal length/period")
+            raise ValidationError("exponent must equal length/period")
 
     @property
     def tail_length(self) -> int:
@@ -225,7 +228,7 @@ def min_violation_length(period: int, t: Threshold) -> int:
     Both exceed period because num > den; both are nondecreasing in period.
     """
     if period < 1:
-        raise ValueError("period must be positive")
+        raise ValidationError("period must be positive")
     if t.strict:
         return period * t.num // t.den + 1
     return -((-period * t.num) // t.den)

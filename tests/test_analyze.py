@@ -17,6 +17,10 @@ from powfree import (
     suffix_determination_check,
 )
 
+from powfree.analyze import _census
+from powfree.counting import _grow
+from powfree.words import _window_checks
+
 from oracles import count_series, factor_is_power, forbidden_exponent, is_free
 
 
@@ -101,6 +105,25 @@ class TestExtensionAudit:
         audit = fj_audit(k, n, strict, i)
         assert audit.f_total == len(rejected)
         assert [(r.period, r.count) for r in audit.rows] == census
+
+    @pytest.mark.parametrize("k,n,strict", [(5, 3, False), (3, 2, True), (4, 4, False)])
+    def test_level_step_is_lexicographic(self, k, n, strict):
+        # The census compares each class member only with the one before it.
+        pairs = _window_checks(Threshold.dejean(n, strict), 9)
+        level = [((), 0)]
+        for _ in range(8):
+            level = list(_grow(k, pairs, level))
+            patterns = [w for w, _ in level]
+            assert patterns == sorted(set(patterns))
+
+    def test_census_flags_a_shared_shortened_prefix(self):
+        # Over 2 letters, square-free: (1,2,1)+1 ends the square 11 and (1,2,1)+2 the
+        # square 1212, each weighing 2 words.  A walk yields each leaf once, so no
+        # Dejean input shares a shortened prefix; a leaf fed twice shares both.
+        pairs = _window_checks(Threshold(2), 4)
+        leaf = ((1, 2, 1), 2)
+        assert _census(2, 4, pairs, [leaf]) == (4, [2, 2], True)
+        assert _census(2, 4, pairs, [leaf, leaf]) == (8, [4, 4], False)
 
     def test_budget_guard(self):
         # Growing 136 patterns of length 8 to length 9 may write 136 * 20 * 9 letters.

@@ -240,6 +240,14 @@ class TestCertify:
         code, _ = run(capsys, "certify", "--k", "3", "--n", "3")
         assert code == 2
 
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("powfree.cli.certify", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["certify", "--k", "20", "--n", "3", "--max-len", "4", "--no-timestamp"])
+
     def test_poisoned_cache_trips_lemma_canary(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
         good = count_free(10, Threshold.dejean(3), 4, "canonical")
@@ -385,13 +393,13 @@ class TestEntryPoint:
         assert json.loads(capsys.readouterr().out)["free"] is free
 
     @staticmethod
-    def _loaded_after_import(names):
-        """Which of names a fresh interpreter holds in sys.modules after import powfree.cli."""
+    def _loaded_after_import(names, *flags):
+        """Which of names a fresh interpreter, run with flags, holds after import powfree.cli."""
         src = str(Path(powfree.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         probe = f"import sys, powfree.cli; print(*sorted(set({names!r}) & set(sys.modules)))"
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+        out = subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
         return out.split()
 
@@ -402,6 +410,10 @@ class TestEntryPoint:
     def test_import_leaves_out_dataclasses_and_logging(self):
         # Each of these costs milliseconds of every invocation's start-up.
         assert self._loaded_after_import(("dataclasses", "inspect", "logging")) == []
+
+    def test_import_leaves_out_tempfile(self):
+        # -S skips the site hooks, some of which (a certifi .pth) load tempfile themselves.
+        assert self._loaded_after_import(("random", "tempfile"), "-S") == []
 
     def test_import_loads_every_traced_module(self):
         # perfbench/launcher.py looks each module up in sys.modules to wrap its calls.

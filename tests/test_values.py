@@ -12,8 +12,10 @@ from powfree import (
     FjAudit,
     FjAuditRow,
     GrowthEstimate,
+    PowfreeError,
     ReportRow,
     Threshold,
+    ValidationError,
     ViolationWitness,
     Word,
     certify,
@@ -107,6 +109,13 @@ def test_replace_validates_and_normalises_again():
     with pytest.raises(ValueError):
         Threshold(3, 2).replace(den=3)
     assert series.replace(counts=[1, 2, 2]).counts == (1, 2, 2)
+
+
+def test_invalid_fields_raise_a_validation_error():
+    # A ValueError for library callers; a usage error (exit 2) on the command line.
+    with pytest.raises(ValidationError, match="threshold must exceed 1") as info:
+        Threshold(1)
+    assert isinstance(info.value, ValueError) and isinstance(info.value, PowfreeError)
 
 
 def test_fields_bind_positionally_by_keyword_and_by_default():
