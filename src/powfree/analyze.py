@@ -106,20 +106,24 @@ def _census(k: int, end: int, pairs, leaves):
     f_total = 0
     counts = [0] * len(pairs)
     last = [None] * len(pairs)
+    index = {pair: c for c, pair in enumerate(pairs)}
     injective = True
     for w, d in leaves:
         for a in range(1, d + 1):
             v = w + (a,)
-            if _suffix_violation(v, end, pairs) is None:
+            hit = _suffix_violation(v, end, pairs)
+            if hit is None:
                 continue
             weight = math.perm(k, d)
             f_total += weight
-            for c, pair in enumerate(pairs):
-                if _suffix_violation(v, end, (pair,)) is not None:
-                    counts[c] += weight
-                    shortened = v[:end - (pair[1] - pair[0])]
-                    injective = injective and shortened != last[c]
-                    last[c] = shortened
+            while hit is not None:
+                # Each hit decides the pairs up to it; the scan resumes after it.
+                c = index[hit]
+                counts[c] += weight
+                shortened = v[:end - (hit[1] - hit[0])]
+                injective = injective and shortened != last[c]
+                last[c] = shortened
+                hit = _suffix_violation(v, end, pairs[c + 1:])
     return f_total, counts, injective
 
 

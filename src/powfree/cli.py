@@ -59,17 +59,14 @@ def parse_int_values(text: str) -> list[int]:
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
+        a, dots, b = part.partition("..")
         try:
-            if ".." in part:
-                a, _, b = part.partition("..")
-                lo, hi = int(a), int(b)
-                if hi < lo:
-                    raise UsageError(f"empty range {part!r}")
-                values.extend(range(lo, hi + 1))
-            else:
-                values.append(int(part))
+            lo, hi = int(a), int(b if dots else a)
         except ValueError:
             raise UsageError(f"cannot parse integer value {part!r}") from None
+        if hi < lo:
+            raise UsageError(f"empty range {part!r}")
+        values.extend(range(lo, hi + 1))
     return sorted(set(values))
 
 

@@ -19,12 +19,11 @@ first imported, and loaded with ctypes at the first walk.  Each node keeps
 its forbidden next letters in a bitmask, tallies its children by popcount
 and walks them.  Its uint64 cells are exact up to L = 25.  The Python walk,
 _dfs, is the reference; it runs when no compiler or no writable cache
-directory exists, and above L = 25.  Each pattern it visits makes one pass,
-words._forbidden_next_two, for the old letters that would end a forbidden
-power after it and after each of its children (each window forbids at most
-one; the fresh letter never completes a power).  From it the pattern
-tallies its next two lengths and lists its free grandchildren, so the walk
-visits every other length and never the last two.
+directory exists, and above L = 25.  It is the kernel's walk line for line:
+each pattern it visits makes one pass, words._forbidden_next, for the old
+letters that would end a forbidden power after it (each window forbids at
+most one; the fresh letter never completes a power), tallies its children
+and walks them, so it visits every length below L.
 
 With workers > 1 (capped at the cores) the walk is first deepened by
 _grow, one level at a time, until the frontier holds _TASKS_PER_WORKER
@@ -51,7 +50,7 @@ from math import perm
 from pathlib import Path
 
 from .errors import BudgetExceededError, ValidationError
-from .words import Threshold, _Value, _forbidden_next_two, _suffix_violation, _window_checks
+from .words import Threshold, _Value, _forbidden_next, _suffix_violation, _window_checks
 
 __all__ = [
     "METHODS",
@@ -163,57 +162,25 @@ def _dfs(k, pairs, max_length, table, w, distinct):
     """Walk free canonical patterns extending w, tallying table[length][distinct].
 
     Canonical patterns introduce letters in increasing order, so the next
-    letter is one already used or distinct + 1 (while that stays <= k).  One
-    pass, words._forbidden_next_two, gives the children of w and the letters
-    each child may not be followed by: an old child c forbids common, c
-    itself when repeat, and the letters named pairs with c; the fresh child
-    is never named.  From it w tallies its children and grandchildren, by
-    arithmetic on the set sizes, and then walks its free grandchildren, so
-    the walk visits every other length and never the last two.  A pattern
-    with an odd remainder (the root or a pool prefix) first steps one letter.
+    letter is one already used or distinct + 1 (while that stays <= k).  Step
+    for step _walk.c's walk: one words._forbidden_next pass, a tally of the
+    children, and a walk into the free ones while they are shorter than L.
     """
     p = len(w)
-    bad, repeat, common, named = _forbidden_next_two(w, pairs)
-    old = distinct - len(bad)
-    table[p + 1][distinct] += old
+    bad = _forbidden_next(w, pairs)
+    table[p + 1][distinct] += distinct - len(bad)
     if distinct < k:
         table[p + 1][distinct + 1] += 1
-    if (max_length - p) % 2:
-        if p + 1 < max_length:
-            for c in range(1, min(distinct + 1, k) + 1):
-                if c not in bad:
-                    w.append(c)
-                    _dfs(k, pairs, max_length, table, w, max(distinct, c))
-                    w.pop()
+    if p + 1 == max_length:
         return
-    leaves = old * (distinct - len(common))
-    if repeat:
-        leaves -= distinct - len(bad | common)
-    # With repeat no free w holds two equal adjacent letters, so no named
-    # letter is its own child.
-    leaves -= sum(c not in bad and a not in common for c, a in named)
-    table[p + 2][distinct] += leaves
-    if distinct < k:
-        table[p + 2][distinct + 1] += old + distinct + 1 - len(common) - repeat
-        if distinct + 1 < k:
-            table[p + 2][distinct + 2] += 1
-    if p + 2 == max_length:
-        return
-    for c in range(1, min(distinct + 1, k) + 1):
-        if c in bad:
-            continue
-        d = max(distinct, c)
-        ban = common | {a for b, a in named if b == c} if named else common
-        w.append(c)
-        for a in range(1, d + 1):
-            if a not in ban and (a != c or not repeat):
-                w.append(a)
-                _dfs(k, pairs, max_length, table, w, d)
-                w.pop()
-        if d < k:
-            w.append(d + 1)
-            _dfs(k, pairs, max_length, table, w, d + 1)
+    for c in range(1, distinct + 1):
+        if c not in bad:
+            w.append(c)
+            _dfs(k, pairs, max_length, table, w, distinct)
             w.pop()
+    if distinct < k:
+        w.append(distinct + 1)
+        _dfs(k, pairs, max_length, table, w, distinct + 1)
         w.pop()
 
 
@@ -223,7 +190,7 @@ def _grow(k, pairs, level):
     Also the audit's level step, which walks the last level without holding it.
     """
     for w, distinct in level:
-        bad = _forbidden_next_two(w, pairs)[0]
+        bad = _forbidden_next(w, pairs)
         for a in range(1, distinct + 1):
             if a not in bad:
                 yield w + (a,), distinct
@@ -366,7 +333,14 @@ def _walk(k, pairs, max_length, prefix, distinct):
     if kernel is not None:
         return kernel(k, pairs, max_length, prefix, distinct)
     table = _new_table(k, max_length)
-    _dfs(k, pairs, max_length, table, list(prefix), distinct)
+    # _dfs takes a frame per letter it appends; slowly growing languages (binary
+    # overlap-free words, say) are walked deeper than the default limit of 1,000.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + max_length)
+    try:
+        _dfs(k, pairs, max_length, table, list(prefix), distinct)
+    finally:
+        sys.setrecursionlimit(limit)
     return table
 
 

@@ -8,8 +8,8 @@ multiplication; detection never touches floating point.
 The window tests share one window list (_window_checks).  Growing a word a
 letter at a time (the naive engine, the audit's census, extension_ok) tests
 only the windows ending at the new letter (_suffix_violation); a pattern of
-the counting walk or of the audit's level step tests, in one pass, the
-windows ending at its next two letters (_forbidden_next_two).
+the counting walk or of its level step finds, in one pass, every old letter
+that would end a window after it (_forbidden_next).
 A whole word (find_violation) is scanned one period at a time: O(n) bytes of
 big-integer and bytes.find work in C per period, O(n^2/beta) bytes in all.
 """
@@ -268,41 +268,23 @@ def _suffix_violation(w, end, pairs):
     return None
 
 
-def _forbidden_next_two(w, pairs):
-    """Forbidden next letters of the free word w and of each of its children w+c.
+def _forbidden_next(w, pairs):
+    """Old letters whose append to the free word w would end a forbidden power.
 
-    Returns (bad, repeat, common, named).  With p = len(w), appending a
-    completes the period-j window of length m iff a == w[p-j] and
-    w[p+1-m+j:p] == w[p+1-m:p-j], so each window forbids at most one letter,
-    one already in w, and bad is found in one pass instead of once per
-    candidate letter.  A grandchild letter a ends the window iff
-    a == (w+c)[p+1-j] and, when m-j >= 2, c == w[p-j] and
-    w[p+2-m+j:p] == w[p+2-m:p-j].  So the tail-1 windows forbid common after
-    every child c, plus c itself when repeat (period 1), and a longer window
-    adds (c, a) to named for the one child c = w[p-j] it names, never the
-    fresh one.
+    With p = len(w), appending a completes the period-j window of length m
+    iff a == w[p-j] and w[p+1-m+j:p] == w[p+1-m:p-j]: a window of tail 1
+    always forbids w[p-j], a longer one when its other letters already
+    repeat.  So each window forbids at most one old letter, and none the fresh.
     """
     p = len(w)
-    bad, common, named = set(), set(), set()
+    bad = set()
     for j, m in pairs:
-        if m > p + 2:
+        if m > p + 1:
             break
-        if m - j == 1:
-            if m <= p + 1:
-                bad.add(w[p - j])
-            if j > 1:
-                common.add(w[p + 1 - j])
-            continue
-        c = w[p - j]
-        # Tail 2 compares no letter of w; for j = p, w[p-1-j] would wrap.
-        if c not in bad and (m - j == 2 or (w[p - 1] == w[p - 1 - j]
-                                            and w[p + 2 - m + j:p] == w[p + 2 - m:p - j])):
-            # One more equal letter at its start makes the window forbid c after w.
-            if m <= p + 1 and w[p + 1 - m + j] == w[p + 1 - m]:
-                bad.add(c)
-            else:
-                named.add((c, c if j == 1 else w[p + 1 - j]))
-    return bad, pairs[:1] == [(1, 2)], common, named
+        # Testing w[p-1] first rejects most longer windows before any slice is compared.
+        if m - j == 1 or (w[p - 1] == w[p - 1 - j] and w[p + 1 - m + j:p] == w[p + 1 - m:p - j]):
+            bad.add(w[p - j])
+    return bad
 
 
 def find_violation(word: Word, t: Threshold) -> ViolationWitness | None:

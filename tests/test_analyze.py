@@ -62,6 +62,7 @@ AUDIT_INSTANCES = [
     (4, 3, False, 6), (3, 2, False, 5), (2, 2, True, 6),
     (3, 3, False, 5), (2, 3, True, 7), (4, 4, True, 5),
     (6, 3, False, 4), (5, 4, True, 4),  # k > i: every level can take a fresh letter
+    (4, 4, True, 6),  # one rejected extension here falls into two period classes
 ]
 
 

@@ -316,6 +316,12 @@ class TestReport:
         code, _ = run(capsys, "report", "--n", "4..2", "--k", "20")
         assert code == 2
 
+    def test_empty_range_is_named_in_the_error(self, capsys):
+        code = main(["report", "--n", "2", "--k", "3..1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "empty range '3..1'" in err and "cannot parse" not in err
+
 
 class TestReproducibility:
     def test_byte_identical_without_timestamp(self, capsys):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,9 +29,9 @@ from oracles import count_series
 TERNARY_SQUAREFREE = (1, 3, 6, 12, 18, 30, 42, 60)
 BINARY_OVERLAPFREE = (1, 2, 4, 6, 10, 14)
 # Dejean thresholds, plus ones whose period-1 window has a tail of 1 (7/4) or 2.
-TWO_LEVEL_THRESHOLDS = ([Threshold.dejean(n, s) for n in (2, 3, 4, 5) for s in (False, True)]
-                        + [Threshold(a, b, s) for a, b in ((7, 4), (5, 2), (3, 1))
-                           for s in (False, True)])
+WALK_THRESHOLDS = ([Threshold.dejean(n, s) for n in (2, 3, 4, 5) for s in (False, True)]
+                   + [Threshold(a, b, s) for a, b in ((7, 4), (5, 2), (3, 1))
+                      for s in (False, True)])
 HAS_CC = bool(shutil.which("cc") or shutil.which("gcc"))
 
 
@@ -101,12 +102,11 @@ def test_engines_and_oracle_agree_small_grid(walks):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.integers(1, 6), max_size=30), st.integers(0, 3), st.integers(1, 5),
-       st.sampled_from(TWO_LEVEL_THRESHOLDS), st.sampled_from([None, 1, 2, 3]))
+       st.sampled_from(WALK_THRESHOLDS), st.sampled_from([None, 1, 2, 3]))
 def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_max):
-    # The walk runs 1-5 letters past a free prefix, as a pool task starts it:
-    # an odd remainder takes the one-letter step, four or five letters an
-    # inner two-letter step.  The kernel, up to its length cap, walks the
-    # same prefix.
+    # The walk runs 1-5 letters past a free prefix, as a pool task starts it,
+    # and every level it tallies, the last two included, must match per-child
+    # suffix tests.  The kernel, up to its length cap, walks the same prefix.
     pairs = _window_checks(t, len(draws) + steps, tail_max)
     w, distinct = [], 0
     for a in draws:  # keep the canonical draws that leave the pattern free
@@ -134,25 +134,23 @@ def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_ma
 @pytest.mark.parametrize("k,t,L", [(3, Threshold(2), 11), (3, Threshold(2), 12),
                                    (20, Threshold(3, 2), 9), (20, Threshold(3, 2, True), 10)])
 def test_walk_makes_one_pass_per_visited_pattern(monkeypatch, python_walk, k, t, L):
-    # The serial Python walk visits lengths L-2, L-4, ... and, for odd L, the root,
-    # which steps one letter first; never length L-1.
+    # The serial Python walk makes one pass per free pattern shorter than L, at
+    # every length 0..L-1, and none at L, whose patterns it only tallies.
     lengths = []
-    real = counting._forbidden_next_two
+    real = counting._forbidden_next
 
     def counted(w, pairs):
         lengths.append(len(w))
         return real(w, pairs)
 
-    monkeypatch.setattr(counting, "_forbidden_next_two", counted)
+    monkeypatch.setattr(counting, "_forbidden_next", counted)
     table = counting._pattern_table(k, t, L, None, 1)
-    visited = range(L - 2, -1, -2)
-    assert len(lengths) == sum(sum(table[i]) for i in visited) + L % 2
-    assert set(lengths) == set(visited) | {0}
+    assert Counter(lengths) == Counter({i: sum(table[i]) for i in range(L)})
 
 
 def test_edge_lengths_match_naive_and_oracle(walks):
-    # L = 1 stays on the one-level path; L = 2 tallies both levels at the root.
-    for t, walk in ((t, walk) for walk in walks for t in TWO_LEVEL_THRESHOLDS):
+    # L = 1 tallies only the root's children; L = 2 also walks them.
+    for t, walk in ((t, walk) for walk in walks for t in WALK_THRESHOLDS):
         for k in (1, 2):
             for tail_max in (None, 1):
                 for L in range(4):
@@ -317,8 +315,8 @@ def test_pool_starts_from_the_node_estimate(monkeypatch, walks):
 
 
 def test_slow_languages_reach_the_pool_beyond_the_kernel_cap(monkeypatch):
-    # Ternary squares at L=30 are walked by _dfs; on a 2-core host 2 workers took 0.056 s
-    # against 0.078 s serial, and the estimate of their window tests is past _dfs's crossover.
+    # Ternary squares at L=30 are walked by _dfs; on a 2-core host 2 workers took 0.067 s
+    # against 0.101 s serial, and the estimate of their window tests is past _dfs's crossover.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
@@ -349,6 +347,14 @@ def test_walk_beyond_the_kernel_cap_is_python(monkeypatch):
     assert calls[-1] == 26 and counting._kernel_for(26) is None
     if counting._kernel() is not None:
         assert set(calls) == {26}
+
+
+def test_python_walk_reaches_past_the_recursion_limit():
+    # One pattern per length, each a frame deeper than its parent; the limit is restored.
+    limit = sys.getrecursionlimit()
+    L = limit + 500
+    assert count_free(1, Threshold(2 * L), L).counts == (1,) * (L + 1)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_kernel_is_built_only_under_an_absolute_cache_directory(monkeypatch, tmp_path):

@@ -15,7 +15,7 @@ from powfree import (
     find_violation,
     min_violation_length,
 )
-from powfree.words import _forbidden_next_two, _suffix_violation, _window_checks
+from powfree.words import _forbidden_next, _suffix_violation, _window_checks
 
 from oracles import all_violations, is_free
 
@@ -193,7 +193,7 @@ class TestFindViolation:
         for _ in range(3 * n):
             if len(w) >= n:
                 break
-            allowed = sorted(set(range(1, k + 1)) - _forbidden_next_two(w, pairs)[0])
+            allowed = sorted(set(range(1, k + 1)) - _forbidden_next(w, pairs))
             if allowed:
                 w.append(rng.choice(allowed))
             else:
@@ -293,7 +293,7 @@ class TestExtensionOk:
 class TestForbiddenNext:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(1, 4), max_size=40),
-           st.sampled_from(DEJEAN_THRESHOLDS),
+           st.sampled_from(SCAN_THRESHOLDS + [Threshold(5, 2), Threshold(3, 1, True)]),
            st.sampled_from([None, 1, 2, 3]))
     def test_matches_per_letter_suffix_test(self, draws, t, tail_max):
         pairs = _window_checks(t, len(draws) + 1, tail_max)
@@ -303,22 +303,4 @@ class TestForbiddenNext:
             if _suffix_violation(w, len(w), pairs) is not None:
                 w.pop()
         expected = {a for a in range(1, 6) if _suffix_violation(w + [a], len(w) + 1, pairs)}
-        assert _forbidden_next_two(w, pairs)[0] == expected
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(1, 4), max_size=30),
-           st.sampled_from(SCAN_THRESHOLDS + [Threshold(5, 2), Threshold(3, 1, True)]),
-           st.sampled_from([None, 1, 2, 3]))
-    def test_two_levels_match_per_child_tests(self, draws, t, tail_max):
-        pairs = _window_checks(t, len(draws) + 2, tail_max)
-        w = []
-        for a in draws:
-            w.append(a)
-            if _suffix_violation(w, len(w), pairs) is not None:
-                w.pop()
-        bad, repeat, common, named = _forbidden_next_two(w, pairs)
-        assert bad == {c for c in range(1, 6) if _suffix_violation(w + [c], len(w) + 1, pairs)}
-        for c in set(range(1, 6)) - bad:  # 5 is a fresh letter
-            got = common | ({c} if repeat else set()) | {a for b, a in named if b == c}
-            expected = {a for a in range(1, 7) if _suffix_violation(w + [c, a], len(w) + 2, pairs)}
-            assert got == expected, c
+        assert _forbidden_next(w, pairs) == expected
