@@ -208,11 +208,7 @@ class ReportRow(_Value):
     alpha_prime_ratio: float | None  # same for the tail-restricted language
 
 
-REPORT_COLUMNS = (
-    "k", "n", "root", "root_plus", "target", "target_plus",
-    "witness", "witness_plus", "big_jump", "small_variation",
-    "resid_times_k2", "resid_plus_times_k2", "alpha_ratio", "alpha_prime_ratio",
-)
+REPORT_COLUMNS = ReportRow._fields
 
 
 def _last_ratio(series: CountSeries) -> float | None:

@@ -14,8 +14,8 @@ canonical  (the default) one depth-first walk over canonical patterns: first
 
 The canonical walk has two implementations with identical tables.  The
 kernel, _walk.c, is compiled once with the system C compiler into
-$XDG_CACHE_HOME/powfree/ (default ~/.cache/powfree/) when this module is
-first imported, and loaded with ctypes at the first walk.  Each node keeps
+$XDG_CACHE_HOME/powfree/ (default ~/.cache/powfree/) by the first walk that
+finds it missing, and loaded with ctypes at the first walk.  Each node keeps
 its forbidden next letters in a bitmask, tallies its children by popcount
 and walks them.  Its uint64 cells are exact up to L = 25.  The Python walk,
 _dfs, is the reference; it runs when no compiler or no writable cache
@@ -141,21 +141,23 @@ class CountSeries(_Value):
 
     @classmethod
     def from_record(cls, record: dict) -> "CountSeries":
-        counts = tuple(int(c) for c in record["counts"])
-        if any(str(c) != s for c, s in zip(counts, record["counts"])):
-            raise ValidationError("counts are not canonical decimal strings")
-        tail_max = record["tail_max"]
+        """The series of a to_record dict; a field of another type is a ValidationError."""
+        k, num, den, strict, tail_max, counts = (
+            record[f] for f in ("k", "num", "den", "strict", "tail_max", "counts"))
+        # type() rather than isinstance(): a bool is an int, and JSON true must not read as 1.
+        if (not all(type(v) is int for v in (k, num, den)) or type(strict) is not bool
+                or not (tail_max is None or type(tail_max) is int)):
+            raise ValidationError("record fields have the wrong types")
+        if type(counts) is not list or not all(
+                type(c) is str and c.isascii() and c.isdigit() and (c == "0" or c[0] != "0")
+                for c in counts):
+            raise ValidationError("counts are not a list of canonical decimal strings")
         method = str(record["method"])
         if method == "incremental":
             # Earlier releases had a third engine; its counts are the same.
             method = "canonical"
-        return cls(
-            k=int(record["k"]),
-            threshold=Threshold(int(record["num"]), int(record["den"]), bool(record["strict"])),
-            counts=counts,
-            method=method,
-            tail_max=None if tail_max is None else int(tail_max),
-        )
+        return cls(k=k, threshold=Threshold(num, den, strict), counts=tuple(map(int, counts)),
+                   method=method, tail_max=tail_max)
 
 
 def _dfs(k, pairs, max_length, table, w, distinct):
@@ -244,11 +246,10 @@ def _build_kernel(path):
     No compiler starts without a compiler on PATH and a writable directory
     that this user owns and no one else may write (mkdir does not change the
     mode of a directory that exists).  A failed compile leaves path.failed
-    behind, so later imports do not retry it.  The library is compiled under
-    a per-process name and renamed into place, so a concurrent first run never
-    loads a half-written file.  Once it is in place, the libraries and .failed
-    markers of earlier keys for this interpreter and machine are removed;
-    those of other interpreters and machines stay.
+    behind, so later runs do not retry it.  The library is compiled under a
+    per-process name and renamed into place, so a concurrent first run never
+    loads a half-written file.  Nothing else is written, and nothing removed:
+    the libraries of other keys stay for the checkouts that use them.
     """
     if path is None:
         return
@@ -274,11 +275,6 @@ def _build_kernel(path):
             raise OSError(f"{cc} exited with {done.returncode}; see {failed}")
         os.chmod(tmp, 0o700)  # under umask 002 the compiler leaves it group-writable
         os.replace(tmp, path)
-        prefix = path.name.rpartition("-")[0]
-        for suffix in (".so", ".so.failed"):
-            for old in path.parent.glob(f"{prefix}-{'[0-9a-f]' * 16}{suffix}"):
-                if old != path:
-                    old.unlink(missing_ok=True)
     except OSError as exc:
         _log().debug("walk kernel not built (%s); counting uses the Python walk", exc)
     finally:
@@ -290,18 +286,21 @@ def _build_kernel(path):
 def _kernel():
     """The compiled walk, taking _walk's arguments for max_length <= 25, or None if unbuilt.
 
-    Only a library in a directory private to this user, itself private, is loaded.
+    The first call builds the library if it is missing.  Only a library in a
+    directory private to this user, itself private, is loaded.
     """
-    if _KERNEL_PATH is None or not _KERNEL_PATH.exists():
+    path = _kernel_file()
+    _build_kernel(path)
+    if path is None or not path.exists():
         return None
     import ctypes
 
     try:
-        _check_private(_KERNEL_PATH.parent)
-        _check_private(_KERNEL_PATH)
-        fn = ctypes.CDLL(str(_KERNEL_PATH)).powfree_walk
+        _check_private(path.parent)
+        _check_private(path)
+        fn = ctypes.CDLL(str(path)).powfree_walk
     except (OSError, AttributeError) as exc:
-        _log().debug("cannot load %s (%s); counting uses the Python walk", _KERNEL_PATH, exc)
+        _log().debug("cannot load %s (%s); counting uses the Python walk", path, exc)
         return None
     ints = ctypes.POINTER(ctypes.c_int)
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ints, ints, ctypes.c_int,
@@ -469,8 +468,3 @@ def count_tail_restricted(k: int, t: Threshold, tail_max: int, max_length: int,
     """
     return _count(k, t, max_length, tail_max, method, workers, budget)
 
-
-_KERNEL_PATH = _kernel_file()
-# Built at import, outside any timed call, so that a cold first run does not
-# count the compiler into its first enumeration; a warm import costs a stat.
-_build_kernel(_KERNEL_PATH)

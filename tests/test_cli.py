@@ -25,6 +25,13 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def subprocess_env():
+    """The environment, with this checkout's src first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(powfree.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 class TestCheck:
     def test_square_detected(self, capsys):
         code, out = run(capsys, "check", "hotshots", "--beta", "2", "--no-timestamp")
@@ -201,6 +208,34 @@ class TestCountCache:
         code, _ = run(capsys, "cache", "list")
         assert code == 2
 
+    @pytest.mark.parametrize("field,value,k", [
+        ("counts", "122222", 20),  # was read digit by digit
+        ("counts", {"1": 0, "4": 1, "16": 2, "64": 3, "256": 4}, 20),  # was read by its keys
+        ("strict", "false", 20),  # was listed as plus: true
+        ("den", "2", 20),
+        ("k", True, 1),  # was served as k=1
+    ], ids=["counts-string", "counts-object", "strict-string", "den-string", "k-bool"])
+    def test_mistyped_records_are_skipped(self, tmp_path, field, value, k):
+        path = tmp_path / "c.jsonl"
+        record = count_free(20, Threshold(3, 2), 5).to_record()
+        record[field] = value
+
+        def run_cached(*argv):
+            # Each run starts from the one record: a count that misses rewrites the file.
+            path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+            return subprocess.run([sys.executable, "-m", "powfree.cli", *argv, "--cache",
+                                   str(path), "--no-timestamp"], env=subprocess_env(),
+                                  capture_output=True, text=True, timeout=60)
+
+        done = run_cached("count", "--k", str(k), "--beta", "3/2", "--max-len", "4")
+        expected = [str(c) for c in count_free(k, Threshold(3, 2), 4).counts]
+        assert done.returncode == 0 and json.loads(done.stdout)["counts"] == expected
+        done = run_cached("certify", "--k", "20", "--n", "3", "--max-len", "4")
+        assert done.returncode == 0 and json.loads(done.stdout)["status"] == "ok"
+        done = run_cached("cache", "list")
+        assert done.returncode == 0 and json.loads(done.stdout)["entries"] == []
+        assert done.stderr.startswith(f"skipping corrupt cache record {path}:1 (")
+
 
 class TestCertify:
     def test_certificate_document(self, capsys):
@@ -299,13 +334,16 @@ class TestReport:
                         "--out", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == ",".join(REPORT_COLUMNS)
+        assert lines[0] == ",".join(REPORT_COLUMNS) == (
+            "k,n,root,root_plus,target,target_plus,witness,witness_plus,big_jump,"
+            "small_variation,resid_times_k2,resid_plus_times_k2,alpha_ratio,alpha_prime_ratio")
         assert len(lines) == 3
 
     def test_json_nested_by_n_then_k(self, capsys):
         code, out = run(capsys, "report", "--n", "2..3", "--k", "20", "--max-len", "4",
                         "--no-timestamp")
         doc = json.loads(out)
+        assert doc["columns"] == list(REPORT_COLUMNS)
         assert set(doc["rows_by_n_then_k"]) == {"2", "3"}
         entry = doc["rows_by_n_then_k"]["3"]["20"]
         assert entry["target"] == pytest.approx(17.9)
@@ -401,12 +439,9 @@ class TestEntryPoint:
     @staticmethod
     def _loaded_after_import(names, *flags):
         """Which of names a fresh interpreter, run with flags, holds after import powfree.cli."""
-        src = str(Path(powfree.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         probe = f"import sys, powfree.cli; print(*sorted(set({names!r}) & set(sys.modules)))"
-        out = subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout
+        out = subprocess.run([sys.executable, *flags, "-c", probe], env=subprocess_env(),
+                             capture_output=True, text=True, check=True, timeout=60).stdout
         return out.split()
 
     def test_import_leaves_out_the_process_pool(self):

@@ -18,6 +18,7 @@ from powfree import (
     BudgetExceededError,
     CountSeries,
     Threshold,
+    ValidationError,
     count_free,
     count_tail_restricted,
 )
@@ -383,12 +384,10 @@ def test_kernel_file_is_named_for_the_machine(monkeypatch, tmp_path):
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 def test_kernel_loads_only_from_private_files(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    path = counting._kernel_file()
-    counting._build_kernel(path)
-    assert path.stat().st_mode & 0o777 == 0o700
-    monkeypatch.setattr(counting, "_KERNEL_PATH", path)
-    load = counting._kernel.__wrapped__  # uncached
+    load = counting._kernel.__wrapped__  # uncached; the first call builds
     assert load() is not None
+    path = counting._kernel_file()
+    assert path.stat().st_mode & 0o777 == 0o700
     for target in (path.parent, path):
         target.chmod(0o770)  # group-writable
         assert load() is None
@@ -401,33 +400,36 @@ def test_kernel_loads_only_from_private_files(monkeypatch, tmp_path):
     assert load() is None
 
 
-def test_build_removes_only_stale_libraries_of_this_interpreter_and_machine(monkeypatch,
-                                                                            tmp_path):
+def test_alternating_sources_each_compile_once_and_remove_nothing(monkeypatch, tmp_path):
+    # Two checkouts whose _walk.c differ share one cache directory: each builds its
+    # library once, and neither build removes the other's or any other file.
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    (bin_dir / "cc").write_text('#!/bin/sh\n: > "$5"\n')  # cc -O2 -shared -fPIC -o OUT SRC
+    # cc -O2 -shared -fPIC -o OUT SRC: log SRC, write an empty OUT.
+    (bin_dir / "cc").write_text(f'#!/bin/sh\necho "$6" >> {tmp_path / "compiled"}\n: > "$5"\n')
     (bin_dir / "cc").chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    path = counting._kernel_file()
-    path.parent.mkdir(mode=0o700)
-    prefix, _, current = path.name.rpartition("-")
-    stale = [f"{prefix}-{'0' * 16}.so", f"{prefix}-{'1' * 16}.so.failed"]
-    kept = [f"walk-{'2' * 16}.so",  # named before the prefix existed
-            f"walk-cpython-0-{os.uname().machine}-{'3' * 16}.so",
-            f"{prefix}x-{'4' * 16}.so", f"{prefix}-{'5' * 16}.so.failed.notes",
-            f"{prefix}-{'6' * 16}.so.99.tmp"]  # another process's build in progress
-    for name in stale + kept:
-        (path.parent / name).write_text("")
-    counting._build_kernel(path)
-    assert sorted(f.name for f in path.parent.iterdir()) == sorted(kept + [path.name])
-    # Neither a build that finds its library nor a load removes anything.
-    for name in stale:
-        (path.parent / name).write_text("")
-    counting._build_kernel(path)
-    monkeypatch.setattr(counting, "_KERNEL_PATH", path)
-    counting._kernel.__wrapped__()  # the empty stand-in library does not load
-    assert sorted(f.name for f in path.parent.iterdir()) == sorted(kept + stale + [path.name])
+    sources = [tmp_path / "a.c", tmp_path / "b.c"]
+    for i, source in enumerate(sources):
+        source.write_text(f"/* {i} */\n")
+    cache = tmp_path / "powfree"
+    cache.mkdir(mode=0o700)
+    prefix = counting._kernel_file().name.rpartition("-")[0]
+    others = [f"{prefix}-{'0' * 16}.so", f"{prefix}-{'1' * 16}.so.failed",
+              f"walk-{'2' * 16}.so", f"walk-cpython-0-{os.uname().machine}-{'3' * 16}.so",
+              f"{prefix}-{'6' * 16}.so.99.tmp",  # another process's build in progress
+              "notes.txt"]
+    for name in others:
+        (cache / name).write_text("")
+    built = []
+    for source in sources * 2:
+        monkeypatch.setattr(counting, "_KERNEL_SOURCE", source)
+        built.append(counting._kernel_file())
+        counting._build_kernel(built[-1])
+    assert built[:2] == built[2:] and built[0] != built[1]
+    assert (tmp_path / "compiled").read_text().split() == [str(s) for s in sources]
+    assert sorted(f.name for f in cache.iterdir()) == sorted(others + [p.name for p in built[:2]])
 
 
 def test_unbuildable_cache_directory_logs_the_fallback(monkeypatch, caplog):
@@ -491,10 +493,29 @@ def test_shared_cache_directory_is_neither_built_in_nor_loaded_from(monkeypatch,
     env = {"XDG_CACHE_HOME": str(tmp_path), "PATH": _failing_compilers(tmp_path)}
     assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
     assert not (tmp_path / "compiled").exists() and list(shared.iterdir()) == []
-    if counting._KERNEL_PATH is not None and counting._KERNEL_PATH.exists():
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "own"))
+    if HAS_CC and counting._kernel.__wrapped__() is not None:  # builds a private library
+        library = counting._kernel_file()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        shutil.copy(counting._KERNEL_PATH, counting._kernel_file())
+        shutil.copy(library, counting._kernel_file())
         assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
+
+
+def test_commands_that_do_not_walk_compile_nothing(tmp_path):
+    # check, cache and the naive engine never walk, so they neither compile nor
+    # create the kernel's directory; the first canonical walk then compiles once.
+    cache = tmp_path / "cache"
+    env = {"XDG_CACHE_HOME": str(cache), "PATH": _failing_compilers(tmp_path)}
+    probe = ("import sys; from powfree.cli import main; codes = ["
+             "main(['check', 'abc', '--beta', '2']), "
+             f"main(['cache', 'list', '--cache', {str(tmp_path / 'c.jsonl')!r}]), "
+             "main(['count', '--k', '3', '--beta', '2', '--max-len', '5', '--engine', 'naive'])]; "
+             "print(codes, file=sys.stderr)")
+    out, err = _run_counting(env, probe).communicate(timeout=120)
+    assert err == "[0, 0, 0]\n" and '"30"' in out
+    assert not (tmp_path / "compiled").exists() and not cache.exists()
+    assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
+    assert (tmp_path / "compiled").read_text() == "cc\n"
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
@@ -518,6 +539,19 @@ def test_record_roundtrip():
     rec = s.to_record()
     rec["counts"] = ["01"] + rec["counts"][1:]
     with pytest.raises(ValueError):
+        CountSeries.from_record(rec)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", True), ("k", "4"), ("num", 7.0), ("den", False), ("strict", 1), ("strict", "false"),
+    ("tail_max", False), ("tail_max", "2"), ("counts", "1369"), ("counts", {"1": 0, "4": 1}),
+    ("counts", [1, 4]), ("counts", ["1", "+4"]), ("counts", ["1", " 4"]), ("counts", ["1", "٤"]),
+])
+def test_record_fields_of_another_type_are_refused(field, value):
+    rec = count_tail_restricted(4, Threshold(7, 5, True), 2, 6).to_record()
+    assert CountSeries.from_record(rec).to_record() == rec
+    rec[field] = value
+    with pytest.raises(ValidationError):
         CountSeries.from_record(rec)
 
 
