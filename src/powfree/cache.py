@@ -8,6 +8,10 @@ to rename, so concurrent writers do not drop each other's records.  One
 record is kept per key, the one with the longest counts.  get and put
 validate only the records of their key, and put writes the other keys'
 lines back as they were read; entries validates every record.
+
+A record is written with its key fields first, so get and put tell another
+key's line by its written head (_head) without parsing it.  A line whose
+head is not in that form is parsed as JSON and classified by its fields.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,6 +30,17 @@ __all__ = ["CountCache"]
 
 Key = tuple[int, int, int, bool, int | None]
 _KEY_FIELDS = ("k", "num", "den", "strict", "tail_max")
+
+
+def _head(texts) -> str:
+    """The start of a written record whose key fields read texts, spaced as json.dumps
+    spaces them: '{"k": 3, "num": 2, "den": 1, "strict": false, "tail_max": null, '."""
+    return "{" + "".join(f'"{f}": {text}, ' for f, text in zip(_KEY_FIELDS, texts))
+
+
+# The head of any key, with each number written as json.dumps writes an int.
+_INT = "(?:0|-?[1-9][0-9]*)"
+_ANY_HEAD = re.compile(_head((_INT, _INT, _INT, "(?:true|false)", f"(?:null|{_INT})")))
 
 
 def _log():
@@ -43,6 +59,13 @@ def _sort_key(key: Key):
     return (k, num, den, strict, tail_max is not None, tail_max or 0)
 
 
+def _line(series: CountSeries) -> str:
+    """The written record of a series: its key's head, then its other fields."""
+    record = series.to_record()
+    key = tuple(record.pop(f) for f in _KEY_FIELDS)
+    return _head(map(json.dumps, key)) + json.dumps(record)[1:] + "\n"
+
+
 class CountCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -51,24 +74,34 @@ class CountCache:
               others: list[str] | None = None) -> dict[Key, CountSeries]:
         """Parse the records; given only, validate just those whose raw key fields
         equal it (to_record writes thresholds in lowest terms), and append the
-        other parsed lines, newline-terminated, to others when it is given."""
+        other keys' lines, newline-terminated, to others when it is given.
+
+        A line with another key's head is passed over unparsed, however its
+        tail reads; only the lines of that key, or entries, report a bad tail.
+        """
         entries: dict[Key, CountSeries] = {}
         if not self.path.exists():
             return entries
+        own = None if only is None else _head(map(json.dumps, only))
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
+                other = (own is not None and not line.startswith(own)
+                         and _ANY_HEAD.match(line) is not None)
                 try:
-                    record = json.loads(line)
-                    if only is not None and tuple(record[f] for f in _KEY_FIELDS) != only:
-                        if others is not None:
-                            others.append(line if line.endswith("\n") else line + "\n")
-                        continue
-                    series = CountSeries.from_record(record)
+                    if not other:
+                        record = json.loads(line)
+                        other = only is not None and tuple(record[f] for f in _KEY_FIELDS) != only
+                    if not other:
+                        series = CountSeries.from_record(record)
                 except (ValueError, KeyError, TypeError) as exc:
                     _log().warning("skipping corrupt cache record %s:%d (%s)",
                                    self.path, lineno, exc)
+                    continue
+                if other:
+                    if others is not None:
+                        others.append(line if line.endswith("\n") else line + "\n")
                     continue
                 key = _key(series.k, series.threshold, series.tail_max)
                 kept = entries.get(key)
@@ -89,7 +122,7 @@ class CountCache:
             kept = self._load(only=key, others=lines).get(key)
             if kept is None or series.max_length > kept.max_length:
                 kept = series
-            self._write(lines + [json.dumps(kept.to_record()) + "\n"])
+            self._write(lines + [_line(kept)])
 
     def entries(self) -> list[CountSeries]:
         return sorted(self._load().values(),

@@ -15,7 +15,6 @@ canary).  Any other exception is a bug and is not caught.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -78,6 +77,8 @@ def _emit(args, doc: dict, rows: list[dict], columns) -> None:
     """Print one result: rows under columns as CSV (a missing field is a blank
     cell), or doc as JSON with a generated_at timestamp unless --no-timestamp."""
     if args.out == "csv":
+        import csv  # only CSV output needs it
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_csv_cell(row.get(c)) for c in columns] for row in rows)

@@ -41,9 +41,9 @@ All counts are Python ints, hence exact at any size.
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 import sys
+import zlib
 from fractions import Fraction
 from itertools import product
 from math import perm
@@ -101,6 +101,8 @@ class CountSeries(_Value):
         object.__setattr__(self, "counts", tuple(self.counts))
         if any(c < 0 for c in self.counts):
             raise ValidationError("counts must be nonnegative")
+        if self.tail_max is not None and self.tail_max < 1:
+            raise ValidationError("tail_max must be positive")
 
     @property
     def max_length(self) -> int:
@@ -122,6 +124,9 @@ class CountSeries(_Value):
 
     def digest(self) -> str:
         """Hex digest identifying the exact count data (method-independent)."""
+        # Imported here: hashlib loads OpenSSL's libcrypto, and only certify prints a digest.
+        import hashlib
+
         t = self.threshold
         key = f"{self.k}|{t.num}/{t.den}|{int(t.strict)}|{self.tail_max}|"
         key += ",".join(str(c) for c in self.counts)
@@ -212,9 +217,14 @@ def _new_table(k, max_length):
 
 
 def _kernel_file():
-    """Where the kernel for this source, these flags, this machine and this interpreter lives."""
+    """Where the kernel for this source, these flags, this machine and this interpreter lives.
+
+    The name carries a 64-bit checksum of those bytes, CRC-32 then Adler-32:
+    CRC-32 changes with any one changed byte, and zlib, unlike hashlib, does
+    not load OpenSSL's libcrypto into every walk.
+    """
     try:
-        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
+        key = _KERNEL_SOURCE.read_bytes()
     except OSError as exc:
         _log().debug("no walk kernel source (%s); counting uses the Python walk", exc)
         return None
@@ -222,14 +232,15 @@ def _kernel_file():
         _log().debug("no walk kernel on %s; counting uses the Python walk", os.name)
         return None
     machine, tag = os.uname().machine, sys.implementation.cache_tag
-    key.update(repr((_CC_FLAGS, (sys.platform, machine, tag))).encode())
+    key += repr((_CC_FLAGS, (sys.platform, machine, tag))).encode()
     # Without an absolute XDG_CACHE_HOME or HOME there is nowhere safe to build.
     home = os.environ.get("HOME", "")
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.join(home, ".cache"))
     if not cache.is_absolute():
         _log().debug("cache directory %s is not absolute; counting uses the Python walk", cache)
         return None
-    return cache / "powfree" / f"walk-{tag}-{machine}-{key.hexdigest()[:16]}.so"
+    checksum = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
+    return cache / "powfree" / f"walk-{tag}-{machine}-{checksum}.so"
 
 
 def _check_private(path):

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from powfree import CountCache, Threshold, count_free
+from powfree import CountCache, Threshold, count_free, count_tail_restricted
 
 
 @pytest.fixture
@@ -122,6 +122,95 @@ def test_put_validates_only_the_records_of_its_key(cache, monkeypatch, caplog):
         assert [s.k for s in cache.entries()] == [2, 3, 4]
     assert sum("corrupt" in rec.message for rec in caplog.records) == 1
     assert cache.get(3, t).max_length == 7
+
+
+def test_a_written_line_is_the_records_json_dump(cache):
+    s = count_tail_restricted(4, Threshold(7, 5, True), 2, 6)
+    cache.put(s)
+    assert cache.path.read_text() == json.dumps(s.to_record()) + "\n"
+    assert cache.path.read_text().startswith(
+        '{"k": 4, "num": 7, "den": 5, "strict": true, "tail_max": 2, ')
+
+
+def _respaced(record):
+    """The record as another writer might put it: compact, fields in reverse order."""
+    return json.dumps(dict(reversed(record.items())), separators=(",", ":"))
+
+
+def test_a_record_in_another_layout_is_still_served_and_kept(cache):
+    t = Threshold(2)
+    mine, other = count_free(3, t, 5), count_free(4, t, 5)
+    cache.path.write_text(_respaced(mine.to_record()) + "\n" + _respaced(other.to_record()) + "\n")
+    assert cache.get(3, t) == mine
+    assert cache.get(4, t) == other
+    cache.put(count_free(3, t, 4))  # shorter: the stored series wins, in the written layout
+    assert cache.path.read_text() == (_respaced(other.to_record()) + "\n"
+                                      + json.dumps(mine.to_record()) + "\n")
+
+
+def test_lines_without_a_key_are_reported_by_get_and_dropped_by_put(cache, caplog):
+    t = Threshold(2)
+    cache.put(count_free(2, t, 4))
+    kept = cache.path.read_text()
+    with open(cache.path, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+        fh.write('{"k": 3, "num": 2, "den": 1, "strict": false}\n')  # no tail_max
+    with caplog.at_level(logging.WARNING):
+        assert cache.get(3, t) is None
+    assert sum("corrupt" in rec.message for rec in caplog.records) == 2
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        cache.put(count_free(3, t, 4))
+    assert sum("corrupt" in rec.message for rec in caplog.records) == 2
+    assert cache.path.read_text() == kept + json.dumps(count_free(3, t, 4).to_record()) + "\n"
+
+
+def test_put_writes_other_keys_lines_back_byte_for_byte(cache):
+    t = Threshold(2)
+    lines = [json.dumps(count_free(k, t, 4).to_record()) + "\n" for k in (2, 4)]
+    lines.insert(1, _respaced(count_free(5, t, 4).to_record()) + "\n")
+    lines.append(json.dumps(count_free(6, t, 4).to_record()))  # no final newline
+    cache.path.write_text("".join(lines))
+    cache.put(count_free(3, t, 4))
+    written = cache.path.read_text().splitlines(keepends=True)
+    assert written[:-1] == lines[:-1] + [lines[-1] + "\n"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", 3.0), ("den", 1.0), ("tail_max", 0), ("counts", "12"), ("counts", ["1", "-3"]),
+    ("method", "transfer-matrix"),
+])
+def test_a_mistyped_record_of_the_asked_key_is_skipped(cache, caplog, field, value):
+    # Its key fields equal the asked key's as Python values, so it is validated and refused.
+    t = Threshold(2)
+    record = count_free(3, t, 5).to_record()
+    record[field] = value
+    cache.path.write_text(json.dumps(record) + "\n")
+    with caplog.at_level(logging.WARNING):
+        assert cache.get(3, t, record["tail_max"]) is None
+    assert [rec.getMessage().partition(" (")[0] for rec in caplog.records] == [
+        f"skipping corrupt cache record {cache.path}:1"]
+
+
+def test_another_keys_damaged_tail_is_kept_until_its_own_key_reads_it(cache, caplog):
+    # Get and put read another key's line no further than its head: a damaged
+    # tail is reported by a get of that line's key and by entries.
+    t = Threshold(2)
+    damaged = json.dumps(count_free(4, t, 5).to_record())[:-20] + "\n"
+    cache.path.write_text(damaged)
+    with caplog.at_level(logging.WARNING):
+        assert cache.get(3, t) is None
+        cache.put(count_free(3, t, 5))
+    assert caplog.records == []
+    assert cache.path.read_text().splitlines(keepends=True)[0] == damaged
+    with caplog.at_level(logging.WARNING):
+        assert cache.get(4, t) is None
+        assert [s.k for s in cache.entries()] == [3]
+    assert [rec.getMessage().partition(" (")[0] for rec in caplog.records] == [
+        f"skipping corrupt cache record {cache.path}:1"] * 2
+    cache.put(count_free(4, t, 5))  # the put of its own key drops it
+    assert [s.k for s in cache.entries()] == [3, 4]
+    assert damaged not in cache.path.read_text()
 
 
 def test_write_is_atomic_replace(cache):

@@ -214,7 +214,9 @@ class TestCountCache:
         ("strict", "false", 20),  # was listed as plus: true
         ("den", "2", 20),
         ("k", True, 1),  # was served as k=1
-    ], ids=["counts-string", "counts-object", "strict-string", "den-string", "k-bool"])
+        ("tail_max", 0, 20),  # was served to count --tail-max 0
+    ], ids=["counts-string", "counts-object", "strict-string", "den-string", "k-bool",
+            "tail-max-zero"])
     def test_mistyped_records_are_skipped(self, tmp_path, field, value, k):
         path = tmp_path / "c.jsonl"
         record = count_free(20, Threshold(3, 2), 5).to_record()
@@ -235,6 +237,19 @@ class TestCountCache:
         done = run_cached("cache", "list")
         assert done.returncode == 0 and json.loads(done.stdout)["entries"] == []
         assert done.stderr.startswith(f"skipping corrupt cache record {path}:1 (")
+
+    def test_cached_tail_max_zero_is_still_a_usage_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record = count_tail_restricted(3, Threshold(2), 1, 4).to_record()
+        record["tail_max"] = 0
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "powfree.cli", "count", "--k", "3", "--beta",
+                               "2", "--tail-max", "0", "--max-len", "4", "--cache", str(path)],
+                              env=subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.splitlines() == [
+            f"skipping corrupt cache record {path}:1 (tail_max must be positive)",
+            "powfree count: tail_max must be positive"]
 
 
 class TestCertify:
@@ -455,6 +470,41 @@ class TestEntryPoint:
     def test_import_leaves_out_tempfile(self):
         # -S skips the site hooks, some of which (a certifi .pth) load tempfile themselves.
         assert self._loaded_after_import(("random", "tempfile"), "-S") == []
+
+    @staticmethod
+    def _loaded_after_command(names, *argv):
+        """Which of names a fresh interpreter, run with -S, holds after powfree argv."""
+        probe = (f"import contextlib, io, sys, powfree.cli\n"
+                 f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    code = powfree.cli.main({[*argv, '--no-timestamp']!r})\n"
+                 f"print(code, *sorted(set({names!r}) & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-c", probe], env=subprocess_env(),
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        code, *loaded = out.split()
+        assert code == "0"
+        return loaded
+
+    def test_import_leaves_out_openssl_and_csv(self):
+        # hashlib loads OpenSSL's libcrypto (+3.6 MB RSS); -S as for tempfile.
+        assert self._loaded_after_import(("_hashlib", "csv"), "-S") == []
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "abcacb", "--beta", "2"],
+        ["audit", "--k", "4", "--n", "3", "--len", "8"],
+        ["count", "--k", "20", "--beta", "3/2", "--max-len", "12"],  # a kernel walk
+        ["cache", "list", "--cache", "{cache}"],
+    ], ids=["check", "audit", "count", "cache-list"])
+    def test_only_a_printed_digest_loads_openssl(self, tmp_path, argv):
+        cache = tmp_path / "c.jsonl"
+        CountCache(cache).put(count_free(3, Threshold(2), 4))
+        argv = [a.format(cache=cache) for a in argv]
+        assert self._loaded_after_command(("_hashlib", "csv"), *argv) == []
+
+    def test_certify_loads_openssl_for_its_digest(self):
+        argv = ["certify", "--k", "20", "--n", "3", "--max-len", "12"]
+        assert self._loaded_after_command(("_hashlib", "csv"), *argv) == ["_hashlib"]
+        argv += ["--out", "csv"]
+        assert self._loaded_after_command(("_hashlib", "csv"), *argv) == ["_hashlib", "csv"]
 
     def test_import_loads_every_traced_module(self):
         # perfbench/launcher.py looks each module up in sys.modules to wrap its calls.

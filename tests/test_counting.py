@@ -3,6 +3,7 @@
 import concurrent.futures
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -381,6 +382,21 @@ def test_kernel_file_is_named_for_the_machine(monkeypatch, tmp_path):
     assert counting._kernel_file() != here
 
 
+def test_one_changed_byte_renames_the_kernel(monkeypatch, tmp_path):
+    # A library is reused only for the exact source and flags it was built from.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    here = counting._kernel_file().name
+    assert re.fullmatch(r"walk-.+-[0-9a-f]{16}\.so", here)
+    source = bytearray(counting._KERNEL_SOURCE.read_bytes())
+    source[len(source) // 2] ^= 1
+    (tmp_path / "_walk.c").write_bytes(source)
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_KERNEL_SOURCE", tmp_path / "_walk.c")
+        assert counting._kernel_file().name != here
+    monkeypatch.setattr(counting, "_CC_FLAGS", ("-O3", *counting._CC_FLAGS[1:]))
+    assert counting._kernel_file().name != here
+
+
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 def test_kernel_loads_only_from_private_files(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -546,6 +562,7 @@ def test_record_roundtrip():
     ("k", True), ("k", "4"), ("num", 7.0), ("den", False), ("strict", 1), ("strict", "false"),
     ("tail_max", False), ("tail_max", "2"), ("counts", "1369"), ("counts", {"1": 0, "4": 1}),
     ("counts", [1, 4]), ("counts", ["1", "+4"]), ("counts", ["1", " 4"]), ("counts", ["1", "٤"]),
+    ("tail_max", 0),
 ])
 def test_record_fields_of_another_type_are_refused(field, value):
     rec = count_tail_restricted(4, Threshold(7, 5, True), 2, 6).to_record()
