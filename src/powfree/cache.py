@@ -6,8 +6,10 @@ write-temp-then-rename, so concurrent readers always see a complete file;
 writers hold an exclusive flock on the sidecar file <cache>.lock from read
 to rename, so concurrent writers do not drop each other's records.  One
 record is kept per key, the one with the longest counts.  get and put
-validate only the records of their key, and put writes the other keys'
-lines back as they were read; entries validates every record.
+validate only the records of their key, and put copies the other keys'
+lines into the new file as it reads them, so neither holds more than one
+line and the kept record.  entries validates every record and keeps one
+CacheEntry, without counts, per key.  A missing file is an empty cache.
 
 A record is written with its key fields first, so get and put tell another
 key's line by its written head (_head) without parsing it.  A line whose
@@ -17,16 +19,19 @@ head is not in that form is parsed as JSON and classified by its fields.
 from __future__ import annotations
 
 import fcntl
+import io
 import json
 import os
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
 from .counting import CountSeries
 from .words import Threshold
 
-__all__ = ["CountCache"]
+__all__ = ["CacheEntry", "CountCache"]
 
 Key = tuple[int, int, int, bool, int | None]
 _KEY_FIELDS = ("k", "num", "den", "strict", "tail_max")
@@ -66,24 +71,41 @@ def _line(series: CountSeries) -> str:
     return _head(map(json.dumps, key)) + json.dumps(record)[1:] + "\n"
 
 
+def _longest(records: Iterable[CountSeries]) -> CountSeries | None:
+    """The longest of one key's records; the first of equal length wins."""
+    kept = None
+    for series in records:
+        if kept is None or series.max_length > kept.max_length:
+            kept = series
+    return kept
+
+
+# A key's longest record as entries lists it: its fields without the counts.  A
+# named tuple, not a words._Value: entries builds one per key, ten times faster.
+CacheEntry = namedtuple("CacheEntry", "k threshold tail_max method max_length")
+
+
 class CountCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def _load(self, only: Key | None = None,
-              others: list[str] | None = None) -> dict[Key, CountSeries]:
-        """Parse the records; given only, validate just those whose raw key fields
-        equal it (to_record writes thresholds in lowest terms), and append the
-        other keys' lines, newline-terminated, to others when it is given.
+    def _records(self, only: Key | None = None, others: io.TextIOBase | None = None
+                 ) -> Iterator[CountSeries]:
+        """Yield the valid records in file order; given only, validate just those
+        whose raw key fields equal it (to_record writes thresholds in lowest
+        terms), and write the other keys' lines, newline-terminated, to others
+        when it is given.  A missing file reads as an empty cache, also when a
+        cache clear removes it after the caller looked.
 
         A line with another key's head is passed over unparsed, however its
         tail reads; only the lines of that key, or entries, report a bad tail.
         """
-        entries: dict[Key, CountSeries] = {}
-        if not self.path.exists():
-            return entries
         own = None if only is None else _head(map(json.dumps, only))
-        with open(self.path, encoding="utf-8") as fh:
+        try:
+            fh = open(self.path, encoding="utf-8")
+        except FileNotFoundError:
+            return
+        with fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -99,39 +121,36 @@ class CountCache:
                     _log().warning("skipping corrupt cache record %s:%d (%s)",
                                    self.path, lineno, exc)
                     continue
-                if other:
-                    if others is not None:
-                        others.append(line if line.endswith("\n") else line + "\n")
-                    continue
-                key = _key(series.k, series.threshold, series.tail_max)
-                kept = entries.get(key)
-                if kept is None or series.max_length > kept.max_length:
-                    entries[key] = series
-        return entries
+                if not other:
+                    yield series
+                elif others is not None:
+                    others.write(line if line.endswith("\n") else line + "\n")
 
     def get(self, k: int, t: Threshold, tail_max: int | None = None) -> CountSeries | None:
         """Longest stored series for the key, or None."""
-        key = _key(k, t, tail_max)
-        return self._load(only=key).get(key)
+        return _longest(self._records(only=_key(k, t, tail_max)))
 
     def put(self, series: CountSeries) -> None:
         """Store a series; an existing longer series for the same key wins."""
         key = _key(series.k, series.threshold, series.tail_max)
-        with self._write_lock():
-            lines: list[str] = []
-            kept = self._load(only=key, others=lines).get(key)
+        with self._write_lock(), self._replacing() as out:
+            kept = _longest(self._records(only=key, others=out))
             if kept is None or series.max_length > kept.max_length:
                 kept = series
-            self._write(lines + [_line(kept)])
+            out.write(_line(kept))
 
-    def entries(self) -> list[CountSeries]:
-        return sorted(self._load().values(),
-                      key=lambda s: _sort_key(_key(s.k, s.threshold, s.tail_max)))
+    def entries(self) -> list[CacheEntry]:
+        """Every key's longest valid record, without its counts, in key order."""
+        kept: dict[Key, CacheEntry] = {}
+        for s in self._records():
+            key = _key(s.k, s.threshold, s.tail_max)
+            if key not in kept or s.max_length > kept[key].max_length:
+                kept[key] = CacheEntry(s.k, s.threshold, s.tail_max, s.method, s.max_length)
+        return [kept[key] for key in sorted(kept, key=_sort_key)]
 
     def clear(self) -> None:
         with self._write_lock():
-            if self.path.exists():
-                self.path.unlink()
+            self.path.unlink(missing_ok=True)
 
     @contextmanager
     def _write_lock(self):
@@ -144,14 +163,16 @@ class CountCache:
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
-    def _write(self, lines: list[str]) -> None:
+    @contextmanager
+    def _replacing(self):
+        """A new file that replaces the cache file if the block completes."""
         # Imported here: runs that store nothing skip tempfile's imports (shutil, random, ...).
         import tempfile
 
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
+                yield fh
             os.replace(tmp, self.path)
         except BaseException:
             if os.path.exists(tmp):

@@ -21,6 +21,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import islice
 
 from .analyze import REPORT_COLUMNS, conjecture_report, fj_audit
 from .bounds import certify
@@ -35,6 +36,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_LEMMA = 4
+
+# Characters per write of the JSON emitter.
+_EMIT_BATCH = 1 << 16
 
 
 class UsageError(ValidationError):
@@ -85,7 +89,19 @@ def _emit(args, doc: dict, rows: list[dict], columns) -> None:
         return
     if not args.no_timestamp:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(doc, indent=2, default=_frac_str))
+    # The bytes of print(json.dumps(doc, indent=2, default=_frac_str)), written in
+    # batches of about 64 KiB: the whole text and its list of chunks are never
+    # held, and an unbuffered stdout (PYTHONUNBUFFERED) gets one write per batch.
+    chunks = json.JSONEncoder(indent=2, default=_frac_str).iterencode(doc)
+    batch, size = [], 0
+    while part := "".join(islice(chunks, 2048)):
+        batch.append(part)
+        size += len(part)
+        if size >= _EMIT_BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    batch.append("\n")
+    sys.stdout.write("".join(batch))
 
 
 def _csv_cell(value):

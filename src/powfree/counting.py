@@ -124,13 +124,20 @@ class CountSeries(_Value):
 
     def digest(self) -> str:
         """Hex digest identifying the exact count data (method-independent)."""
-        # Imported here: hashlib loads OpenSSL's libcrypto, and only certify prints a digest.
-        import hashlib
+        # CPython's own SHA-256 (_sha256 up to 3.11, _sha2 from 3.12): hashlib would
+        # load OpenSSL's libcrypto (+3.6 MB RSS) for the same hex.
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            try:
+                from _sha2 import sha256
+            except ImportError:
+                from hashlib import sha256
 
         t = self.threshold
         key = f"{self.k}|{t.num}/{t.den}|{int(t.strict)}|{self.tail_max}|"
         key += ",".join(str(c) for c in self.counts)
-        return hashlib.sha256(key.encode()).hexdigest()
+        return sha256(key.encode()).hexdigest()
 
     def to_record(self) -> dict:
         t = self.threshold

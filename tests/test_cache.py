@@ -4,10 +4,13 @@ import json
 import logging
 import multiprocessing
 import os
+import tracemalloc
 
 import pytest
 
-from powfree import CountCache, Threshold, count_free, count_tail_restricted
+from powfree import CountCache, CountSeries, Threshold, count_free, count_tail_restricted
+from powfree import cache as cache_module
+from powfree.cache import CacheEntry
 
 
 @pytest.fixture
@@ -241,3 +244,86 @@ def test_concurrent_writers_keep_every_record(cache):
         p.join(timeout=60)
     assert [p.exitcode for p in writers] == [0, 0]
     assert sorted(s.k for s in cache.entries()) == list(range(1, 51))
+
+
+def _opened_after_a_clear(monkeypatch, cache):
+    """Make the cache module's open of the cache file find it removed, as when a
+    cache clear in another process runs between a look at the file and its open."""
+    real = open
+
+    def racing(file, *args, **kwargs):
+        if os.fspath(file) == os.fspath(cache.path):
+            cache.path.unlink(missing_ok=True)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "open", racing, raising=False)
+
+
+def test_a_file_removed_before_it_is_opened_reads_as_empty(cache, monkeypatch):
+    t = Threshold(2)
+    for reader in (lambda: cache.get(3, t), cache.entries):
+        cache.put(count_free(3, t, 5))
+        with monkeypatch.context() as mp:
+            _opened_after_a_clear(mp, cache)
+            assert reader() in (None, [])
+    cache.put(count_free(4, t, 5))
+    with monkeypatch.context() as mp:
+        _opened_after_a_clear(mp, cache)
+        cache.put(count_free(3, t, 5))
+    assert cache.entries() == [CacheEntry(3, t, None, "canonical", 5)]
+
+
+def _write_records(path, records, counts=(1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204)):
+    with open(path, "w", encoding="utf-8") as fh:
+        for k in range(1, records + 1):
+            series = CountSeries(k, Threshold(2), counts, "canonical")
+            fh.write(json.dumps(series.to_record()) + "\n")
+
+
+def _put_peak(path, records):
+    """Traced peak bytes of one put of a new key into a file of records keys."""
+    _write_records(path, records)
+    cache = CountCache(path)
+    cache.put(count_free(2, Threshold(2, 1, True), 4))  # imports tempfile, fills caches
+    series = count_free(3, Threshold(3, 2), 6)
+    tracemalloc.start()
+    try:
+        cache.put(series)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_put_memory_does_not_grow_with_the_file(tmp_path):
+    # The other keys' lines go to the new file as they are read, never into a list.
+    small = _put_peak(tmp_path / "small.jsonl", 50)
+    large = _put_peak(tmp_path / "large.jsonl", 5000)
+    assert (tmp_path / "large.jsonl").stat().st_size > 800_000
+    assert large - small < 50_000, (small, large)
+
+
+def test_entries_keep_no_counts(cache):
+    counts = tuple(10**400 + i for i in range(20))  # 8 KB of digits per record
+    _write_records(cache.path, 200, counts)
+    tracemalloc.start()
+    try:
+        listed = cache.entries()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [e.k for e in listed] == list(range(1, 201))
+    assert listed[0] == CacheEntry(1, Threshold(2), None, "canonical", 19)
+    assert not any(hasattr(e, "counts") for e in listed)
+    assert held < 200_000, held  # 200 records of 8 KB of digits would hold 1.6 MB
+
+
+def test_entries_warn_of_and_skip_corrupt_and_mistyped_records(cache, caplog):
+    good = count_free(3, Threshold(2), 5)
+    mistyped = good.to_record()
+    mistyped["k"] = 4.0
+    lines = [json.dumps(good.to_record()), "{not json", json.dumps(mistyped)]
+    cache.path.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING):
+        assert cache.entries() == [CacheEntry(3, Threshold(2), None, "canonical", 5)]
+    assert [rec.getMessage().partition(" (")[0] for rec in caplog.records] == [
+        f"skipping corrupt cache record {cache.path}:{i}" for i in (2, 3)]

@@ -1,6 +1,7 @@
 """Counting engines: agreement, known values, weights, budgets."""
 
 import concurrent.futures
+import hashlib
 import logging
 import os
 import re
@@ -577,6 +578,46 @@ def test_digest_ignores_method_but_not_counts():
     b = count_free(3, Threshold(2), 6, "canonical")
     assert a.digest() == b.digest()
     assert a.digest() != a.prefix(5).digest()
+
+
+_series = st.builds(
+    lambda k, den, extra, strict, tail_max, counts: CountSeries(
+        k, Threshold(den + extra, den, strict), counts, "canonical", tail_max),
+    st.integers(1, 10**6), st.integers(1, 50), st.integers(1, 50), st.booleans(),
+    st.none() | st.integers(1, 100), st.lists(st.integers(0, 10**40), min_size=1, max_size=30))
+
+
+def _hashlib_hex(series):
+    t = series.threshold
+    key = (f"{series.k}|{t.num}/{t.den}|{int(t.strict)}|{series.tail_max}|"
+           + ",".join(map(str, series.counts)))
+    return hashlib.sha256(key.encode()).hexdigest()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series)
+def test_digest_is_hashlibs_sha256_of_the_key(series):
+    assert series.digest() == _hashlib_hex(series)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_series)
+def test_digest_falls_back_to_hashlib(series):
+    # None in sys.modules makes an import fail: neither built-in module is found.
+    expected = _hashlib_hex(series)
+    called = []
+    sha256 = hashlib.sha256
+
+    def recorded(data):
+        called.append(data)
+        return sha256(data)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "_sha256", None)
+        mp.setitem(sys.modules, "_sha2", None)
+        mp.setattr(hashlib, "sha256", recorded)
+        assert series.digest() == expected
+    assert len(called) == 1
 
 
 def test_edge_cases():
