@@ -8,8 +8,10 @@ to rename, so concurrent writers do not drop each other's records.  One
 record is kept per key, the one with the longest counts.  get and put
 validate only the records of their key, and put copies the other keys'
 lines into the new file as it reads them, so neither holds more than one
-line and the kept record.  entries validates every record and keeps one
-CacheEntry, without counts, per key.  A missing file is an empty cache.
+line and the kept record.  entries validates every record as get does,
+without converting its counts, and keeps one CacheEntry, without counts, per
+key.  A missing file is an empty cache, and a line that is not UTF-8 is a
+corrupt record.
 
 A record is written with its key fields first, so get and put tell another
 key's line by its written head (_head) without parsing it.  A line whose
@@ -28,7 +30,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from .counting import CountSeries
+from .counting import CountSeries, _record_fields
 from .words import Threshold
 
 __all__ = ["CacheEntry", "CountCache"]
@@ -53,6 +55,14 @@ def _log():
     import logging
 
     return logging.getLogger(__name__)
+
+
+def _utf8(line: str) -> None:
+    """A ValueError if line, read with errors="surrogateescape", had bytes that are not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("line is not UTF-8") from None
 
 
 def _key(k: int, t: Threshold, tail_max: int | None) -> Key:
@@ -89,20 +99,24 @@ class CountCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def _records(self, only: Key | None = None, others: io.TextIOBase | None = None
-                 ) -> Iterator[CountSeries]:
-        """Yield the valid records in file order; given only, validate just those
-        whose raw key fields equal it (to_record writes thresholds in lowest
-        terms), and write the other keys' lines, newline-terminated, to others
-        when it is given.  A missing file reads as an empty cache, also when a
-        cache clear removes it after the caller looked.
+    def _records(self, only: Key | None = None, others: io.TextIOBase | None = None,
+                 read=None) -> Iterator:
+        """Yield read(record), by default the CountSeries, of the valid records
+        in file order; given only, validate just those whose raw key fields
+        equal it (to_record writes thresholds in lowest terms), and write the
+        other keys' lines, newline-terminated, to others when it is given.  A
+        missing file reads as an empty cache, also when a cache clear removes it
+        after the caller looked.
 
         A line with another key's head is passed over unparsed, however its
         tail reads; only the lines of that key, or entries, report a bad tail.
+        A line that is not UTF-8 is reported and skipped by every reader.
         """
         own = None if only is None else _head(map(json.dumps, only))
+        read = read or CountSeries.from_record
         try:
-            fh = open(self.path, encoding="utf-8")
+            # Bytes that are not UTF-8 are read as lone surrogates, which do not encode.
+            fh = open(self.path, encoding="utf-8", errors="surrogateescape")
         except FileNotFoundError:
             return
         with fh:
@@ -112,17 +126,19 @@ class CountCache:
                 other = (own is not None and not line.startswith(own)
                          and _ANY_HEAD.match(line) is not None)
                 try:
+                    if not line.isascii():
+                        _utf8(line)
                     if not other:
                         record = json.loads(line)
                         other = only is not None and tuple(record[f] for f in _KEY_FIELDS) != only
                     if not other:
-                        series = CountSeries.from_record(record)
+                        value = read(record)
                 except (ValueError, KeyError, TypeError) as exc:
                     _log().warning("skipping corrupt cache record %s:%d (%s)",
                                    self.path, lineno, exc)
                     continue
                 if not other:
-                    yield series
+                    yield value
                 elif others is not None:
                     others.write(line if line.endswith("\n") else line + "\n")
 
@@ -140,12 +156,16 @@ class CountCache:
             out.write(_line(kept))
 
     def entries(self) -> list[CacheEntry]:
-        """Every key's longest valid record, without its counts, in key order."""
+        """Every key's longest valid record, without its counts, in key order.
+
+        Each record is checked as get checks it, but its counts stay strings.
+        """
         kept: dict[Key, CacheEntry] = {}
-        for s in self._records():
-            key = _key(s.k, s.threshold, s.tail_max)
-            if key not in kept or s.max_length > kept[key].max_length:
-                kept[key] = CacheEntry(s.k, s.threshold, s.tail_max, s.method, s.max_length)
+        for k, num, den, strict, tail_max, method, counts in self._records(read=_record_fields):
+            key = (k, num, den, strict, tail_max)
+            if key not in kept or len(counts) - 1 > kept[key].max_length:
+                kept[key] = CacheEntry(k, Threshold(num, den, strict), tail_max, method,
+                                       len(counts) - 1)
         return [kept[key] for key in sorted(kept, key=_sort_key)]
 
     def clear(self) -> None:

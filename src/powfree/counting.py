@@ -14,26 +14,31 @@ canonical  (the default) one depth-first walk over canonical patterns: first
 
 The canonical walk has two implementations with identical tables.  The
 kernel, _walk.c, is compiled once with the system C compiler into
-$XDG_CACHE_HOME/powfree/ (default ~/.cache/powfree/) by the first walk that
-finds it missing, and loaded with ctypes at the first walk.  Each node keeps
-its forbidden next letters in a bitmask, tallies its children by popcount
-and walks them.  Its uint64 cells are exact up to L = 25.  The Python walk,
-_dfs, is the reference; it runs when no compiler or no writable cache
-directory exists, and above L = 25.  It is the kernel's walk line for line:
-each pattern it visits makes one pass, words._forbidden_next, for the old
-letters that would end a forbidden power after it (each window forbids at
-most one; the fresh letter never completes a power), tallies its children
-and walks them, so it visits every length below L.
+$XDG_CACHE_HOME/powfree/ (default ~/.cache/powfree/) by the first walk above
+the crossover below that finds it missing, and loaded with ctypes at that
+walk.  Each node keeps its forbidden next letters in a bitmask, tallies its
+children by popcount and walks them.  Its uint64 cells are exact up to
+L = 25.  The Python walk, _dfs, is the reference; it runs when no compiler or
+no writable cache directory exists, and above L = 25.  It is the kernel's
+walk line for line: each pattern it visits makes one pass,
+words._forbidden_next, for the old letters that would end a forbidden power
+after it (each window forbids at most one; the fresh letter never completes
+a power), tallies its children and walks them, so it visits every length
+below L.
 
-With workers > 1 (capped at the cores) the walk is first deepened by
-_grow, one level at a time, until the frontier holds _TASKS_PER_WORKER
-prefixes per worker, or reaches length L-1, or empties.  The rows it tallies
-on the way give an estimate of the patterns shorter than L
-(_estimated_patterns); times the window pairs, that is the walk's window
-tests.  Only when they exceed the pool crossover measured for the walk in
-use is a pool started: each prefix becomes one pool task returning its own
-table, and the tables are summed.  Otherwise the frontier is dropped and the
-walk runs in-process from the root, as with one worker.
+Every walk is first deepened by _grow, one level at a time, until the
+frontier holds _TASKS_PER_WORKER prefixes per worker, or reaches length L-1,
+or empties.  The rows it tallies on the way give an estimate of the
+patterns shorter than L (_estimated_patterns); times the window pairs, that
+is the walk's window tests.  At or below _KERNEL_MIN_TESTS the walk is
+_dfs's, in-process: it ends before importing ctypes and loading (or
+compiling) the kernel would have.  Above it the kernel walks where it
+loads.  With workers > 1 (capped at the cores) a pool is started only when
+the tests also exceed the pool crossover measured for the walk in use: each
+prefix becomes one pool task returning its own table, and the tables are
+summed.  Otherwise the same tasks run in-process, one after another.  Either
+way each pattern is tested once: by _grow up to the frontier, then by the
+walk below it.
 
 All counts are Python ints, hence exact at any size.
 """
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 import sys
 import zlib
 from fractions import Fraction
@@ -63,7 +69,7 @@ __all__ = [
 METHODS = ("naive", "canonical")
 DEFAULT_NAIVE_BUDGET = 10**8
 
-# The parallel frontier is deepened until it holds this many prefixes per worker.
+# The frontier is deepened until it holds this many prefixes per worker.
 _TASKS_PER_WORKER = 8
 # A pool starts when the window tests of a walk to L -- its patterns shorter
 # than L, estimated from the frontier's rows, times the (period, window) pairs
@@ -71,6 +77,10 @@ _TASKS_PER_WORKER = 8
 # for k=20 and k = 2-5 languages; the table is in BENCH_11.json.
 _KERNEL_POOL_TESTS = 10_000_000
 _DFS_POOL_TESTS = 200_000
+# At or below this many window tests (estimated as above) _dfs, at 2,000-3,000
+# tests per ms, finishes before the kernel's first use would: importing ctypes
+# and loading the library took 4-5 ms and 0.3 MB on 2 cores (BENCH_19.json).
+_KERNEL_MIN_TESTS = 10_000
 
 _KERNEL_SOURCE = Path(__file__).with_name("_walk.c")
 _CC_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -94,15 +104,10 @@ class CountSeries(_Value):
     tail_max: int | None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown method {self.method!r}")
-        if self.k < 1:
-            raise ValidationError("alphabet size must be positive")
+        _check_fields(self.k, self.method, self.tail_max)
         object.__setattr__(self, "counts", tuple(self.counts))
         if any(c < 0 for c in self.counts):
             raise ValidationError("counts must be nonnegative")
-        if self.tail_max is not None and self.tail_max < 1:
-            raise ValidationError("tail_max must be positive")
 
     @property
     def max_length(self) -> int:
@@ -154,22 +159,59 @@ class CountSeries(_Value):
     @classmethod
     def from_record(cls, record: dict) -> "CountSeries":
         """The series of a to_record dict; a field of another type is a ValidationError."""
-        k, num, den, strict, tail_max, counts = (
-            record[f] for f in ("k", "num", "den", "strict", "tail_max", "counts"))
-        # type() rather than isinstance(): a bool is an int, and JSON true must not read as 1.
-        if (not all(type(v) is int for v in (k, num, den)) or type(strict) is not bool
-                or not (tail_max is None or type(tail_max) is int)):
-            raise ValidationError("record fields have the wrong types")
-        if type(counts) is not list or not all(
-                type(c) is str and c.isascii() and c.isdigit() and (c == "0" or c[0] != "0")
-                for c in counts):
-            raise ValidationError("counts are not a list of canonical decimal strings")
-        method = str(record["method"])
-        if method == "incremental":
-            # Earlier releases had a third engine; its counts are the same.
-            method = "canonical"
+        k, num, den, strict, tail_max, method, counts = _record_fields(record)
         return cls(k=k, threshold=Threshold(num, den, strict), counts=tuple(map(int, counts)),
                    method=method, tail_max=tail_max)
+
+
+def _check_fields(k, method, tail_max):
+    """A ValidationError unless a series of these fields may exist."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}")
+    if k < 1:
+        raise ValidationError("alphabet size must be positive")
+    if tail_max is not None and tail_max < 1:
+        raise ValidationError("tail_max must be positive")
+
+
+# Canonical decimal strings, comma-joined: ASCII digits without a leading zero.
+_COUNTS_TEXT = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
+def _canonical(counts):
+    """Whether every item of counts is a canonical decimal string; one regex match
+    of the joined list, since a check per item took most of a cache list's time."""
+    if not counts:
+        return True
+    if set(map(type, counts)) != {str}:
+        return False
+    text = ",".join(counts)
+    # An item that holds a comma would pass as two counts.
+    return text.count(",") == len(counts) - 1 and _COUNTS_TEXT.fullmatch(text) is not None
+
+
+def _record_fields(record):
+    """(k, num, den, strict, tail_max, method, counts) of a to_record dict, checked as
+    from_record checks them, with num/den in lowest terms and counts left as strings."""
+    k, num, den, strict, tail_max, counts = (record["k"], record["num"], record["den"],
+                                             record["strict"], record["tail_max"], record["counts"])
+    # type() rather than isinstance(): a bool is an int, and JSON true must not read as 1.
+    if ({type(k), type(num), type(den)} != {int} or type(strict) is not bool
+            or not (tail_max is None or type(tail_max) is int)):
+        raise ValidationError("record fields have the wrong types")
+    if type(counts) is not list or not _canonical(counts):
+        raise ValidationError("counts are not a list of canonical decimal strings")
+    method = str(record["method"])
+    if method == "incremental":
+        # Earlier releases had a third engine; its counts are the same.
+        method = "canonical"
+    num, den = Threshold._lowest_terms(num, den)
+    # int() refuses a string longer than the interpreter's digit limit (3.10.7 on).
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and max(map(len, counts), default=0) > limit:
+        int(next(c for c in counts if len(c) > limit))  # raises int's own ValueError
+    _check_fields(k, method, tail_max)
+    return k, num, den, strict, tail_max, method, counts
 
 
 def _dfs(k, pairs, max_length, table, w, distinct):
@@ -344,9 +386,13 @@ def _kernel_for(max_length):
     return _kernel() if max_length <= _KERNEL_MAX_LENGTH else None
 
 
-def _walk(k, pairs, max_length, prefix, distinct):
-    """Table of the free completions of a free prefix shorter than max_length."""
-    kernel = _kernel_for(max_length)
+def _walk(k, pairs, max_length, prefix, distinct, compiled):
+    """Table of the free completions of a free prefix shorter than max_length.
+
+    The kernel walks it when compiled is true and one loads for max_length;
+    otherwise _dfs does.
+    """
+    kernel = _kernel_for(max_length) if compiled else None
     if kernel is not None:
         return kernel(k, pairs, max_length, prefix, distinct)
     table = _new_table(k, max_length)
@@ -380,7 +426,9 @@ def _frontier(k, pairs, max_length, size):
 
 
 def _estimated_patterns(table, k, depth, max_length):
-    """Estimate of the free patterns of length <= max_length from the rows up to depth >= 1.
+    """Estimate of the free patterns of length <= max_length from the rows up to depth.
+
+    Rows that reach max_length give the exact total; otherwise depth >= 1.
 
     Every pattern with j < k letters has one fresh child; one with j letters is
     taken to have j - f old children, where f is the mean number of old letters
@@ -389,10 +437,12 @@ def _estimated_patterns(table, k, depth, max_length):
     of 16 prefixes it read 0.74-0.91x the true total at k=20 (nine thresholds,
     L = 11-18) and 0.7-2.3x on ten k = 2-9 languages up to L = 25.
     """
+    total = sum(map(sum, table[:depth + 1]))
+    if depth >= max_length:
+        return total
     prev, row = table[depth - 1], table[depth]
     old = sum(row) - sum(prev[:k])
     f = (sum(j * c for j, c in enumerate(prev)) - old) / sum(prev)
-    total = sum(map(sum, table[:depth + 1]))
     for _ in range(depth, max_length):
         row = [(c * (j - f) if j > f else 0) + (row[j - 1] if j else 0)
                for j, c in enumerate(row)]
@@ -427,27 +477,28 @@ def _pattern_table(k, t, max_length, tail_max, workers):
         return [[1]]
 
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and max_length > 1:
-        table, frontier, depth = _frontier(k, pairs, max_length, _TASKS_PER_WORKER * workers)
-        if not frontier:
-            return table
-        crossover = _DFS_POOL_TESTS if _kernel_for(max_length) is None else _KERNEL_POOL_TESTS
-        tests = _estimated_patterns(table, k, depth, max_length - 1) * len(pairs)
-        if tests > crossover:
-            # Imported here: runs that start no pool skip the import of multiprocessing.
-            from concurrent.futures import ProcessPoolExecutor
+    table, frontier, depth = _frontier(k, pairs, max_length, _TASKS_PER_WORKER * workers)
+    if not frontier:
+        return table
+    tests = _estimated_patterns(table, k, depth, max_length - 1) * len(pairs)
+    compiled = tests > _KERNEL_MIN_TESTS and _kernel_for(max_length) is not None
+    tasks = [(k, pairs, max_length, w, distinct, compiled) for w, distinct in frontier]
+    if workers > 1 and tests > (_KERNEL_POOL_TESTS if compiled else _DFS_POOL_TESTS):
+        # Imported here: runs that start no pool skip the import of multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
 
-            tasks = [(k, pairs, max_length, w, distinct) for w, distinct in frontier]
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                for sub in pool.map(_walk, *zip(*tasks)):
-                    for row, sub_row in zip(table, sub):
-                        for d, c in enumerate(sub_row):
-                            row[d] += c
-            return table
-
-    table = _walk(k, pairs, max_length, (), 0)
-    table[0][0] = 1
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            _add_tables(table, pool.map(_walk, *zip(*tasks)))
+    else:
+        _add_tables(table, map(_walk, *zip(*tasks)))
     return table
+
+
+def _add_tables(table, subs):
+    for sub in subs:
+        for row, sub_row in zip(table, sub):
+            for d, c in enumerate(sub_row):
+                row[d] += c
 
 
 def _count(k, t, max_length, tail_max, method, workers, budget):

@@ -115,15 +115,20 @@ class Threshold(_Value):
     strict: bool
 
     def __post_init__(self):
-        if self.num < 1 or self.den < 1:
-            raise ValidationError(
-                f"threshold must be a positive rational, got {self.num}/{self.den}")
-        g = math.gcd(self.num, self.den)
-        if g > 1:
-            object.__setattr__(self, "num", self.num // g)
-            object.__setattr__(self, "den", self.den // g)
-        if self.num <= self.den:
-            raise ValidationError(f"threshold must exceed 1, got {self.num}/{self.den}")
+        num, den = self._lowest_terms(self.num, self.den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+        """num/den in lowest terms, or a ValidationError if it is not a threshold."""
+        if num < 1 or den < 1:
+            raise ValidationError(f"threshold must be a positive rational, got {num}/{den}")
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        if num <= den:
+            raise ValidationError(f"threshold must exceed 1, got {num}/{den}")
+        return num, den
 
     @classmethod
     def dejean(cls, n: int, strict: bool = False) -> "Threshold":

@@ -91,9 +91,13 @@ def test_get_validates_only_the_records_of_its_key(cache, monkeypatch):
     assert validated == [(3, False, None)]
     assert cache.get(3, t, tail_max=2) is None
     assert validated == [(3, False, None)]
+    # entries checks every record's fields without building its series.
     validated.clear()
+    record_fields = cache_module._record_fields
+    monkeypatch.setattr(cache_module, "_record_fields",
+                        lambda record: validated.append(record["k"]) or record_fields(record))
     assert len(cache.entries()) == 5
-    assert len(validated) == 5
+    assert sorted(validated) == [2, 3, 3, 3, 4]
 
 
 def test_put_validates_only_the_records_of_its_key(cache, monkeypatch, caplog):
@@ -327,3 +331,68 @@ def test_entries_warn_of_and_skip_corrupt_and_mistyped_records(cache, caplog):
         assert cache.entries() == [CacheEntry(3, Threshold(2), None, "canonical", 5)]
     assert [rec.getMessage().partition(" (")[0] for rec in caplog.records] == [
         f"skipping corrupt cache record {cache.path}:{i}" for i in (2, 3)]
+
+
+def _record_variants():
+    """to_record dicts, each changed in one field: some valid, most not."""
+    good = count_free(3, Threshold(2), 4).to_record()
+    changes = [
+        {}, {"num": 4, "den": 2}, {"num": 2, "den": 2}, {"num": 0}, {"den": 0}, {"den": -1},
+        {"k": 0}, {"k": -3}, {"k": 3.0}, {"k": True}, {"strict": 0}, {"strict": "false"},
+        {"tail_max": 0}, {"tail_max": 2}, {"tail_max": 2.0}, {"method": "naive"},
+        {"method": "incremental"}, {"method": "transfer-matrix"}, {"method": None},
+        {"counts": "1369"}, {"counts": []}, {"counts": ["1", "03"]}, {"counts": ["1", "-3"]},
+        {"counts": ["1", "３"]}, {"counts": [1, 3]}, {"counts": ["1", "3" * 5000]},
+        {"counts": [""]}, {"counts": ["1", ""]}, {"counts": ["1,3"]}, {"counts": ["1", " 3"]},
+    ]
+    records = [{**good, **change} for change in changes]
+    for field in ("k", "strict", "method", "counts"):
+        records.append({f: v for f, v in good.items() if f != field})
+    return records
+
+
+@pytest.mark.parametrize("record", _record_variants())
+def test_entries_refuse_exactly_the_records_a_get_refuses(cache, record):
+    # entries checks records without building their series, and reads none that
+    # from_record would refuse, nor refuses one that it would read.
+    cache.path.write_text(json.dumps(record) + "\n")
+    try:
+        series = CountSeries.from_record(record)
+    except (ValueError, KeyError, TypeError):
+        assert cache.entries() == []
+    else:
+        assert cache.entries() == [CacheEntry(series.k, series.threshold, series.tail_max,
+                                              series.method, series.max_length)]
+
+
+def test_entries_merge_a_key_written_in_other_terms(cache):
+    # 4/2 is the threshold 2, as from_record reads it; the longest record wins.
+    short, long = count_free(3, Threshold(2), 4).to_record(), count_free(3, Threshold(2), 6)
+    cache.path.write_text(json.dumps({**short, "num": 4, "den": 2}) + "\n"
+                          + json.dumps(long.to_record()) + "\n")
+    assert cache.entries() == [CacheEntry(3, Threshold(2), None, "canonical", 6)]
+
+
+NOT_UTF8 = b"\xff\xfe bad\n"
+
+
+def test_a_line_that_is_not_utf8_is_reported_by_get_and_entries_and_dropped_by_put(
+        cache, caplog):
+    t = Threshold(2)
+    good = json.dumps(count_free(3, t, 5).to_record()).encode() + b"\n"
+    # The second line has another key's head: it too is read only as far as is needed to
+    # find that its bytes are not UTF-8.
+    other = json.dumps(count_free(4, t, 5).to_record()).encode()[:-3] + b"\xe9\"]}\n"
+    cache.path.write_bytes(good + NOT_UTF8 + other)
+    with caplog.at_level(logging.WARNING):
+        assert cache.get(3, t) == count_free(3, t, 5)
+        assert cache.entries() == [CacheEntry(3, t, None, "canonical", 5)]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"skipping corrupt cache record {cache.path}:{i} (line is not UTF-8)"
+        for i in (2, 3)] * 2
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        cache.put(count_free(5, t, 4))
+    assert len(caplog.records) == 2
+    written = json.dumps(count_free(5, t, 4).to_record()).encode() + b"\n"
+    assert cache.path.read_bytes() == good + written

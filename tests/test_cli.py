@@ -11,7 +11,7 @@ import pytest
 import powfree
 from powfree import (REPORT_COLUMNS, CountCache, CountSeries, Threshold, count_free,
                      count_tail_restricted)
-from powfree import cli
+from powfree import cli, counting
 from powfree.cli import _frac_str, entry, main
 
 
@@ -240,6 +240,45 @@ class TestCountCache:
         assert done.returncode == 0 and json.loads(done.stdout)["entries"] == []
         assert done.stderr.startswith(f"skipping corrupt cache record {path}:1 (")
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--k", "3", "--beta", "2", "--max-len", "3"],
+        ["certify", "--k", "20", "--n", "3", "--max-len", "5"],
+        ["cache", "list"],
+        ["cache", "clear"],
+    ], ids=["count", "certify", "cache-list", "cache-clear"])
+    def test_a_directory_is_not_a_cache(self, capsys, monkeypatch, tmp_path, argv):
+        code, out = run(capsys, *argv, "--cache", str(tmp_path), "--no-timestamp")
+        assert code == 2 and out == ""
+        monkeypatch.setenv("POWFREE_CACHE", str(tmp_path))
+        assert main([*argv, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"powfree {argv[0]}: cache path {tmp_path} is a directory, not a cache file\n"
+        assert tmp_path.is_dir()
+
+    def test_a_line_that_is_not_utf8_is_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        stored = json.dumps(count_free(20, Threshold(3, 2), 5).to_record()).encode() + b"\n"
+
+        def run_cached(*argv):
+            path.write_bytes(b"\xff\xfe bad\n" + stored)
+            return subprocess.run([sys.executable, "-m", "powfree.cli", *argv, "--cache",
+                                   str(path), "--no-timestamp"], env=subprocess_env(),
+                                  capture_output=True, text=True, timeout=60)
+
+        warning = f"skipping corrupt cache record {path}:1 (line is not UTF-8)\n"
+        done = run_cached("count", "--k", "20", "--beta", "3/2", "--max-len", "6")
+        assert done.returncode == 0 and done.stderr == warning * 2  # by get, then by put
+        expected = [str(c) for c in count_free(20, Threshold(3, 2), 6).counts]
+        assert json.loads(done.stdout)["counts"] == expected
+        assert CountCache(path).get(20, Threshold(3, 2)).max_length == 6
+        assert b"\xff" not in path.read_bytes()
+        done = run_cached("certify", "--k", "20", "--n", "3", "--max-len", "5")
+        assert (done.returncode, done.stderr) == (0, warning)
+        assert json.loads(done.stdout)["status"] == "ok"
+        done = run_cached("cache", "list")
+        assert (done.returncode, done.stderr) == (0, warning)
+        assert [e["max_length"] for e in json.loads(done.stdout)["entries"]] == [5]
+
     def test_cached_tail_max_zero_is_still_a_usage_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = count_tail_restricted(3, Threshold(2), 1, 4).to_record()
@@ -395,6 +434,24 @@ class TestReproducibility:
         assert a == b
 
 
+    @pytest.mark.parametrize("seconds,us", [
+        (1_700_000_000, 0),          # no fraction, as datetime.isoformat writes 0 us
+        (1_700_000_000, 1),
+        (1_700_000_000, 123_456),
+        (1_704_067_199, 999_999),    # the last microsecond of 2023
+        (1_704_067_200, 0),          # the first of 2024
+        (0, 0),
+    ])
+    def test_generated_at_is_the_isoformat_of_the_clock(self, capsys, monkeypatch, seconds, us):
+        from datetime import datetime, timezone
+
+        # Nanoseconds below the microsecond are floored, as datetime.now floors them.
+        monkeypatch.setattr(cli.time, "time_ns", lambda: (seconds * 10**6 + us) * 1000 + 999)
+        _, out = run(capsys, "check", "abc", "--beta", "2")
+        expected = datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=us)
+        assert json.loads(out)["generated_at"] == expected.isoformat()
+
+
 CERTIFICATE_FIELDS = ["k", "n", "plus", "x_witness_num", "x_witness_den", "condition_margin_num",
                       "condition_margin_den", "verified_up_to", "series_digest"]
 
@@ -535,11 +592,12 @@ class TestEntryPoint:
         assert self._loaded_after_import(("random", "tempfile"), "-S") == []
 
     @staticmethod
-    def _loaded_after_command(names, *argv):
+    def _loaded_after_command(names, *argv, timestamp=False):
         """Which of names a fresh interpreter, run with -S, holds after powfree argv."""
+        argv = [*argv] if timestamp else [*argv, "--no-timestamp"]
         probe = (f"import contextlib, io, sys, powfree.cli\n"
                  f"with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    code = powfree.cli.main({[*argv, '--no-timestamp']!r})\n"
+                 f"    code = powfree.cli.main({argv!r})\n"
                  f"print(code, *sorted(set({names!r}) & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-S", "-c", probe], env=subprocess_env(),
                              capture_output=True, text=True, check=True, timeout=120).stdout
@@ -575,3 +633,40 @@ class TestEntryPoint:
         names = tuple(f"powfree.{m}"
                       for m in ("analyze", "bounds", "cache", "cli", "counting", "words"))
         assert self._loaded_after_import(names) == sorted(names)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "abcacb", "--beta", "2"],
+        ["count", "--k", "3", "--beta", "2", "--max-len", "6"],
+        ["certify", "--k", "20", "--n", "3", "--max-len", "12"],
+        ["audit", "--k", "4", "--n", "3", "--len", "8"],
+        ["report", "--n", "2..3", "--k", "20", "--max-len", "5"],
+        ["cache", "list", "--cache", "{cache}"],
+        ["cache", "clear", "--cache", "{cache}"],
+    ], ids=["check", "count", "certify", "audit", "report", "cache-list", "cache-clear"])
+    def test_no_command_loads_datetime(self, tmp_path, argv):
+        # generated_at is written from time.time_ns(); datetime costs ~0.4 MB of every start-up.
+        cache = tmp_path / "c.jsonl"
+        CountCache(cache).put(count_free(3, Threshold(2), 4))
+        argv = [a.format(cache=cache) for a in argv]
+        assert self._loaded_after_command(("datetime", "_datetime"), *argv, timestamp=True) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "abcacb", "--beta", "2"],
+        ["audit", "--k", "4", "--n", "3", "--len", "8"],
+        ["report", "--n", "2..4", "--k", "20"],
+        ["certify", "--k", "20", "--n", "3", "--max-len", "14", "--cache", "{cache}"],  # a hit
+    ], ids=["check", "audit", "report", "certify-cache-hit"])
+    def test_small_walks_leave_out_the_kernel(self, tmp_path, argv):
+        # check and a cache hit do not walk; the audit's and report's walks are at most a few
+        # thousand window tests, which _dfs ends before ctypes would have loaded.
+        cache = tmp_path / "c.jsonl"
+        CountCache(cache).put(count_free(20, Threshold(3, 2), 14))
+        argv = [a.format(cache=cache) for a in argv]
+        assert self._loaded_after_command(("ctypes",), *argv) == []
+
+    def test_a_large_walk_loads_the_kernel(self):
+        # About 4 million window tests: far above the crossover.
+        if counting._kernel() is None:
+            pytest.skip("no walk kernel builds here")
+        argv = ["certify", "--k", "20", "--n", "3", "--max-len", "14"]
+        assert self._loaded_after_command(("ctypes",), *argv) == ["ctypes"]

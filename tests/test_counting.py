@@ -46,8 +46,12 @@ def python_walk(monkeypatch):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Iterate a test body under both walks: the kernel (where one builds), then _dfs alone."""
+    """Iterate a test body under both walks: the kernel (where one builds), then _dfs alone.
+
+    The kernel half takes the kernel for every walk, however few its window tests.
+    """
     def each():
+        monkeypatch.setattr(counting, "_KERNEL_MIN_TESTS", -1)
         yield "kernel" if counting._kernel() is not None else "python (no kernel)"
         monkeypatch.setattr(counting, "_kernel", lambda: None)
         yield "python"
@@ -341,12 +345,14 @@ def test_short_enumerations_start_no_pool(monkeypatch, walks):
 
 
 def test_walk_beyond_the_kernel_cap_is_python(monkeypatch):
-    # Rows of uint64 are exact while the Bell number B_L < 2**64, i.e. L <= 25.
+    # Rows of uint64 are exact while the Bell number B_L < 2**64, i.e. L <= 25.  Every
+    # walk, however small, would take the kernel below the cap.
+    monkeypatch.setattr(counting, "_KERNEL_MIN_TESTS", -1)
     calls = []
     real = counting._dfs
     monkeypatch.setattr(counting, "_dfs", lambda *a: calls.append(a[2]) or real(*a))
     for L in (25, 26):
-        assert count_free(2, Threshold(2), L).counts == (1, 2, 2, 2) + (0,) * (L - 3)
+        assert count_free(1, Threshold(30), L).counts == (1,) * (L + 1)
     assert calls[-1] == 26 and counting._kernel_for(26) is None
     if counting._kernel() is not None:
         assert set(calls) == {26}
@@ -519,17 +525,19 @@ def test_shared_cache_directory_is_neither_built_in_nor_loaded_from(monkeypatch,
 
 
 def test_commands_that_do_not_walk_compile_nothing(tmp_path):
-    # check, cache and the naive engine never walk, so they neither compile nor
-    # create the kernel's directory; the first canonical walk then compiles once.
+    # check, cache and the naive engine never walk, and a canonical walk of a few
+    # hundred window tests runs in Python, so they neither compile nor create the
+    # kernel's directory; the first walk above the crossover then compiles once.
     cache = tmp_path / "cache"
     env = {"XDG_CACHE_HOME": str(cache), "PATH": _failing_compilers(tmp_path)}
     probe = ("import sys; from powfree.cli import main; codes = ["
              "main(['check', 'abc', '--beta', '2']), "
              f"main(['cache', 'list', '--cache', {str(tmp_path / 'c.jsonl')!r}]), "
-             "main(['count', '--k', '3', '--beta', '2', '--max-len', '5', '--engine', 'naive'])]; "
+             "main(['count', '--k', '3', '--beta', '2', '--max-len', '5', '--engine', 'naive']), "
+             "main(['count', '--k', '3', '--beta', '2', '--max-len', '8'])]; "
              "print(codes, file=sys.stderr)")
     out, err = _run_counting(env, probe).communicate(timeout=120)
-    assert err == "[0, 0, 0]\n" and '"30"' in out
+    assert err == "[0, 0, 0, 0]\n" and out.count('"30"') == 2 and '"60"' in out
     assert not (tmp_path / "compiled").exists() and not cache.exists()
     assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
     assert (tmp_path / "compiled").read_text() == "cc\n"
