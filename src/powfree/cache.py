@@ -9,9 +9,12 @@ record is kept per key, the one with the longest counts.  get and put
 validate only the records of their key, and put copies the other keys'
 lines into the new file as it reads them, so neither holds more than one
 line and the kept record.  entries validates every record as get does,
-without converting its counts, and keeps one CacheEntry, without counts, per
-key.  A missing file is an empty cache, and a line that is not UTF-8 is a
-corrupt record.
+without converting its counts, and keeps one key tuple and one int (the
+longest length and the method) per key; it builds a key's CacheEntry only
+when its iterator hands that entry out.  A missing file is an empty cache,
+and a line that is not UTF-8 is a corrupt record.  An OSError of the cache
+file (one that cannot be opened, created, locked or written) is raised as a
+ValidationError that names the file.
 
 A record is written with its key fields first, so get and put tell another
 key's line by its written head (_head) without parsing it.  A line whose
@@ -21,6 +24,7 @@ head is not in that form is parsed as JSON and classified by its fields.
 from __future__ import annotations
 
 import fcntl
+import functools
 import io
 import json
 import os
@@ -30,7 +34,8 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from .counting import CountSeries, _record_fields
+from .counting import METHODS, CountSeries, _record_fields
+from .errors import ValidationError
 from .words import Threshold
 
 __all__ = ["CacheEntry", "CountCache"]
@@ -69,11 +74,6 @@ def _key(k: int, t: Threshold, tail_max: int | None) -> Key:
     return (k, t.num, t.den, t.strict, tail_max)
 
 
-def _sort_key(key: Key):
-    k, num, den, strict, tail_max = key
-    return (k, num, den, strict, tail_max is not None, tail_max or 0)
-
-
 def _line(series: CountSeries) -> str:
     """The written record of a series: its key's head, then its other fields."""
     record = series.to_record()
@@ -93,6 +93,26 @@ def _longest(records: Iterable[CountSeries]) -> CountSeries | None:
 # A key's longest record as entries lists it: its fields without the counts.  A
 # named tuple, not a words._Value: entries builds one per key, ten times faster.
 CacheEntry = namedtuple("CacheEntry", "k threshold tail_max method max_length")
+
+
+def _listed(kept: dict[tuple, int]) -> Iterator[CacheEntry]:
+    """The CacheEntry of each key of an entries index, in key order, built as it is asked for."""
+    for key in sorted(kept):
+        k, num, den, strict, tail_max = key
+        length, method = divmod(kept[key], len(METHODS))
+        yield CacheEntry(k, Threshold(num, den, strict), tail_max or None, METHODS[method], length)
+
+
+def _usage_errors(method):
+    """method, with an OSError of the cache file as a usage error that names the file."""
+    @functools.wraps(method)
+    def wrapped(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except OSError as exc:
+            raise ValidationError(f"cannot use cache file {self.path}: "
+                                  f"{exc.strerror or exc}") from None
+    return wrapped
 
 
 class CountCache:
@@ -142,10 +162,12 @@ class CountCache:
                 elif others is not None:
                     others.write(line if line.endswith("\n") else line + "\n")
 
+    @_usage_errors
     def get(self, k: int, t: Threshold, tail_max: int | None = None) -> CountSeries | None:
         """Longest stored series for the key, or None."""
         return _longest(self._records(only=_key(k, t, tail_max)))
 
+    @_usage_errors
     def put(self, series: CountSeries) -> None:
         """Store a series; an existing longer series for the same key wins."""
         key = _key(series.k, series.threshold, series.tail_max)
@@ -155,19 +177,25 @@ class CountCache:
                 kept = series
             out.write(_line(kept))
 
-    def entries(self) -> list[CacheEntry]:
+    @_usage_errors
+    def entries(self) -> Iterator[CacheEntry]:
         """Every key's longest valid record, without its counts, in key order.
 
         Each record is checked as get checks it, but its counts stay strings.
+        The whole file is read before entries returns.
         """
-        kept: dict[Key, CacheEntry] = {}
+        # One int per key, max_length * len(METHODS) + the method's index, under the key
+        # (k, num, den, strict, tail_max or 0): a stored tail_max is at least 1, so 0
+        # stands for none, and the keys sort in the listed order.
+        kept: dict[tuple, int] = {}
         for k, num, den, strict, tail_max, method, counts in self._records(read=_record_fields):
-            key = (k, num, den, strict, tail_max)
-            if key not in kept or len(counts) - 1 > kept[key].max_length:
-                kept[key] = CacheEntry(k, Threshold(num, den, strict), tail_max, method,
-                                       len(counts) - 1)
-        return [kept[key] for key in sorted(kept, key=_sort_key)]
+            key = (k, num, den, strict, tail_max or 0)
+            length = len(counts) - 1
+            if key not in kept or length > kept[key] // len(METHODS):
+                kept[key] = length * len(METHODS) + METHODS.index(method)
+        return _listed(kept)
 
+    @_usage_errors
     def clear(self) -> None:
         with self._write_lock():
             self.path.unlink(missing_ok=True)

@@ -2,9 +2,10 @@
 
 Commands: check, count, certify, audit, report, cache.  Each command builds
 its result once, as a JSON document and the rows of a CSV table, and one
-emitter (_emit) prints it to stdout as JSON (default) or CSV; counts and
-exact rationals are always emitted as decimal strings so downstream tools
-never lose precision.
+emitter (_output._emit) prints it to stdout as JSON (default) or CSV; cache
+list hands over its rows as an iterator, and each row is made as it is
+written.  Counts and exact rationals are always emitted as decimal strings
+so downstream tools never lose precision.
 
 Exit codes: 0 success (word free / all checks pass), 1 negative result
 (violation found, or no witness exists), 2 usage error (ValidationError), 3
@@ -15,14 +16,11 @@ canary).  Any other exception is a bug and is not caught.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-import time
-from fractions import Fraction
-from itertools import islice
 
+from ._output import _emit
 from .analyze import REPORT_COLUMNS, conjecture_report, fj_audit
 from .bounds import certify
 from .cache import CountCache
@@ -36,9 +34,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_LEMMA = 4
-
-# Characters per write of the JSON emitter.
-_EMIT_BATCH = 1 << 16
 
 
 class UsageError(ValidationError):
@@ -71,58 +66,6 @@ def parse_int_values(text: str) -> list[int]:
             raise UsageError(f"empty range {part!r}")
         values.extend(range(lo, hi + 1))
     return sorted(set(values))
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _timestamp(ns: int) -> str:
-    """UTC ISO 8601 of ns nanoseconds since the epoch, microseconds floored, as
-    datetime.isoformat writes it: YYYY-MM-DDTHH:MM:SS[.ffffff]+00:00, no fraction at 0 us."""
-    seconds, us = divmod(ns // 1000, 1_000_000)
-    t = time.gmtime(seconds)
-    fraction = f".{us:06d}" if us else ""
-    return (f"{t.tm_year:04d}-{t.tm_mon:02d}-{t.tm_mday:02d}T"
-            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}{fraction}+00:00")
-
-
-def _emit(args, doc: dict, rows: list[dict], columns) -> None:
-    """Print one result: rows under columns as CSV (a missing field is a blank
-    cell), or doc as JSON with a generated_at timestamp unless --no-timestamp."""
-    if args.out == "csv":
-        import csv  # only CSV output needs it
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_csv_cell(row.get(c)) for c in columns] for row in rows)
-        return
-    if not args.no_timestamp:
-        # Not datetime: importing it would cost every command ~0.4 MB of resident memory.
-        doc["generated_at"] = _timestamp(time.time_ns())
-    # The bytes of print(json.dumps(doc, indent=2, default=_frac_str)), written in
-    # batches of about 64 KiB: the whole text and its list of chunks are never
-    # held, and an unbuffered stdout (PYTHONUNBUFFERED) gets one write per batch.
-    chunks = json.JSONEncoder(indent=2, default=_frac_str).iterencode(doc)
-    batch, size = [], 0
-    while part := "".join(islice(chunks, 2048)):
-        batch.append(part)
-        size += len(part)
-        if size >= _EMIT_BATCH:
-            sys.stdout.write("".join(batch))
-            batch, size = [], 0
-    batch.append("\n")
-    sys.stdout.write("".join(batch))
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return _frac_str(value)
-    return value
 
 
 def _resolve_cache(args) -> CountCache | None:
@@ -254,10 +197,10 @@ def cmd_cache(args) -> int:
         if args.out == "json":
             _emit(args, {"command": "cache", "action": "clear", "path": str(cache.path)}, [], ())
         return EXIT_OK
-    rows = [{"k": s.k, "beta": str(s.threshold).rstrip("+"),
+    rows = ({"k": s.k, "beta": str(s.threshold).rstrip("+"),
              "plus": s.threshold.strict,
              "tail_max": s.tail_max, "method": s.method,
-             "max_length": s.max_length} for s in cache.entries()]
+             "max_length": s.max_length} for s in cache.entries())
     _emit(args, {"command": "cache", "action": "list", "path": str(cache.path), "entries": rows},
           rows, ("k", "beta", "plus", "tail_max", "method", "max_length"))
     return EXIT_OK

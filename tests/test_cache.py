@@ -27,7 +27,7 @@ def test_roundtrip(cache):
 
 def test_empty_cache(cache):
     assert cache.get(3, Threshold(2)) is None
-    assert cache.entries() == []
+    assert list(cache.entries()) == []
 
 
 def test_longest_series_wins(cache):
@@ -37,7 +37,7 @@ def test_longest_series_wins(cache):
     cache.put(long)
     cache.put(short)
     assert cache.get(3, t).max_length == 10
-    assert len(cache.entries()) == 1
+    assert len(list(cache.entries())) == 1
     cache.clear()
     cache.put(short)
     cache.put(long)
@@ -51,7 +51,7 @@ def test_keys_are_disjoint(cache):
     cache.put(count_free(3, Threshold(2, 1, True), 5, "canonical"))
     cache.put(count_tail_restricted(3, t, 2, 5, "canonical"))
     cache.put(count_free(2, t, 5, "canonical"))
-    assert len(cache.entries()) == 4
+    assert len(list(cache.entries())) == 4
     assert cache.get(3, t).tail_max is None
     assert cache.get(3, t, tail_max=2).tail_max == 2
     assert cache.get(3, t, tail_max=1) is None
@@ -96,7 +96,7 @@ def test_get_validates_only_the_records_of_its_key(cache, monkeypatch):
     record_fields = cache_module._record_fields
     monkeypatch.setattr(cache_module, "_record_fields",
                         lambda record: validated.append(record["k"]) or record_fields(record))
-    assert len(cache.entries()) == 5
+    assert len(list(cache.entries())) == 5
     assert sorted(validated) == [2, 3, 3, 3, 4]
 
 
@@ -265,7 +265,7 @@ def _opened_after_a_clear(monkeypatch, cache):
 
 def test_a_file_removed_before_it_is_opened_reads_as_empty(cache, monkeypatch):
     t = Threshold(2)
-    for reader in (lambda: cache.get(3, t), cache.entries):
+    for reader in (lambda: cache.get(3, t), lambda: list(cache.entries())):
         cache.put(count_free(3, t, 5))
         with monkeypatch.context() as mp:
             _opened_after_a_clear(mp, cache)
@@ -274,7 +274,7 @@ def test_a_file_removed_before_it_is_opened_reads_as_empty(cache, monkeypatch):
     with monkeypatch.context() as mp:
         _opened_after_a_clear(mp, cache)
         cache.put(count_free(3, t, 5))
-    assert cache.entries() == [CacheEntry(3, t, None, "canonical", 5)]
+    assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 5)]
 
 
 def _write_records(path, records, counts=(1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204)):
@@ -311,7 +311,7 @@ def test_entries_keep_no_counts(cache):
     _write_records(cache.path, 200, counts)
     tracemalloc.start()
     try:
-        listed = cache.entries()
+        listed = list(cache.entries())
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -321,6 +321,42 @@ def test_entries_keep_no_counts(cache):
     assert held < 200_000, held  # 200 records of 8 KB of digits would hold 1.6 MB
 
 
+def test_entries_hold_a_small_index_of_many_keys(cache):
+    # 24,000 keys: listing them holds one key tuple and one int per key, about 4.1 MB
+    # traced on CPython 3.11, where a CacheEntry and its Threshold per key held 11.1 MB.
+    with open(cache.path, "w", encoding="utf-8") as fh:
+        for k in range(24000, 0, -1):
+            series = CountSeries(k, Threshold(7, 4, k % 2 == 0), (1, k, k * (k - 1)),
+                                 "canonical", None if k % 3 else 2)
+            fh.write(json.dumps(series.to_record()) + "\n")
+    list(cache.entries())  # fills the interpreter's caches
+    tracemalloc.start()
+    try:
+        first = last = None
+        for last in cache.entries():
+            first = first or last
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == CacheEntry(1, Threshold(7, 4), None, "canonical", 2)
+    assert last == CacheEntry(24000, Threshold(7, 4, True), 2, "canonical", 2)
+    assert peak < 6_000_000, peak
+
+
+def test_entries_read_the_whole_file_before_returning(cache, monkeypatch):
+    # A caller that times or guards the call to entries covers the file scan.
+    for k in (2, 3, 4):
+        cache.put(count_free(k, Threshold(2), 4))
+    validated = []
+    record_fields = cache_module._record_fields
+    monkeypatch.setattr(cache_module, "_record_fields",
+                        lambda record: validated.append(record["k"]) or record_fields(record))
+    listed = cache.entries()
+    assert validated == [2, 3, 4]
+    cache.path.unlink()
+    assert [e.k for e in listed] == [2, 3, 4]
+
+
 def test_entries_warn_of_and_skip_corrupt_and_mistyped_records(cache, caplog):
     good = count_free(3, Threshold(2), 5)
     mistyped = good.to_record()
@@ -328,7 +364,7 @@ def test_entries_warn_of_and_skip_corrupt_and_mistyped_records(cache, caplog):
     lines = [json.dumps(good.to_record()), "{not json", json.dumps(mistyped)]
     cache.path.write_text("\n".join(lines) + "\n")
     with caplog.at_level(logging.WARNING):
-        assert cache.entries() == [CacheEntry(3, Threshold(2), None, "canonical", 5)]
+        assert list(cache.entries()) == [CacheEntry(3, Threshold(2), None, "canonical", 5)]
     assert [rec.getMessage().partition(" (")[0] for rec in caplog.records] == [
         f"skipping corrupt cache record {cache.path}:{i}" for i in (2, 3)]
 
@@ -359,10 +395,11 @@ def test_entries_refuse_exactly_the_records_a_get_refuses(cache, record):
     try:
         series = CountSeries.from_record(record)
     except (ValueError, KeyError, TypeError):
-        assert cache.entries() == []
+        assert list(cache.entries()) == []
     else:
-        assert cache.entries() == [CacheEntry(series.k, series.threshold, series.tail_max,
-                                              series.method, series.max_length)]
+        assert list(cache.entries()) == [CacheEntry(series.k, series.threshold,
+                                                    series.tail_max, series.method,
+                                                    series.max_length)]
 
 
 def test_entries_merge_a_key_written_in_other_terms(cache):
@@ -370,7 +407,7 @@ def test_entries_merge_a_key_written_in_other_terms(cache):
     short, long = count_free(3, Threshold(2), 4).to_record(), count_free(3, Threshold(2), 6)
     cache.path.write_text(json.dumps({**short, "num": 4, "den": 2}) + "\n"
                           + json.dumps(long.to_record()) + "\n")
-    assert cache.entries() == [CacheEntry(3, Threshold(2), None, "canonical", 6)]
+    assert list(cache.entries()) == [CacheEntry(3, Threshold(2), None, "canonical", 6)]
 
 
 NOT_UTF8 = b"\xff\xfe bad\n"
@@ -386,7 +423,7 @@ def test_a_line_that_is_not_utf8_is_reported_by_get_and_entries_and_dropped_by_p
     cache.path.write_bytes(good + NOT_UTF8 + other)
     with caplog.at_level(logging.WARNING):
         assert cache.get(3, t) == count_free(3, t, 5)
-        assert cache.entries() == [CacheEntry(3, t, None, "canonical", 5)]
+        assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 5)]
     assert [rec.getMessage() for rec in caplog.records] == [
         f"skipping corrupt cache record {cache.path}:{i} (line is not UTF-8)"
         for i in (2, 3)] * 2

@@ -11,8 +11,9 @@ import pytest
 import powfree
 from powfree import (REPORT_COLUMNS, CountCache, CountSeries, Threshold, count_free,
                      count_tail_restricted)
-from powfree import cli, counting
-from powfree.cli import _frac_str, entry, main
+from powfree import _output, cli, counting
+from powfree._output import _frac_str
+from powfree.cli import entry, main
 
 
 def thue_morse_ternary(length, offset=0):
@@ -255,6 +256,35 @@ class TestCountCache:
         assert err == f"powfree {argv[0]}: cache path {tmp_path} is a directory, not a cache file\n"
         assert tmp_path.is_dir()
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--k", "3", "--beta", "2", "--max-len", "3"],
+        ["certify", "--k", "20", "--n", "3", "--max-len", "5"],
+        ["cache", "list"],
+        ["cache", "clear"],
+    ], ids=["count", "certify", "cache-list", "cache-clear"])
+    def test_a_path_under_a_regular_file_is_a_usage_error(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "c.jsonl"
+        assert main([*argv, "--cache", str(path), "--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"powfree {argv[0]}: cannot use cache file {path}: ")
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root opens a file of any mode")
+    @pytest.mark.parametrize("argv", [
+        ["count", "--k", "3", "--beta", "2", "--max-len", "3"],
+        ["certify", "--k", "20", "--n", "3", "--max-len", "5"],
+        ["cache", "list"],
+    ], ids=["count", "certify", "cache-list"])
+    def test_an_unreadable_cache_file_is_a_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "c.jsonl"
+        path.write_text("")
+        path.chmod(0)
+        assert main([*argv, "--cache", str(path), "--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"powfree {argv[0]}: cannot use cache file {path}: Permission denied\n"
+
     def test_a_line_that_is_not_utf8_is_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         stored = json.dumps(count_free(20, Threshold(3, 2), 5).to_record()).encode() + b"\n"
@@ -446,7 +476,7 @@ class TestReproducibility:
         from datetime import datetime, timezone
 
         # Nanoseconds below the microsecond are floored, as datetime.now floors them.
-        monkeypatch.setattr(cli.time, "time_ns", lambda: (seconds * 10**6 + us) * 1000 + 999)
+        monkeypatch.setattr(_output.time, "time_ns", lambda: (seconds * 10**6 + us) * 1000 + 999)
         _, out = run(capsys, "check", "abc", "--beta", "2")
         expected = datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=us)
         assert json.loads(out)["generated_at"] == expected.isoformat()
@@ -531,8 +561,11 @@ class TestJsonEmitter:
         emit = cli._emit
 
         def recorded(args, doc, rows, columns):
+            # cache list hands over its rows as an iterator that doc holds too: keep a list.
+            kept = list(rows)
+            doc = {key: kept if value is rows else value for key, value in doc.items()}
             docs.append(doc)
-            emit(args, doc, rows, columns)
+            emit(args, doc, kept, columns)
 
         monkeypatch.setattr(cli, "_emit", recorded)
         code, out = run(capsys, *[a.format(cache=cache) for a in argv], "--no-timestamp")
@@ -559,6 +592,96 @@ class TestJsonEmitter:
         text = "".join(stdout.parts)
         assert len(json.loads(text)["entries"]) == 2400
         assert len(stdout.parts) <= -(-len(text.encode()) // (32 << 10)) + 1
+
+
+def _line(series, **changes):
+    return (json.dumps({**series.to_record(), **changes}) + "\n").encode()
+
+
+def _edge_cache(name):
+    """(file bytes or None for no file, the entries cache list shows) of an edge cache."""
+    t = Threshold(2)
+    one = _line(count_free(3, t, 5))
+    shown = [(3, "2", False, None, "canonical", 5)]
+    bad = count_free(5, t, 5).to_record()
+    bad["counts"] = ["1", "-3"]
+    if name == "missing":
+        return None, []
+    if name == "empty":
+        return b"", []
+    if name == "one-key":
+        return one, shown
+    if name == "two-lengths":
+        data = _line(count_free(3, t, 4)) + _line(count_free(3, t, 7)) + _line(count_free(3, t, 6))
+        return data, [(3, "2", False, None, "canonical", 7)]
+    if name == "naive":  # of two records of one length, the first is listed
+        data = (_line(count_free(3, Threshold(5, 2), 4, "naive")) + one
+                + _line(count_free(3, t, 5, "naive")) + _line(count_free(2, t, 5, "naive")))
+        return data, [(2, "2", False, None, "naive", 5), (3, "2", False, None, "canonical", 5),
+                      (3, "5/2", False, None, "naive", 4)]
+    if name == "tail-max":
+        data = b"".join(_line(count_tail_restricted(4, Threshold(7, 5, plus), tail, 5))
+                        for plus in (True, False) for tail in (3, 1))
+        data += _line(count_free(4, Threshold(7, 5), 5))
+        return data, [(4, "7/5", False, tail, "canonical", 5) for tail in (None, 1, 3)] + [
+            (4, "7/5", True, tail, "canonical", 5) for tail in (1, 3)]
+    if name == "other-terms":
+        data = (_line(count_free(3, t, 4), num=4, den=2) + _line(count_free(3, t, 6))
+                + _line(count_free(3, t, 8), num=6, den=3) + _line(count_free(3, t, 8)))
+        return data, [(3, "2", False, None, "canonical", 8)]
+    if name == "corrupt":
+        data = (one + b"{not json\n" + json.dumps(bad).encode() + b"\n" + b'{"k": 2, "num": 2}\n'
+                + _line(count_free(4, t, 5), k=4.0) + _line(count_free(2, t, 4))[:-20] + b"\n\n"
+                + _line(count_free(6, t, 3))[:-1])
+        return data, shown + [(6, "2", False, None, "canonical", 3)]
+    if name == "not-utf8":
+        return b"\xff\xfe bad\n" + one + _line(count_free(4, t, 5))[:-5] + b"\xe9\"]}\n", shown
+    assert name == "many-keys"  # more rows than one call of the emitter's encoder takes
+    keys = [(k, plus) for k in range(2, 2 + 2 * _output._EMIT_ROWS) for plus in (False, True)]
+    data = b"".join(_line(CountSeries(k, Threshold(3, 2, plus), (1, k), "canonical"))
+                    for k, plus in reversed(keys))
+    return data, [(k, "3/2", plus, None, "canonical", 1) for k, plus in keys]
+
+
+EDGE_CACHES = ("missing", "empty", "one-key", "two-lengths", "naive", "tail-max", "other-terms",
+               "corrupt", "not-utf8", "many-keys")
+
+
+class TestCacheListBytes:
+    """cache list writes its rows as it makes them, in the bytes of a materialised document."""
+
+    COLUMNS = ("k", "beta", "plus", "tail_max", "method", "max_length")
+
+    @pytest.fixture(params=EDGE_CACHES)
+    def edge(self, request, tmp_path):
+        data, shown = _edge_cache(request.param)
+        path = tmp_path / "c.jsonl"
+        if data is not None:
+            path.write_bytes(data)
+        return path, [dict(zip(self.COLUMNS, entry)) for entry in shown]
+
+    def test_json_is_the_dump_of_the_listed_document(self, capsys, edge):
+        path, rows = edge
+        code, out = run(capsys, "cache", "list", "--cache", str(path), "--no-timestamp")
+        doc = {"command": "cache", "action": "list", "path": str(path), "entries": rows}
+        assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
+        code, out = run(capsys, "cache", "list", "--cache", str(path))
+        doc["generated_at"] = json.loads(out)["generated_at"]
+        assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
+
+    def test_csv_is_the_written_table(self, capsys, edge):
+        import csv
+        import io
+
+        path, rows = edge
+        code, out = run(capsys, "cache", "list", "--cache", str(path), "--out", "csv")
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(self.COLUMNS)
+        for row in rows:
+            writer.writerow(["" if v is None else str(v).lower() if isinstance(v, bool) else v
+                             for v in row.values()])
+        assert code == 0 and out == text.getvalue()
 
 
 class TestEntryPoint:
