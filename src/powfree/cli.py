@@ -10,12 +10,15 @@ so downstream tools never lose precision.
 Exit codes: 0 success (word free / all checks pass), 1 negative result
 (violation found, or no witness exists), 2 usage error (ValidationError), 3
 work budget exceeded, 4 exactly-checked inequality failed (internal bug
-canary).  Any other exception is a bug and is not caught.
+canary), 141 stdout's reader closed the pipe.  Any other exception is a bug
+and is not caught.  entry() ends the process with os._exit once the output is
+flushed and the exit handlers have run.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import re
 import sys
@@ -34,6 +37,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_LEMMA = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE: how a shell reports a writer that a closed pipe killed
 
 
 class UsageError(ValidationError):
@@ -306,8 +310,36 @@ def main(argv=None) -> int:
         return EXIT_LEMMA
 
 
+def _closed_pipe() -> int:
+    # What is left in stdout's buffer goes to os.devnull, so no later flush raises again.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_PIPE
+
+
 def entry() -> None:
-    sys.exit(main())
+    """The powfree script and python -m powfree.cli: run main() and exit with its code.
+
+    After the exit handlers (atexit: logging, multiprocessing's finalizers) and
+    the flush, os._exit skips the interpreter's teardown, about 10 ms a run on
+    a 2-vCPU host.  With a thread other than the main one alive, or a flush
+    that fails, the process exits through sys.exit as before.
+    """
+    try:
+        code = main()
+    except BrokenPipeError:
+        code = _closed_pipe()
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        sys.exit(code)  # the interpreter's shutdown joins them first
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = _closed_pipe()
+    except (OSError, ValueError):
+        sys.exit(code)  # the teardown flushes again and reports the error
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from powfree import (REPORT_COLUMNS, CountCache, CountSeries, Threshold, count_f
                      count_tail_restricted)
 from powfree import _output, cli, counting
 from powfree._output import _frac_str
-from powfree.cli import entry, main
+from powfree.cli import main
 
 
 def thue_morse_ternary(length, offset=0):
@@ -684,15 +684,32 @@ class TestCacheListBytes:
         assert code == 0 and out == text.getvalue()
 
 
+# The two ways to start entry(): python -m powfree.cli, and the console script's call.
+LAUNCHES = {"module": ["-m", "powfree.cli"],
+            "script": ["-c", "from powfree.cli import entry; entry()"]}
+
+
+def buffered_env():
+    """subprocess_env() without PYTHONUNBUFFERED, which would hide a missing flush."""
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def launched(*args):
+    """A fresh interpreter run with args in buffered_env(), its output captured as text."""
+    return subprocess.run([sys.executable, *args], env=buffered_env(), capture_output=True,
+                          text=True, timeout=60)
+
+
 class TestEntryPoint:
     @pytest.mark.parametrize("word,code,free", [("hotshots", 1, False), ("minimize", 0, True)])
-    def test_exit_code_of_the_console_script(self, capsys, monkeypatch, word, code, free):
-        monkeypatch.setattr(sys, "argv", ["powfree", "check", word, "--beta", "2",
-                                          "--no-timestamp"])
-        with pytest.raises(SystemExit) as info:
-            entry()
-        assert info.value.code == code
-        assert json.loads(capsys.readouterr().out)["free"] is free
+    def test_exit_code_of_the_console_script(self, word, code, free):
+        # entry() ends its process, so it runs in a fresh interpreter.
+        for launch in LAUNCHES.values():
+            done = launched(*launch, "check", word, "--beta", "2", "--no-timestamp")
+            assert done.returncode == code
+            assert json.loads(done.stdout)["free"] is free
 
     @staticmethod
     def _loaded_after_import(names, *flags):
@@ -793,3 +810,105 @@ class TestEntryPoint:
             pytest.skip("no walk kernel builds here")
         argv = ["certify", "--k", "20", "--n", "3", "--max-len", "14"]
         assert self._loaded_after_command(("ctypes",), *argv) == ["ctypes"]
+
+
+class TestExitPath:
+    """entry() flushes, runs the exit handlers and ends with os._exit: nothing a user sees changes."""
+
+    @pytest.mark.parametrize("out", ["json", "csv"])
+    def test_a_long_listing_is_all_written(self, capsys, tmp_path, out):
+        cache = tmp_path / "c.jsonl"
+        _write_listed_cache(cache, 2400)
+        argv = ["cache", "list", "--cache", str(cache), "--out", out, "--no-timestamp"]
+        code, expected = run(capsys, *argv)
+        assert code == 0 and len(expected) > 1 << 15  # many times stdout's 8 KiB buffer
+        for launch in LAUNCHES.values():
+            command = [sys.executable, *launch, *argv]
+            with open(tmp_path / "out", "wb") as fh:
+                done = subprocess.run(command, env=buffered_env(), stdout=fh, timeout=60)
+            assert done.returncode == 0
+            assert (tmp_path / "out").read_bytes() == expected.encode()
+            piped = subprocess.run(command, env=buffered_env(), capture_output=True, timeout=60)
+            assert piped.returncode == 0 and piped.stderr == b""
+            assert piped.stdout == expected.encode()
+
+    def test_exit_handlers_run_and_the_code_is_mains(self):
+        # The handler writes to the buffered stdout after the document: the last flush keeps it.
+        # The teardown, which would collect the module's objects, never runs.
+        probe = ("import atexit; atexit.register(print, 'handler ran')\n"
+                 "class Noisy:\n"
+                 "    def __del__(self): print('torn down')\n"
+                 "noisy = Noisy()\n"
+                 "from powfree.cli import entry; entry()")
+        done = launched("-c", probe, "check", "hotshots", "--beta", "2", "--no-timestamp")
+        document, handler = done.stdout.rsplit("}\n", 1)
+        assert done.returncode == 1 and handler == "handler ran\n"
+        assert json.loads(document + "}")["free"] is False
+
+    def test_a_running_thread_is_waited_for(self):
+        # A thread still at work when main() returns: the exit goes through the interpreter's
+        # shutdown, which joins it.
+        probe = ("import threading, time\n"
+                 "threading.Thread(target=lambda: (time.sleep(0.5), print('thread ran'))).start()\n"
+                 "from powfree.cli import entry; entry()")
+        done = launched("-c", probe, "check", "abc", "--beta", "2", "--no-timestamp")
+        assert done.returncode == 0 and done.stdout.endswith("}\nthread ran\n")
+
+    def test_a_bug_still_prints_its_traceback(self):
+        probe = ("import powfree.cli as cli\n"
+                 "cli.find_violation = lambda word, t: 1 / 0\n"
+                 "cli.entry()")
+        done = launched("-c", probe, "check", "abc", "--beta", "2")
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("Traceback")
+        assert done.stderr.endswith("ZeroDivisionError: division by zero\n")
+
+    @pytest.mark.parametrize("launch", LAUNCHES.values(), ids=LAUNCHES)
+    def test_a_usage_error_still_exits_2(self, launch):
+        done = launched(*launch, "check", "abc")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.endswith(
+            "powfree check: error: the following arguments are required: --beta\n")
+
+    @pytest.mark.parametrize("argv,read", [
+        (["cache", "list", "--cache", "{cache}"], 100),  # the emitter's write fails
+        (["check", "hotshots", "--beta", "2"], 0),  # the final flush fails
+    ], ids=["emitter", "flush"])
+    def test_a_closed_pipe_exits_141_without_a_traceback(self, tmp_path, argv, read):
+        cache = tmp_path / "c.jsonl"
+        _write_listed_cache(cache, 2400)
+        argv = [a.format(cache=cache) for a in argv]
+        proc = subprocess.Popen([sys.executable, "-m", "powfree.cli", *argv],
+                                env=buffered_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_the_pool_ends_with_the_run(self):
+        # Two cores reported, whatever the host has, so that --workers 2 starts the pool. An
+        # exit handler reports whether the pool was imported and its workers waited for.
+        probe = ("import atexit, os, resource, sys\n"
+                 "os.cpu_count = lambda: 2\n"
+                 "def report():\n"
+                 "    kids = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+                 "    pool = 'concurrent.futures.process' in sys.modules\n"
+                 "    print('pool', pool and kids.ru_utime + kids.ru_stime > 0, file=sys.stderr)\n"
+                 "atexit.register(report)\n"
+                 "from powfree.cli import entry; entry()")
+        argv = ["certify", "--k", "20", "--n", "3", "--max-len", "15", "--no-timestamp"]
+        outs = {}
+        for workers in ("1", "2"):
+            proc = subprocess.Popen([sys.executable, "-c", probe, *argv, "--workers", workers],
+                                    env=buffered_env(), stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, start_new_session=True)
+            outs[workers], err = proc.communicate(timeout=120)
+            assert proc.returncode == 0
+            if workers == "2":
+                assert err.endswith(b"pool True\n")
+                # The session holds no process: every worker ended with the run.
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)
+        assert b'"status": "ok"' in outs["1"] and outs["1"] == outs["2"]
