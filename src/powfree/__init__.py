@@ -3,87 +3,20 @@
 Detection of fractional-power violations, exact counting of threshold-free
 words over k-letter alphabets, growth-rate estimation, and machine-checked
 rational lower-bound certificates.
+
+The package republishes the __all__ of each module but cache, whose
+CacheEntry rows stay internal.
 """
 
-from .analyze import (
-    FjAudit,
-    FjAuditRow,
-    GrowthEstimate,
-    ReportRow,
-    REPORT_COLUMNS,
-    conjecture_report,
-    fj_audit,
-    growth_estimate,
-    suffix_determination_check,
-)
-from .bounds import (
-    BoundCertificate,
-    asymptotic_target,
-    certify,
-    closed_form_root,
-    condition_margin,
-    rational_witness,
-    taylor_coefficients,
-)
+from . import analyze, bounds, counting, errors, words
+from .analyze import *
+from .bounds import *
 from .cache import CountCache
-from .counting import (
-    DEFAULT_NAIVE_BUDGET,
-    METHODS,
-    CountSeries,
-    count_free,
-    count_tail_restricted,
-)
-from .errors import (
-    BudgetExceededError,
-    LemmaViolationError,
-    NoWitnessError,
-    PowfreeError,
-    ValidationError,
-)
-from .words import (
-    Threshold,
-    ViolationWitness,
-    Word,
-    extension_ok,
-    find_violation,
-    min_violation_length,
-)
+from .counting import *
+from .errors import *
+from .words import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCertificate",
-    "BudgetExceededError",
-    "CountCache",
-    "CountSeries",
-    "DEFAULT_NAIVE_BUDGET",
-    "FjAudit",
-    "FjAuditRow",
-    "GrowthEstimate",
-    "LemmaViolationError",
-    "METHODS",
-    "NoWitnessError",
-    "PowfreeError",
-    "REPORT_COLUMNS",
-    "ReportRow",
-    "Threshold",
-    "ValidationError",
-    "ViolationWitness",
-    "Word",
-    "asymptotic_target",
-    "certify",
-    "closed_form_root",
-    "condition_margin",
-    "conjecture_report",
-    "count_free",
-    "count_tail_restricted",
-    "extension_ok",
-    "find_violation",
-    "fj_audit",
-    "growth_estimate",
-    "min_violation_length",
-    "rational_witness",
-    "suffix_determination_check",
-    "taylor_coefficients",
-    "__version__",
-]
+__all__ = [*analyze.__all__, *bounds.__all__, "CountCache", *counting.__all__, *errors.__all__,
+           *words.__all__, "__version__"]

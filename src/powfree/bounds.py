@@ -37,12 +37,17 @@ __all__ = [
 ]
 
 
-def _quadratic(k: int, n: int, strict: bool) -> tuple[int, int]:
-    """Coefficients (b, c) of x^2 - b x + c <= 0, the witness condition."""
+def _check_kn(k: int, n: int) -> None:
+    """A ValidationError unless the witness condition is stated at (k, n)."""
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     if k < 1:
         raise ValidationError(f"need k >= 1, got {k}")
+
+
+def _quadratic(k: int, n: int, strict: bool) -> tuple[int, int]:
+    """Coefficients (b, c) of x^2 - b x + c <= 0, the witness condition."""
+    _check_kn(k, n)
     if strict:
         return k + 3 - n, k + 1
     return k + 2 - n, k
@@ -50,6 +55,7 @@ def _quadratic(k: int, n: int, strict: bool) -> tuple[int, int]:
 
 def condition_margin(k: int, n: int, strict: bool, x: Fraction) -> Fraction:
     """Exact slack of the witness condition at x; nonnegative iff x qualifies."""
+    _check_kn(k, n)
     x = Fraction(x)
     if x <= 1:
         raise ValidationError("witness must exceed 1")
@@ -151,10 +157,7 @@ def certify(k: int, n: int, strict: bool, series: CountSeries,
 
 def asymptotic_target(k: int, n: int, strict: bool = False) -> float:
     """The conjectured growth value with the order-1/k^2 term dropped."""
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
-    if k < 1:
-        raise ValidationError(f"need k >= 1, got {k}")
+    _check_kn(k, n)
     base = k + 2 - n if strict else k + 1 - n
     return base - (n - 1) / k
 

@@ -40,10 +40,6 @@ EXIT_LEMMA = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE: how a shell reports a writer that a closed pipe killed
 
 
-class UsageError(ValidationError):
-    pass
-
-
 def parse_cli_word(text: str) -> Word:
     """ASCII letters a..z map to 1..26; larger alphabets use comma-separated ints."""
     if re.fullmatch(r"[A-Za-z]+", text):
@@ -51,9 +47,9 @@ def parse_cli_word(text: str) -> Word:
     if re.fullmatch(r"\d+(,\d+)*", text):
         letters = tuple(int(x) for x in text.split(","))
         if any(a < 1 for a in letters):
-            raise UsageError("letter indices must be positive")
+            raise ValidationError("letter indices must be positive")
         return Word(letters, max(letters))
-    raise UsageError("word must be ASCII letters or comma-separated positive integers")
+    raise ValidationError("word must be ASCII letters or comma-separated positive integers")
 
 
 def parse_int_values(text: str) -> list[int]:
@@ -65,9 +61,9 @@ def parse_int_values(text: str) -> list[int]:
         try:
             lo, hi = int(a), int(b if dots else a)
         except ValueError:
-            raise UsageError(f"cannot parse integer value {part!r}") from None
+            raise ValidationError(f"cannot parse integer value {part!r}") from None
         if hi < lo:
-            raise UsageError(f"empty range {part!r}")
+            raise ValidationError(f"empty range {part!r}")
         values.extend(range(lo, hi + 1))
     return sorted(set(values))
 
@@ -77,7 +73,7 @@ def _resolve_cache(args) -> CountCache | None:
     if not path:
         return None
     if os.path.isdir(path):
-        raise UsageError(f"cache path {path} is a directory, not a cache file")
+        raise ValidationError(f"cache path {path} is a directory, not a cache file")
     return CountCache(path)
 
 
@@ -102,7 +98,7 @@ def cmd_check(args) -> int:
     word = parse_cli_word(args.word)
     t = Threshold.parse(args.beta, strict=args.plus)
     found = find_violation(word, t)
-    head = {"word": args.word, "beta": f"{t.num}/{t.den}" if t.den != 1 else str(t.num),
+    head = {"word": args.word, "beta": str(t).rstrip("+"),
             "plus": t.strict, "free": found is None}
     witness = None if found is None else {
         "start": found.start,
@@ -127,13 +123,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.n < 2:
-        raise UsageError("n must be at least 2")
+    t = Threshold.dejean(args.n, args.plus)
     required = args.n if args.plus else args.n + 1
     if args.k < required:
         op = "k >= n" if args.plus else "k > n"
-        raise UsageError(f"{op} required for the witness condition (got k={args.k}, n={args.n})")
-    t = Threshold.dejean(args.n, args.plus)
+        raise ValidationError(
+            f"{op} required for the witness condition (got k={args.k}, n={args.n})")
     series = _series_for(args.k, t, args.max_len, "canonical", None, args)
     fields = {"k": args.k, "n": args.n, "plus": args.plus}
     try:
@@ -155,8 +150,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if args.n < 2:
-        raise UsageError("n must be at least 2")
     audit = fj_audit(args.k, args.n, args.plus, args.len, budget=args.budget)
     rows = [{"j": r.period, "F_j_count": r.count, "bound": r.bound,
              "pass": r.count <= r.bound} for r in audit.rows]
@@ -178,8 +171,6 @@ def cmd_audit(args) -> int:
 def cmd_report(args) -> int:
     n_values = parse_int_values(args.n)
     k_values = parse_int_values(args.k)
-    if any(n < 2 for n in n_values):
-        raise UsageError("n values must be at least 2")
     rows = [{c: getattr(r, c) for c in REPORT_COLUMNS}
             for r in conjecture_report(n_values, k_values, max_length=args.max_len,
                                        tail_max=args.tail_max, workers=args.workers)]
@@ -195,7 +186,7 @@ def cmd_report(args) -> int:
 def cmd_cache(args) -> int:
     cache = _resolve_cache(args)
     if cache is None:
-        raise UsageError("no cache configured: pass --cache PATH or set POWFREE_CACHE")
+        raise ValidationError("no cache configured: pass --cache PATH or set POWFREE_CACHE")
     if args.action == "clear":
         cache.clear()
         if args.out == "json":
@@ -296,15 +287,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:  # UsageError included
+    except ValidationError as exc:
         print(f"powfree {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"powfree {args.command}: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except NoWitnessError as exc:
-        print(f"powfree {args.command}: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except LemmaViolationError as exc:
         print(f"powfree {args.command}: lemma violation: {exc}", file=sys.stderr)
         return EXIT_LEMMA

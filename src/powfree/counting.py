@@ -502,16 +502,11 @@ def _add_tables(table, subs):
 
 
 def _count(k, t, max_length, tail_max, method, workers, budget):
-    if k < 1:
-        raise ValidationError("alphabet size must be positive")
-    if max_length < 0:
-        raise ValidationError("max_length must be nonnegative")
-    if tail_max is not None and tail_max < 1:
-        raise ValidationError("tail_max must be positive")
     if method is None:
         method = "canonical"
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}")
+    _check_fields(k, method, tail_max)
+    if max_length < 0:
+        raise ValidationError("max_length must be nonnegative")
     if method == "naive":
         counts = _count_naive(k, t, max_length, tail_max, budget)
     else:

@@ -1,5 +1,13 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "PowfreeError",
+    "ValidationError",
+    "BudgetExceededError",
+    "NoWitnessError",
+    "LemmaViolationError",
+]
+
 
 class PowfreeError(Exception):
     """Base class for all toolkit errors."""

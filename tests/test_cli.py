@@ -447,6 +447,41 @@ class TestReport:
         assert "empty range '3..1'" in err and "cannot parse" not in err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,rule", [
+        ("certify --k 20 --n 1", "need n >= 2, got 1"),
+        ("audit --k 20 --n 1 --len 3", "need n >= 2, got 1"),
+        ("report --n 1..3 --k 20", "need n >= 2, got 1"),
+        ("certify --k 1 --n 1", "need n >= 2, got 1"),
+        ("count --k 0 --beta 2 --max-len 3", "alphabet size must be positive"),
+        ("audit --k 0 --n 3 --len 3", "alphabet size must be positive"),
+        ("report --n 3 --k 0", "need k >= 1, got 0"),
+        ("count --k 3 --beta 2 --max-len -1", "max_length must be nonnegative"),
+        ("count --k 3 --beta 2 --max-len 3 --tail-max 0", "tail_max must be positive"),
+        ("report --n 3 --k 20 --tail-max 0", "tail_max must be positive"),
+        ("certify --k 20 --n 3 --precision-bits 0", "precision_bits must be positive"),
+        ("audit --k 4 --n 3 --len -1", "audit prefix length i must be at least 0"),
+        ("check 0,1 --beta 2", "letter indices must be positive"),
+        ("check a --beta 1", "threshold must exceed 1, got 1/1"),
+        ("report --n 3 --k x", "cannot parse integer value 'x'"),
+        ("count --k 3 --beta 2 --max-len 3 --workers abc", "invalid int value: 'abc'"),
+    ])
+    def test_the_owner_of_the_rule_names_it(self, capsys, argv, rule):
+        argv = argv.split()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal, after its usage lines
+            code = exc.code
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        if argv[-2] == "--workers":
+            assert lines[0].startswith("usage: ")
+            lines = lines[-1:]
+        assert (code, captured.out) == (2, "")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"powfree {argv[0]}: ") and rule in lines[0]
+
+
 class TestReproducibility:
     def test_byte_identical_without_timestamp(self, capsys):
         _, first = run(capsys, "count", "--k", "3", "--beta", "2", "--max-len", "6",

@@ -1,11 +1,16 @@
-"""Value types: immutable, compared and hashed by field values, validated on every build."""
+"""Value types: immutable, compared and hashed by field values, validated on every build.
+
+And the package surface they are published on.
+"""
 
 import copy
 import pickle
+import types
 from fractions import Fraction
 
 import pytest
 
+import powfree
 from powfree import (
     BoundCertificate,
     CountSeries,
@@ -135,3 +140,17 @@ def test_fields_bind_positionally_by_keyword_and_by_default():
 def test_values_are_unordered():
     with pytest.raises(TypeError):
         Threshold(3, 2) < Threshold(2)
+
+
+def test_the_package_republishes_each_module_all():
+    """Every name of each module's __all__, once, but cache's CacheEntry; nothing else."""
+    from powfree import analyze, bounds, cache, counting, errors, words
+
+    owners = {name: module for module in (analyze, bounds, cache, counting, errors, words)
+              for name in module.__all__ if name != "CacheEntry"}
+    assert sorted(powfree.__all__) == sorted([*owners, "__version__"])
+    for name, module in owners.items():
+        assert getattr(powfree, name) is getattr(module, name)
+    public = {name for name in dir(powfree) if not name.startswith("_")
+              and not isinstance(getattr(powfree, name), types.ModuleType)}
+    assert public == set(owners)
