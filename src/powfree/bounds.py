@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .counting import CountSeries
 from .errors import LemmaViolationError, NoWitnessError, ValidationError
-from .words import Threshold, _Value
+from .words import Threshold, _check_alphabet, _Value
 
 __all__ = [
     "BoundCertificate",
@@ -37,17 +37,14 @@ __all__ = [
 ]
 
 
-def _check_kn(k: int, n: int) -> None:
-    """A ValidationError unless the witness condition is stated at (k, n)."""
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
-    if k < 1:
-        raise ValidationError(f"need k >= 1, got {k}")
-
-
 def _quadratic(k: int, n: int, strict: bool) -> tuple[int, int]:
-    """Coefficients (b, c) of x^2 - b x + c <= 0, the witness condition."""
-    _check_kn(k, n)
+    """Coefficients (b, c) of x^2 - b x + c <= 0, the witness condition at (k, n).
+
+    c is the condition's base, k or k+1.  A ValidationError unless n and k are
+    a threshold's (Threshold.dejean) and an alphabet size (words).
+    """
+    Threshold.dejean(n)
+    _check_alphabet(k)
     if strict:
         return k + 3 - n, k + 1
     return k + 2 - n, k
@@ -55,11 +52,10 @@ def _quadratic(k: int, n: int, strict: bool) -> tuple[int, int]:
 
 def condition_margin(k: int, n: int, strict: bool, x: Fraction) -> Fraction:
     """Exact slack of the witness condition at x; nonnegative iff x qualifies."""
-    _check_kn(k, n)
+    _, base = _quadratic(k, n, strict)
     x = Fraction(x)
     if x <= 1:
         raise ValidationError("witness must exceed 1")
-    base = k + 1 if strict else k
     return base - (n - 1) * x / (x - 1) - x
 
 
@@ -157,9 +153,8 @@ def certify(k: int, n: int, strict: bool, series: CountSeries,
 
 def asymptotic_target(k: int, n: int, strict: bool = False) -> float:
     """The conjectured growth value with the order-1/k^2 term dropped."""
-    _check_kn(k, n)
-    base = k + 2 - n if strict else k + 1 - n
-    return base - (n - 1) / k
+    b, _ = _quadratic(k, n, strict)
+    return b - 1 - (n - 1) / k
 
 
 def taylor_coefficients(n: int) -> tuple[int, int, int]:
@@ -169,6 +164,5 @@ def taylor_coefficients(n: int) -> tuple[int, int, int]:
     f(y) = (1 + (2-n) y + sqrt(1 - 2 n y + (n-2)^2 y^2)) / 2, whose
     expansion starts 1 + (1-n) y + (1-n) y^2.
     """
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
+    Threshold.dejean(n)
     return (1, 1 - n, 1 - n)

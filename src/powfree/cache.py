@@ -14,11 +14,11 @@ longest length and the method) per key; it builds a key's CacheEntry only
 when its iterator hands that entry out.  A missing file is an empty cache,
 and a line that is not UTF-8 is a corrupt record.  An OSError of the cache
 file (one that cannot be opened, created, locked or written) is raised as a
-ValidationError that names the file.
+ValidationError that names the file; a path that is a directory, before that.
 
-A record is written with its key fields first, so get and put tell another
-key's line by its written head (_head) without parsing it.  A line whose
-head is not in that form is parsed as JSON and classified by its fields.
+A record is the json.dumps of CountSeries.to_record, key fields first: get and
+put tell another key's line by its head (_head) without parsing it.  A line
+whose head is not in that form is parsed as JSON and classified by its fields.
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ def _key(k: int, t: Threshold, tail_max: int | None) -> Key:
     return (k, t.num, t.den, t.strict, tail_max)
 
 
-def _line(series: CountSeries) -> str:
-    """The written record of a series: its key's head, then its other fields."""
-    record = series.to_record()
-    key = tuple(record.pop(f) for f in _KEY_FIELDS)
-    return _head(map(json.dumps, key)) + json.dumps(record)[1:] + "\n"
-
-
 def _longest(records: Iterable[CountSeries]) -> CountSeries | None:
     """The longest of one key's records; the first of equal length wins."""
     kept = None
@@ -104,9 +97,11 @@ def _listed(kept: dict[tuple, int]) -> Iterator[CacheEntry]:
 
 
 def _usage_errors(method):
-    """method, with an OSError of the cache file as a usage error that names the file."""
+    """method, refusing a directory before it touches any file, an OSError as a usage error."""
     @functools.wraps(method)
     def wrapped(self, *args, **kwargs):
+        if os.path.isdir(self.path):
+            raise ValidationError(f"cache path {self.path} is a directory, not a cache file")
         try:
             return method(self, *args, **kwargs)
         except OSError as exc:
@@ -175,7 +170,7 @@ class CountCache:
             kept = _longest(self._records(only=key, others=out))
             if kept is None or series.max_length > kept.max_length:
                 kept = series
-            out.write(_line(kept))
+            out.write(json.dumps(kept.to_record()) + "\n")
 
     @_usage_errors
     def entries(self) -> Iterator[CacheEntry]:

@@ -27,7 +27,7 @@ from ._output import _emit
 from .analyze import REPORT_COLUMNS, conjecture_report, fj_audit
 from .bounds import certify
 from .cache import CountCache
-from .counting import (DEFAULT_NAIVE_BUDGET, METHODS, CountSeries, count_free,
+from .counting import (DEFAULT_NAIVE_BUDGET, METHODS, CountSeries, _check_workers, count_free,
                        count_tail_restricted)
 from .errors import BudgetExceededError, LemmaViolationError, NoWitnessError, ValidationError
 from .words import Threshold, Word, find_violation
@@ -70,11 +70,7 @@ def parse_int_values(text: str) -> list[int]:
 
 def _resolve_cache(args) -> CountCache | None:
     path = args.cache or os.environ.get("POWFREE_CACHE")
-    if not path:
-        return None
-    if os.path.isdir(path):
-        raise ValidationError(f"cache path {path} is a directory, not a cache file")
-    return CountCache(path)
+    return CountCache(path) if path else None
 
 
 def _series_for(k: int, t: Threshold, max_length: int, method: str | None,
@@ -203,12 +199,13 @@ def cmd_cache(args) -> int:
 
 def _worker_count(text: str) -> int:
     try:
-        n = int(text)
+        workers = int(text)
+        _check_workers(workers)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:

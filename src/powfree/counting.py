@@ -56,7 +56,8 @@ from math import perm
 from pathlib import Path
 
 from .errors import BudgetExceededError, ValidationError
-from .words import Threshold, _Value, _forbidden_next, _suffix_violation, _window_checks
+from .words import (Threshold, _check_alphabet, _Value, _forbidden_next, _suffix_violation,
+                    _window_checks)
 
 __all__ = [
     "METHODS",
@@ -106,25 +107,25 @@ class CountSeries(_Value):
     def __post_init__(self):
         _check_fields(self.k, self.method, self.tail_max)
         object.__setattr__(self, "counts", tuple(self.counts))
-        if any(c < 0 for c in self.counts):
-            raise ValidationError("counts must be nonnegative")
+        if not self.counts or min(self.counts) < 0:
+            raise ValidationError("counts must hold C_0 and be nonnegative")
 
     @property
     def max_length(self) -> int:
         return len(self.counts) - 1
 
     def prefix(self, max_length: int) -> "CountSeries":
-        if max_length > self.max_length:
-            raise ValidationError("series too short for requested prefix")
+        if not 0 <= max_length <= self.max_length:
+            raise ValidationError("prefix length outside 0..max_length")
         return self.replace(counts=self.counts[:max_length + 1])
 
     def ratios(self) -> tuple[Fraction, ...]:
         """Consecutive ratios C_{i+1}/C_i, stopping at the first zero count."""
         out = []
-        for i in range(len(self.counts) - 1):
-            if self.counts[i] == 0:
+        for c, c_next in zip(self.counts, self.counts[1:]):
+            if c == 0:
                 break
-            out.append(Fraction(self.counts[i + 1], self.counts[i]))
+            out.append(Fraction(c_next, c))
         return tuple(out)
 
     def digest(self) -> str:
@@ -160,7 +161,7 @@ class CountSeries(_Value):
     def from_record(cls, record: dict) -> "CountSeries":
         """The series of a to_record dict; a field of another type is a ValidationError."""
         k, num, den, strict, tail_max, method, counts = _record_fields(record)
-        return cls(k=k, threshold=Threshold(num, den, strict), counts=tuple(map(int, counts)),
+        return cls(k=k, threshold=Threshold(num, den, strict), counts=map(int, counts),
                    method=method, tail_max=tail_max)
 
 
@@ -168,10 +169,15 @@ def _check_fields(k, method, tail_max):
     """A ValidationError unless a series of these fields may exist."""
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")
-    if k < 1:
-        raise ValidationError("alphabet size must be positive")
+    _check_alphabet(k)
     if tail_max is not None and tail_max < 1:
         raise ValidationError("tail_max must be positive")
+
+
+def _check_workers(workers):
+    """A ValidationError unless workers, the processes a count may use, is at least 1."""
+    if workers < 1:
+        raise ValidationError("workers must be at least 1")
 
 
 # Canonical decimal strings, comma-joined: ASCII digits without a leading zero.
@@ -179,10 +185,8 @@ _COUNTS_TEXT = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
 
 
 def _canonical(counts):
-    """Whether every item of counts is a canonical decimal string; one regex match
-    of the joined list, since a check per item took most of a cache list's time."""
-    if not counts:
-        return True
+    """Whether counts is a nonempty list of canonical decimal strings; one regex
+    match of the joined list, since a check per item took most of a cache list's time."""
     if set(map(type, counts)) != {str}:
         return False
     text = ",".join(counts)
@@ -200,7 +204,7 @@ def _record_fields(record):
             or not (tail_max is None or type(tail_max) is int)):
         raise ValidationError("record fields have the wrong types")
     if type(counts) is not list or not _canonical(counts):
-        raise ValidationError("counts are not a list of canonical decimal strings")
+        raise ValidationError("counts are not a nonempty list of canonical decimal strings")
     method = str(record["method"])
     if method == "incremental":
         # Earlier releases had a third engine; its counts are the same.
@@ -459,8 +463,7 @@ def _count_naive(k, t, max_length, tail_max, budget):
         )
     pairs = _window_checks(t, max_length, tail_max)
     counts = [0] * (max_length + 1)
-    counts[0] = 1
-    for i in range(1, max_length + 1):
+    for i in range(max_length + 1):
         for w in product(range(1, k + 1), repeat=i):
             for end in range(2, i + 1):
                 if _suffix_violation(w, end, pairs) is not None:
@@ -507,12 +510,13 @@ def _count(k, t, max_length, tail_max, method, workers, budget):
     _check_fields(k, method, tail_max)
     if max_length < 0:
         raise ValidationError("max_length must be nonnegative")
+    _check_workers(workers)
     if method == "naive":
         counts = _count_naive(k, t, max_length, tail_max, budget)
     else:
         table = _pattern_table(k, t, max_length, tail_max, workers)
         counts = [sum(c * perm(k, d) for d, c in enumerate(row)) for row in table]
-    return CountSeries(k=k, threshold=t, counts=tuple(counts), method=method, tail_max=tail_max)
+    return CountSeries(k=k, threshold=t, counts=counts, method=method, tail_max=tail_max)
 
 
 def count_free(k: int, t: Threshold, max_length: int, method: str | None = None,

@@ -160,9 +160,6 @@ class Threshold(_Value):
         rhs = period * self.num
         return lhs > rhs if self.strict else lhs >= rhs
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     def order_key(self) -> tuple[Fraction, int]:
         """Sort key for the extended order: beta sits immediately below beta-plus."""
         return (Fraction(self.num, self.den), 1 if self.strict else 0)
@@ -170,6 +167,12 @@ class Threshold(_Value):
     def __str__(self) -> str:
         base = str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
         return base + "+" if self.strict else base
+
+
+def _check_alphabet(k: int) -> None:
+    """A ValidationError unless k is an alphabet size: the letters 1..k, k >= 1."""
+    if k < 1:
+        raise ValidationError("alphabet size must be positive")
 
 
 class Word(_Value):
@@ -180,8 +183,7 @@ class Word(_Value):
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("alphabet size must be positive")
+        _check_alphabet(self.k)
         object.__setattr__(self, "letters", tuple(self.letters))
         for a in self.letters:
             if not 1 <= a <= self.k:

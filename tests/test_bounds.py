@@ -76,9 +76,9 @@ class TestClosedFormRoot:
     @pytest.mark.parametrize("function,args,message", [
         (condition_margin, (0, 1, False, Fraction(2)), "need n >= 2, got 1"),
         (condition_margin, (20, 0, True, Fraction(3)), "need n >= 2, got 0"),
-        (condition_margin, (0, 3, False, Fraction(2)), "need k >= 1, got 0"),
+        (condition_margin, (0, 3, False, Fraction(2)), "alphabet size must be positive"),
         (asymptotic_target, (20, 1), "need n >= 2, got 1"),
-        (asymptotic_target, (0, 3, True), "need k >= 1, got 0"),
+        (asymptotic_target, (0, 3, True), "alphabet size must be positive"),
     ])
     def test_every_function_of_k_and_n_refuses_the_same_pairs(self, function, args, message):
         with pytest.raises(ValidationError, match=message):

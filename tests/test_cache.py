@@ -1,5 +1,6 @@
 """Count cache: round trips, longest-prefix rule, corruption handling."""
 
+import itertools
 import json
 import logging
 import multiprocessing
@@ -8,7 +9,8 @@ import tracemalloc
 
 import pytest
 
-from powfree import CountCache, CountSeries, Threshold, count_free, count_tail_restricted
+from powfree import (CountCache, CountSeries, Threshold, ValidationError, count_free,
+                     count_tail_restricted)
 from powfree import cache as cache_module
 from powfree.cache import CacheEntry
 
@@ -44,6 +46,28 @@ def test_longest_series_wins(cache):
     assert cache.get(3, t).max_length == 10
 
 
+@pytest.mark.parametrize("call", ["get", "put", "entries", "clear"])
+def test_a_directory_is_refused_before_any_file_is_made(tmp_path, call):
+    path = tmp_path / "counts"
+    path.mkdir()
+    args = {"get": (3, Threshold(2)), "put": (count_free(3, Threshold(2), 3),)}.get(call, ())
+    with pytest.raises(ValidationError) as info:
+        getattr(CountCache(path), call)(*args)
+    assert str(info.value) == f"cache path {path} is a directory, not a cache file"
+    assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []
+
+
+def test_a_record_is_written_key_fields_first():
+    # put writes json.dumps of to_record; get and put pass over another key's line by its head.
+    for k, t, tail_max, counts, method in itertools.product(
+            (1, 3, 20, 200), (Threshold(2), Threshold(3, 2), Threshold(7, 5, True)),
+            (None, 1, 2, 5), ((1,), (1, 3), (1, 20, 380, 10**30)), ("naive", "canonical")):
+        line = json.dumps(CountSeries(k, t, counts, method, tail_max).to_record())
+        key = cache_module._key(k, t, tail_max)
+        assert line.startswith(cache_module._head(map(json.dumps, key)))
+        assert cache_module._ANY_HEAD.match(line)
+
+
 def test_keys_are_disjoint(cache):
     from powfree import count_tail_restricted
     t = Threshold(2)
@@ -66,10 +90,12 @@ def test_corrupt_records_reported_and_skipped(cache, caplog):
         bad = good.to_record()
         bad["counts"] = ["1", "-3"]
         fh.write(json.dumps(bad) + "\n")
+        bad["counts"] = []  # no C_0
+        fh.write(json.dumps(bad) + "\n")
     with caplog.at_level(logging.WARNING):
         got = cache.get(3, Threshold(2))
     assert got == good
-    assert sum("corrupt" in rec.message for rec in caplog.records) == 3
+    assert sum("corrupt" in rec.message for rec in caplog.records) == 4
 
 
 def test_get_validates_only_the_records_of_its_key(cache, monkeypatch):
@@ -361,12 +387,13 @@ def test_entries_warn_of_and_skip_corrupt_and_mistyped_records(cache, caplog):
     good = count_free(3, Threshold(2), 5)
     mistyped = good.to_record()
     mistyped["k"] = 4.0
-    lines = [json.dumps(good.to_record()), "{not json", json.dumps(mistyped)]
+    empty = {**good.to_record(), "counts": []}  # no C_0
+    lines = [json.dumps(good.to_record()), "{not json", json.dumps(mistyped), json.dumps(empty)]
     cache.path.write_text("\n".join(lines) + "\n")
     with caplog.at_level(logging.WARNING):
         assert list(cache.entries()) == [CacheEntry(3, Threshold(2), None, "canonical", 5)]
     assert [rec.getMessage().partition(" (")[0] for rec in caplog.records] == [
-        f"skipping corrupt cache record {cache.path}:{i}" for i in (2, 3)]
+        f"skipping corrupt cache record {cache.path}:{i}" for i in (2, 3, 4)]
 
 
 def _record_variants():

@@ -628,14 +628,32 @@ def test_digest_falls_back_to_hashlib(series):
     assert len(called) == 1
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_a_count_needs_a_worker(workers):
+    # With no worker the frontier stayed at depth 0 and its estimate divided by zero.
+    from powfree import conjecture_report
+
+    t = Threshold(3, 2)
+    for refused in (lambda: count_free(20, t, 12, workers=workers),
+                    lambda: count_free(2, t, 3, "naive", workers=workers),
+                    lambda: count_tail_restricted(20, t, 2, 12, workers=workers),
+                    lambda: conjecture_report([3], [20], workers=workers)):
+        with pytest.raises(ValidationError, match="^workers must be at least 1$"):
+            refused()
+
+
 def test_edge_cases():
     assert count_free(5, Threshold(2), 0).counts == (1,)
     assert count_free(1, Threshold(2), 4, "canonical").counts == (1, 1, 0, 0, 0)
     s = count_free(1, Threshold(2), 4, "canonical")
     assert s.ratios() == (Fraction(1), Fraction(0))
     assert s.prefix(2).counts == (1, 1, 0)
+    # A series holds C_0 at least: -1 would empty it, -2 drop the last count.
+    for max_length in (9, -1, -2):
+        with pytest.raises(ValueError):
+            s.prefix(max_length)
     with pytest.raises(ValueError):
-        s.prefix(9)
+        s.replace(counts=())
     with pytest.raises(ValueError):
         count_free(3, Threshold(2), 4, "transfer-matrix")
     with pytest.raises(ValueError):
