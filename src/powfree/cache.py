@@ -8,13 +8,16 @@ to rename, so concurrent writers do not drop each other's records.  One
 record is kept per key, the one with the longest counts.  get and put
 validate only the records of their key, and put copies the other keys'
 lines into the new file as it reads them, so neither holds more than one
-line and the kept record.  entries validates every record as get does,
-without converting its counts, and keeps one key tuple and one int (the
+line and the kept record.  entries reads every record with the same
+CountSeries.from_record as get and keeps one key tuple and one int (the
 longest length and the method) per key; it builds a key's CacheEntry only
-when its iterator hands that entry out.  A missing file is an empty cache,
-and a line that is not UTF-8 is a corrupt record.  An OSError of the cache
-file (one that cannot be opened, created, locked or written) is raised as a
-ValidationError that names the file; a path that is a directory, before that.
+when its iterator hands that entry out.  A stored threshold is in lowest
+terms: get and put find a key by its written fields, so from_record refuses
+another spelling (4/2) as corrupt rather than let entries list a record that
+get never serves.  A missing file is an empty cache, and a line that is not
+UTF-8 is a corrupt record.  An OSError of the cache file (one that cannot be
+opened, created, locked or written) is raised as a ValidationError that
+names the file; a path that is a directory, before that.
 
 A record is the json.dumps of CountSeries.to_record, key fields first: get and
 put tell another key's line by its head (_head) without parsing it.  A line
@@ -34,7 +37,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from .counting import METHODS, CountSeries, _record_fields
+from .counting import METHODS, CountSeries, _log
 from .errors import ValidationError
 from .words import Threshold
 
@@ -53,13 +56,6 @@ def _head(texts) -> str:
 # The head of any key, with each number written as json.dumps writes an int.
 _INT = "(?:0|-?[1-9][0-9]*)"
 _ANY_HEAD = re.compile(_head((_INT, _INT, _INT, "(?:true|false)", f"(?:null|{_INT})")))
-
-
-def _log():
-    """This module's logger; logging is imported only when something is logged."""
-    import logging
-
-    return logging.getLogger(__name__)
 
 
 def _utf8(line: str) -> None:
@@ -114,21 +110,20 @@ class CountCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def _records(self, only: Key | None = None, others: io.TextIOBase | None = None,
-                 read=None) -> Iterator:
-        """Yield read(record), by default the CountSeries, of the valid records
-        in file order; given only, validate just those whose raw key fields
-        equal it (to_record writes thresholds in lowest terms), and write the
-        other keys' lines, newline-terminated, to others when it is given.  A
-        missing file reads as an empty cache, also when a cache clear removes it
-        after the caller looked.
+    def _records(self, only: Key | None = None,
+                 others: io.TextIOBase | None = None) -> Iterator[CountSeries]:
+        """Yield the CountSeries of the valid records in file order; given only,
+        validate just those whose raw key fields equal it (from_record reads
+        only thresholds in lowest terms), and write the other keys' lines,
+        newline-terminated, to others when it is given.  A missing file reads
+        as an empty cache, also when a cache clear removes it after the caller
+        looked.
 
         A line with another key's head is passed over unparsed, however its
         tail reads; only the lines of that key, or entries, report a bad tail.
         A line that is not UTF-8 is reported and skipped by every reader.
         """
         own = None if only is None else _head(map(json.dumps, only))
-        read = read or CountSeries.from_record
         try:
             # Bytes that are not UTF-8 are read as lone surrogates, which do not encode.
             fh = open(self.path, encoding="utf-8", errors="surrogateescape")
@@ -147,13 +142,13 @@ class CountCache:
                         record = json.loads(line)
                         other = only is not None and tuple(record[f] for f in _KEY_FIELDS) != only
                     if not other:
-                        value = read(record)
+                        series = CountSeries.from_record(record)
                 except (ValueError, KeyError, TypeError) as exc:
-                    _log().warning("skipping corrupt cache record %s:%d (%s)",
-                                   self.path, lineno, exc)
+                    _log(__name__).warning("skipping corrupt cache record %s:%d (%s)",
+                                           self.path, lineno, exc)
                     continue
                 if not other:
-                    yield value
+                    yield series
                 elif others is not None:
                     others.write(line if line.endswith("\n") else line + "\n")
 
@@ -176,18 +171,19 @@ class CountCache:
     def entries(self) -> Iterator[CacheEntry]:
         """Every key's longest valid record, without its counts, in key order.
 
-        Each record is checked as get checks it, but its counts stay strings.
-        The whole file is read before entries returns.
+        Each record is read with CountSeries.from_record, as get reads it, and
+        only its key, length and method are kept.  The whole file is read
+        before entries returns.
         """
         # One int per key, max_length * len(METHODS) + the method's index, under the key
         # (k, num, den, strict, tail_max or 0): a stored tail_max is at least 1, so 0
         # stands for none, and the keys sort in the listed order.
         kept: dict[tuple, int] = {}
-        for k, num, den, strict, tail_max, method, counts in self._records(read=_record_fields):
-            key = (k, num, den, strict, tail_max or 0)
-            length = len(counts) - 1
+        for series in self._records():
+            t, length = series.threshold, series.max_length
+            key = (series.k, t.num, t.den, t.strict, series.tail_max or 0)
             if key not in kept or length > kept[key] // len(METHODS):
-                kept[key] = length * len(METHODS) + METHODS.index(method)
+                kept[key] = length * len(METHODS) + METHODS.index(series.method)
         return _listed(kept)
 
     @_usage_errors

@@ -159,10 +159,26 @@ class CountSeries(_Value):
 
     @classmethod
     def from_record(cls, record: dict) -> "CountSeries":
-        """The series of a to_record dict; a field of another type is a ValidationError."""
-        k, num, den, strict, tail_max, method, counts = _record_fields(record)
-        return cls(k=k, threshold=Threshold(num, den, strict), counts=map(int, counts),
-                   method=method, tail_max=tail_max)
+        """The series of a to_record dict.  A field of another type, counts that are not
+        canonical decimal strings, or a threshold not in lowest terms is a ValidationError."""
+        k, num, den, strict, tail_max, counts = (record["k"], record["num"], record["den"],
+                                                 record["strict"], record["tail_max"],
+                                                 record["counts"])
+        # type() rather than isinstance(): a bool is an int, and JSON true must not read as 1.
+        if ({type(k), type(num), type(den)} != {int} or type(strict) is not bool
+                or not (tail_max is None or type(tail_max) is int)):
+            raise ValidationError("record fields have the wrong types")
+        if type(counts) is not list or not _canonical(counts):
+            raise ValidationError("counts are not a nonempty list of canonical decimal strings")
+        method = str(record["method"])
+        if method == "incremental":
+            # Earlier releases had a third engine; its counts are the same.
+            method = "canonical"
+        t = Threshold(num, den, strict)
+        # to_record writes lowest terms, and get and put find a key by its written fields.
+        if (t.num, t.den) != (num, den):
+            raise ValidationError(f"threshold {num}/{den} is not in lowest terms")
+        return cls(k=k, threshold=t, counts=map(int, counts), method=method, tail_max=tail_max)
 
 
 def _check_fields(k, method, tail_max):
@@ -192,30 +208,6 @@ def _canonical(counts):
     text = ",".join(counts)
     # An item that holds a comma would pass as two counts.
     return text.count(",") == len(counts) - 1 and _COUNTS_TEXT.fullmatch(text) is not None
-
-
-def _record_fields(record):
-    """(k, num, den, strict, tail_max, method, counts) of a to_record dict, checked as
-    from_record checks them, with num/den in lowest terms and counts left as strings."""
-    k, num, den, strict, tail_max, counts = (record["k"], record["num"], record["den"],
-                                             record["strict"], record["tail_max"], record["counts"])
-    # type() rather than isinstance(): a bool is an int, and JSON true must not read as 1.
-    if ({type(k), type(num), type(den)} != {int} or type(strict) is not bool
-            or not (tail_max is None or type(tail_max) is int)):
-        raise ValidationError("record fields have the wrong types")
-    if type(counts) is not list or not _canonical(counts):
-        raise ValidationError("counts are not a nonempty list of canonical decimal strings")
-    method = str(record["method"])
-    if method == "incremental":
-        # Earlier releases had a third engine; its counts are the same.
-        method = "canonical"
-    num, den = Threshold._lowest_terms(num, den)
-    # int() refuses a string longer than the interpreter's digit limit (3.10.7 on).
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit and max(map(len, counts), default=0) > limit:
-        int(next(c for c in counts if len(c) > limit))  # raises int's own ValueError
-    _check_fields(k, method, tail_max)
-    return k, num, den, strict, tail_max, method, counts
 
 
 def _dfs(k, pairs, max_length, table, w, distinct):
@@ -258,11 +250,12 @@ def _grow(k, pairs, level):
             yield w + (distinct + 1,), distinct + 1
 
 
-def _log():
-    """This module's logger; logging is imported only when something is logged."""
+def _log(name=__name__):
+    """The logger of name, by default this module's; logging is imported only when
+    something is logged."""
     import logging
 
-    return logging.getLogger(__name__)
+    return logging.getLogger(name)
 
 
 def _new_table(k, max_length):
@@ -280,9 +273,6 @@ def _kernel_file():
         key = _KERNEL_SOURCE.read_bytes()
     except OSError as exc:
         _log().debug("no walk kernel source (%s); counting uses the Python walk", exc)
-        return None
-    if os.name != "posix":
-        _log().debug("no walk kernel on %s; counting uses the Python walk", os.name)
         return None
     machine, tag = os.uname().machine, sys.implementation.cache_tag
     key += repr((_CC_FLAGS, (sys.platform, machine, tag))).encode()

@@ -115,20 +115,15 @@ class Threshold(_Value):
     strict: bool
 
     def __post_init__(self):
-        num, den = self._lowest_terms(self.num, self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def _lowest_terms(num: int, den: int) -> tuple[int, int]:
-        """num/den in lowest terms, or a ValidationError if it is not a threshold."""
+        num, den = self.num, self.den
         if num < 1 or den < 1:
             raise ValidationError(f"threshold must be a positive rational, got {num}/{den}")
         g = math.gcd(num, den)
         num, den = num // g, den // g
         if num <= den:
             raise ValidationError(f"threshold must exceed 1, got {num}/{den}")
-        return num, den
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def dejean(cls, n: int, strict: bool = False) -> "Threshold":

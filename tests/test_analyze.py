@@ -8,6 +8,7 @@ import pytest
 
 from powfree import (
     BudgetExceededError,
+    LemmaViolationError,
     Threshold,
     certify,
     conjecture_report,
@@ -56,6 +57,12 @@ class TestGrowthEstimate:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             growth_estimate(count_free(3, Threshold(2), 1))
+
+
+def short_last_count(*args, **kwargs):
+    """count_free with its last count one too small."""
+    series = count_free(*args, **kwargs)
+    return series.replace(counts=series.counts[:-1] + (series.counts[-1] - 1,))
 
 
 AUDIT_INSTANCES = [
@@ -139,6 +146,21 @@ class TestExtensionAudit:
         monkeypatch.setattr("powfree.analyze.count_free", no_count)
         with pytest.raises(BudgetExceededError):
             fj_audit(20, 3, False, 15)
+
+    def test_a_wrong_count_trips_the_balance_canary(self, monkeypatch):
+        monkeypatch.setattr("powfree.analyze.count_free", short_last_count)
+        with pytest.raises(LemmaViolationError, match="extension balance failed"):
+            fj_audit(4, 3, False, 6)
+
+    def test_an_oversized_class_trips_the_bound_canary(self, monkeypatch):
+        # f_total is kept, so the balance holds and the first period's bound fails.
+        def inflated(*args):
+            f_total, counts, injective = _census(*args)
+            return f_total, [counts[0] + 10**9, *counts[1:]], injective
+
+        monkeypatch.setattr("powfree.analyze._census", inflated)
+        with pytest.raises(LemmaViolationError, match=r"period-1 census \d+ exceeds its bound"):
+            fj_audit(4, 3, False, 6)
 
     @pytest.mark.parametrize("i", [-1, -2])
     def test_negative_length_is_rejected(self, i):

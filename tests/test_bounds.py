@@ -106,7 +106,9 @@ class TestRationalWitness:
                         assert condition_margin(k, n, strict, w + Fraction(1, 2 ** bits)) < 0
 
     def test_none_exactly_when_root_is_none(self):
-        for k, n, strict in ((2, 2, True), (3, 3, False), (10, 6, False), (2, 2, False)):
+        # (1, 5): b = -2 and c = 1, a discriminant of 0 and a root of -1, not above 1.
+        for k, n, strict in ((2, 2, True), (3, 3, False), (10, 6, False), (2, 2, False),
+                             (1, 5, False)):
             assert closed_form_root(k, n, strict) is None
             assert rational_witness(k, n, strict) is None
 
@@ -119,6 +121,11 @@ class TestRationalWitness:
     def test_rejects_bad_precision(self):
         with pytest.raises(ValueError):
             rational_witness(20, 3, precision_bits=0)
+
+    @pytest.mark.parametrize("x", [Fraction(1), Fraction(1, 2), Fraction(-3)])
+    def test_margin_refuses_a_witness_not_above_1(self, x):
+        with pytest.raises(ValidationError, match="witness must exceed 1"):
+            condition_margin(20, 3, False, x)
 
 
 class TestCertify:
@@ -154,6 +161,13 @@ class TestCertify:
         dented[6] //= 50
         with pytest.raises(LemmaViolationError, match="ratio check failed"):
             certify(10, 3, False, series.replace(counts=tuple(dented)))
+
+    def test_a_witness_above_the_root_trips_its_own_canary(self, monkeypatch):
+        # The root at (20, 3) is about 17.88; at 19 the condition fails.
+        monkeypatch.setattr("powfree.bounds.rational_witness", lambda *args: Fraction(19))
+        series = count_free(20, Threshold.dejean(3), 4, "canonical")
+        with pytest.raises(LemmaViolationError, match="witness 19 fails its own condition"):
+            certify(20, 3, False, series)
 
     def test_series_mismatch_rejected(self):
         series = count_free(10, Threshold.dejean(3), 8, "canonical")

@@ -1,5 +1,6 @@
 """Count cache: round trips, longest-prefix rule, corruption handling."""
 
+import errno
 import itertools
 import json
 import logging
@@ -117,13 +118,10 @@ def test_get_validates_only_the_records_of_its_key(cache, monkeypatch):
     assert validated == [(3, False, None)]
     assert cache.get(3, t, tail_max=2) is None
     assert validated == [(3, False, None)]
-    # entries checks every record's fields without building its series.
+    # entries reads every record with the same from_record.
     validated.clear()
-    record_fields = cache_module._record_fields
-    monkeypatch.setattr(cache_module, "_record_fields",
-                        lambda record: validated.append(record["k"]) or record_fields(record))
     assert len(list(cache.entries())) == 5
-    assert sorted(validated) == [2, 3, 3, 3, 4]
+    assert sorted(k for k, _, _ in validated) == [2, 3, 3, 3, 4]
 
 
 def test_put_validates_only_the_records_of_its_key(cache, monkeypatch, caplog):
@@ -369,14 +367,30 @@ def test_entries_hold_a_small_index_of_many_keys(cache):
     assert peak < 6_000_000, peak
 
 
+def test_a_failed_write_leaves_the_file_and_no_temporary_file(cache, monkeypatch):
+    t = Threshold(2)
+    cache.put(count_free(3, t, 5))
+    before = cache.path.read_bytes()
+
+    def disk_full(series):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(CountSeries, "to_record", disk_full)
+    with pytest.raises(ValidationError, match=os.strerror(errno.ENOSPC)):
+        cache.put(count_free(4, t, 5))
+    assert cache.path.read_bytes() == before
+    assert sorted(p.name for p in cache.path.parent.iterdir()) == ["counts.jsonl",
+                                                                    "counts.jsonl.lock"]
+
+
 def test_entries_read_the_whole_file_before_returning(cache, monkeypatch):
     # A caller that times or guards the call to entries covers the file scan.
     for k in (2, 3, 4):
         cache.put(count_free(k, Threshold(2), 4))
     validated = []
-    record_fields = cache_module._record_fields
-    monkeypatch.setattr(cache_module, "_record_fields",
-                        lambda record: validated.append(record["k"]) or record_fields(record))
+    from_record = CountSeries.from_record
+    monkeypatch.setattr(CountSeries, "from_record", staticmethod(
+        lambda record: validated.append(record["k"]) or from_record(record)))
     listed = cache.entries()
     assert validated == [2, 3, 4]
     cache.path.unlink()
@@ -416,8 +430,7 @@ def _record_variants():
 
 @pytest.mark.parametrize("record", _record_variants())
 def test_entries_refuse_exactly_the_records_a_get_refuses(cache, record):
-    # entries checks records without building their series, and reads none that
-    # from_record would refuse, nor refuses one that it would read.
+    # entries lists exactly the records that from_record reads, each under its own key.
     cache.path.write_text(json.dumps(record) + "\n")
     try:
         series = CountSeries.from_record(record)
@@ -429,12 +442,19 @@ def test_entries_refuse_exactly_the_records_a_get_refuses(cache, record):
                                                     series.max_length)]
 
 
-def test_entries_merge_a_key_written_in_other_terms(cache):
-    # 4/2 is the threshold 2, as from_record reads it; the longest record wins.
-    short, long = count_free(3, Threshold(2), 4).to_record(), count_free(3, Threshold(2), 6)
-    cache.path.write_text(json.dumps({**short, "num": 4, "den": 2}) + "\n"
-                          + json.dumps(long.to_record()) + "\n")
-    assert list(cache.entries()) == [CacheEntry(3, Threshold(2), None, "canonical", 6)]
+def test_entries_warn_of_and_skip_a_threshold_not_in_lowest_terms(cache, caplog):
+    # get and put find a key by its written fields, so they never serve a 4/2 record:
+    # entries does not list one either, not even when it is the longest of its key.
+    t = Threshold(2)
+    other_terms = json.dumps({**count_free(3, t, 6).to_record(), "num": 4, "den": 2}) + "\n"
+    cache.path.write_text(other_terms)
+    with caplog.at_level(logging.WARNING):
+        assert list(cache.entries()) == []
+        assert cache.get(3, t) is None
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"skipping corrupt cache record {cache.path}:1 (threshold 4/2 is not in lowest terms)"]
+    cache.path.write_text(other_terms + json.dumps(count_free(3, t, 4).to_record()) + "\n")
+    assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 4)]
 
 
 NOT_UTF8 = b"\xff\xfe bad\n"

@@ -405,6 +405,15 @@ class TestAudit:
         code, out = run(capsys, "audit", "--k", "20", "--n", "3", "--len", "15")
         assert code == 3 and out == ""
 
+    def test_lemma_violation_exit_code(self, capsys, monkeypatch):
+        from test_analyze import short_last_count
+
+        monkeypatch.setattr("powfree.analyze.count_free", short_last_count)
+        assert main(["audit", "--k", "4", "--n", "3", "--len", "6"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("powfree audit: lemma violation: extension balance failed")
+
 
 class TestReport:
     def test_csv_columns(self, capsys):
@@ -654,10 +663,10 @@ def _edge_cache(name):
         data += _line(count_free(4, Threshold(7, 5), 5))
         return data, [(4, "7/5", False, tail, "canonical", 5) for tail in (None, 1, 3)] + [
             (4, "7/5", True, tail, "canonical", 5) for tail in (1, 3)]
-    if name == "other-terms":
-        data = (_line(count_free(3, t, 4), num=4, den=2) + _line(count_free(3, t, 6))
-                + _line(count_free(3, t, 8), num=6, den=3) + _line(count_free(3, t, 8)))
-        return data, [(3, "2", False, None, "canonical", 8)]
+    if name == "other-terms":  # a threshold not in lowest terms is corrupt, as get never serves it
+        data = (_line(count_free(3, t, 8), num=4, den=2) + _line(count_free(3, t, 6))
+                + _line(count_free(2, t, 5), num=6, den=3))
+        return data, [(3, "2", False, None, "canonical", 6)]
     if name == "corrupt":
         data = (one + b"{not json\n" + json.dumps(bad).encode() + b"\n" + b'{"k": 2, "num": 2}\n'
                 + _line(count_free(4, t, 5), k=4.0) + _line(count_free(2, t, 4))[:-20] + b"\n\n"

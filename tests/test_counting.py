@@ -358,6 +358,16 @@ def test_walk_beyond_the_kernel_cap_is_python(monkeypatch):
         assert set(calls) == {26}
 
 
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_kernel_refuses_a_walk_beyond_its_cap():
+    # _kernel_for never hands it L = 26; asked anyway, it refuses rather than overflow.
+    kernel = counting._kernel()
+    assert kernel is not None
+    assert kernel(1, _window_checks(Threshold(30), 25), 25, (1,), 1)[25] == [0, 1]
+    with pytest.raises(RuntimeError, match="walk kernel refused L=26"):
+        kernel(1, _window_checks(Threshold(30), 26), 26, (1,), 1)
+
+
 def test_python_walk_reaches_past_the_recursion_limit():
     # One pattern per length, each a frame deeper than its parent; the limit is restored.
     limit = sys.getrecursionlimit()
@@ -565,6 +575,9 @@ def test_record_roundtrip():
     rec["counts"] = ["01"] + rec["counts"][1:]
     with pytest.raises(ValueError):
         CountSeries.from_record(rec)
+    # A stored threshold is in lowest terms: a key is found by its written fields.
+    with pytest.raises(ValidationError, match="threshold 14/10 is not in lowest terms"):
+        CountSeries.from_record({**s.to_record(), "num": 14, "den": 10})
 
 
 @pytest.mark.parametrize("field,value", [
