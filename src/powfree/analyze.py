@@ -229,8 +229,8 @@ def conjecture_report(n_values, k_values, max_length: int = 8, tail_max: int = 2
         for k in sorted(set(k_values)):
             root = closed_form_root(k, n, False)
             root_plus = closed_form_root(k, n, True)
-            witness = rational_witness(k, n, False) if root is not None else None
-            witness_plus = rational_witness(k, n, True) if root_plus is not None else None
+            witness = rational_witness(k, n, False)
+            witness_plus = rational_witness(k, n, True)
             target = asymptotic_target(k, n, False)
             target_plus = asymptotic_target(k, n, True)
             root_plus_next = closed_form_root(k, n + 1, True)

@@ -62,19 +62,14 @@ def condition_margin(k: int, n: int, strict: bool, x: Fraction) -> Fraction:
 def closed_form_root(k: int, n: int, strict: bool = False) -> float | None:
     """Largest real x satisfying the witness condition with equality.
 
-    None when the integer discriminant is negative or the root does not
-    exceed 1: no exponential lower bound is available from the condition at
-    these parameters (informative, not an error).  One floating square root
-    over the exact discriminant; relative error <= 1e-12.
+    None exactly when rational_witness is None, which decides in integers that
+    no x > 1 qualifies (informative, not an error).  Otherwise one floating
+    square root over the exact discriminant; relative error <= 1e-12.
     """
+    if rational_witness(k, n, strict, 1) is None:
+        return None
     b, c = _quadratic(k, n, strict)
-    disc = b * b - 4 * c
-    if disc < 0:
-        return None
-    root = (b + math.sqrt(disc)) / 2.0
-    if root <= 1.0:
-        return None
-    return root
+    return (b + math.sqrt(b * b - 4 * c)) / 2.0
 
 
 def rational_witness(k: int, n: int, strict: bool = False,
@@ -85,15 +80,17 @@ def rational_witness(k: int, n: int, strict: bool = False,
     of 2**-precision_bits with an integer square root keeps the result
     between the parabola vertex b/2 and the root, so it satisfies the
     condition exactly and never exceeds the true root; more precision bits
-    only ever move it upward.  None exactly when closed_form_root is None.
+    only ever move it upward.  None when disc < 0 or b <= 2: for disc >= 0
+    the root exceeds 1 iff b > 2, since with b <= 2 it would need b > c + 1.
     """
     if precision_bits < 1:
         raise ValidationError("precision_bits must be positive")
-    if closed_form_root(k, n, strict) is None:
-        return None
     b, c = _quadratic(k, n, strict)
+    disc = b * b - 4 * c
+    if disc < 0 or b <= 2:
+        return None
     scale = 2 ** precision_bits
-    return Fraction(b * scale + math.isqrt((b * b - 4 * c) * scale * scale), 2 * scale)
+    return Fraction(b * scale + math.isqrt(disc * scale * scale), 2 * scale)
 
 
 class BoundCertificate(_Value):

@@ -143,7 +143,7 @@ class CountCache:
                         other = only is not None and tuple(record[f] for f in _KEY_FIELDS) != only
                     if not other:
                         series = CountSeries.from_record(record)
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     _log(__name__).warning("skipping corrupt cache record %s:%d (%s)",
                                            self.path, lineno, exc)
                     continue

@@ -45,7 +45,10 @@ def parse_cli_word(text: str) -> Word:
     if re.fullmatch(r"[A-Za-z]+", text):
         return Word.from_text(text)
     if re.fullmatch(r"\d+(,\d+)*", text):
-        letters = tuple(int(x) for x in text.split(","))
+        try:
+            letters = tuple(int(x) for x in text.split(","))
+        except ValueError:  # more digits than int() converts from a string
+            raise ValidationError("letter index has too many digits") from None
         if any(a < 1 for a in letters):
             raise ValidationError("letter indices must be positive")
         return Word(letters, max(letters))

@@ -28,7 +28,7 @@ def float_margin(k, n, strict, x):
 
 class TestClosedFormRoot:
     def test_values(self):
-        assert closed_form_root(20, 3) == pytest.approx((19 + math.sqrt(281)) / 2, abs=1e-12)
+        assert closed_form_root(20, 3) == (19 + math.sqrt(281)) / 2  # the float bits
         assert closed_form_root(7, 3) == pytest.approx((6 + math.sqrt(8)) / 2, abs=1e-12)
         assert closed_form_root(10, 3, True) == pytest.approx((10 + math.sqrt(56)) / 2, abs=1e-12)
 
@@ -112,6 +112,19 @@ class TestRationalWitness:
             assert closed_form_root(k, n, strict) is None
             assert rational_witness(k, n, strict) is None
 
+    def test_none_exactly_when_no_real_root_exceeds_1(self):
+        # b and c from the README's quadratics, not from bounds.  sympy counts the real roots
+        # in [1, oo) exactly; a root at 1 itself is not above 1.
+        x = sympy.Symbol("x")
+        for n in range(2, 13):
+            for k in range(1, 251):
+                for strict in (False, True):
+                    b, c = (k + 3 - n, k + 1) if strict else (k + 2 - n, k)
+                    poly = sympy.Poly([1, -b, c], x)
+                    none = poly.count_roots(1) == (poly.eval(1) == 0)
+                    assert (rational_witness(k, n, strict) is None) == none, (k, n, strict)
+                    assert (closed_form_root(k, n, strict) is None) == none, (k, n, strict)
+
     def test_monotone_in_precision(self):
         for k, n, strict in ((20, 3, False), (10, 3, True)):
             values = [rational_witness(k, n, strict, bits) for bits in (10, 20, 30, 40)]
@@ -145,6 +158,13 @@ class TestCertify:
         series = count_free(10, t, 8, "canonical")
         cert = certify(10, 4, True, series)
         assert cert.strict and cert.verified_up_to == 7
+
+    def test_any_alphabet_size(self):
+        # b^2 - 4c is near 10**400, beyond a float; the witness comes from an integer sqrt.
+        k = 10**200
+        cert = certify(k, 3, False, count_free(k, Threshold.dejean(3), 8))
+        assert cert.condition_margin >= 0 and cert.verified_up_to == 7
+        assert k - 3 < cert.x_witness < k - 2  # the root is about k - 2 - 2/k
 
     def test_no_witness(self):
         series = count_free(2, Threshold.dejean(2, True), 5, "canonical")

@@ -480,3 +480,16 @@ def test_a_line_that_is_not_utf8_is_reported_by_get_and_entries_and_dropped_by_p
     assert len(caplog.records) == 2
     written = json.dumps(count_free(5, t, 4).to_record()).encode() + b"\n"
     assert cache.path.read_bytes() == good + written
+
+
+def test_a_line_nested_too_deeply_to_parse_is_reported_by_every_reader(cache, caplog):
+    # json.loads raises RecursionError, not ValueError, on a line this deep.
+    t = Threshold(2)
+    cache.path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    with caplog.at_level(logging.WARNING):
+        assert cache.get(3, t) is None
+        assert list(cache.entries()) == []
+        cache.put(count_free(3, t, 4))
+    assert [rec.getMessage().split(" (")[0] for rec in caplog.records] == [
+        f"skipping corrupt cache record {cache.path}:1"] * 3
+    assert cache.path.read_text() == json.dumps(count_free(3, t, 4).to_record()) + "\n"

@@ -353,6 +353,15 @@ class TestCertify:
         assert code == 1
         assert out.splitlines() == ["k,n,plus,status", "2,2,true,no-witness"]
 
+    def test_any_alphabet_size(self, capsys):
+        # A discriminant far beyond a float's range: the witness is found in integers.
+        k = 10**200
+        code, out = run(capsys, "certify", "--k", str(k), "--n", "3", "--max-len", "8",
+                        "--no-timestamp")
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "ok" and doc["k"] == k
+        assert doc["series_digest"] == count_free(k, Threshold.dejean(3), 8).digest()
+
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal bug")
@@ -426,6 +435,13 @@ class TestReport:
             "small_variation,resid_times_k2,resid_plus_times_k2,alpha_ratio,alpha_prime_ratio")
         assert len(lines) == 3
 
+    def test_no_witness_at_any_threshold_size(self, capsys):
+        code, out = run(capsys, "report", "--n", str(10**200), "--k", "5", "--out", "csv")
+        assert code == 0
+        header, row = out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert [cells[c] for c in ("root", "root_plus", "witness", "witness_plus")] == [""] * 4
+
     def test_json_nested_by_n_then_k(self, capsys):
         code, out = run(capsys, "report", "--n", "2..3", "--k", "20", "--max-len", "4",
                         "--no-timestamp")
@@ -461,6 +477,8 @@ class TestUsageErrors:
         ("audit --k 3 --n 2 --len -2", "audit prefix length i must be at least 0"),
         ("certify --k 3 --n 3", "k > n required for the witness condition (got k=3, n=3)"),
         ("check 0,1 --beta 2", "letter indices must be positive"),
+        pytest.param(f"check 1,{'9' * 5000} --beta 2", "letter index has too many digits",
+                     id="check 1,<5000 nines> --beta 2-letter index has too many digits"),
         ("check a --beta 1", "threshold must exceed 1, got 1/1"),
         ("check abc! --beta 2", "word must be ASCII letters or comma-separated positive integers"),
         ("report --n 3 --k x", "cannot parse integer value 'x'"),
@@ -670,6 +688,7 @@ def _edge_cache(name):
     if name == "corrupt":
         data = (one + b"{not json\n" + json.dumps(bad).encode() + b"\n" + b'{"k": 2, "num": 2}\n'
                 + _line(count_free(4, t, 5), k=4.0) + _line(count_free(2, t, 4))[:-20] + b"\n\n"
+                + b"[" * 100_000 + b"]" * 100_000 + b"\n"  # too deep for json.loads
                 + _line(count_free(6, t, 3))[:-1])
         return data, shown + [(6, "2", False, None, "canonical", 3)]
     if name == "not-utf8":
