@@ -123,11 +123,6 @@ def cmd_count(args) -> int:
 
 def cmd_certify(args) -> int:
     t = Threshold.dejean(args.n, args.plus)
-    required = args.n if args.plus else args.n + 1
-    if args.k < required:
-        op = "k >= n" if args.plus else "k > n"
-        raise ValidationError(
-            f"{op} required for the witness condition (got k={args.k}, n={args.n})")
     series = _series_for(args.k, t, args.max_len, "canonical", None, args)
     fields = {"k": args.k, "n": args.n, "plus": args.plus}
     try:

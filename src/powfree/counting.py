@@ -13,13 +13,16 @@ canonical  (the default) one depth-first walk over canonical patterns: first
            growing once k >= L.
 
 The canonical walk has two implementations with identical tables.  The
-kernel, _walk.c, is compiled once with the system C compiler into
-$XDG_CACHE_HOME/powfree/ (default ~/.cache/powfree/) by the first walk above
-the crossover below that finds it missing, and loaded with ctypes at that
-walk.  Each node keeps its forbidden next letters in a bitmask, tallies its
-children by popcount and walks them.  Its uint64 cells are exact up to
-L = 25.  The Python walk, _dfs, is the reference; it runs when no compiler or
-no writable cache directory exists, and above L = 25.  It is the kernel's
+kernel, _walk.c, is a CPython extension module compiled once with the system
+C compiler and Python's headers into $XDG_CACHE_HOME/powfree/ (default
+~/.cache/powfree/) by the first walk above the crossover below that finds it
+missing, and loaded by importlib's extension loader at that walk.  Its one
+function, tally, walks a whole frontier in one call and adds the completions
+into the caller's table of Python ints.  Each node keeps its forbidden next
+letters in a bitmask, tallies its children by popcount and walks them.  Its
+uint64 cells are exact up to L = 25.  The Python walk, _dfs, is the
+reference; it runs when no compiler, no Python headers or no writable cache
+directory exists, and above L = 25.  It is the kernel's
 walk line for line: each pattern it visits makes one pass,
 words._forbidden_next, for the old letters that would end a forbidden power
 after it (each window forbids at most one; the fresh letter never completes
@@ -31,12 +34,12 @@ frontier holds _TASKS_PER_WORKER prefixes per worker, or reaches length L-1,
 or empties.  The rows it tallies on the way give an estimate of the
 patterns shorter than L (_estimated_patterns); times the window pairs, that
 is the walk's window tests.  At or below _KERNEL_MIN_TESTS the walk is
-_dfs's, in-process: it ends before importing ctypes and loading (or
-compiling) the kernel would have.  Above it the kernel walks where it
-loads.  With workers > 1 (capped at the cores) a pool is started only when
-the tests also exceed the pool crossover measured for the walk in use: each
-prefix becomes one pool task returning its own table, and the tables are
-summed.  Otherwise the same tasks run in-process, one after another.  Either
+_dfs's, in-process: it ends before loading (or compiling) the kernel would
+have.  Above it the kernel walks where it loads.  With workers > 1 (capped
+at the cores) a pool is started only when the tests also exceed the pool
+crossover measured for the walk in use: each prefix becomes one pool task
+returning its own table, and the tables are summed.  Otherwise the whole
+frontier is walked in-process, into the frontier's own table.  Either
 way each pattern is tested once: by _grow up to the frontier, then by the
 walk below it.
 
@@ -78,9 +81,10 @@ _TASKS_PER_WORKER = 8
 # for k=20 and k = 2-5 languages; the table is in BENCH_11.json.
 _KERNEL_POOL_TESTS = 10_000_000
 _DFS_POOL_TESTS = 200_000
-# At or below this many window tests (estimated as above) _dfs, at 2,000-3,000
-# tests per ms, finishes before the kernel's first use would: importing ctypes
-# and loading the library took 4-5 ms and 0.3 MB on 2 cores (BENCH_19.json).
+# At or below this many window tests (estimated as above) the walk is _dfs's, at
+# 2,000-3,000 tests per ms.  The kernel's first use in a process, loading the
+# extension, took about 0.6 ms on 2 cores, and compiling a missing one about
+# 0.35 s (BENCH_27.json); the crossover also sets which commands load the library.
 _KERNEL_MIN_TESTS = 10_000
 
 _KERNEL_SOURCE = Path(__file__).with_name("_walk.c")
@@ -263,7 +267,7 @@ def _new_table(k, max_length):
 
 
 def _kernel_file():
-    """Where the kernel for this source, these flags, this machine and this interpreter lives.
+    """Where the kernel for this source, these flags, this machine and this interpreter's ABI lives.
 
     The name carries a 64-bit checksum of those bytes, CRC-32 then Adler-32:
     CRC-32 changes with any one changed byte, and zlib, unlike hashlib, does
@@ -274,8 +278,12 @@ def _kernel_file():
     except OSError as exc:
         _log().debug("no walk kernel source (%s); counting uses the Python walk", exc)
         return None
+    import importlib.machinery
+
     machine, tag = os.uname().machine, sys.implementation.cache_tag
-    key += repr((_CC_FLAGS, (sys.platform, machine, tag))).encode()
+    # The extension suffix carries the ABI flags, such as the free-threaded build's t.
+    abi = importlib.machinery.EXTENSION_SUFFIXES[0]
+    key += repr((_CC_FLAGS, (sys.platform, machine, tag, abi))).encode()
     # Without an absolute XDG_CACHE_HOME or HOME there is nowhere safe to build.
     home = os.environ.get("HOME", "")
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.join(home, ".cache"))
@@ -322,7 +330,10 @@ def _build_kernel(path):
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
             raise FileNotFoundError("no C compiler on PATH")
-        done = subprocess.run([cc, *_CC_FLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)],
+        import sysconfig
+
+        include = "-I" + sysconfig.get_paths()["include"]
+        done = subprocess.run([cc, *_CC_FLAGS, "-o", str(tmp), str(_KERNEL_SOURCE), include],
                               capture_output=True)
         if done.returncode:
             failed.write_bytes(done.stderr)
@@ -338,64 +349,56 @@ def _build_kernel(path):
 
 @functools.cache
 def _kernel():
-    """The compiled walk, taking _walk's arguments for max_length <= 25, or None if unbuilt.
+    """The compiled walk's tally(k, pairs, max_length, frontier, table), or None if unbuilt.
 
-    The first call builds the library if it is missing.  Only a library in a
-    directory private to this user, itself private, is loaded.
+    tally takes k <= max_length <= 25 and adds into table as _walk does.  The
+    first call builds the library if it is missing.  Only a library in a
+    directory private to this user, itself private, is loaded, as powfree._walk.
     """
     path = _kernel_file()
     _build_kernel(path)
     if path is None or not path.exists():
         return None
-    import ctypes
+    from importlib.machinery import ExtensionFileLoader, ModuleSpec
 
     try:
         _check_private(path.parent)
         _check_private(path)
-        fn = ctypes.CDLL(str(path)).powfree_walk
-    except (OSError, AttributeError) as exc:
+        loader = ExtensionFileLoader("powfree._walk", str(path))
+        module = loader.create_module(ModuleSpec(loader.name, loader, origin=loader.path))
+        loader.exec_module(module)
+    except (OSError, ImportError) as exc:
         _log().debug("cannot load %s (%s); counting uses the Python walk", path, exc)
         return None
-    ints = ctypes.POINTER(ctypes.c_int)
-    fn.argtypes = [ctypes.c_int, ctypes.c_int, ints, ints, ctypes.c_int,
-                   ctypes.POINTER(ctypes.c_uint64), ctypes.c_char_p, ctypes.c_int, ctypes.c_int]
-    fn.restype = ctypes.c_int
-
-    def walk(k, pairs, max_length, prefix, distinct):
-        # Only distinct < k is asked, so min(k, L) serves and a huge k fits a c_int.
-        k = min(k, max_length)
-        cells = (ctypes.c_uint64 * ((max_length + 1) * (k + 1)))()
-        periods = (ctypes.c_int * len(pairs))(*(j for j, _ in pairs))
-        windows = (ctypes.c_int * len(pairs))(*(m for _, m in pairs))
-        if fn(k, len(pairs), periods, windows, max_length, cells, bytes(prefix), len(prefix),
-              distinct):
-            raise RuntimeError(f"walk kernel refused L={max_length}, prefix {prefix}")
-        flat = list(cells)  # Python ints: tables stay exact and picklable
-        return [flat[i:i + k + 1] for i in range(0, len(flat), k + 1)]
-
-    return walk
+    sys.modules[loader.name] = module
+    return module.tally
 
 
 def _kernel_for(max_length):
     return _kernel() if max_length <= _KERNEL_MAX_LENGTH else None
 
 
-def _walk(k, pairs, max_length, prefix, distinct, compiled):
-    """Table of the free completions of a free prefix shorter than max_length.
+def _walk(k, pairs, max_length, compiled, frontier, table=None):
+    """Add the free completions of each free (prefix, distinct) of frontier, every prefix
+    shorter than max_length, into table (by default a new one), and return it.
 
-    The kernel walks it when compiled is true and one loads for max_length;
+    The kernel walks them when compiled is true and one loads for max_length;
     otherwise _dfs does.
     """
+    if table is None:
+        table = _new_table(k, max_length)
     kernel = _kernel_for(max_length) if compiled else None
     if kernel is not None:
-        return kernel(k, pairs, max_length, prefix, distinct)
-    table = _new_table(k, max_length)
+        # Only distinct < k is asked, so min(k, L) serves and a huge k fits a C int.
+        kernel(min(k, max_length), pairs, max_length, frontier, table)
+        return table
     # _dfs takes a frame per letter it appends; slowly growing languages (binary
     # overlap-free words, say) are walked deeper than the default limit of 1,000.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + max_length)
     try:
-        _dfs(k, pairs, max_length, table, list(prefix), distinct)
+        for w, distinct in frontier:
+            _dfs(k, pairs, max_length, table, list(w), distinct)
     finally:
         sys.setrecursionlimit(limit)
     return table
@@ -475,15 +478,15 @@ def _pattern_table(k, t, max_length, tail_max, workers):
         return table
     tests = _estimated_patterns(table, k, depth, max_length - 1) * len(pairs)
     compiled = tests > _KERNEL_MIN_TESTS and _kernel_for(max_length) is not None
-    tasks = [(k, pairs, max_length, w, distinct, compiled) for w, distinct in frontier]
     if workers > 1 and tests > (_KERNEL_POOL_TESTS if compiled else _DFS_POOL_TESTS):
         # Imported here: runs that start no pool skip the import of multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            _add_tables(table, pool.map(_walk, *zip(*tasks)))
+        task = functools.partial(_walk, k, pairs, max_length, compiled)
+        with ProcessPoolExecutor(max_workers=min(workers, len(frontier))) as pool:
+            _add_tables(table, pool.map(task, ([item] for item in frontier)))
     else:
-        _add_tables(table, map(_walk, *zip(*tasks)))
+        _walk(k, pairs, max_length, compiled, frontier, table)
     return table
 
 

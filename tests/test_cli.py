@@ -336,6 +336,15 @@ class TestCertify:
         assert code == 1
         assert json.loads(out)["status"] == "no-witness"
 
+    @pytest.mark.parametrize("argv", ["--k 3 --n 3", "--k 1 --n 3", "--k 2 --n 3 --plus"])
+    def test_no_witness_at_k_not_above_n(self, capsys, argv):
+        # No witness exists at k <= n (k < n with --plus): exit 1, as at k = 4 and 5 for n = 3.
+        code, out = run(capsys, "certify", *argv.split(), "--no-timestamp")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "no-witness"
+        assert doc["detail"].startswith("no witness: the condition admits no x > 1 at k=")
+
     def test_csv_row_is_the_json_fields(self, capsys):
         argv = ("certify", "--k", "20", "--n", "3", "--max-len", "10")
         _, out = run(capsys, *argv, "--no-timestamp")
@@ -352,6 +361,11 @@ class TestCertify:
         code, out = run(capsys, "certify", "--k", "2", "--n", "2", "--plus", "--out", "csv")
         assert code == 1
         assert out.splitlines() == ["k,n,plus,status", "2,2,true,no-witness"]
+
+    def test_no_witness_at_k_not_above_n_csv(self, capsys):
+        code, out = run(capsys, "certify", "--k", "3", "--n", "3", "--out", "csv")
+        assert code == 1
+        assert out.splitlines() == ["k,n,plus,status", "3,3,false,no-witness"]
 
     def test_any_alphabet_size(self, capsys):
         # A discriminant far beyond a float's range: the witness is found in integers.
@@ -475,7 +489,6 @@ class TestUsageErrors:
         ("certify --k 20 --n 3 --precision-bits 0", "precision_bits must be positive"),
         ("audit --k 4 --n 3 --len -1", "audit prefix length i must be at least 0"),
         ("audit --k 3 --n 2 --len -2", "audit prefix length i must be at least 0"),
-        ("certify --k 3 --n 3", "k > n required for the witness condition (got k=3, n=3)"),
         ("check 0,1 --beta 2", "letter indices must be positive"),
         pytest.param(f"check 1,{'9' * 5000} --beta 2", "letter index has too many digits",
                      id="check 1,<5000 nines> --beta 2-letter index has too many digits"),
@@ -855,18 +868,20 @@ class TestEntryPoint:
     ], ids=["check", "audit", "report", "certify-cache-hit"])
     def test_small_walks_leave_out_the_kernel(self, tmp_path, argv):
         # check and a cache hit do not walk; the audit's and report's walks are at most a few
-        # thousand window tests, which _dfs ends before ctypes would have loaded.
+        # thousand window tests, which _dfs ends before the kernel would have loaded.
         cache = tmp_path / "c.jsonl"
         CountCache(cache).put(count_free(20, Threshold(3, 2), 14))
         argv = [a.format(cache=cache) for a in argv]
-        assert self._loaded_after_command(("ctypes",), *argv) == []
+        assert self._loaded_after_command(("ctypes", "powfree._walk"), *argv) == []
 
     def test_a_large_walk_loads_the_kernel(self):
-        # About 4 million window tests: far above the crossover.
+        # About 4 million window tests: far above the crossover.  The kernel is an extension
+        # module, so the walk that loads it imports no ctypes.
         if counting._kernel() is None:
             pytest.skip("no walk kernel builds here")
         argv = ["certify", "--k", "20", "--n", "3", "--max-len", "14"]
-        assert self._loaded_after_command(("ctypes",), *argv) == ["ctypes"]
+        loaded = self._loaded_after_command(("ctypes", "powfree._walk"), *argv)
+        assert loaded == ["powfree._walk"]
 
 
 class TestExitPath:

@@ -2,12 +2,14 @@
 
 import concurrent.futures
 import hashlib
+import importlib.machinery
 import logging
 import os
 import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -133,9 +135,11 @@ def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_ma
     table = counting._new_table(k, L)
     counting._dfs(k, pairs, L, table, list(w), distinct)
     assert table == expected
-    kernel = counting._kernel_for(L)
-    if kernel is not None:
-        assert kernel(k, pairs, L, w, distinct) == expected
+    tally = counting._kernel_for(L)
+    if tally is not None:
+        table = counting._new_table(k, L)
+        tally(min(k, L), pairs, L, [(w, distinct)], table)
+        assert table == expected
 
 
 @pytest.mark.parametrize("k,t,L", [(3, Threshold(2), 11), (3, Threshold(2), 12),
@@ -361,11 +365,77 @@ def test_walk_beyond_the_kernel_cap_is_python(monkeypatch):
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 def test_kernel_refuses_a_walk_beyond_its_cap():
     # _kernel_for never hands it L = 26; asked anyway, it refuses rather than overflow.
-    kernel = counting._kernel()
-    assert kernel is not None
-    assert kernel(1, _window_checks(Threshold(30), 25), 25, (1,), 1)[25] == [0, 1]
-    with pytest.raises(RuntimeError, match="walk kernel refused L=26"):
-        kernel(1, _window_checks(Threshold(30), 26), 26, (1,), 1)
+    tally = counting._kernel()
+    assert tally is not None
+    table = counting._new_table(1, 25)
+    tally(1, _window_checks(Threshold(30), 25), 25, [((1,), 1)], table)
+    assert table[25] == [0, 1]
+    with pytest.raises(ValueError, match="tally needs 0 <= k <= L <= 25, got k=1, L=26"):
+        tally(1, _window_checks(Threshold(30), 26), 26, [((1,), 1)], counting._new_table(1, 26))
+
+
+_SQUARES_8 = _window_checks(Threshold(2), 8)
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("args,error,message", [
+    ((1, _window_checks(Threshold(30), 26), 26, [((1,), 1)]), ValueError, "got k=1, L=26"),
+    ((9, _SQUARES_8, 8, [((1, 2), 2)]), ValueError, "got k=9, L=8"),
+    ((-1, _SQUARES_8, 8, [((1, 2), 2)]), ValueError, "got k=-1, L=8"),
+    ((3, _SQUARES_8, 8, [((1, 2, 1, 3, 1, 2, 1, 3), 3)]), ValueError,
+     "a prefix of length 8 is not shorter than L=8"),
+    ((3, _SQUARES_8, 8, [((1, 2), 4)]), ValueError, "distinct 4 outside 0..3"),
+    ((3, _SQUARES_8, 8, [((1, 2), -1)]), ValueError, "distinct -1 outside 0..3"),
+    ((3, _SQUARES_8, 8, [((1, "2"), 2)]), TypeError, "integer"),
+    ((3, _SQUARES_8, 8, [((1, 2.0), 2)]), TypeError, "integer"),
+    ((3, _SQUARES_8, 8, [((1, 3), 2)]), ValueError, "letter 3 outside 1..2"),
+    ((3, _SQUARES_8, 8, [((0, 1), 2)]), ValueError, "letter 0 outside 1..2"),
+    ((3, _SQUARES_8, 8, [((1, 2**70), 2)]), OverflowError, "too large"),
+    ((3, _SQUARES_8, 8, [[(1, 2), 2]]), TypeError, "a frontier item must be a"),
+    ((3, _SQUARES_8, 8, [((1, 2),)]), TypeError, "a frontier item must be a"),
+    ((3, _SQUARES_8, 8, [(12, 2)]), TypeError, "object is not iterable"),
+    ((3, [(0, 1)], 8, [((1, 2), 2)]), ValueError, "period 0 outside"),
+    ((3, [(2, 2)], 8, [((1, 2), 2)]), ValueError, "window 2 outside 3.."),
+    ((3, [(1, 2, 3)], 8, [((1, 2), 2)]), ValueError, "a window pair must hold"),
+    ((3, _SQUARES_8, 8, 5), TypeError, "object is not iterable"),
+    ((3, _SQUARES_8, 8, [((1, 2), 2)], "table"), TypeError, "must be list"),
+    ((3, _SQUARES_8, 8, [((1, 2), 2)], [[0] * 4] * 8), TypeError, "table must be 9 lists of 4"),
+    ((3, _SQUARES_8, 8, [((1, 2), 2)], [[0] * 3] * 9), TypeError, "table must be 9 lists of 4"),
+    ((3, _SQUARES_8, 8, [((1, 2), 2)], [[0] * 4] * 8 + [[0, 0, 0, 0.0]]), TypeError,
+     "table must be 9 lists of 4"),
+])
+def test_kernel_refuses_bad_arguments(args, error, message):
+    # A refusal raises before the table changes; it never crashes the interpreter.
+    tally = counting._kernel()
+    assert tally is not None
+    if len(args) == 4:
+        args = (*args, counting._new_table(args[0], args[2]))
+    before = repr(args[4])
+    with pytest.raises(error, match=re.escape(message)):
+        tally(*args)
+    assert repr(args[4]) == before
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 20])
+@pytest.mark.parametrize("tail_max", [None, 1, 2])
+def test_one_tally_over_a_frontier_is_the_python_walk(k, tail_max):
+    # Every language is walked to the longest L <= 25 at which its free patterns stay
+    # few enough for _dfs, from a frontier of 16 prefixes, as _pattern_table grows it.
+    tally = counting._kernel()
+    assert tally is not None
+    for t in WALK_THRESHOLDS:
+        for L in range(2, 26):
+            pairs = _window_checks(t, L, tail_max)
+            table, frontier, depth = counting._frontier(k, pairs, L, 16)
+            compiled = [row[:] for row in table]
+            tally(min(k, L), pairs, L, frontier, compiled)
+            if sum(map(sum, compiled)) > 3_000:
+                break
+            python = [row[:] for row in table]
+            for w, distinct in frontier:
+                counting._dfs(k, pairs, L, python, list(w), distinct)
+            assert compiled == python, (t, L)
 
 
 def test_python_walk_reaches_past_the_recursion_limit():
@@ -396,6 +466,13 @@ def test_kernel_file_is_named_for_the_machine(monkeypatch, tmp_path):
     uname = os.uname()
     other = type("uname", (), {"machine": uname.machine + "-other"})
     monkeypatch.setattr(counting.os, "uname", lambda: other)
+    assert counting._kernel_file() != here
+    # Nor hand a free-threaded interpreter (ABI flag t) the library of a default build.
+    monkeypatch.undo()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert counting._kernel_file() == here
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".cpython-313t-x86_64-linux-gnu.so", ".so"])
     assert counting._kernel_file() != here
 
 
@@ -438,7 +515,7 @@ def test_alternating_sources_each_compile_once_and_remove_nothing(monkeypatch, t
     # library once, and neither build removes the other's or any other file.
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    # cc -O2 -shared -fPIC -o OUT SRC: log SRC, write an empty OUT.
+    # cc -O2 -shared -fPIC -o OUT SRC -IINCLUDE: log SRC, write an empty OUT.
     (bin_dir / "cc").write_text(f'#!/bin/sh\necho "$6" >> {tmp_path / "compiled"}\n: > "$5"\n')
     (bin_dir / "cc").chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
@@ -483,9 +560,11 @@ def _run_counting(env, probe):
                             stderr=subprocess.PIPE, text=True)
 
 
+# A count above the kernel's crossover: whether it imported ctypes, whether the kernel
+# loaded, and the counts.
 _PROBE = ("import sys; from powfree import counting, Threshold, count_free; "
-          "ctypes = 'ctypes' in sys.modules; c = count_free(20, Threshold(3, 2), 12).counts; "
-          "print(ctypes, counting._kernel() is not None, c)")
+          "c = count_free(20, Threshold(3, 2), 12).counts; "
+          "print('ctypes' in sys.modules, counting._kernel() is not None, c)")
 
 
 def _failing_compilers(tmp_path):
@@ -516,6 +595,16 @@ def test_failed_compile_is_not_retried(tmp_path):
         assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
     assert (tmp_path / "compiled").read_text() == "cc\n"
     assert [f.suffix for f in (tmp_path / "cache" / "powfree").iterdir()] == [".failed"]
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_missing_python_headers_fail_the_build_like_a_missing_compiler(monkeypatch, tmp_path):
+    # The .failed marker holds the compiler's messages and stops retries; counting walks in Python.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(tmp_path / "none")})
+    assert counting._kernel.__wrapped__() is None
+    [failed] = (tmp_path / "powfree").iterdir()
+    assert failed.name.endswith(".so.failed") and b"Python.h" in failed.read_bytes()
 
 
 def test_shared_cache_directory_is_neither_built_in_nor_loaded_from(monkeypatch, tmp_path):
@@ -560,7 +649,7 @@ def test_concurrent_first_builds_both_load_the_kernel(tmp_path):
     expected = str(count_free(20, Threshold(3, 2), 12).counts)
     for out, err in outs:
         assert err == ""
-        # Building needs no ctypes; the first walk loads the kernel.
+        # The first walk builds and loads the kernel, and neither imports ctypes.
         assert out.split(" ", 2) == ["False", "True", expected + "\n"]
     built = sorted(f.name for f in (tmp_path / "powfree").iterdir())
     assert len(built) == 1 and built[0].endswith(".so")
