@@ -64,12 +64,16 @@ def closed_form_root(k: int, n: int, strict: bool = False) -> float | None:
 
     None exactly when rational_witness is None, which decides in integers that
     no x > 1 qualifies (informative, not an error).  Otherwise one floating
-    square root over the exact discriminant; relative error <= 1e-12.
+    square root over the exact discriminant; relative error <= 1e-12.  A
+    discriminant beyond the floats (k above about 1.3e154) is a ValidationError.
     """
     if rational_witness(k, n, strict, 1) is None:
         return None
     b, c = _quadratic(k, n, strict)
-    return (b + math.sqrt(b * b - 4 * c)) / 2.0
+    try:
+        return (b + math.sqrt(b * b - 4 * c)) / 2.0
+    except OverflowError:  # math.sqrt converts the discriminant to a float first
+        raise ValidationError(f"the float root needs k below about 1.3e154, got k={k}") from None
 
 
 def rational_witness(k: int, n: int, strict: bool = False,

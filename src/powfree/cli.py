@@ -145,9 +145,9 @@ def cmd_certify(args) -> int:
 
 def cmd_audit(args) -> int:
     audit = fj_audit(args.k, args.n, args.plus, args.len, budget=args.budget)
-    rows = [{"j": r.period, "F_j_count": r.count, "bound": r.bound,
-             "pass": r.count <= r.bound} for r in audit.rows]
-    all_pass = all(r["pass"] for r in rows) and audit.suffix_determined
+    # fj_audit raises LemmaViolationError (exit 4) for a row above its bound, so every row passes.
+    rows = [{"j": r.period, "F_j_count": r.count, "bound": r.bound, "pass": True}
+            for r in audit.rows]
     doc = {
         "command": "audit",
         "k": audit.k, "n": audit.n, "plus": audit.strict, "i": audit.i,
@@ -156,10 +156,10 @@ def cmd_audit(args) -> int:
         "k_Ci_minus_Cnext": audit.k * audit.c_i - audit.c_next,
         "covered": sum(r["F_j_count"] for r in rows),
         "suffix_determination": audit.suffix_determined,
-        "all_pass": all_pass,
+        "all_pass": audit.suffix_determined,
     }
     _emit(args, doc, rows, ("j", "F_j_count", "bound", "pass"))
-    return EXIT_OK if all_pass else EXIT_LEMMA
+    return EXIT_OK if audit.suffix_determined else EXIT_LEMMA
 
 
 def cmd_report(args) -> int:

@@ -15,33 +15,29 @@ canonical  (the default) one depth-first walk over canonical patterns: first
 The canonical walk has two implementations with identical tables.  The
 kernel, _walk.c, is a CPython extension module compiled once with the system
 C compiler and Python's headers into $XDG_CACHE_HOME/powfree/ (default
-~/.cache/powfree/) by the first walk above the crossover below that finds it
-missing, and loaded by importlib's extension loader at that walk.  Its one
-function, tally, walks a whole frontier in one call and adds the completions
-into the caller's table of Python ints.  Each node keeps its forbidden next
-letters in a bitmask, tallies its children by popcount and walks them.  Its
-uint64 cells are exact up to L = 25.  The Python walk, _dfs, is the
-reference; it runs when no compiler, no Python headers or no writable cache
-directory exists, and above L = 25.  It is the kernel's
-walk line for line: each pattern it visits makes one pass,
-words._forbidden_next, for the old letters that would end a forbidden power
-after it (each window forbids at most one; the fresh letter never completes
-a power), tallies its children and walks them, so it visits every length
-below L.
+~/.cache/powfree/) by the first walk that finds it missing, and loaded by
+importlib's extension loader at that walk.  Its one function, tally, walks a
+whole frontier in one call and adds the completions into the caller's table
+of Python ints.  Each node keeps its forbidden next letters in a bitmask,
+tallies its children by popcount and walks them.  Its uint64 cells are exact
+up to L = 25.  The Python walk, _dfs, is the reference; it runs only where
+no kernel loads: without a compiler, Python's headers or a usable cache
+directory, and above L = 25.  It is the kernel's walk line for line: each
+pattern it visits makes one pass, words._forbidden_next, for the old letters
+that would end a forbidden power after it (each window forbids at most one;
+the fresh letter never completes a power), tallies its children and walks
+them, so it visits every length below L.
 
 Every walk is first deepened by _grow, one level at a time, until the
 frontier holds _TASKS_PER_WORKER prefixes per worker, or reaches length L-1,
-or empties.  The rows it tallies on the way give an estimate of the
-patterns shorter than L (_estimated_patterns); times the window pairs, that
-is the walk's window tests.  At or below _KERNEL_MIN_TESTS the walk is
-_dfs's, in-process: it ends before loading (or compiling) the kernel would
-have.  Above it the kernel walks where it loads.  With workers > 1 (capped
-at the cores) a pool is started only when the tests also exceed the pool
-crossover measured for the walk in use: each prefix becomes one pool task
-returning its own table, and the tables are summed.  Otherwise the whole
-frontier is walked in-process, into the frontier's own table.  Either
-way each pattern is tested once: by _grow up to the frontier, then by the
-walk below it.
+or empties.  With workers > 1 (capped at the cores) the rows it tallies on
+the way give an estimate of the patterns shorter than L
+(_estimated_patterns); times the window pairs, that is the walk's window
+tests.  A pool is started only when they exceed the pool crossover measured
+for the walk in use: each prefix becomes one pool task returning its own
+table, and the tables are summed.  Otherwise the whole frontier is walked
+in-process, into the frontier's own table.  Either way each pattern is
+tested once: by _grow up to the frontier, then by the walk below it.
 
 All counts are Python ints, hence exact at any size.
 """
@@ -81,11 +77,6 @@ _TASKS_PER_WORKER = 8
 # for k=20 and k = 2-5 languages; the table is in BENCH_11.json.
 _KERNEL_POOL_TESTS = 10_000_000
 _DFS_POOL_TESTS = 200_000
-# At or below this many window tests (estimated as above) the walk is _dfs's, at
-# 2,000-3,000 tests per ms.  The kernel's first use in a process, loading the
-# extension, took about 0.6 ms on 2 cores, and compiling a missing one about
-# 0.35 s (BENCH_27.json); the crossover also sets which commands load the library.
-_KERNEL_MIN_TESTS = 10_000
 
 _KERNEL_SOURCE = Path(__file__).with_name("_walk.c")
 _CC_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -378,16 +369,15 @@ def _kernel_for(max_length):
     return _kernel() if max_length <= _KERNEL_MAX_LENGTH else None
 
 
-def _walk(k, pairs, max_length, compiled, frontier, table=None):
+def _walk(k, pairs, max_length, frontier, table=None):
     """Add the free completions of each free (prefix, distinct) of frontier, every prefix
     shorter than max_length, into table (by default a new one), and return it.
 
-    The kernel walks them when compiled is true and one loads for max_length;
-    otherwise _dfs does.
+    The kernel walks them where one loads for max_length; otherwise _dfs does.
     """
     if table is None:
         table = _new_table(k, max_length)
-    kernel = _kernel_for(max_length) if compiled else None
+    kernel = _kernel_for(max_length)
     if kernel is not None:
         # Only distinct < k is asked, so min(k, L) serves and a huge k fits a C int.
         kernel(min(k, max_length), pairs, max_length, frontier, table)
@@ -476,17 +466,17 @@ def _pattern_table(k, t, max_length, tail_max, workers):
     table, frontier, depth = _frontier(k, pairs, max_length, _TASKS_PER_WORKER * workers)
     if not frontier:
         return table
-    tests = _estimated_patterns(table, k, depth, max_length - 1) * len(pairs)
-    compiled = tests > _KERNEL_MIN_TESTS and _kernel_for(max_length) is not None
-    if workers > 1 and tests > (_KERNEL_POOL_TESTS if compiled else _DFS_POOL_TESTS):
+    crossover = _DFS_POOL_TESTS if _kernel_for(max_length) is None else _KERNEL_POOL_TESTS
+    if (workers > 1
+            and _estimated_patterns(table, k, depth, max_length - 1) * len(pairs) > crossover):
         # Imported here: runs that start no pool skip the import of multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        task = functools.partial(_walk, k, pairs, max_length, compiled)
+        task = functools.partial(_walk, k, pairs, max_length)
         with ProcessPoolExecutor(max_workers=min(workers, len(frontier))) as pool:
             _add_tables(table, pool.map(task, ([item] for item in frontier)))
     else:
-        _walk(k, pairs, max_length, compiled, frontier, table)
+        _walk(k, pairs, max_length, frontier, table)
     return table
 
 

@@ -54,6 +54,13 @@ class TestClosedFormRoot:
                     root = closed_form_root(k, n, strict)
                     assert abs(float_margin(k, n, strict, root)) <= 1e-9, (k, n, strict)
 
+    def test_a_discriminant_beyond_the_floats_is_refused(self):
+        # rational_witness stays exact there; only the float root cannot be taken.
+        assert closed_form_root(10**154, 3) == pytest.approx(1e154)
+        with pytest.raises(ValidationError, match="the float root needs k below about 1.3e154"):
+            closed_form_root(2 * 10**154, 3)
+        assert rational_witness(2 * 10**154, 3) is not None
+
     def test_exact_rational_root_case(self):
         # discriminant 1 at (k, n) = (6, 3): the root is exactly 3
         assert closed_form_root(6, 3) == pytest.approx(3.0, abs=1e-12)

@@ -457,6 +457,25 @@ def test_entries_warn_of_and_skip_a_threshold_not_in_lowest_terms(cache, caplog)
     assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 4)]
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_put_drops_a_threshold_not_in_lowest_terms(cache, caplog, k):
+    # No get or put ever asks for a 4/2 key, so a put, for its own k or another's, leaves
+    # the line out of the file it writes once it has warned of it; later readers see none.
+    t = Threshold(2)
+    cache.path.write_text(json.dumps({**count_free(k, t, 6).to_record(), "num": 4, "den": 2})
+                          + "\n")
+    stored = count_free(3, t, 3)
+    with caplog.at_level(logging.WARNING):
+        cache.put(stored)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"skipping corrupt cache record {cache.path}:1 (threshold 4/2 is not in lowest terms)"]
+    assert cache.path.read_text() == json.dumps(stored.to_record()) + "\n"
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 3)]
+    assert caplog.records == []
+
+
 NOT_UTF8 = b"\xff\xfe bad\n"
 
 

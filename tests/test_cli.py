@@ -207,6 +207,25 @@ class TestCountCache:
         code, _ = run(capsys, "cache", "list")
         assert code == 2
 
+    def test_a_count_drops_a_record_not_in_lowest_terms(self, tmp_path):
+        # No get or put asks for a 4/2 key: the count that stores 2/1 removes the 4/2 line,
+        # and cache list then warns of nothing.
+        path = tmp_path / "c.jsonl"
+        record = {**count_free(3, Threshold(2), 3).to_record(), "num": 4, "den": 2}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+
+        def cached(*argv):
+            return subprocess.run([sys.executable, "-m", "powfree.cli", *argv, "--cache",
+                                   str(path), "--no-timestamp"], env=subprocess_env(),
+                                  capture_output=True, text=True, timeout=60)
+
+        done = cached("count", "--k", "3", "--beta", "2", "--max-len", "3")
+        assert done.returncode == 0 and json.loads(done.stdout)["counts"] == ["1", "3", "6", "12"]
+        assert path.read_text() == json.dumps(count_free(3, Threshold(2), 3).to_record()) + "\n"
+        done = cached("cache", "list")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert [e["beta"] for e in json.loads(done.stdout)["entries"]] == ["2"]
+
     @pytest.mark.parametrize("field,value,k", [
         ("counts", "122222", 20),  # was read digit by digit
         ("counts", {"1": 0, "4": 1, "16": 2, "64": 3, "256": 4}, 20),  # was read by its keys
@@ -455,6 +474,18 @@ class TestReport:
         header, row = out.splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         assert [cells[c] for c in ("root", "root_plus", "witness", "witness_plus")] == [""] * 4
+
+    def test_float_columns_stop_where_the_discriminant_leaves_the_floats(self, capsys):
+        # At k = 10**154 the discriminant still fits in a float; at twice that it does not, and
+        # the report is refused as a usage error rather than ending in a traceback.
+        code, out = run(capsys, "report", "--n", "3", "--k", str(10**154), "--max-len", "3",
+                        "--out", "csv")
+        assert code == 0 and out.splitlines()[1].split(",")[2] == "1e+154"
+        code = main(["report", "--n", "3", "--k", str(2 * 10**154), "--max-len", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("powfree report: the float root needs k below about")
+        assert len(captured.err.splitlines()) == 1
 
     def test_json_nested_by_n_then_k(self, capsys):
         code, out = run(capsys, "report", "--n", "2..3", "--k", "20", "--max-len", "4",
@@ -860,23 +891,25 @@ class TestEntryPoint:
         argv = [a.format(cache=cache) for a in argv]
         assert self._loaded_after_command(("datetime", "_datetime"), *argv, timestamp=True) == []
 
-    @pytest.mark.parametrize("argv", [
-        ["check", "abcacb", "--beta", "2"],
-        ["audit", "--k", "4", "--n", "3", "--len", "8"],
-        ["report", "--n", "2..4", "--k", "20"],
-        ["certify", "--k", "20", "--n", "3", "--max-len", "14", "--cache", "{cache}"],  # a hit
+    @pytest.mark.parametrize("argv,walks", [
+        (["check", "abcacb", "--beta", "2"], False),
+        (["audit", "--k", "4", "--n", "3", "--len", "8"], True),
+        (["report", "--n", "2..4", "--k", "20"], True),
+        (["certify", "--k", "20", "--n", "3", "--max-len", "14", "--cache", "{cache}"], False),
     ], ids=["check", "audit", "report", "certify-cache-hit"])
-    def test_small_walks_leave_out_the_kernel(self, tmp_path, argv):
-        # check and a cache hit do not walk; the audit's and report's walks are at most a few
-        # thousand window tests, which _dfs ends before the kernel would have loaded.
+    def test_small_walks_leave_out_the_kernel(self, tmp_path, argv, walks):
+        # No command imports ctypes.  check and a cache hit do not walk, so they leave out the
+        # kernel; the audit's and report's walks, a few hundred window tests each, load it
+        # wherever it builds.
         cache = tmp_path / "c.jsonl"
         CountCache(cache).put(count_free(20, Threshold(3, 2), 14))
         argv = [a.format(cache=cache) for a in argv]
-        assert self._loaded_after_command(("ctypes", "powfree._walk"), *argv) == []
+        expected = ["powfree._walk"] if walks and counting._kernel() is not None else []
+        assert self._loaded_after_command(("ctypes", "powfree._walk"), *argv) == expected
 
     def test_a_large_walk_loads_the_kernel(self):
-        # About 4 million window tests: far above the crossover.  The kernel is an extension
-        # module, so the walk that loads it imports no ctypes.
+        # About 4 million window tests.  The kernel is an extension module, so the walk that
+        # loads it imports no ctypes.
         if counting._kernel() is None:
             pytest.skip("no walk kernel builds here")
         argv = ["certify", "--k", "20", "--n", "3", "--max-len", "14"]

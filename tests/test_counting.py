@@ -48,12 +48,8 @@ def python_walk(monkeypatch):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Iterate a test body under both walks: the kernel (where one builds), then _dfs alone.
-
-    The kernel half takes the kernel for every walk, however few its window tests.
-    """
+    """Iterate a test body under both walks: the kernel (where one builds), then _dfs alone."""
     def each():
-        monkeypatch.setattr(counting, "_KERNEL_MIN_TESTS", -1)
         yield "kernel" if counting._kernel() is not None else "python (no kernel)"
         monkeypatch.setattr(counting, "_kernel", lambda: None)
         yield "python"
@@ -348,10 +344,21 @@ def test_short_enumerations_start_no_pool(monkeypatch, walks):
             assert _InlinePool.sizes == [], (t, walk)
 
 
+def test_one_worker_makes_no_estimate(monkeypatch, walks):
+    # The estimate only picks whether a pool starts, and one worker starts none.
+    def estimate(*args):
+        raise AssertionError("one worker estimated its window tests")
+
+    monkeypatch.setattr(counting, "_estimated_patterns", estimate)
+    for walk in walks:
+        for k, t, L in ((20, Threshold(3, 2), 12), (3, Threshold(2), 30)):
+            rows = counting._pattern_table(k, t, L, None, 1)
+            assert sum(rows[-1]) > 0, (k, t, L, walk)
+
+
 def test_walk_beyond_the_kernel_cap_is_python(monkeypatch):
     # Rows of uint64 are exact while the Bell number B_L < 2**64, i.e. L <= 25.  Every
-    # walk, however small, would take the kernel below the cap.
-    monkeypatch.setattr(counting, "_KERNEL_MIN_TESTS", -1)
+    # walk, however small, takes the kernel below the cap.
     calls = []
     real = counting._dfs
     monkeypatch.setattr(counting, "_dfs", lambda *a: calls.append(a[2]) or real(*a))
@@ -560,8 +567,7 @@ def _run_counting(env, probe):
                             stderr=subprocess.PIPE, text=True)
 
 
-# A count above the kernel's crossover: whether it imported ctypes, whether the kernel
-# loaded, and the counts.
+# A canonical count: whether it imported ctypes, whether the kernel loaded, and the counts.
 _PROBE = ("import sys; from powfree import counting, Threshold, count_free; "
           "c = count_free(20, Threshold(3, 2), 12).counts; "
           "print('ctypes' in sys.modules, counting._kernel() is not None, c)")
@@ -624,21 +630,22 @@ def test_shared_cache_directory_is_neither_built_in_nor_loaded_from(monkeypatch,
 
 
 def test_commands_that_do_not_walk_compile_nothing(tmp_path):
-    # check, cache and the naive engine never walk, and a canonical walk of a few
-    # hundred window tests runs in Python, so they neither compile nor create the
-    # kernel's directory; the first walk above the crossover then compiles once.
+    # check, cache and the naive engine never walk, so they neither compile nor create the
+    # kernel's directory; the first canonical walk, however small, then compiles once.
     cache = tmp_path / "cache"
     env = {"XDG_CACHE_HOME": str(cache), "PATH": _failing_compilers(tmp_path)}
     probe = ("import sys; from powfree.cli import main; codes = ["
              "main(['check', 'abc', '--beta', '2']), "
              f"main(['cache', 'list', '--cache', {str(tmp_path / 'c.jsonl')!r}]), "
-             "main(['count', '--k', '3', '--beta', '2', '--max-len', '5', '--engine', 'naive']), "
-             "main(['count', '--k', '3', '--beta', '2', '--max-len', '8'])]; "
+             "main(['count', '--k', '3', '--beta', '2', '--max-len', '5', '--engine', 'naive'])]; "
              "print(codes, file=sys.stderr)")
     out, err = _run_counting(env, probe).communicate(timeout=120)
-    assert err == "[0, 0, 0, 0]\n" and out.count('"30"') == 2 and '"60"' in out
+    assert err == "[0, 0, 0]\n" and out.count('"30"') == 1
     assert not (tmp_path / "compiled").exists() and not cache.exists()
-    assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
+    probe = ("from powfree.cli import main; "
+             "main(['count', '--k', '3', '--beta', '2', '--max-len', '8'])")
+    out, err = _run_counting(env, probe).communicate(timeout=120)
+    assert err == "" and out.count('"30"') == 1 and '"60"' in out
     assert (tmp_path / "compiled").read_text() == "cc\n"
 
 
