@@ -5,7 +5,7 @@
    w[p+1-m+j..p) == w[p+1-m..p-j), so each node keeps its forbidden next letters in
    one bitmask, tallies its children by popcount and walks them while they are
    shorter than L.  The walk adds into (L+1) rows of k+1 uint64 cells, k <= L <= 25,
-   and tally adds those cells into the caller's table of Python ints. */
+   and tally returns those cells as a new table: L+1 new lists of k+1 Python ints. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -107,44 +107,32 @@ static int walk_item(PyObject *item, int k, Py_ssize_t np, const int *per, const
     return 0;
 }
 
-/* Add cells into table, (L+1) lists of k+1 ints.  The shape and the cell types are
-   checked first; adding exact ints runs no Python code that could reshape the table. */
-static int add_cells(PyObject *table, int k, int L, const uint64_t *cells)
+/* cells as a new table, (L+1) new lists of k+1 Python ints, or NULL with an exception set. */
+static PyObject *new_table(int k, int L, const uint64_t *cells)
 {
-    int ok = PyList_GET_SIZE(table) == L + 1;
-    for (int r = 0; ok && r <= L; r++) {
-        PyObject *row = PyList_GET_ITEM(table, r);
-        ok = PyList_CheckExact(row) && PyList_GET_SIZE(row) == k + 1;
-        for (int d = 0; ok && d <= k; d++)
-            ok = PyLong_CheckExact(PyList_GET_ITEM(row, d));
-    }
-    if (!ok) {
-        PyErr_Format(PyExc_TypeError, "table must be %d lists of %d ints", L + 1, k + 1);
-        return -1;
-    }
-    for (int r = 0; r <= L; r++) {
-        PyObject *row = PyList_GET_ITEM(table, r);
-        for (int d = 0; d <= k; d++) {
-            uint64_t c = cells[r * (k + 1) + d];
-            if (c == 0)
-                continue;
-            PyObject *add = PyLong_FromUnsignedLongLong(c);
-            PyObject *sum = add ? PyNumber_Add(PyList_GET_ITEM(row, d), add) : NULL;
-            Py_XDECREF(add);
-            if (sum == NULL)
-                return -1;
-            PyList_SetItem(row, d, sum);
+    PyObject *table = PyList_New(L + 1);
+    for (int r = 0; table != NULL && r <= L; r++) {
+        PyObject *row = PyList_New(k + 1);
+        for (int d = 0; row != NULL && d <= k; d++) {
+            PyObject *c = PyLong_FromUnsignedLongLong(cells[r * (k + 1) + d]);
+            if (c == NULL)
+                Py_CLEAR(row);
+            else
+                PyList_SET_ITEM(row, d, c);
         }
+        if (row == NULL)
+            Py_CLEAR(table);
+        else
+            PyList_SET_ITEM(table, r, row);
     }
-    return 0;
+    return table;
 }
 
 static PyObject *tally(PyObject *self, PyObject *args)
 {
     int k, L;
-    PyObject *pairs_arg, *frontier_arg, *table;
-    if (!PyArg_ParseTuple(args, "iOiOO!:tally", &k, &pairs_arg, &L, &frontier_arg,
-                          &PyList_Type, &table))
+    PyObject *pairs_arg, *frontier_arg;
+    if (!PyArg_ParseTuple(args, "iOiO:tally", &k, &pairs_arg, &L, &frontier_arg))
         return NULL;
     if (k < 0 || k > L || L > MAX_LENGTH)
         return PyErr_Format(PyExc_ValueError,
@@ -169,15 +157,13 @@ static PyObject *tally(PyObject *self, PyObject *args)
     Py_DECREF(pairs);
     PyMem_Free(per);
     PyMem_Free(win);
-    if (!ok || add_cells(table, k, L, cells) < 0)
-        return NULL;
-    Py_RETURN_NONE;
+    return ok ? new_table(k, L, cells) : NULL;
 }
 
 static PyMethodDef methods[] = {
     {"tally", tally, METH_VARARGS,
-     "tally(k, pairs, max_length, frontier, table)\n\n"
-     "Add the free completions of every (prefix, distinct) in frontier into table."},
+     "tally(k, pairs, max_length, frontier)\n\n"
+     "The table of the free completions of every (prefix, distinct) in frontier."},
     {NULL, NULL, 0, NULL},
 };
 

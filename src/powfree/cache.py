@@ -14,10 +14,11 @@ longest length and the method) per key; it builds a key's CacheEntry only
 when its iterator hands that entry out.  A stored threshold is in lowest
 terms: get and put find a key by its written fields, so from_record refuses
 another spelling (4/2) as corrupt rather than let entries list a record that
-get never serves, and put drops the line.  A missing file is an empty cache,
-and a line that is not UTF-8 is a corrupt record.  An OSError of the cache file
-(one that cannot be opened, created, locked or written) is raised as a
-ValidationError that names the file; a path that is a directory, before that.
+get never serves, and put drops the line, whatever the order of its fields.
+A missing file is an empty cache, and a line that is not UTF-8 is a corrupt
+record.  An OSError of the cache file (one that cannot be opened, created,
+locked or written) is raised as a ValidationError that names the file; a path
+that is a directory, before that.
 
 A record is the json.dumps of CountSeries.to_record, key fields first: get and
 put tell another key's line by its head (_head) without parsing it.  A line
@@ -58,6 +59,12 @@ def _head(texts) -> str:
 _INT = "(?:0|-?[1-9][0-9]*)"
 _ANY_HEAD = re.compile(_head((_INT, f"({_INT})", f"({_INT})", "(?:true|false)",
                               f"(?:null|{_INT})")))
+
+
+def _other_terms(num, den) -> bool:
+    """Whether num and den are the ints of a threshold not in lowest terms, which
+    from_record refuses and no get or put asks for."""
+    return type(num) is int and type(den) is int and math.gcd(num, den) != 1
 
 
 def _utf8(line: str) -> None:
@@ -123,8 +130,9 @@ class CountCache:
 
         A line with another key's head is passed over unparsed, however its
         tail reads; only the lines of that key, or entries, report a bad tail.
-        Given others, a head not in lowest terms goes to from_record, which
-        refuses it.  A line that is not UTF-8 is reported and skipped by every reader.
+        Given others, a key not in lowest terms goes to from_record, which
+        refuses it, whatever the order of its fields.  A line that is not
+        UTF-8 is reported and skipped by every reader.
         """
         own = None if only is None else _head(map(json.dumps, only))
         try:
@@ -138,14 +146,16 @@ class CountCache:
                     continue
                 head = None if own is None or line.startswith(own) else _ANY_HEAD.match(line)
                 other = head is not None and (others is None
-                                              or math.gcd(*map(int, head.groups())) == 1)
+                                              or not _other_terms(*map(int, head.groups())))
                 try:
                     if not line.isascii():
                         _utf8(line)
                     if not other:
                         record = json.loads(line)
                         other = (only is not None and head is None
-                                 and tuple(record[f] for f in _KEY_FIELDS) != only)
+                                 and tuple(record[f] for f in _KEY_FIELDS) != only
+                                 and not (others is not None
+                                          and _other_terms(record["num"], record["den"])))
                     if not other:
                         series = CountSeries.from_record(record)
                 except (ValueError, KeyError, TypeError, RecursionError) as exc:

@@ -17,8 +17,8 @@ kernel, _walk.c, is a CPython extension module compiled once with the system
 C compiler and Python's headers into $XDG_CACHE_HOME/powfree/ (default
 ~/.cache/powfree/) by the first walk that finds it missing, and loaded by
 importlib's extension loader at that walk.  Its one function, tally, walks a
-whole frontier in one call and adds the completions into the caller's table
-of Python ints.  Each node keeps its forbidden next letters in a bitmask,
+whole frontier in one call and returns the completions as a new table of
+Python ints.  Each node keeps its forbidden next letters in a bitmask,
 tallies its children by popcount and walks them.  Its uint64 cells are exact
 up to L = 25.  The Python walk, _dfs, is the reference; it runs only where
 no kernel loads: without a compiler, Python's headers or a usable cache
@@ -35,9 +35,10 @@ the way give an estimate of the patterns shorter than L
 (_estimated_patterns); times the window pairs, that is the walk's window
 tests.  A pool is started only when they exceed the pool crossover measured
 for the walk in use: each prefix becomes one pool task returning its own
-table, and the tables are summed.  Otherwise the whole frontier is walked
-in-process, into the frontier's own table.  Either way each pattern is
-tested once: by _grow up to the frontier, then by the walk below it.
+table.  Otherwise the whole frontier is walked in-process into one table.
+Either way _add_tables sums the walk's tables into the frontier's rows, and
+each pattern is tested once: by _grow up to the frontier, then by the walk
+below it.
 
 All counts are Python ints, hence exact at any size.
 """
@@ -340,9 +341,9 @@ def _build_kernel(path):
 
 @functools.cache
 def _kernel():
-    """The compiled walk's tally(k, pairs, max_length, frontier, table), or None if unbuilt.
+    """The compiled walk's tally(k, pairs, max_length, frontier), or None if unbuilt.
 
-    tally takes k <= max_length <= 25 and adds into table as _walk does.  The
+    tally takes k <= max_length <= 25 and returns a new table as _walk does.  The
     first call builds the library if it is missing.  Only a library in a
     directory private to this user, itself private, is loaded, as powfree._walk.
     """
@@ -369,19 +370,17 @@ def _kernel_for(max_length):
     return _kernel() if max_length <= _KERNEL_MAX_LENGTH else None
 
 
-def _walk(k, pairs, max_length, frontier, table=None):
-    """Add the free completions of each free (prefix, distinct) of frontier, every prefix
-    shorter than max_length, into table (by default a new one), and return it.
+def _walk(k, pairs, max_length, frontier):
+    """A new table of the free completions of each free (prefix, distinct) of frontier,
+    every prefix shorter than max_length.
 
     The kernel walks them where one loads for max_length; otherwise _dfs does.
     """
-    if table is None:
-        table = _new_table(k, max_length)
     kernel = _kernel_for(max_length)
     if kernel is not None:
         # Only distinct < k is asked, so min(k, L) serves and a huge k fits a C int.
-        kernel(min(k, max_length), pairs, max_length, frontier, table)
-        return table
+        return kernel(min(k, max_length), pairs, max_length, frontier)
+    table = _new_table(k, max_length)
     # _dfs takes a frame per letter it appends; slowly growing languages (binary
     # overlap-free words, say) are walked deeper than the default limit of 1,000.
     limit = sys.getrecursionlimit()
@@ -476,7 +475,7 @@ def _pattern_table(k, t, max_length, tail_max, workers):
         with ProcessPoolExecutor(max_workers=min(workers, len(frontier))) as pool:
             _add_tables(table, pool.map(task, ([item] for item in frontier)))
     else:
-        _walk(k, pairs, max_length, frontier, table)
+        _add_tables(table, [_walk(k, pairs, max_length, frontier)])
     return table
 
 

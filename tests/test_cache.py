@@ -476,6 +476,28 @@ def test_put_drops_a_threshold_not_in_lowest_terms(cache, caplog, k):
     assert caplog.records == []
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_put_drops_a_threshold_not_in_lowest_terms_in_any_field_order(cache, caplog, k):
+    # A line without the written head is parsed; in other terms it is dropped all the same,
+    # while another key's line in lowest terms, in the same field order, is kept.
+    t = Threshold(2)
+    record = {**count_free(k, t, 3).to_record(), "num": 4, "den": 2}
+    other_terms = json.dumps({"counts": record.pop("counts"), **record}) + "\n"
+    kept = json.dumps({"counts": ["1", "4"], **count_free(4, t, 1).to_record()}) + "\n"
+    cache.path.write_text(other_terms + kept)
+    stored = count_free(3, t, 3)
+    with caplog.at_level(logging.WARNING):
+        cache.put(stored)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"skipping corrupt cache record {cache.path}:1 (threshold 4/2 is not in lowest terms)"]
+    assert cache.path.read_text() == kept + json.dumps(stored.to_record()) + "\n"
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 3),
+                                         CacheEntry(4, t, None, "canonical", 1)]
+    assert caplog.records == []
+
+
 NOT_UTF8 = b"\xff\xfe bad\n"
 
 

@@ -133,9 +133,7 @@ def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_ma
     assert table == expected
     tally = counting._kernel_for(L)
     if tally is not None:
-        table = counting._new_table(k, L)
-        tally(min(k, L), pairs, L, [(w, distinct)], table)
-        assert table == expected
+        assert tally(min(k, L), pairs, L, [(w, distinct)]) == expected
 
 
 @pytest.mark.parametrize("k,t,L", [(3, Threshold(2), 11), (3, Threshold(2), 12),
@@ -374,11 +372,9 @@ def test_kernel_refuses_a_walk_beyond_its_cap():
     # _kernel_for never hands it L = 26; asked anyway, it refuses rather than overflow.
     tally = counting._kernel()
     assert tally is not None
-    table = counting._new_table(1, 25)
-    tally(1, _window_checks(Threshold(30), 25), 25, [((1,), 1)], table)
-    assert table[25] == [0, 1]
+    assert tally(1, _window_checks(Threshold(30), 25), 25, [((1,), 1)])[25] == [0, 1]
     with pytest.raises(ValueError, match="tally needs 0 <= k <= L <= 25, got k=1, L=26"):
-        tally(1, _window_checks(Threshold(30), 26), 26, [((1,), 1)], counting._new_table(1, 26))
+        tally(1, _window_checks(Threshold(30), 26), 26, [((1,), 1)])
 
 
 _SQUARES_8 = _window_checks(Threshold(2), 8)
@@ -405,22 +401,13 @@ _SQUARES_8 = _window_checks(Threshold(2), 8)
     ((3, [(2, 2)], 8, [((1, 2), 2)]), ValueError, "window 2 outside 3.."),
     ((3, [(1, 2, 3)], 8, [((1, 2), 2)]), ValueError, "a window pair must hold"),
     ((3, _SQUARES_8, 8, 5), TypeError, "object is not iterable"),
-    ((3, _SQUARES_8, 8, [((1, 2), 2)], "table"), TypeError, "must be list"),
-    ((3, _SQUARES_8, 8, [((1, 2), 2)], [[0] * 4] * 8), TypeError, "table must be 9 lists of 4"),
-    ((3, _SQUARES_8, 8, [((1, 2), 2)], [[0] * 3] * 9), TypeError, "table must be 9 lists of 4"),
-    ((3, _SQUARES_8, 8, [((1, 2), 2)], [[0] * 4] * 8 + [[0, 0, 0, 0.0]]), TypeError,
-     "table must be 9 lists of 4"),
 ])
 def test_kernel_refuses_bad_arguments(args, error, message):
-    # A refusal raises before the table changes; it never crashes the interpreter.
+    # A refusal raises; it never crashes the interpreter.
     tally = counting._kernel()
     assert tally is not None
-    if len(args) == 4:
-        args = (*args, counting._new_table(args[0], args[2]))
-    before = repr(args[4])
     with pytest.raises(error, match=re.escape(message)):
         tally(*args)
-    assert repr(args[4]) == before
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
@@ -429,20 +416,23 @@ def test_kernel_refuses_bad_arguments(args, error, message):
 def test_one_tally_over_a_frontier_is_the_python_walk(k, tail_max):
     # Every language is walked to the longest L <= 25 at which its free patterns stay
     # few enough for _dfs, from a frontier of 16 prefixes, as _pattern_table grows it.
+    # The tables of one tally per prefix, summed as the pool's are, are the same table.
     tally = counting._kernel()
     assert tally is not None
     for t in WALK_THRESHOLDS:
         for L in range(2, 26):
             pairs = _window_checks(t, L, tail_max)
-            table, frontier, depth = counting._frontier(k, pairs, L, 16)
-            compiled = [row[:] for row in table]
-            tally(min(k, L), pairs, L, frontier, compiled)
+            _, frontier, _ = counting._frontier(k, pairs, L, 16)
+            compiled = tally(min(k, L), pairs, L, frontier)
             if sum(map(sum, compiled)) > 3_000:
                 break
-            python = [row[:] for row in table]
+            python = counting._new_table(k, L)
             for w, distinct in frontier:
                 counting._dfs(k, pairs, L, python, list(w), distinct)
             assert compiled == python, (t, L)
+            merged = counting._new_table(k, L)
+            counting._add_tables(merged, (tally(min(k, L), pairs, L, [item]) for item in frontier))
+            assert merged == compiled, (t, L)
 
 
 def test_python_walk_reaches_past_the_recursion_limit():
@@ -559,6 +549,20 @@ def test_unbuildable_cache_directory_logs_the_fallback(monkeypatch, caplog):
     assert record.getMessage().endswith("); counting uses the Python walk")
 
 
+def test_a_missing_kernel_source_builds_and_loads_nothing(monkeypatch, tmp_path, caplog):
+    # Without _walk.c there is no key to name a library by: counting uses the Python walk.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(counting, "_KERNEL_SOURCE", tmp_path / "_walk.c")
+    with caplog.at_level(logging.DEBUG, logger="powfree.counting"):
+        assert counting._kernel_file() is None
+        assert counting._kernel.__wrapped__() is None
+    assert len(caplog.records) == 2
+    for record in caplog.records:
+        assert record.getMessage().startswith("no walk kernel source (")
+        assert record.getMessage().endswith("); counting uses the Python walk")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _run_counting(env, probe):
     src = str(Path(counting.__file__).resolve().parents[1])
     env = {**os.environ, **env}
@@ -601,6 +605,26 @@ def test_failed_compile_is_not_retried(tmp_path):
         assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
     assert (tmp_path / "compiled").read_text() == "cc\n"
     assert [f.suffix for f in (tmp_path / "cache" / "powfree").iterdir()] == [".failed"]
+
+
+def test_no_compiler_on_path_leaves_no_marker(monkeypatch, tmp_path, caplog):
+    # Without cc or gcc nothing is compiled and no .failed marker stops a later build,
+    # so a compiler installed later is used; until then the count is the Python walk's.
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    env = {"XDG_CACHE_HOME": str(tmp_path), "PATH": str(empty)}
+    assert _run_counting(env, _PROBE).communicate(timeout=120) == (_python_walk_output(), "")
+    assert list((tmp_path / "powfree").iterdir()) == []
+    path = os.environ.get("PATH", "")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(empty))
+    with caplog.at_level(logging.DEBUG, logger="powfree.counting"):
+        assert counting._kernel.__wrapped__() is None
+    assert [record.getMessage() for record in caplog.records] == [
+        "walk kernel not built (no C compiler on PATH); counting uses the Python walk"]
+    if HAS_CC:
+        monkeypatch.setenv("PATH", path)
+        assert counting._kernel.__wrapped__() is not None
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
