@@ -6,10 +6,11 @@ classified by the period of the minimal forbidden window ending at the new
 letter, and each class is dominated by the number of free words at the
 index the window's tail rewinds to.  One walk over free canonical patterns,
 by the counter's level step, holds the levels up to length i-1 and streams
-length i through one census pass: each rejected extension is tallied into
-its period classes as it is found, and checked against the previous member
-of each class for the suffix-determination (injectivity) check, so no list
-of rejected extensions is kept.
+length i through the census, one pass over the (period, window) pairs per
+pattern: a pair rejects at most one old letter, so each hit is tallied into
+its period class as it is found, and checked against the class's previous
+member for the suffix-determination (injectivity) check, so no list of
+rejected extensions is kept.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .bounds import BoundCertificate, closed_form_root, rational_witness
 from .bounds import asymptotic_target
 from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, _grow, count_free, count_tail_restricted
 from .errors import BudgetExceededError, LemmaViolationError, ValidationError
-from .words import Threshold, _Value, _suffix_violation, _window_checks
+from .words import Threshold, _Value, _window_checks
 
 __all__ = [
     "GrowthEstimate",
@@ -93,37 +94,35 @@ class FjAudit(_Value):
 
 
 def _census(k: int, end: int, pairs, leaves):
-    """One pass over the free (pattern, distinct) leaves of length end-1.
+    """One pass over the pairs (windows up to end) per free leaf w of length p = end-1.
 
-    Each old letter a that leaves the language extends a leaf w to a rejected
-    v = w + (a,), weighing perm(k, d) words.  Returns f_total, the weight per
-    (period, window) pair whose window ends at v's last letter, and whether
-    every class maps injectively by dropping the tail, v -> v[:end-(m-j)].
-    The leaves come in lexicographic order, so the members of a class that
-    share a shortened prefix s all lie in s's subtree and arrive next to each
-    other: comparing each member's prefix with the previous member's suffices.
+    The pair (j, m) rejects the old letter w[p-j] iff m-j == 1 or the window's
+    other letters already repeat, as in words._forbidden_next: at most one letter,
+    an extension weighing perm(k, d) words.  Returns f_total, the weight of the
+    distinct rejected extensions, the weight per pair, and whether every class
+    maps injectively by dropping the tail, v -> v[:end-(m-j)] = w[:end-(m-j)].
+    The leaves come in lexicographic order, so the members of a class that share
+    a shortened prefix s all lie in s's subtree and arrive next to each other:
+    comparing each member's prefix with the previous member's suffices.
     """
+    p = end - 1
     f_total = 0
     counts = [0] * len(pairs)
     last = [None] * len(pairs)
-    index = {pair: c for c, pair in enumerate(pairs)}
     injective = True
     for w, d in leaves:
-        for a in range(1, d + 1):
-            v = w + (a,)
-            hit = _suffix_violation(v, end, pairs)
-            if hit is None:
-                continue
-            weight = math.perm(k, d)
-            f_total += weight
-            while hit is not None:
-                # Each hit decides the pairs up to it; the scan resumes after it.
-                c = index[hit]
+        weight = math.perm(k, d)
+        bad = set()
+        for c, (j, m) in enumerate(pairs):
+            # Testing w[p-1] first rejects most longer windows before any slice is compared.
+            if m - j == 1 or (w[p - 1] == w[p - 1 - j]
+                              and w[p + 1 - m + j:p] == w[p + 1 - m:p - j]):
+                bad.add(w[p - j])
                 counts[c] += weight
-                shortened = v[:end - (hit[1] - hit[0])]
+                shortened = w[:end - (m - j)]
                 injective = injective and shortened != last[c]
                 last[c] = shortened
-                hit = _suffix_violation(v, end, pairs[c + 1:])
+        f_total += weight * len(bad)
     return f_total, counts, injective
 
 
@@ -142,7 +141,7 @@ def fj_audit(k: int, n: int, strict: bool, i: int,
     counting, if a step to length L could write len(level) * k * L > budget
     letters; and LemmaViolationError if the balance k*C_i - C_{i+1} = f_total
     or a per-period bound fails, checked in that order.  The classes cover
-    every rejected extension, since each adds its weight to its first hit's.
+    every rejected extension, since it adds its weight to every pair it hits.
     """
     if i < 0:
         raise ValidationError("audit prefix length i must be at least 0")

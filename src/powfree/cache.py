@@ -6,23 +6,24 @@ write-temp-then-rename, so concurrent readers always see a complete file;
 writers hold an exclusive flock on the sidecar file <cache>.lock from read
 to rename, so concurrent writers do not drop each other's records.  One
 record is kept per key, the one with the longest counts.  get and put
-validate only the records of their key, and put copies the other keys'
-lines into the new file as it reads them, so neither holds more than one
-line and the kept record.  entries reads every record with the same
+validate the records of their key, and put copies the other keys' lines
+into the new file as it reads them, so neither holds more than one line and
+the kept record.  entries reads every record with the same
 CountSeries.from_record as get and keeps one key tuple and one int (the
 longest length and the method) per key; it builds a key's CacheEntry only
 when its iterator hands that entry out.  A stored threshold is in lowest
 terms: get and put find a key by its written fields, so from_record refuses
 another spelling (4/2) as corrupt rather than let entries list a record that
-get never serves, and put drops the line, whatever the order of its fields.
-A missing file is an empty cache, and a line that is not UTF-8 is a corrupt
-record.  An OSError of the cache file (one that cannot be opened, created,
-locked or written) is raised as a ValidationError that names the file; a path
-that is a directory, before that.
+get never serves, and put drops the line.  A missing file is an empty cache,
+and a line that is not UTF-8 is a corrupt record.  An OSError of the cache
+file (one that cannot be opened, created, locked or written) is raised as a
+ValidationError that names the file; a path that is a directory, before that.
 
 A record is the json.dumps of CountSeries.to_record, key fields first: get and
 put tell another key's line by its head (_head) without parsing it.  A line
-whose head is not in that form is parsed as JSON and classified by its fields.
+whose head is not in that form is parsed as JSON and classified by its fields,
+and put copies it only if from_record accepts it, whatever the order of its
+fields: another key's line with a mistyped field is dropped, not kept for good.
 """
 
 from __future__ import annotations
@@ -128,11 +129,12 @@ class CountCache:
         as an empty cache, also when a cache clear removes it after the caller
         looked.
 
-        A line with another key's head is passed over unparsed, however its
-        tail reads; only the lines of that key, or entries, report a bad tail.
-        Given others, a key not in lowest terms goes to from_record, which
-        refuses it, whatever the order of its fields.  A line that is not
-        UTF-8 is reported and skipped by every reader.
+        A line with another key's head in lowest terms is passed over unparsed,
+        however its tail reads; only the lines of that key, or entries, report a
+        bad tail.  Given others, every other key's line that is parsed (one
+        without a written head, or with a head not in lowest terms) goes to
+        from_record: it is copied as read if valid, and reported and dropped if
+        not.  A line that is not UTF-8 is reported and skipped by every reader.
         """
         own = None if only is None else _head(map(json.dumps, only))
         try:
@@ -152,12 +154,10 @@ class CountCache:
                         _utf8(line)
                     if not other:
                         record = json.loads(line)
-                        other = (only is not None and head is None
-                                 and tuple(record[f] for f in _KEY_FIELDS) != only
-                                 and not (others is not None
-                                          and _other_terms(record["num"], record["den"])))
-                    if not other:
-                        series = CountSeries.from_record(record)
+                        other = (only is not None
+                                 and tuple(record[f] for f in _KEY_FIELDS) != only)
+                        if not other or others is not None:
+                            series = CountSeries.from_record(record)
                 except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     _log(__name__).warning("skipping corrupt cache record %s:%d (%s)",
                                            self.path, lineno, exc)

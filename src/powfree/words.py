@@ -6,10 +6,11 @@ when w[t] == w[t-j] for every t in [s+j, e); its exponent is the rational
 multiplication; detection never touches floating point.
 
 The window tests share one window list (_window_checks).  Growing a word a
-letter at a time (the naive engine, the audit's census, extension_ok) tests
-only the windows ending at the new letter (_suffix_violation); a pattern of
-the counting walk or of its level step finds, in one pass, every old letter
-that would end a window after it (_forbidden_next).
+letter at a time (the naive engine, extension_ok) tests only the windows
+ending at the new letter (_suffix_violation); a pattern of the counting walk
+or of its level step finds, in one pass, every old letter that would end a
+window after it (_forbidden_next); the audit's census (analyze._census)
+makes the same pass and tallies each window it finds by its period.
 A whole word (find_violation) is scanned one period at a time: O(n) bytes of
 big-integer and bytes.find work in C per period, O(n^2/beta) bytes in all.
 """

@@ -20,7 +20,7 @@ from powfree import (
 
 from powfree.analyze import _census
 from powfree.counting import _grow
-from powfree.words import _window_checks
+from powfree.words import _suffix_violation, _window_checks
 
 from oracles import count_series, factor_is_power, forbidden_exponent, is_free
 
@@ -71,6 +71,32 @@ AUDIT_INSTANCES = [
     (6, 3, False, 4), (5, 4, True, 4),  # k > i: every level can take a fresh letter
     (4, 4, True, 6),  # one rejected extension here falls into two period classes
 ]
+
+
+# n/(n-1) for n = 2..5 in both readings, and thresholds that are not of that form.
+CENSUS_THRESHOLDS = [Threshold.dejean(n, strict) for n in range(2, 6) for strict in (False, True)]
+CENSUS_THRESHOLDS += [Threshold(7, 4), Threshold(5, 2, True), Threshold(3), Threshold(7, 5)]
+
+
+def reference_census(k, end, pairs, leaves):
+    """_census's result, from one suffix test per old letter and pair."""
+    f_total = 0
+    counts = [0] * len(pairs)
+    last = [None] * len(pairs)
+    injective = True
+    for w, d in leaves:
+        for a in range(1, d + 1):
+            v = w + (a,)
+            hits = [c for c, pair in enumerate(pairs)
+                    if _suffix_violation(v, end, [pair]) is not None]
+            f_total += math.perm(k, d) if hits else 0
+            for c in hits:
+                j, m = pairs[c]
+                counts[c] += math.perm(k, d)
+                shortened = v[:end - (m - j)]
+                injective = injective and shortened != last[c]
+                last[c] = shortened
+    return f_total, counts, injective
 
 
 class TestExtensionAudit:
@@ -132,6 +158,20 @@ class TestExtensionAudit:
         leaf = ((1, 2, 1), 2)
         assert _census(2, 4, pairs, [leaf]) == (4, [2, 2], True)
         assert _census(2, 4, pairs, [leaf, leaf]) == (8, [4, 4], False)
+
+    @pytest.mark.parametrize("t", CENSUS_THRESHOLDS, ids=str)
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_census_matches_a_per_pair_reference(self, k, t):
+        # Every level of up to 5,000 leaves, i = 0..9, against a census that tests each old
+        # letter against each pair alone with the suffix test.
+        grow_pairs = _window_checks(t, 10)
+        level = [((), 0)]
+        for i in range(10):
+            if len(level) > 5000:
+                break
+            pairs = _window_checks(t, i + 1)
+            assert _census(k, i + 1, pairs, level) == reference_census(k, i + 1, pairs, level)
+            level = list(_grow(k, grow_pairs, level))
 
     def test_budget_guard(self):
         # Growing 136 patterns of length 8 to length 9 may write 136 * 20 * 9 letters.

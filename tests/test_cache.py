@@ -498,6 +498,32 @@ def test_put_drops_a_threshold_not_in_lowest_terms_in_any_field_order(cache, cap
     assert caplog.records == []
 
 
+def _mistyped_num(record):
+    return json.dumps({**record, "num": "2"})
+
+
+def _counts_first_mistyped_strict(record):
+    return json.dumps({"counts": record.pop("counts"), **record, "strict": "no"})
+
+
+@pytest.mark.parametrize("mistype", [_mistyped_num, _counts_first_mistyped_strict])
+def test_put_drops_another_keys_line_with_a_mistyped_field(cache, caplog, mistype):
+    # Neither line has a written head, so put parses it; its raw key is no key a get or put
+    # asks for, and from_record refuses it, so put drops it rather than keep it for good.
+    t = Threshold(2)
+    cache.path.write_text(mistype(count_free(3, t, 3).to_record()) + "\n")
+    stored = count_free(3, t, 4)
+    with caplog.at_level(logging.WARNING):
+        cache.put(stored)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"skipping corrupt cache record {cache.path}:1 (record fields have the wrong types)"]
+    assert cache.path.read_text() == json.dumps(stored.to_record()) + "\n"
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 4)]
+    assert caplog.records == []
+
+
 NOT_UTF8 = b"\xff\xfe bad\n"
 
 
