@@ -16,11 +16,16 @@ The canonical walk has two implementations with identical tables.  The
 kernel, _walk.c, is a CPython extension module compiled once with the system
 C compiler and Python's headers into $XDG_CACHE_HOME/powfree/ (default
 ~/.cache/powfree/) by the first walk that finds it missing, and loaded by
-importlib's extension loader at that walk.  Its one function, tally, walks a
-whole frontier in one call and returns the completions as a new table of
-Python ints.  Each node keeps its forbidden next letters in a bitmask,
-tallies its children by popcount and walks them.  Its uint64 cells are exact
-up to L = 25.  The Python walk, _dfs, is the reference; it runs only where
+importlib's extension loader at that walk.  Its one function,
+tally(k, max_length, periods, windows, letters, distincts), walks a whole
+frontier in one call and returns the completions as a new table of Python
+ints.  Its last four arguments are bytes, which _walk packs: the pairs'
+periods and windows, the frontier's prefixes back to back (all of one
+length) and one distinct count per prefix.  Each node keeps its forbidden
+next letters in a bitmask, tallies its children by popcount and walks them;
+every 2**20 nodes it runs Python's signal handlers, so Ctrl-C stops it.  Its
+uint64 cells are exact up to L = 25, which also fits every number it takes
+in a byte.  The Python walk, _dfs, is the reference; it runs only where
 no kernel loads: without a compiler, Python's headers or a usable cache
 directory, and above L = 25.  It is the kernel's walk line for line: each
 pattern it visits makes one pass, words._forbidden_next, for the old letters
@@ -341,9 +346,13 @@ def _build_kernel(path):
 
 @functools.cache
 def _kernel():
-    """The compiled walk's tally(k, pairs, max_length, frontier), or None if unbuilt.
+    """The compiled walk's tally(k, max_length, periods, windows, letters, distincts),
+    or None if unbuilt.
 
-    tally takes k <= max_length <= 25 and returns a new table as _walk does.  The
+    tally takes k <= max_length <= 25 and four bytes: the pairs' periods and
+    windows; letters, the frontier's prefixes back to back, all of one length
+    below max_length; and distincts, one count <= k per prefix.  It returns a new
+    table as _walk does, and raises ValueError on bytes that break that contract.  The
     first call builds the library if it is missing.  Only a library in a
     directory private to this user, itself private, is loaded, as powfree._walk.
     """
@@ -378,8 +387,12 @@ def _walk(k, pairs, max_length, frontier):
     """
     kernel = _kernel_for(max_length)
     if kernel is not None:
-        # Only distinct < k is asked, so min(k, L) serves and a huge k fits a C int.
-        return kernel(min(k, max_length), pairs, max_length, frontier)
+        # Only distinct < k is asked, so min(k, L) serves and a huge k fits a C int.  L <= 25
+        # fits every period, window, letter and distinct in a byte, and a frontier's prefixes
+        # share one length: one level of _frontier, or one pool task's single prefix.
+        return kernel(min(k, max_length), max_length, bytes(j for j, _ in pairs),
+                      bytes(m for _, m in pairs), bytes(a for w, _ in frontier for a in w),
+                      bytes(d for _, d in frontier))
     table = _new_table(k, max_length)
     # _dfs takes a frame per letter it appends; slowly growing languages (binary
     # overlap-free words, say) are walked deeper than the default limit of 1,000.

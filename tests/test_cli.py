@@ -1,7 +1,9 @@
 """Command-line surface: schemas, exit codes, caching, reproducibility."""
 
+import errno
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +301,22 @@ class TestCountCache:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"powfree {argv[0]}: cannot use cache file {path}: Permission denied\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--k", "3", "--beta", "2", "--max-len", "3"],
+        ["certify", "--k", "20", "--n", "3", "--max-len", "5"],
+        ["cache", "list"],
+    ], ids=["count", "certify", "cache-list"])
+    def test_a_socket_is_an_unreadable_cache_file(self, capsys, tmp_path, argv):
+        # open refuses a Unix socket with ENXIO, even for root, which opens a file of any mode.
+        path = tmp_path / "c.jsonl"
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(str(path))
+            assert main([*argv, "--cache", str(path), "--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"powfree {argv[0]}: cannot use cache file {path}: "
+                       f"{os.strerror(errno.ENXIO)}\n")
 
     def test_a_line_that_is_not_utf8_is_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"

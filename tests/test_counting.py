@@ -7,9 +7,11 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
+import threading
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -131,9 +133,8 @@ def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_ma
     table = counting._new_table(k, L)
     counting._dfs(k, pairs, L, table, list(w), distinct)
     assert table == expected
-    tally = counting._kernel_for(L)
-    if tally is not None:
-        assert tally(min(k, L), pairs, L, [(w, distinct)]) == expected
+    if counting._kernel_for(L) is not None:
+        assert counting._walk(k, pairs, L, [(w, distinct)]) == expected
 
 
 @pytest.mark.parametrize("k,t,L", [(3, Threshold(2), 11), (3, Threshold(2), 12),
@@ -372,35 +373,42 @@ def test_kernel_refuses_a_walk_beyond_its_cap():
     # _kernel_for never hands it L = 26; asked anyway, it refuses rather than overflow.
     tally = counting._kernel()
     assert tally is not None
-    assert tally(1, _window_checks(Threshold(30), 25), 25, [((1,), 1)])[25] == [0, 1]
+    assert tally(1, 25, b"", b"", b"\x01", b"\x01")[25] == [0, 1]
     with pytest.raises(ValueError, match="tally needs 0 <= k <= L <= 25, got k=1, L=26"):
-        tally(1, _window_checks(Threshold(30), 26), 26, [((1,), 1)])
+        tally(1, 26, b"", b"", b"\x01", b"\x01")
 
 
-_SQUARES_8 = _window_checks(Threshold(2), 8)
+# The periods and the windows of the squares' pairs up to length 8, as tally takes them.
+_PERIODS_8, _WINDOWS_8 = map(bytes, zip(*_window_checks(Threshold(2), 8)))
+
+
+def _squares(k, L, letters, distincts):
+    return k, L, _PERIODS_8, _WINDOWS_8, bytes(letters), bytes(distincts)
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 @pytest.mark.parametrize("args,error,message", [
-    ((1, _window_checks(Threshold(30), 26), 26, [((1,), 1)]), ValueError, "got k=1, L=26"),
-    ((9, _SQUARES_8, 8, [((1, 2), 2)]), ValueError, "got k=9, L=8"),
-    ((-1, _SQUARES_8, 8, [((1, 2), 2)]), ValueError, "got k=-1, L=8"),
-    ((3, _SQUARES_8, 8, [((1, 2, 1, 3, 1, 2, 1, 3), 3)]), ValueError,
+    ((1, 26, b"", b"", b"\x01", b"\x01"), ValueError, "got k=1, L=26"),
+    (_squares(9, 8, [1, 2], [2]), ValueError, "got k=9, L=8"),
+    (_squares(-1, 8, [1, 2], [2]), ValueError, "got k=-1, L=8"),
+    (_squares(3, 8, [1, 2, 1, 3, 1, 2, 1, 3], [3]), ValueError,
      "a prefix of length 8 is not shorter than L=8"),
-    ((3, _SQUARES_8, 8, [((1, 2), 4)]), ValueError, "distinct 4 outside 0..3"),
-    ((3, _SQUARES_8, 8, [((1, 2), -1)]), ValueError, "distinct -1 outside 0..3"),
-    ((3, _SQUARES_8, 8, [((1, "2"), 2)]), TypeError, "integer"),
-    ((3, _SQUARES_8, 8, [((1, 2.0), 2)]), TypeError, "integer"),
-    ((3, _SQUARES_8, 8, [((1, 3), 2)]), ValueError, "letter 3 outside 1..2"),
-    ((3, _SQUARES_8, 8, [((0, 1), 2)]), ValueError, "letter 0 outside 1..2"),
-    ((3, _SQUARES_8, 8, [((1, 2**70), 2)]), OverflowError, "too large"),
-    ((3, _SQUARES_8, 8, [[(1, 2), 2]]), TypeError, "a frontier item must be a"),
-    ((3, _SQUARES_8, 8, [((1, 2),)]), TypeError, "a frontier item must be a"),
-    ((3, _SQUARES_8, 8, [(12, 2)]), TypeError, "object is not iterable"),
-    ((3, [(0, 1)], 8, [((1, 2), 2)]), ValueError, "period 0 outside"),
-    ((3, [(2, 2)], 8, [((1, 2), 2)]), ValueError, "window 2 outside 3.."),
-    ((3, [(1, 2, 3)], 8, [((1, 2), 2)]), ValueError, "a window pair must hold"),
-    ((3, _SQUARES_8, 8, 5), TypeError, "object is not iterable"),
+    (_squares(3, 8, [1, 2], [4]), ValueError, "distinct 4 outside 0..3"),
+    (_squares(3, 8, [1, 2, 1], [2, 2]), ValueError, "3 letters do not split into 2 prefixes"),
+    (_squares(3.0, 8, [1, 2], [2]), TypeError, "integer"),
+    (_squares(3, "8", [1, 2], [2]), TypeError, "integer"),
+    (_squares(3, 8, [1, 3], [2]), ValueError, "letter 3 outside 1..2"),
+    (_squares(3, 8, [0, 1], [2]), ValueError, "letter 0 outside 1..2"),
+    (_squares(2**70, 8, [1, 2], [2]), OverflowError, "too large"),
+    ((3, 8, _PERIODS_8, _WINDOWS_8, (1, 2), b"\x02"), TypeError, "not 'tuple'"),
+    ((3, 8, list(_PERIODS_8), _WINDOWS_8, b"\x01\x02", b"\x02"), TypeError, "not 'list'"),
+    ((3, 8, _PERIODS_8, _WINDOWS_8, b"\x01\x02", bytearray(b"\x02")), TypeError,
+     "argument 6 must be read-only bytes-like object, not bytearray"),
+    ((3, 8, b"\x00", b"\x01", b"\x01\x02", b"\x02"), ValueError, "period 0 outside"),
+    ((3, 8, b"\x02", b"\x02", b"\x01\x02", b"\x02"), ValueError, "window 2 outside 3.."),
+    ((3, 8, _PERIODS_8, _WINDOWS_8[:-1], b"\x01\x02", b"\x02"), ValueError,
+     "a window pair must hold"),
+    (_squares(3, 8, [1, 2], []), ValueError, "2 letters do not split into 0 prefixes"),
 ])
 def test_kernel_refuses_bad_arguments(args, error, message):
     # A refusal raises; it never crashes the interpreter.
@@ -417,13 +425,12 @@ def test_one_tally_over_a_frontier_is_the_python_walk(k, tail_max):
     # Every language is walked to the longest L <= 25 at which its free patterns stay
     # few enough for _dfs, from a frontier of 16 prefixes, as _pattern_table grows it.
     # The tables of one tally per prefix, summed as the pool's are, are the same table.
-    tally = counting._kernel()
-    assert tally is not None
+    assert counting._kernel() is not None
     for t in WALK_THRESHOLDS:
         for L in range(2, 26):
             pairs = _window_checks(t, L, tail_max)
             _, frontier, _ = counting._frontier(k, pairs, L, 16)
-            compiled = tally(min(k, L), pairs, L, frontier)
+            compiled = counting._walk(k, pairs, L, frontier)
             if sum(map(sum, compiled)) > 3_000:
                 break
             python = counting._new_table(k, L)
@@ -431,8 +438,93 @@ def test_one_tally_over_a_frontier_is_the_python_walk(k, tail_max):
                 counting._dfs(k, pairs, L, python, list(w), distinct)
             assert compiled == python, (t, L)
             merged = counting._new_table(k, L)
-            counting._add_tables(merged, (tally(min(k, L), pairs, L, [item]) for item in frontier))
+            counting._add_tables(merged, (counting._walk(k, pairs, L, [item])
+                                          for item in frontier))
             assert merged == compiled, (t, L)
+
+
+# Seeded random tally calls: k <= L <= 10 but for one in twenty, canonical prefixes shorter
+# than L but for one in ten.  Each byte string holds valid values but for one in ten, which
+# holds bytes of any value, its length off by at most one.  Each call returns L+1 rows of k+1 ints or raises ValueError or TypeError (an
+# OverflowError for an int beyond C's); a crash kills only this interpreter.
+_FUZZ = """
+import random
+from powfree import counting
+tally, rng = counting._kernel(), random.Random(32)
+assert tally is not None
+
+def some(valid):
+    if rng.random() < 0.9:
+        return bytes(valid)
+    return bytes(rng.randrange(256) for _ in range(max(0, len(valid) + rng.randrange(-1, 2))))
+
+returned = refused = 0
+for _ in range(3000):
+    L = rng.randrange(11) if rng.random() < 0.95 else rng.choice([-1, 26, 300])
+    k = rng.randrange(L + 1) if rng.random() < 0.95 and L >= 0 else rng.choice([-1, L + 1])
+    windows = sorted(rng.randrange(2, 12) for _ in range(rng.randrange(6)))
+    periods = [rng.randrange(1, m) for m in windows]
+    p = rng.randrange(max(L, 1)) if rng.random() < 0.9 else max(L, 0) + rng.randrange(3)
+    letters, distincts = [], []
+    for _ in range(rng.randrange(4)):  # canonical prefixes, as the walk's contract asks
+        distincts.append(0)
+        for _ in range(p):
+            letters.append(rng.randrange(1, min(distincts[-1] + 1, max(k, 1)) + 1))
+            distincts[-1] = max(distincts[-1], letters[-1])
+    args = [k, L, some(periods), some(windows), some(letters), some(distincts)]
+    if rng.random() < 0.03:
+        args[rng.randrange(6)] = rng.choice([None, 1.5, "ab", [1, 2], bytearray(b"1"), 2**70])
+    try:
+        table = tally(*args)
+    except (ValueError, TypeError, OverflowError):
+        refused += 1
+        continue
+    assert len(table) == L + 1, args
+    assert all(len(row) == k + 1 and all(type(c) is int for c in row) for row in table), args
+    returned += 1
+print(returned, refused)
+"""
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_random_tally_arguments_return_a_table_or_raise():
+    proc = _run_counting({}, _FUZZ)
+    try:
+        out, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+    assert err == ""
+    returned, refused = map(int, out.split())
+    assert returned >= 1000 and refused >= 1000
+
+
+# A walk of about 40 s: 3/2-free words at k=20 and L=18, on a 2-vCPU host.
+_LONG_WALK = """
+import time
+from powfree import Threshold, counting
+from powfree.words import _window_checks
+assert counting._kernel() is not None
+print("walking", flush=True)
+start = time.perf_counter()
+try:
+    counting._walk(20, _window_checks(Threshold(3, 2), 18), 18, [((), 0)])
+except KeyboardInterrupt:
+    print(time.perf_counter() - start)
+"""
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_ctrl_c_stops_a_compiled_walk():
+    # SIGINT from outside, as a terminal sends it: the walk holds the GIL, so no thread of its
+    # own process could.  It stops the walk as it stops _dfs.
+    proc = _run_counting({}, _LONG_WALK)
+    try:
+        assert proc.stdout.readline() == "walking\n"
+        threading.Timer(0.5, proc.send_signal, (signal.SIGINT,)).start()
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert err == "" and 0.5 <= float(out) < 5
 
 
 def test_python_walk_reaches_past_the_recursion_limit():
