@@ -6,22 +6,23 @@
    Appending a to the free pattern w[0..p) completes the period-j window of length m iff a ==
    w[p-j] and w[p+1-m+j..p) == w[p+1-m..p-j), so each node keeps its forbidden next letters in
    one bitmask, tallies its children by popcount and walks them while shorter than L, into
-   (L+1) rows of k+1 uint64 cells, k <= L <= 25, that tally returns as Python ints. */
+   (L+1) rows of k+1 uint64 cells that tally returns as Python ints.  Its limits are its
+   arguments': L <= 255, as periods and windows are bytes, and k <= 63, as letters index the
+   64-bit mask.  A visited node adds at most 64 to the cells (at most 63 old children and one
+   fresh letter), so no cell nears 2**64 before the walk has visited 2**58 nodes: centuries at
+   tens of nanoseconds a node. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <string.h>
-
-/* P[L][d] is at most the Bell number B_L, and B_25 < 2**64 < B_26. */
-#define MAX_LENGTH 25
 
 /* One tally call: its pairs, the pattern being walked, the cells and the nodes visited. */
 struct walk {
     int k, L;
     Py_ssize_t np;
     const unsigned char *per, *win;
-    unsigned char w[MAX_LENGTH];
-    uint64_t nodes, cells[(MAX_LENGTH + 1) * (MAX_LENGTH + 1)];
+    unsigned char w[255];
+    uint64_t nodes, *cells;
 };
 
 /* Walk the completions of s->w[0..p); signal handlers run every 2**20 nodes, -1 if one raised. */
@@ -79,11 +80,14 @@ static PyObject *tally(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "iiy#y#y#y#:tally", &k, &L, &per, &np, &win, &nwin,
                           &letters, &nletters, &distincts, &n))
         return NULL;
-    if (k < 0 || k > L || L > MAX_LENGTH)
+    if (k < 0 || k > L || k > 63 || L > 255)
         return PyErr_Format(PyExc_ValueError,
-                            "tally needs 0 <= k <= L <= %d, got k=%d, L=%d", MAX_LENGTH, k, L);
+                            "tally needs 0 <= k <= L, k <= 63 and L <= 255, got k=%d, L=%d", k, L);
+    /* At most 256 rows of 64 cells: 128 KB of stack, sized by the call. */
+    uint64_t cells[(L + 1) * (k + 1)];
+    memset(cells, 0, sizeof cells);
     struct walk s = {.k = k, .L = L, .np = np, .per = (const unsigned char *)per,
-                     .win = (const unsigned char *)win};
+                     .win = (const unsigned char *)win, .cells = cells};
     if (nwin != np)
         return PyErr_Format(PyExc_ValueError, "a window pair must hold a period and a window");
     for (Py_ssize_t i = 0; i < np; i++) {
@@ -92,6 +96,10 @@ static PyObject *tally(PyObject *self, PyObject *args)
         if (s.win[i] <= s.per[i])
             return PyErr_Format(PyExc_ValueError, "window %d outside %d..255", s.win[i],
                                 s.per[i] + 1);
+        /* The walk stops at the first window longer than the pattern. */
+        if (i > 0 && s.win[i] < s.win[i - 1])
+            return PyErr_Format(PyExc_ValueError, "window %d after window %d: windows ascend",
+                                s.win[i], s.win[i - 1]);
     }
     Py_ssize_t p = n ? nletters / n : 0;
     if (p * n != nletters)
@@ -113,7 +121,7 @@ static PyObject *tally(PyObject *self, PyObject *args)
         if (walk(&s, (int)p, distinct) < 0)
             return NULL;
     }
-    return new_table(k, L, s.cells);
+    return new_table(k, L, cells);
 }
 
 static PyMethodDef methods[] = {

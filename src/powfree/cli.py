@@ -10,9 +10,9 @@ so downstream tools never lose precision.
 Exit codes: 0 success (word free / all checks pass), 1 negative result
 (violation found, or no witness exists), 2 usage error (ValidationError), 3
 work budget exceeded, 4 exactly-checked inequality failed (internal bug
-canary), 141 stdout's reader closed the pipe.  Any other exception is a bug
-and is not caught.  entry() ends the process with os._exit once the output is
-flushed and the exit handlers have run.
+canary), 130 interrupted (Ctrl-C), 141 stdout's reader closed the pipe.  Any
+other exception is a bug and is not caught.  entry() ends the process with
+os._exit once the output is flushed and the exit handlers have run.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_LEMMA = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C stopped
 EXIT_PIPE = 141  # 128 + SIGPIPE: how a shell reports a writer that a closed pipe killed
 
 
@@ -291,6 +292,9 @@ def main(argv=None) -> int:
     except LemmaViolationError as exc:
         print(f"powfree {args.command}: lemma violation: {exc}", file=sys.stderr)
         return EXIT_LEMMA
+    except KeyboardInterrupt:
+        print(f"powfree {args.command}: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _closed_pipe() -> int:

@@ -24,10 +24,12 @@ periods and windows, the frontier's prefixes back to back (all of one
 length) and one distinct count per prefix.  Each node keeps its forbidden
 next letters in a bitmask, tallies its children by popcount and walks them;
 every 2**20 nodes it runs Python's signal handlers, so Ctrl-C stops it.  Its
-uint64 cells are exact up to L = 25, which also fits every number it takes
-in a byte.  The Python walk, _dfs, is the reference; it runs only where
-no kernel loads: without a compiler, Python's headers or a usable cache
-directory, and above L = 25.  It is the kernel's walk line for line: each
+limits are the bytes it takes: L <= 255 and fewer than 64 letters.  The
+Python walk, _dfs, is the reference; it runs only where no kernel loads
+(without a compiler, Python's headers or a usable cache directory), and
+beyond those limits: longer than 255 letters, which only polynomially
+growing languages such as binary overlap-free words reach, or with 64
+letters or more.  It is the kernel's walk line for line: each
 pattern it visits makes one pass, words._forbidden_next, for the old letters
 that would end a forbidden power after it (each window forbids at most one;
 the fresh letter never completes a power), tallies its children and walks
@@ -86,8 +88,6 @@ _DFS_POOL_TESTS = 200_000
 
 _KERNEL_SOURCE = Path(__file__).with_name("_walk.c")
 _CC_FLAGS = ("-O2", "-shared", "-fPIC")
-# P[L][d] is at most the Bell number B_L, and B_25 < 2**64 < B_26.
-_KERNEL_MAX_LENGTH = 25
 
 
 class CountSeries(_Value):
@@ -349,12 +349,13 @@ def _kernel():
     """The compiled walk's tally(k, max_length, periods, windows, letters, distincts),
     or None if unbuilt.
 
-    tally takes k <= max_length <= 25 and four bytes: the pairs' periods and
-    windows; letters, the frontier's prefixes back to back, all of one length
-    below max_length; and distincts, one count <= k per prefix.  It returns a new
-    table as _walk does, and raises ValueError on bytes that break that contract.  The
-    first call builds the library if it is missing.  Only a library in a
-    directory private to this user, itself private, is loaded, as powfree._walk.
+    tally takes k <= max_length, k <= 63, max_length <= 255 and four bytes:
+    the pairs' periods and windows; letters, the frontier's prefixes back to
+    back, all of one length below max_length; and distincts, one count <= k per
+    prefix.  It returns a new table as _walk does, and raises ValueError on
+    bytes that break that contract.  The first call builds the library if it
+    is missing.  Only a library in a directory private to this user, itself
+    private, is loaded, as powfree._walk.
     """
     path = _kernel_file()
     _build_kernel(path)
@@ -375,19 +376,22 @@ def _kernel():
     return module.tally
 
 
-def _kernel_for(max_length):
-    return _kernel() if max_length <= _KERNEL_MAX_LENGTH else None
+# The kernel, where one loads and its bytes hold the walk: L <= 255 and fewer than 64 letters.
+# Its uint64 cells need no cap: a visited node adds at most 64 to them, so none nears 2**64
+# before the walk has visited 2**58 nodes, centuries at tens of nanoseconds a node.
+def _kernel_for(k, max_length):
+    return _kernel() if max_length <= 255 and min(k, max_length) <= 63 else None
 
 
 def _walk(k, pairs, max_length, frontier):
     """A new table of the free completions of each free (prefix, distinct) of frontier,
     every prefix shorter than max_length.
 
-    The kernel walks them where one loads for max_length; otherwise _dfs does.
+    The kernel walks them where _kernel_for gives one; otherwise _dfs does.
     """
-    kernel = _kernel_for(max_length)
+    kernel = _kernel_for(k, max_length)
     if kernel is not None:
-        # Only distinct < k is asked, so min(k, L) serves and a huge k fits a C int.  L <= 25
+        # Only distinct < k is asked, so min(k, L) serves and a huge k fits a C int.  L <= 255
         # fits every period, window, letter and distinct in a byte, and a frontier's prefixes
         # share one length: one level of _frontier, or one pool task's single prefix.
         return kernel(min(k, max_length), max_length, bytes(j for j, _ in pairs),
@@ -478,14 +482,19 @@ def _pattern_table(k, t, max_length, tail_max, workers):
     table, frontier, depth = _frontier(k, pairs, max_length, _TASKS_PER_WORKER * workers)
     if not frontier:
         return table
-    crossover = _DFS_POOL_TESTS if _kernel_for(max_length) is None else _KERNEL_POOL_TESTS
+    crossover = _DFS_POOL_TESTS if _kernel_for(k, max_length) is None else _KERNEL_POOL_TESTS
     if (workers > 1
             and _estimated_patterns(table, k, depth, max_length - 1) * len(pairs) > crossover):
         # Imported here: runs that start no pool skip the import of multiprocessing.
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
         task = functools.partial(_walk, k, pairs, max_length)
-        with ProcessPoolExecutor(max_workers=min(workers, len(frontier))) as pool:
+        # Workers ignore Ctrl-C, so none prints a traceback: the parent stops handing out
+        # tasks, waits for the running ones and reports the interrupt.
+        with ProcessPoolExecutor(max_workers=min(workers, len(frontier)),
+                                 initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             _add_tables(table, pool.map(task, ([item] for item in frontier)))
     else:
         _add_tables(table, [_walk(k, pairs, max_length, frontier)])

@@ -3,9 +3,12 @@
 import errno
 import json
 import os
+import shutil
+import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -1009,6 +1012,49 @@ class TestExitPath:
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
+                        reason="no C compiler on PATH")
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="no /proc list of child processes")
+    @pytest.mark.parametrize("workers,group", [("1", True), ("2", True), ("2", False)],
+                             ids=["in-process", "pool", "pool-parent-only"])
+    def test_ctrl_c_exits_130_with_one_line(self, workers, group):
+        # A walk of about 40 s, interrupted once it runs: by a terminal's Ctrl-C, which reaches
+        # the whole process group, or by a SIGINT to the parent alone. Two cores reported, so
+        # that --workers 2 starts the pool; the probe says when entry() is about to start.
+        probe = ("import os\n"
+                 "os.cpu_count = lambda: 2\n"
+                 "from powfree.cli import entry\n"
+                 "print('ready', flush=True)\n"
+                 "entry()")
+        argv = ["count", "--k", "20", "--beta", "3/2", "--max-len", "18", "--workers", workers,
+                "--no-timestamp"]
+        proc = subprocess.Popen([sys.executable, "-c", probe, *argv], env=buffered_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            children, pool = Path(f"/proc/{proc.pid}/task/{proc.pid}/children"), workers != "1"
+            deadline = time.monotonic() + 30
+            while pool and len(children.read_text().split()) < int(workers):
+                assert time.monotonic() < deadline, "the pool did not start"
+                time.sleep(0.05)
+            time.sleep(0.5)
+            if group:
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+            # The session holds no process: every worker ended with the run.
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert (proc.returncode, out, err) == (130, "", "powfree count: interrupted\n")
 
     def test_the_pool_ends_with_the_run(self):
         # Two cores reported, whatever the host has, so that --workers 2 starts the pool. An

@@ -14,6 +14,7 @@ import sysconfig
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import perm
 from pathlib import Path
 
 import pytest
@@ -113,7 +114,7 @@ def test_engines_and_oracle_agree_small_grid(walks):
 def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_max):
     # The walk runs 1-5 letters past a free prefix, as a pool task starts it,
     # and every level it tallies, the last two included, must match per-child
-    # suffix tests.  The kernel, up to its length cap, walks the same prefix.
+    # suffix tests.  The kernel, wherever _kernel_for gives one, walks the same prefix.
     pairs = _window_checks(t, len(draws) + steps, tail_max)
     w, distinct = [], 0
     for a in draws:  # keep the canonical draws that leave the pattern free
@@ -133,7 +134,7 @@ def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_ma
     table = counting._new_table(k, L)
     counting._dfs(k, pairs, L, table, list(w), distinct)
     assert table == expected
-    if counting._kernel_for(L) is not None:
+    if counting._kernel_for(k, L) is not None:
         assert counting._walk(k, pairs, L, [(w, distinct)]) == expected
 
 
@@ -229,9 +230,9 @@ class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
 
     started: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         self.started.append(max_workers)
-        super().__init__(max_workers=max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
 
 
 def test_workers_do_not_change_counts(monkeypatch, pool_always, walks):
@@ -261,7 +262,7 @@ class _InlinePool:
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -320,9 +321,10 @@ def test_pool_starts_from_the_node_estimate(monkeypatch, walks):
             assert _InlinePool.sizes == sizes, walk
 
 
-def test_slow_languages_reach_the_pool_beyond_the_kernel_cap(monkeypatch):
-    # Ternary squares at L=30 are walked by _dfs; on a 2-core host 2 workers took 0.067 s
-    # against 0.101 s serial, and the estimate of their window tests is past _dfs's crossover.
+def test_slow_languages_reach_the_pool_of_the_python_walk(monkeypatch, python_walk):
+    # Ternary squares at L=30, walked by _dfs where no kernel loads: on a 2-core host 2 workers
+    # took 0.067 s against 0.101 s serial, and the estimate of their window tests is past _dfs's
+    # crossover.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
@@ -356,26 +358,35 @@ def test_one_worker_makes_no_estimate(monkeypatch, walks):
 
 
 def test_walk_beyond_the_kernel_cap_is_python(monkeypatch):
-    # Rows of uint64 are exact while the Bell number B_L < 2**64, i.e. L <= 25.  Every
-    # walk, however small, takes the kernel below the cap.
+    # The kernel's periods and windows are bytes, and its letters index a 64-bit mask: _dfs
+    # walks beyond L = 255 or with 64 letters, and every walk within them, however small,
+    # takes the kernel.  Below 65/64 a repeated letter ends a power, so each length has one
+    # pattern, of distinct letters.
     calls = []
     real = counting._dfs
-    monkeypatch.setattr(counting, "_dfs", lambda *a: calls.append(a[2]) or real(*a))
-    for L in (25, 26):
-        assert count_free(1, Threshold(30), L).counts == (1,) * (L + 1)
-    assert calls[-1] == 26 and counting._kernel_for(26) is None
+    monkeypatch.setattr(counting, "_dfs", lambda *a: calls.append(a[:3:2]) or real(*a))
+    for L in (255, 256):
+        assert count_free(1, Threshold(300), L).counts == (1,) * (L + 1)
+    for k in (63, 64):
+        assert count_free(k, Threshold(65, 64), 64).counts == tuple(perm(k, n) for n in range(65))
+    assert calls[-1] == (64, 64) and counting._kernel_for(64, 64) is None
+    assert (1, 256) in calls and counting._kernel_for(1, 256) is None
     if counting._kernel() is not None:
-        assert set(calls) == {26}
+        assert set(calls) == {(1, 256), (64, 64)}
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 def test_kernel_refuses_a_walk_beyond_its_cap():
-    # _kernel_for never hands it L = 26; asked anyway, it refuses rather than overflow.
+    # _kernel_for never hands it L = 256 or 64 letters; asked anyway, it refuses.
     tally = counting._kernel()
     assert tally is not None
-    assert tally(1, 25, b"", b"", b"\x01", b"\x01")[25] == [0, 1]
-    with pytest.raises(ValueError, match="tally needs 0 <= k <= L <= 25, got k=1, L=26"):
-        tally(1, 26, b"", b"", b"\x01", b"\x01")
+    assert tally(1, 255, b"", b"", b"\x01", b"\x01")[255] == [0, 1]
+    assert tally(63, 63, b"", b"", bytes(range(1, 63)), b"\x3e")[63][62:] == [62, 1]
+    needs = "tally needs 0 <= k <= L, k <= 63 and L <= 255, got "
+    with pytest.raises(ValueError, match=re.escape(needs + "k=1, L=256")):
+        tally(1, 256, b"", b"", b"\x01", b"\x01")
+    with pytest.raises(ValueError, match=re.escape(needs + "k=64, L=64")):
+        tally(64, 64, b"", b"", bytes(range(1, 64)), b"\x3f")
 
 
 # The periods and the windows of the squares' pairs up to length 8, as tally takes them.
@@ -388,7 +399,7 @@ def _squares(k, L, letters, distincts):
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 @pytest.mark.parametrize("args,error,message", [
-    ((1, 26, b"", b"", b"\x01", b"\x01"), ValueError, "got k=1, L=26"),
+    ((1, 256, b"", b"", b"\x01", b"\x01"), ValueError, "got k=1, L=256"),
     (_squares(9, 8, [1, 2], [2]), ValueError, "got k=9, L=8"),
     (_squares(-1, 8, [1, 2], [2]), ValueError, "got k=-1, L=8"),
     (_squares(3, 8, [1, 2, 1, 3, 1, 2, 1, 3], [3]), ValueError,
@@ -409,6 +420,10 @@ def _squares(k, L, letters, distincts):
     ((3, 8, _PERIODS_8, _WINDOWS_8[:-1], b"\x01\x02", b"\x02"), ValueError,
      "a window pair must hold"),
     (_squares(3, 8, [1, 2], []), ValueError, "2 letters do not split into 0 prefixes"),
+    # The walk stops at the first window longer than the pattern; out of order, the squares'
+    # pairs counted 613 patterns of length 8 instead of 13.
+    ((3, 8, _PERIODS_8[::-1], _WINDOWS_8[::-1], b"", b"\x00"), ValueError,
+     "window 6 after window 8: windows ascend"),
 ])
 def test_kernel_refuses_bad_arguments(args, error, message):
     # A refusal raises; it never crashes the interpreter.
@@ -443,6 +458,36 @@ def test_one_tally_over_a_frontier_is_the_python_walk(k, tail_max):
             assert merged == compiled, (t, L)
 
 
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("k,t,tail_max,L", [
+    (3, Threshold(2), None, 40),              # ternary squares
+    (2, Threshold(3), None, 32),              # binary cubes
+    (2, Threshold(7, 3, True), None, 34),     # binary 7/3+
+    (4, Threshold(3, 2), 3, 30),              # at k = 3 this language ends at length 4
+])
+def test_kernel_walks_past_25_letters_as_the_python_walk(monkeypatch, k, t, tail_max, L):
+    # Small alphabets walk long words: the kernel takes every length its bytes hold, with
+    # _dfs's tables, and count_free at each length never calls _dfs.
+    assert counting._kernel() is not None
+    with monkeypatch.context() as python:
+        python.setattr(counting, "_kernel", lambda: None)
+        expected = counting._pattern_table(k, t, L, tail_max, 1)
+
+    def refused(*args):
+        raise AssertionError("_dfs walked where the kernel loads")
+
+    monkeypatch.setattr(counting, "_dfs", refused)
+    assert counting._pattern_table(k, t, L, tail_max, 1) == expected
+    counts = tuple(sum(c * perm(k, d) for d, c in enumerate(row)) for row in expected)
+    assert counts[-1] > 0
+    for length in range(26, L + 1):
+        if tail_max is None:
+            series = count_free(k, t, length)
+        else:
+            series = count_tail_restricted(k, t, tail_max, length)
+        assert series.counts == counts[:length + 1], length
+
+
 # Seeded random tally calls: k <= L <= 10 but for one in twenty, canonical prefixes shorter
 # than L but for one in ten.  Each byte string holds valid values but for one in ten, which
 # holds bytes of any value, its length off by at most one.  Each call returns L+1 rows of k+1 ints or raises ValueError or TypeError (an
@@ -460,8 +505,8 @@ def some(valid):
 
 returned = refused = 0
 for _ in range(3000):
-    L = rng.randrange(11) if rng.random() < 0.95 else rng.choice([-1, 26, 300])
-    k = rng.randrange(L + 1) if rng.random() < 0.95 and L >= 0 else rng.choice([-1, L + 1])
+    L = rng.randrange(11) if rng.random() < 0.95 else rng.choice([-1, 256, 300])
+    k = rng.randrange(L + 1) if rng.random() < 0.95 and L >= 0 else rng.choice([-1, L + 1, 64])
     windows = sorted(rng.randrange(2, 12) for _ in range(rng.randrange(6)))
     periods = [rng.randrange(1, m) for m in windows]
     p = rng.randrange(max(L, 1)) if rng.random() < 0.9 else max(L, 0) + rng.randrange(3)
