@@ -486,16 +486,15 @@ def _pattern_table(k, t, max_length, tail_max, workers):
     if (workers > 1
             and _estimated_patterns(table, k, depth, max_length - 1) * len(pairs) > crossover):
         # Imported here: runs that start no pool skip the import of multiprocessing.
+        import multiprocessing
         import signal
-        from concurrent.futures import ProcessPoolExecutor
 
         task = functools.partial(_walk, k, pairs, max_length)
-        # Workers ignore Ctrl-C, so none prints a traceback: the parent stops handing out
-        # tasks, waits for the running ones and reports the interrupt.
-        with ProcessPoolExecutor(max_workers=min(workers, len(frontier)),
-                                 initializer=signal.signal,
-                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            _add_tables(table, pool.map(task, ([item] for item in frontier)))
+        # Workers ignore Ctrl-C, so none prints a traceback. The parent terminates them as it
+        # leaves the block, by the last table or by the interrupt: a pooled walk stops at once.
+        with multiprocessing.Pool(min(workers, len(frontier)), signal.signal,
+                                  (signal.SIGINT, signal.SIG_IGN)) as pool:
+            _add_tables(table, pool.imap(task, ([item] for item in frontier)))
     else:
         _add_tables(table, [_walk(k, pairs, max_length, frontier)])
     return table

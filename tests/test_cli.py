@@ -1020,9 +1020,34 @@ class TestExitPath:
     @pytest.mark.parametrize("workers,group", [("1", True), ("2", True), ("2", False)],
                              ids=["in-process", "pool", "pool-parent-only"])
     def test_ctrl_c_exits_130_with_one_line(self, workers, group):
-        # A walk of about 40 s, interrupted once it runs: by a terminal's Ctrl-C, which reaches
-        # the whole process group, or by a SIGINT to the parent alone. Two cores reported, so
-        # that --workers 2 starts the pool; the probe says when entry() is about to start.
+        # Interrupted by a terminal's Ctrl-C, which reaches the whole process group, or by a
+        # SIGINT to the parent alone.
+        code, out, err, _ = self._interrupted(workers, group, 1)
+        assert (code, out, err) == (130, "", "powfree count: interrupted\n")
+
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
+                        reason="no C compiler on PATH")
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="no /proc list of child processes")
+    @pytest.mark.parametrize("group", [True, False], ids=["pool", "pool-parent-only"])
+    def test_ctrl_c_stops_a_pool_at_once(self, group):
+        # The parent terminates its workers, so a pooled walk stops as an in-process one does:
+        # one SIGINT ends it within 1.5 s (waiting for the running prefixes took 2-4 s), and a
+        # second SIGINT 0.3 s after the first does not hang it.
+        for signals in (1, 2):
+            code, out, err, seconds = self._interrupted("2", group, signals)
+            assert (code, out, err) == (130, "", "powfree count: interrupted\n"), signals
+            assert signals == 2 or seconds < 1.5
+
+    @staticmethod
+    def _interrupted(workers, group, signals):
+        """Exit code, stdout, stderr and seconds from the first SIGINT to the end of a walk of
+        about 40 s that gets signals SIGINTs, 0.3 s apart, once it runs.
+
+        Two cores are reported, so that --workers 2 starts the pool; the probe says when
+        entry() is about to start.  The session must hold no process 10 s after the first
+        SIGINT: every worker ended with the run.
+        """
         probe = ("import os\n"
                  "os.cpu_count = lambda: 2\n"
                  "from powfree.cli import entry\n"
@@ -1041,12 +1066,15 @@ class TestExitPath:
                 assert time.monotonic() < deadline, "the pool did not start"
                 time.sleep(0.05)
             time.sleep(0.5)
-            if group:
-                os.killpg(proc.pid, signal.SIGINT)
-            else:
-                proc.send_signal(signal.SIGINT)
-            out, err = proc.communicate(timeout=60)
-            # The session holds no process: every worker ended with the run.
+            start = time.monotonic()
+            for i in range(signals):
+                time.sleep(0.3 if i else 0)
+                if group:
+                    os.killpg(proc.pid, signal.SIGINT)
+                else:
+                    proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+            seconds = time.monotonic() - start
             with pytest.raises(ProcessLookupError):
                 os.killpg(proc.pid, 0)
         finally:
@@ -1054,7 +1082,7 @@ class TestExitPath:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-        assert (proc.returncode, out, err) == (130, "", "powfree count: interrupted\n")
+        return proc.returncode, out, err, seconds
 
     def test_the_pool_ends_with_the_run(self):
         # Two cores reported, whatever the host has, so that --workers 2 starts the pool. An
@@ -1063,7 +1091,7 @@ class TestExitPath:
                  "os.cpu_count = lambda: 2\n"
                  "def report():\n"
                  "    kids = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
-                 "    pool = 'concurrent.futures.process' in sys.modules\n"
+                 "    pool = 'multiprocessing.pool' in sys.modules\n"
                  "    print('pool', pool and kids.ru_utime + kids.ru_stime > 0, file=sys.stderr)\n"
                  "atexit.register(report)\n"
                  "from powfree.cli import entry; entry()")

@@ -1,9 +1,9 @@
 """Counting engines: agreement, known values, weights, budgets."""
 
-import concurrent.futures
 import hashlib
 import importlib.machinery
 import logging
+import multiprocessing.pool
 import os
 import re
 import shutil
@@ -225,18 +225,18 @@ def test_naive_budget_refused():
     assert "engine" in str(info.value)  # suggests an alternative
 
 
-class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+class _RecordingPool(multiprocessing.pool.Pool):
     """The real process pool, recording that it started."""
 
     started: list = []
 
-    def __init__(self, max_workers, **kwargs):
-        self.started.append(max_workers)
-        super().__init__(max_workers=max_workers, **kwargs)
+    def __init__(self, processes, *args):
+        self.started.append(processes)
+        super().__init__(processes, *args)
 
 
 def test_workers_do_not_change_counts(monkeypatch, pool_always, walks):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     t = Threshold(2)
     td = Threshold.dejean(3)
@@ -258,12 +258,12 @@ def test_workers_do_not_change_counts(monkeypatch, pool_always, walks):
 
 
 class _InlinePool:
-    """Executor stand-in that records its size and runs the tasks in-process."""
+    """Pool stand-in that records its size and runs the tasks in-process."""
 
     sizes: list = []
 
-    def __init__(self, max_workers, **kwargs):
-        self.sizes.append(max_workers)
+    def __init__(self, processes, *args):
+        self.sizes.append(processes)
 
     def __enter__(self):
         return self
@@ -271,8 +271,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *columns):
-        return map(fn, *columns)
+    def imap(self, fn, iterable):
+        return map(fn, iterable)
 
 
 @pytest.mark.parametrize("workers,cores,expected", [
@@ -281,7 +281,7 @@ class _InlinePool:
     (64, 64, 24),    # capped at the tasks: 24 overlap-free binary patterns of length 11
 ])
 def test_pool_size_is_capped(monkeypatch, pool_always, workers, cores, expected):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     t = Threshold(2, 1, True)
@@ -306,7 +306,7 @@ def test_node_estimate_reads_the_frontier_rows(k, t, L, low, high):
 
 
 def test_pool_starts_from_the_node_estimate(monkeypatch, walks):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     t = Threshold(3, 2)
     pairs = counting._window_checks(t, 13, None)
@@ -325,7 +325,7 @@ def test_slow_languages_reach_the_pool_of_the_python_walk(monkeypatch, python_wa
     # Ternary squares at L=30, walked by _dfs where no kernel loads: on a 2-core host 2 workers
     # took 0.067 s against 0.101 s serial, and the estimate of their window tests is past _dfs's
     # crossover.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     t = Threshold(2)
@@ -336,7 +336,7 @@ def test_slow_languages_reach_the_pool_of_the_python_walk(monkeypatch, python_wa
 def test_short_enumerations_start_no_pool(monkeypatch, walks):
     # report's rows (L=8) and the sweep's cache misses (L=10) stay in-process
     # under either walk's crossover.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     for walk in walks:
