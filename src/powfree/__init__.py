@@ -1,8 +1,8 @@
 """Exact toolkit for power-free words.
 
 Detection of fractional-power violations, exact counting of threshold-free
-words over k-letter alphabets, growth-rate estimation, and machine-checked
-rational lower-bound certificates.
+words over k-letter alphabets, machine-checked rational lower-bound
+certificates, and the extension-census audit behind them.
 
 The package republishes the __all__ of each module but cache, whose
 CacheEntry rows stay internal.

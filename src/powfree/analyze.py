@@ -1,4 +1,4 @@
-"""Growth-rate estimation, the extension-census audit, and exploratory reports.
+"""The extension-census audit and exploratory reports.
 
 The audit replays the counting argument behind the certificates: among
 one-letter extensions of free words, those that leave the language are
@@ -18,15 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bounds import BoundCertificate, closed_form_root, rational_witness
-from .bounds import asymptotic_target
+from .bounds import asymptotic_target, closed_form_root, rational_witness
 from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, _grow, count_free, count_tail_restricted
 from .errors import BudgetExceededError, LemmaViolationError, ValidationError
 from .words import Threshold, _Value, _window_checks
 
 __all__ = [
-    "GrowthEstimate",
-    "growth_estimate",
     "FjAuditRow",
     "FjAudit",
     "fj_audit",
@@ -35,41 +32,6 @@ __all__ = [
     "REPORT_COLUMNS",
     "conjecture_report",
 ]
-
-
-class GrowthEstimate(_Value):
-    """A bracket around the growth rate of a counted language.
-
-    upper is min over i of C_i**(1/i), a true upper bound for factorial
-    languages by submultiplicativity; lower is the certified witness when
-    one is supplied, otherwise the smallest observed count ratio.
-    """
-
-    __slots__ = ("k", "threshold", "lower", "upper", "ratios")
-    k: int
-    threshold: Threshold
-    lower: Fraction
-    upper: float
-    ratios: tuple[Fraction, ...]
-
-
-def growth_estimate(series: CountSeries, cert: BoundCertificate | None = None) -> GrowthEstimate:
-    if len(series.counts) < 3:
-        raise ValidationError("series too short: need counts up to length 2 at least")
-    upper = math.inf
-    for i in range(1, len(series.counts)):
-        c = series.counts[i]
-        root = 0.0 if c == 0 else math.exp(math.log(c) / i)
-        upper = min(upper, root)
-    ratios = series.ratios()
-    if cert is not None:
-        lower = cert.x_witness
-    elif ratios:
-        lower = min(ratios)
-    else:
-        lower = Fraction(0)
-    return GrowthEstimate(k=series.k, threshold=series.threshold,
-                          lower=lower, upper=upper, ratios=ratios)
 
 
 class FjAuditRow(_Value):

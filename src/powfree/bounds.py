@@ -33,7 +33,6 @@ __all__ = [
     "condition_margin",
     "certify",
     "asymptotic_target",
-    "taylor_coefficients",
 ]
 
 
@@ -156,14 +155,3 @@ def asymptotic_target(k: int, n: int, strict: bool = False) -> float:
     """The conjectured growth value with the order-1/k^2 term dropped."""
     b, _ = _quadratic(k, n, strict)
     return b - 1 - (n - 1) / k
-
-
-def taylor_coefficients(n: int) -> tuple[int, int, int]:
-    """First three series coefficients at 0 of the scaled root function.
-
-    The non-strict root equals k * f(1/k) with
-    f(y) = (1 + (2-n) y + sqrt(1 - 2 n y + (n-2)^2 y^2)) / 2, whose
-    expansion starts 1 + (1-n) y + (1-n) y^2.
-    """
-    Threshold.dejean(n)
-    return (1, 1 - n, 1 - n)

@@ -17,6 +17,7 @@ os._exit once the output is flushed and the exit handlers have run.
 
 from __future__ import annotations
 
+import _signal  # loaded at every start-up, unlike signal
 import argparse
 import atexit
 import os
@@ -303,14 +304,23 @@ def _closed_pipe() -> int:
     return EXIT_PIPE
 
 
+def _interrupt_once(signum, frame):
+    # Later SIGINTs are ignored, so none lands in the clean-up the first one started (a pool's
+    # wait on its lock, the termination of its workers) and prints a traceback.
+    _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def entry() -> None:
     """The powfree script and python -m powfree.cli: run main() and exit with its code.
 
-    After the exit handlers (atexit: logging, multiprocessing's finalizers) and
-    the flush, os._exit skips the interpreter's teardown, about 10 ms a run on
-    a 2-vCPU host.  With a thread other than the main one alive, or a flush
+    The first Ctrl-C interrupts main(); every later one is ignored.  After the
+    exit handlers (atexit: logging, multiprocessing's finalizers) and the
+    flush, os._exit skips the interpreter's teardown, about 10 ms a run on a
+    2-vCPU host.  With a thread other than the main one alive, or a flush
     that fails, the process exits through sys.exit as before.
     """
+    _signal.signal(_signal.SIGINT, _interrupt_once)
     try:
         code = main()
     except BrokenPipeError:

@@ -57,7 +57,6 @@ import os
 import re
 import sys
 import zlib
-from fractions import Fraction
 from itertools import product
 from math import perm
 from pathlib import Path
@@ -81,9 +80,10 @@ DEFAULT_NAIVE_BUDGET = 10**8
 _TASKS_PER_WORKER = 8
 # A pool starts when the window tests of a walk to L -- its patterns shorter
 # than L, estimated from the frontier's rows, times the (period, window) pairs
-# -- exceed the crossover of the walk in use.  Measured on 2 cores at 2 workers
-# for k=20 and k = 2-5 languages; the table is in BENCH_11.json.
-_KERNEL_POOL_TESTS = 10_000_000
+# -- exceed the crossover of the walk in use.  Measured on 2 cores at 2 workers:
+# the kernel's pool ties with one worker up to 31 M tests and wins from 67 M on
+# k=20 languages (CHANGES.md); _dfs's on k = 2-5 languages in BENCH_11.json.
+_KERNEL_POOL_TESTS = 50_000_000
 _DFS_POOL_TESTS = 200_000
 
 _KERNEL_SOURCE = Path(__file__).with_name("_walk.c")
@@ -119,15 +119,6 @@ class CountSeries(_Value):
         if not 0 <= max_length <= self.max_length:
             raise ValidationError("prefix length outside 0..max_length")
         return self.replace(counts=self.counts[:max_length + 1])
-
-    def ratios(self) -> tuple[Fraction, ...]:
-        """Consecutive ratios C_{i+1}/C_i, stopping at the first zero count."""
-        out = []
-        for c, c_next in zip(self.counts, self.counts[1:]):
-            if c == 0:
-                break
-            out.append(Fraction(c_next, c))
-        return tuple(out)
 
     def digest(self) -> str:
         """Hex digest identifying the exact count data (method-independent)."""

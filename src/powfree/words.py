@@ -6,11 +6,11 @@ when w[t] == w[t-j] for every t in [s+j, e); its exponent is the rational
 multiplication; detection never touches floating point.
 
 The window tests share one window list (_window_checks).  Growing a word a
-letter at a time (the naive engine, extension_ok) tests only the windows
-ending at the new letter (_suffix_violation); a pattern of the counting walk
-or of its level step finds, in one pass, every old letter that would end a
-window after it (_forbidden_next); the audit's census (analyze._census)
-makes the same pass and tallies each window it finds by its period.
+letter at a time (the naive engine) tests only the windows ending at the new
+letter (_suffix_violation); a pattern of the counting walk or of its level
+step finds, in one pass, every old letter that would end a window after it
+(_forbidden_next); the audit's census (analyze._census) makes the same pass
+and tallies each window it finds by its period.
 A whole word (find_violation) is scanned one period at a time: O(n) bytes of
 big-integer and bytes.find work in C per period, O(n^2/beta) bytes in all.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "ViolationWitness",
     "min_violation_length",
     "find_violation",
-    "extension_ok",
 ]
 
 
@@ -330,15 +329,3 @@ def find_violation(word: Word, t: Threshold) -> ViolationWitness | None:
     period, length = hit
     return ViolationWitness(start=best_end - length, period=period, length=length,
                             exponent=Fraction(length, period))
-
-
-def extension_ok(word: Word, t: Threshold) -> bool:
-    """Whether a word whose one-shorter prefix is t-free is itself t-free.
-
-    Any violation created by appending a single letter to a free prefix must
-    end at the new last letter, so it suffices to test, per period j, the
-    minimal forbidden window ending there.  Behavior is unspecified when the
-    prefix invariant does not hold.
-    """
-    end = len(word)
-    return _suffix_violation(word.letters, end, _window_checks(t, end)) is None

@@ -1,7 +1,6 @@
-"""Growth estimates, the extension census, and the exploratory report."""
+"""The extension census and the exploratory report."""
 
 import math
-from fractions import Fraction
 from itertools import count, product
 
 import pytest
@@ -10,11 +9,9 @@ from powfree import (
     BudgetExceededError,
     LemmaViolationError,
     Threshold,
-    certify,
     conjecture_report,
     count_free,
     fj_audit,
-    growth_estimate,
     suffix_determination_check,
 )
 
@@ -23,40 +20,6 @@ from powfree.counting import _grow
 from powfree.words import _suffix_violation, _window_checks
 
 from oracles import count_series, factor_is_power, forbidden_exponent, is_free
-
-
-class TestGrowthEstimate:
-    def test_bracket_on_ternary_squarefree(self):
-        series = count_free(3, Threshold(2), 16, "canonical")
-        est = growth_estimate(series)
-        assert est.upper >= 1.30
-        assert float(est.lower) <= est.upper + 1e-9
-        assert est.ratios == tuple(
-            Fraction(series.counts[i + 1], series.counts[i]) for i in range(16))
-
-    def test_doubling_subsequence_nonincreasing(self):
-        counts = count_free(3, Threshold(2), 16, "canonical").counts
-        for i in range(1, 9):
-            low = math.exp(math.log(counts[2 * i]) / (2 * i))
-            high = math.exp(math.log(counts[i]) / i)
-            assert low <= high + 1e-12
-
-    def test_certified_lower_bound_used(self):
-        series = count_free(10, Threshold.dejean(3), 8, "canonical")
-        cert = certify(10, 3, False, series)
-        est = growth_estimate(series, cert)
-        assert est.lower == cert.x_witness
-        assert float(est.lower) <= est.upper + 1e-9
-
-    def test_degenerate_single_letter_alphabet(self):
-        series = count_free(1, Threshold(2), 5, "canonical")
-        est = growth_estimate(series)
-        assert est.upper == 0.0
-        assert est.lower == 0
-
-    def test_short_series_rejected(self):
-        with pytest.raises(ValueError):
-            growth_estimate(count_free(3, Threshold(2), 1))
 
 
 def short_last_count(*args, **kwargs):

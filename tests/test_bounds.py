@@ -17,7 +17,6 @@ from powfree import (
     condition_margin,
     count_free,
     rational_witness,
-    taylor_coefficients,
 )
 
 
@@ -226,25 +225,28 @@ class TestAsymptoticTarget:
 
 
 class TestTaylorCoefficients:
+    """asymptotic_target(k, n) is k * (c0 + c1/k + c2/k^2), the first three terms of the
+    non-strict root's expansion in 1/k.  At k a power of two every term is a float, so the
+    target is compared as a Fraction, exactly."""
+
     def test_stated_coefficients(self):
         for n in range(2, 7):
-            assert taylor_coefficients(n) == (1, 1 - n, 1 - n)
+            for k in (2 ** 4, 2 ** 10, 2 ** 20):
+                assert Fraction(asymptotic_target(k, n)) == k + (1 - n) + Fraction(1 - n, k)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_against_symbolic_expansion(self, n):
         y = sympy.symbols("y")
         f = (1 + 2 * y - n * y + sympy.sqrt(4 * y ** 2 + (1 - n * y) ** 2 - 4 * n * y ** 2)) / 2
         poly = sympy.series(f, y, 0, 3).removeO()
-        coeffs = tuple(int(poly.coeff(y, d)) for d in range(3))
-        assert coeffs == taylor_coefficients(n)
+        c0, c1, c2 = (int(poly.coeff(y, d)) for d in range(3))
+        for k in (2 ** 4, 2 ** 10, 2 ** 20):
+            assert Fraction(asymptotic_target(k, n)) == c0 * k + c1 + Fraction(c2, k)
 
     def test_residual_scaled_by_k2_stays_bounded(self):
-        c0, c1, c2 = taylor_coefficients(3)
         for k in (100, 1000, 10000):
-            root = closed_form_root(k, 3)
-            approx = c0 * k + c1 + c2 / k
-            assert abs(root - approx) * k * k <= 10
+            assert abs(closed_form_root(k, 3) - asymptotic_target(k, 3)) * k * k <= 10
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            taylor_coefficients(1)
+            asymptotic_target(20, 1)

@@ -1039,10 +1039,24 @@ class TestExitPath:
             assert (code, out, err) == (130, "", "powfree count: interrupted\n"), signals
             assert signals == 2 or seconds < 1.5
 
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
+                        reason="no C compiler on PATH")
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="no /proc list of child processes")
+    @pytest.mark.parametrize("group", [True, False], ids=["pool", "pool-parent-only"])
+    def test_two_quick_ctrl_cs_exit_130_with_one_line(self, group):
+        # entry() ignores every SIGINT after the first, so a second one at once does not land
+        # in the pool's wait or its workers' termination, where it left workers running that
+        # printed tracebacks, or ended the run with exit 1.
+        for run in range(10):
+            gap = (0, 0.0002)[run % 2]
+            code, out, err, _ = self._interrupted("2", group, 2, gap)
+            assert (code, out, err) == (130, "", "powfree count: interrupted\n"), (run, gap)
+
     @staticmethod
-    def _interrupted(workers, group, signals):
+    def _interrupted(workers, group, signals, gap=0.3):
         """Exit code, stdout, stderr and seconds from the first SIGINT to the end of a walk of
-        about 40 s that gets signals SIGINTs, 0.3 s apart, once it runs.
+        about 40 s that gets signals SIGINTs, gap seconds apart, once it runs.
 
         Two cores are reported, so that --workers 2 starts the pool; the probe says when
         entry() is about to start.  The session must hold no process 10 s after the first
@@ -1068,7 +1082,9 @@ class TestExitPath:
             time.sleep(0.5)
             start = time.monotonic()
             for i in range(signals):
-                time.sleep(0.3 if i else 0)
+                until = time.perf_counter() + (gap if i else 0)
+                while time.perf_counter() < until:
+                    pass  # a busy wait: sleep() may overshoot a gap of 0.2 ms many times over
                 if group:
                     os.killpg(proc.pid, signal.SIGINT)
                 else:
@@ -1095,7 +1111,7 @@ class TestExitPath:
                  "    print('pool', pool and kids.ru_utime + kids.ru_stime > 0, file=sys.stderr)\n"
                  "atexit.register(report)\n"
                  "from powfree.cli import entry; entry()")
-        argv = ["certify", "--k", "20", "--n", "3", "--max-len", "15", "--no-timestamp"]
+        argv = ["certify", "--k", "20", "--n", "3", "--max-len", "16", "--no-timestamp"]
         outs = {}
         for workers in ("1", "2"):
             proc = subprocess.Popen([sys.executable, "-c", probe, *argv, "--workers", workers],

@@ -13,7 +13,6 @@ import sys
 import sysconfig
 import threading
 from collections import Counter
-from fractions import Fraction
 from math import perm
 from pathlib import Path
 
@@ -181,6 +180,13 @@ def test_submultiplicative(k, t, L):
     for m in range(L + 1):
         for n in range(L + 1 - m):
             assert counts[m + n] <= counts[m] * counts[n]
+
+
+def test_doubling_subsequence_nonincreasing():
+    # C_2i^(1/2i) <= C_i^(1/i), compared in integers as C_2i <= C_i^2.
+    counts = count_free(3, Threshold(2), 16, "canonical").counts
+    for i in range(1, 9):
+        assert counts[2 * i] <= counts[i] ** 2
 
 
 def test_counts_monotone_in_extended_order():
@@ -916,7 +922,6 @@ def test_edge_cases():
     assert count_free(5, Threshold(2), 0).counts == (1,)
     assert count_free(1, Threshold(2), 4, "canonical").counts == (1, 1, 0, 0, 0)
     s = count_free(1, Threshold(2), 4, "canonical")
-    assert s.ratios() == (Fraction(1), Fraction(0))
     assert s.prefix(2).counts == (1, 1, 0)
     # A series holds C_0 at least: -1 would empty it, -2 drop the last count.
     for max_length in (9, -1, -2):

@@ -16,7 +16,6 @@ from powfree import (
     CountSeries,
     FjAudit,
     FjAuditRow,
-    GrowthEstimate,
     PowfreeError,
     ReportRow,
     Threshold,
@@ -27,7 +26,6 @@ from powfree import (
     conjecture_report,
     count_free,
     fj_audit,
-    growth_estimate,
 )
 
 
@@ -40,7 +38,6 @@ def _samples():
         ViolationWitness(start=0, period=1, length=2, exponent=Fraction(2)),
         series,
         certify(10, 3, False, series),
-        growth_estimate(series),
         audit.rows[0],
         audit,
         conjecture_report([3], [5], max_length=4)[0],
@@ -48,15 +45,15 @@ def _samples():
 
 
 SAMPLES = _samples()
-TYPES = (Threshold, Word, ViolationWitness, CountSeries, BoundCertificate, GrowthEstimate,
-         FjAuditRow, FjAudit, ReportRow)
+TYPES = (Threshold, Word, ViolationWitness, CountSeries, BoundCertificate, FjAuditRow, FjAudit,
+         ReportRow)
 
 
 def _fields(value):
     return {name: getattr(value, name) for name in type(value)._fields}
 
 
-def test_samples_cover_the_nine_types():
+def test_samples_cover_the_eight_types():
     assert tuple(type(v) for v in SAMPLES) == TYPES
 
 

@@ -11,7 +11,6 @@ from powfree import (
     Threshold,
     ViolationWitness,
     Word,
-    extension_ok,
     find_violation,
     min_violation_length,
 )
@@ -260,6 +259,12 @@ class TestViolationWitness:
             ViolationWitness(0, 2, 4, Fraction(3, 2))
         with pytest.raises(ValueError):
             ViolationWitness(-1, 2, 4, Fraction(2))
+
+
+def extension_ok(w, t):
+    """Whether w, whose one-shorter prefix is t-free, is t-free: the windows ending at its
+    last letter decide it."""
+    return _suffix_violation(w.letters, len(w), _window_checks(t, len(w))) is None
 
 
 class TestExtensionOk:
