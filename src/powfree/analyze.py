@@ -1,16 +1,16 @@
 """The extension-census audit and exploratory reports.
 
-The audit replays the counting argument behind the certificates: among
-one-letter extensions of free words, those that leave the language are
-classified by the period of the minimal forbidden window ending at the new
-letter, and each class is dominated by the number of free words at the
-index the window's tail rewinds to.  One walk over free canonical patterns,
-by the counter's level step, holds the levels up to length i-1 and streams
-length i through the census, one pass over the (period, window) pairs per
-pattern: a pair rejects at most one old letter, so each hit is tallied into
-its period class as it is found, and checked against the class's previous
-member for the suffix-determination (injectivity) check, so no list of
-rejected extensions is kept.
+The audit replays the counting argument behind the certificates, at any
+threshold: among one-letter extensions of free words, those that leave the
+language are classified by the period of the minimal forbidden window ending
+at the new letter, and each class is dominated by the number of free words at
+the index the window's tail rewinds to.  One walk over free canonical
+patterns, by the counter's level step, holds the levels up to length i-1 and
+streams length i through the census, one pass over the (period, window) pairs
+per pattern: a pair rejects at most one old letter, so each hit is tallied
+into its period class as it is found, and checked against the class's
+previous member for the suffix-determination (injectivity) check, so no list
+of rejected extensions is kept.
 """
 
 from __future__ import annotations
@@ -42,11 +42,9 @@ class FjAuditRow(_Value):
 
 
 class FjAudit(_Value):
-    __slots__ = ("k", "n", "strict", "i", "rows", "f_total", "c_i", "c_next",
-                 "suffix_determined")
+    __slots__ = ("k", "threshold", "i", "rows", "f_total", "c_i", "c_next", "suffix_determined")
     k: int
-    n: int
-    strict: bool
+    threshold: Threshold
     i: int
     rows: tuple[FjAuditRow, ...]
     f_total: int  # directly enumerated rejected extensions
@@ -88,26 +86,25 @@ def _census(k: int, end: int, pairs, leaves):
     return f_total, counts, injective
 
 
-def fj_audit(k: int, n: int, strict: bool, i: int,
-             budget: int = DEFAULT_NAIVE_BUDGET) -> FjAudit:
-    """Census of rejected one-letter extensions, by window period.
+def fj_audit(k: int, t: Threshold, i: int, budget: int = DEFAULT_NAIVE_BUDGET) -> FjAudit:
+    """Census of rejected one-letter extensions of t-free words, by window period.
 
-    Walks the free canonical patterns once (d distinct letters weigh perm(k, d)
-    words), holding the levels up to length i-1 and streaming length i through
-    one census pass (_census), then counts the free words to length i+1.  Per
-    period j it counts the rejected extensions whose period-j window ends at
-    the last letter and pairs each with the count it must not exceed.
-    suffix_determined: dropping the tail maps each class injectively, over
-    patterns iff over words (renaming is a bijection in a class; a tail copies
-    earlier letters).  Raises ValidationError if i < 0; BudgetExceededError, before
-    counting, if a step to length L could write len(level) * k * L > budget
-    letters; and LemmaViolationError if the balance k*C_i - C_{i+1} = f_total
-    or a per-period bound fails, checked in that order.  The classes cover
-    every rejected extension, since it adds its weight to every pair it hits.
+    Any threshold t, Dejean's or not.  Walks the free canonical patterns once
+    (d distinct letters weigh perm(k, d) words), holding the levels up to
+    length i-1 and streaming length i through one census pass (_census), then
+    counts the free words to length i+1.  Per period j it counts the rejected
+    extensions whose period-j window ends at the last letter and pairs each
+    with the count it must not exceed.  suffix_determined: dropping the tail
+    maps each class injectively, over patterns iff over words (renaming is a
+    bijection in a class; a tail copies earlier letters).  Raises
+    ValidationError if i < 0; BudgetExceededError, before counting, if a step
+    to length L could write len(level) * k * L > budget letters; and
+    LemmaViolationError if the balance k*C_i - C_{i+1} = f_total or a
+    per-period bound fails, checked in that order.  The classes cover every
+    rejected extension, since it adds its weight to every pair it hits.
     """
     if i < 0:
         raise ValidationError("audit prefix length i must be at least 0")
-    t = Threshold.dejean(n, strict)
     end = i + 1
     pairs = _window_checks(t, end)
     leaves = [((), 0)]
@@ -130,20 +127,20 @@ def fj_audit(k: int, n: int, strict: bool, i: int,
         if cnt > bound:
             raise LemmaViolationError(
                 f"period-{j} census {cnt} exceeds its bound C_{end - (m - j)} = {bound} "
-                f"(k={k}, n={n}, strict={strict}, i={i})")
+                f"(k={k}, threshold {t}, i={i})")
         rows.append(FjAuditRow(period=j, count=cnt, bound=bound))
-    return FjAudit(k=k, n=n, strict=strict, i=i, rows=tuple(rows),
+    return FjAudit(k=k, threshold=t, i=i, rows=tuple(rows),
                    f_total=f_total, c_i=counts[i], c_next=counts[i + 1],
                    suffix_determined=injective)
 
 
-def suffix_determination_check(k: int, n: int, strict: bool, i: int,
+def suffix_determination_check(k: int, t: Threshold, i: int,
                                budget: int = DEFAULT_NAIVE_BUDGET) -> bool:
     """Whether rejected extensions are recoverable from their shortened prefixes.
 
     Reads suffix_determined off the one census fj_audit takes (same errors).
     """
-    return fj_audit(k, n, strict, i, budget).suffix_determined
+    return fj_audit(k, t, i, budget).suffix_determined
 
 
 class ReportRow(_Value):

@@ -96,6 +96,15 @@ def rational_witness(k: int, n: int, strict: bool = False,
     return Fraction(b * scale + math.isqrt(disc * scale * scale), 2 * scale)
 
 
+def _witness(k: int, n: int, strict: bool, precision_bits: int) -> Fraction:
+    """rational_witness, or NoWitnessError where none exists: decided before any count."""
+    x = rational_witness(k, n, strict, precision_bits)
+    if x is None:
+        raise NoWitnessError(f"no witness: the condition admits no x > 1 at k={k}, n={n}, "
+                             f"{'strict' if strict else 'non-strict'}")
+    return x
+
+
 class BoundCertificate(_Value):
     """A machine-checked growth lower bound for the n/(n-1) language over k letters.
 
@@ -131,11 +140,7 @@ def certify(k: int, n: int, strict: bool, series: CountSeries,
             f"tail_max={series.tail_max}; expected k={k}, threshold {expected}, unrestricted")
     if series.max_length < 2:
         raise ValidationError("series too short to certify (need counts up to length 2)")
-    x = rational_witness(k, n, strict, precision_bits)
-    if x is None:
-        raise NoWitnessError(
-            f"no witness: the condition admits no x > 1 at k={k}, n={n}, "
-            f"{'strict' if strict else 'non-strict'}")
+    x = _witness(k, n, strict, precision_bits)
     margin = condition_margin(k, n, strict, x)
     if margin < 0:
         raise LemmaViolationError(f"witness {x} fails its own condition (margin {margin})")

@@ -26,7 +26,7 @@ import sys
 
 from ._output import _emit
 from .analyze import REPORT_COLUMNS, conjecture_report, fj_audit
-from .bounds import certify
+from .bounds import _witness, certify
 from .cache import CountCache
 from .counting import (DEFAULT_NAIVE_BUDGET, METHODS, CountSeries, _check_workers, count_free,
                        count_tail_restricted)
@@ -125,9 +125,11 @@ def cmd_count(args) -> int:
 
 def cmd_certify(args) -> int:
     t = Threshold.dejean(args.n, args.plus)
-    series = _series_for(args.k, t, args.max_len, "canonical", None, args)
     fields = {"k": args.k, "n": args.n, "plus": args.plus}
     try:
+        if args.max_len >= 2:  # a shorter series stays a usage error, as certify reports it
+            _witness(args.k, args.n, args.plus, args.precision_bits)
+        series = _series_for(args.k, t, args.max_len, "canonical", None, args)
         cert = certify(args.k, args.n, args.plus, series, args.precision_bits)
     except NoWitnessError as exc:
         _emit(args, {"command": "certify", "status": "no-witness", **fields, "detail": str(exc)},
@@ -146,13 +148,16 @@ def cmd_certify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    audit = fj_audit(args.k, args.n, args.plus, args.len, budget=args.budget)
+    t = (Threshold.dejean(args.n, args.plus) if args.beta is None
+         else Threshold.parse(args.beta, strict=args.plus))
+    given = {"n": args.n} if args.beta is None else {"beta": str(t).rstrip("+")}
+    audit = fj_audit(args.k, t, args.len, budget=args.budget)
     # fj_audit raises LemmaViolationError (exit 4) for a row above its bound, so every row passes.
     rows = [{"j": r.period, "F_j_count": r.count, "bound": r.bound, "pass": True}
             for r in audit.rows]
     doc = {
         "command": "audit",
-        "k": audit.k, "n": audit.n, "plus": audit.strict, "i": audit.i,
+        "k": audit.k, **given, "plus": t.strict, "i": audit.i,
         "rows": rows,
         "f_total": audit.f_total,
         "k_Ci_minus_Cnext": audit.k * audit.c_i - audit.c_next,
@@ -259,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", parents=[common],
                        help="exhaustive per-period census of rejected extensions")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--n", type=int, help="threshold is n/(n-1)")
+    given.add_argument("--beta", help="exponent bound, 'p' or 'p/q'")
     p.add_argument("--plus", action="store_true")
     p.add_argument("--len", type=int, required=True, help="prefix length i; words of length i+1")
     p.set_defaults(func=cmd_audit)

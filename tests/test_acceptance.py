@@ -81,7 +81,7 @@ def test_criterion_04_ratio_certification_strict(k, n):
 def test_criterion_05_extension_census(k, n, strict, i):
     """Per-period census bounded by rewound counts; totals balance exactly."""
     t = Threshold.dejean(n, strict)
-    audit = fj_audit(k, n, strict, i)
+    audit = fj_audit(k, t, i)
     for row in audit.rows:
         assert row.count <= row.bound
     assert sum(r.count for r in audit.rows) >= audit.f_total
@@ -98,7 +98,7 @@ def test_criterion_05_extension_census(k, n, strict, i):
 @pytest.mark.parametrize("k,n,strict,i", [(4, 3, False, 6), (3, 2, False, 5), (2, 2, True, 6)])
 def test_criterion_06_suffix_determination(k, n, strict, i):
     """Rejected extensions are recoverable from their shortened prefixes."""
-    assert suffix_determination_check(k, n, strict, i) is True
+    assert suffix_determination_check(k, Threshold.dejean(n, strict), i) is True
 
 
 def test_criterion_07_closed_form_condition_consistency():

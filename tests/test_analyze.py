@@ -28,12 +28,25 @@ def short_last_count(*args, **kwargs):
     return series.replace(counts=series.counts[:-1] + (series.counts[-1] - 1,))
 
 
-AUDIT_INSTANCES = [
+AUDIT_INSTANCES = [(k, Threshold.dejean(n, strict), i) for k, n, strict, i in [
     (4, 3, False, 6), (3, 2, False, 5), (2, 2, True, 6),
     (3, 3, False, 5), (2, 3, True, 7), (4, 4, True, 5),
     (6, 3, False, 4), (5, 4, True, 4),  # k > i: every level can take a fresh letter
     (4, 4, True, 6),  # one rejected extension here falls into two period classes
+]]
+AUDIT_INSTANCES += [
+    (4, Threshold(7, 5), 7), (4, Threshold(7, 4), 6), (5, Threshold(4, 3, True), 5),
+    (3, Threshold(5, 2), 7),  # period 1 forbids aaa: its class is bounded by C_{i-1}
+    (2, Threshold(3), 9), (2, Threshold(7, 3, True), 9),
+    (2, Threshold(2), 5), (3, Threshold(3, 2), 6),  # finite languages: empty past length 3, 4
 ]
+
+
+def audit_id(value):
+    """n/(n-1) as n-strict, any other threshold as its text: k-n-strict-i, k-beta-i."""
+    if isinstance(value, Threshold):
+        return f"{value.num}-{value.strict}" if value.num == value.den + 1 else str(value)
+    return None
 
 
 # n/(n-1) for n = 2..5 in both readings, and thresholds that are not of that form.
@@ -63,43 +76,38 @@ def reference_census(k, end, pairs, leaves):
 
 
 class TestExtensionAudit:
-    @pytest.mark.parametrize("k,n,strict,i", AUDIT_INSTANCES)
-    def test_rows_satisfy_bounds_and_balance(self, k, n, strict, i):
-        audit = fj_audit(k, n, strict, i)
+    @pytest.mark.parametrize("k,t,i", AUDIT_INSTANCES, ids=audit_id)
+    def test_rows_satisfy_bounds_and_balance(self, k, t, i):
+        audit = fj_audit(k, t, i)
         assert audit.rows
         for row in audit.rows:
             assert row.count <= row.bound
         assert sum(r.count for r in audit.rows) >= audit.f_total
         assert k * audit.c_i - audit.c_next == audit.f_total
 
-    @pytest.mark.parametrize("k,n,strict,i", AUDIT_INSTANCES)
-    def test_bounds_use_the_tail_rewound_counts(self, k, n, strict, i):
-        t = Threshold.dejean(n, strict)
-        counts = count_series(k, t.num, t.den, strict, i + 1)
-        audit = fj_audit(k, n, strict, i)
+    @pytest.mark.parametrize("k,t,i", AUDIT_INSTANCES, ids=audit_id)
+    def test_bounds_use_the_tail_rewound_counts(self, k, t, i):
+        counts = count_series(k, t.num, t.den, t.strict, i + 1)
+        audit = fj_audit(k, t, i)
         assert audit.c_i == counts[i] and audit.c_next == counts[i + 1]
         for row in audit.rows:
             j = row.period
-            if strict:
-                index = i - j // (n - 1)
-            else:
-                index = i + 1 - (-(-j // (n - 1)))
-            assert row.bound == counts[index]
+            m = next(m for m in count(j + 1) if forbidden_exponent(m, j, t.num, t.den, t.strict))
+            assert row.bound == counts[i + 1 - (m - j)]
 
-    @pytest.mark.parametrize("k,n,strict,i", AUDIT_INSTANCES)
-    def test_f_total_matches_independent_enumeration(self, k, n, strict, i):
+    @pytest.mark.parametrize("k,t,i", AUDIT_INSTANCES, ids=audit_id)
+    def test_f_total_matches_independent_enumeration(self, k, t, i):
         """Brute force over all k**(i+1) words, through the oracles only."""
-        t = Threshold.dejean(n, strict)
         end = i + 1
         rejected = [
             w for w in product(range(1, k + 1), repeat=end)
-            if is_free(w[:i], t.num, t.den, strict) and not is_free(w, t.num, t.den, strict)]
+            if is_free(w[:i], t.num, t.den, t.strict) and not is_free(w, t.num, t.den, t.strict)]
         census = []
         for j in range(1, end):
-            m = next(m for m in count(j + 1) if forbidden_exponent(m, j, t.num, t.den, strict))
+            m = next(m for m in count(j + 1) if forbidden_exponent(m, j, t.num, t.den, t.strict))
             if m <= end:
                 census.append((j, sum(1 for w in rejected if factor_is_power(w, end - m, j, m))))
-        audit = fj_audit(k, n, strict, i)
+        audit = fj_audit(k, t, i)
         assert audit.f_total == len(rejected)
         assert [(r.period, r.count) for r in audit.rows] == census
 
@@ -139,8 +147,8 @@ class TestExtensionAudit:
     def test_budget_guard(self):
         # Growing 136 patterns of length 8 to length 9 may write 136 * 20 * 9 letters.
         with pytest.raises(BudgetExceededError, match="pattern letters"):
-            fj_audit(20, 3, False, 10, budget=10_000)
-        assert fj_audit(20, 3, False, 8, budget=10_000).f_total > 0
+            fj_audit(20, Threshold.dejean(3), 10, budget=10_000)
+        assert fj_audit(20, Threshold.dejean(3), 8, budget=10_000).f_total > 0
 
     def test_refused_audit_counts_nothing(self, monkeypatch):
         def no_count(*args, **kwargs):
@@ -148,12 +156,12 @@ class TestExtensionAudit:
 
         monkeypatch.setattr("powfree.analyze.count_free", no_count)
         with pytest.raises(BudgetExceededError):
-            fj_audit(20, 3, False, 15)
+            fj_audit(20, Threshold.dejean(3), 15)
 
     def test_a_wrong_count_trips_the_balance_canary(self, monkeypatch):
         monkeypatch.setattr("powfree.analyze.count_free", short_last_count)
         with pytest.raises(LemmaViolationError, match="extension balance failed"):
-            fj_audit(4, 3, False, 6)
+            fj_audit(4, Threshold.dejean(3), 6)
 
     def test_an_oversized_class_trips_the_bound_canary(self, monkeypatch):
         # f_total is kept, so the balance holds and the first period's bound fails.
@@ -162,20 +170,22 @@ class TestExtensionAudit:
             return f_total, [counts[0] + 10**9, *counts[1:]], injective
 
         monkeypatch.setattr("powfree.analyze._census", inflated)
-        with pytest.raises(LemmaViolationError, match=r"period-1 census \d+ exceeds its bound"):
-            fj_audit(4, 3, False, 6)
+        with pytest.raises(LemmaViolationError,
+                           match=r"period-1 census \d+ exceeds its bound C_6 = \d+ "
+                                 r"\(k=4, threshold 3/2, i=6\)$"):
+            fj_audit(4, Threshold.dejean(3), 6)
 
     @pytest.mark.parametrize("i", [-1, -2])
     def test_negative_length_is_rejected(self, i):
         with pytest.raises(ValueError):
-            fj_audit(3, 2, False, i)
+            fj_audit(3, Threshold(2), i)
         with pytest.raises(ValueError):
-            suffix_determination_check(3, 2, False, i)
+            suffix_determination_check(3, Threshold(2), i)
 
-    @pytest.mark.parametrize("k,n,strict,i", AUDIT_INSTANCES)
-    def test_suffix_determination(self, k, n, strict, i):
-        assert suffix_determination_check(k, n, strict, i) is True
-        assert fj_audit(k, n, strict, i).suffix_determined is True
+    @pytest.mark.parametrize("k,t,i", AUDIT_INSTANCES, ids=audit_id)
+    def test_suffix_determination(self, k, t, i):
+        assert suffix_determination_check(k, t, i) is True
+        assert fj_audit(k, t, i).suffix_determined is True
 
 
 class TestConjectureReport:

@@ -416,6 +416,19 @@ class TestCertify:
         assert code == 0 and doc["status"] == "ok" and doc["k"] == k
         assert doc["series_digest"] == count_free(k, Threshold.dejean(3), 8).digest()
 
+    def test_no_witness_is_decided_before_any_count(self, capsys, monkeypatch, tmp_path):
+        # Counting ternary square-free words to 200 letters would not finish; nothing is counted
+        # or stored.
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted although no witness exists")
+
+        monkeypatch.setattr("powfree.cli.count_free", no_count)
+        cache = tmp_path / "c.jsonl"
+        code, out = run(capsys, "certify", "--k", "3", "--n", "2", "--max-len", "200",
+                        "--cache", str(cache), "--no-timestamp")
+        assert code == 1 and json.loads(out)["status"] == "no-witness"
+        assert not cache.exists()
+
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal bug")
@@ -463,6 +476,36 @@ class TestAudit:
         assert code == 0 and doc["all_pass"] is True
         assert doc["suffix_determination"] is True
         assert doc["f_total"] == doc["k_Ci_minus_Cnext"]
+
+    @pytest.mark.parametrize("plus", [[], ["--plus"]], ids=["", "plus"])
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_beta_of_the_form_n_over_n_minus_1_is_the_n_audit(self, capsys, n, plus):
+        beta = str(Threshold.dejean(n))
+        for out in ("json", "csv"):
+            argv = ["audit", "--k", "4", "--len", "6", *plus, "--out", out, "--no-timestamp"]
+            _, by_n = run(capsys, *argv, "--n", str(n))
+            code, by_beta = run(capsys, *argv, "--beta", beta)
+            assert code == 0
+            if out == "json":
+                by_n = [("beta", beta) if key == "n" else (key, value)
+                        for key, value in json.loads(by_n).items()]
+                by_beta = list(json.loads(by_beta).items())
+            assert by_beta == by_n
+
+    def test_beta_names_the_threshold_as_check_does(self, capsys):
+        code, out = run(capsys, "audit", "--k", "4", "--beta", "7/5", "--plus", "--len", "6",
+                        "--no-timestamp")
+        doc = json.loads(out)
+        assert code == 0 and doc["beta"] == "7/5" and doc["plus"] is True and "n" not in doc
+        assert '"beta": "7/5",\n  "plus": true,' in out
+
+    @pytest.mark.parametrize("given", [["--n", "3", "--beta", "3/2"], []], ids=["both", "neither"])
+    def test_n_or_beta_exactly_once(self, capsys, given):
+        with pytest.raises(SystemExit) as info:
+            main(["audit", "--k", "4", *given, "--len", "6"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "--n" in captured.err and "--beta" in captured.err
 
     def test_budget_exceeded_exit_code(self, capsys):
         code, out = run(capsys, "audit", "--k", "20", "--n", "3", "--len", "15")
@@ -540,6 +583,9 @@ class TestUsageErrors:
         ("report --n 3 --k 20 --tail-max 0", "tail_max must be positive"),
         ("certify --k 20 --n 3 --precision-bits 0", "precision_bits must be positive"),
         ("audit --k 4 --n 3 --len -1", "audit prefix length i must be at least 0"),
+        ("audit --k 4 --beta 1 --len 3", "threshold must exceed 1, got 1/1"),
+        ("certify --k 3 --n 2 --max-len 1", "series too short to certify"),
+        ("certify --k 3 --n 2 --max-len -1", "max_length must be nonnegative"),
         ("audit --k 3 --n 2 --len -2", "audit prefix length i must be at least 0"),
         ("check 0,1 --beta 2", "letter indices must be positive"),
         pytest.param(f"check 1,{'9' * 5000} --beta 2", "letter index has too many digits",

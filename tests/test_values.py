@@ -31,7 +31,7 @@ from powfree import (
 
 def _samples():
     series = count_free(10, Threshold.dejean(3), 6)
-    audit = fj_audit(3, 3, False, 4)
+    audit = fj_audit(3, Threshold.dejean(3), 4)
     return [
         Threshold(3, 2, True),
         Word((1, 2, 1), 3),
