@@ -187,12 +187,12 @@ def conjecture_report(n_values, k_values, max_length: int = 8, tail_max: int = 2
         for k in sorted(set(k_values)):
             root = closed_form_root(k, n, False)
             root_plus = closed_form_root(k, n, True)
-            witness = rational_witness(k, n, False)
-            witness_plus = rational_witness(k, n, True)
+            t = Threshold.dejean(n)
+            witness = rational_witness(k, t)
+            witness_plus = rational_witness(k, Threshold.dejean(n, True))
             target = asymptotic_target(k, n, False)
             target_plus = asymptotic_target(k, n, True)
             root_plus_next = closed_form_root(k, n + 1, True)
-            t = Threshold.dejean(n)
             series = count_free(k, t, max_length, "canonical", workers=workers)
             series_prime = count_tail_restricted(k, t, tail_max, max_length,
                                                  "canonical", workers=workers)

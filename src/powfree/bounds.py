@@ -1,20 +1,10 @@
 """Growth lower-bound machinery.
 
-A rational x > 1 satisfying
-
-    k   - (n-1) * x/(x-1) >= x        (non-strict threshold n/(n-1))
-    k+1 - (n-1) * x/(x-1) >= x        (strict threshold, the plus reading)
-
-forces the count ratio C_{i+1}/C_i of threshold-free words to stay at or
-above x, hence growth >= x.  For x > 1 the condition rearranges to a
-quadratic:
-
-    x^2 - (k+2-n) x + k     <= 0     (non-strict)
-    x^2 - (k+3-n) x + (k+1) <= 0     (strict)
-
-whose largest solution is the closed-form root.  Certification replaces the
-irrational root with a rational witness just below it so that the condition
-and every count ratio are checked in exact arithmetic.
+A rational x > 1 with g(x) = k - x - S(x) >= 0, S(x) = sum_j x^(1-t_j) over
+the periods j >= 1 and t_j = min_violation_length(j, t) - j, keeps every
+count ratio C_{i+1}/C_i of t-free words at or above x, so growth >= x (the
+README derives it).  At n/(n-1) the condition is the quadratic whose root is
+report's float column.  Certificates check it and every ratio exactly.
 """
 
 from __future__ import annotations
@@ -24,13 +14,14 @@ from fractions import Fraction
 
 from .counting import CountSeries
 from .errors import LemmaViolationError, NoWitnessError, ValidationError
-from .words import Threshold, _check_alphabet, _Value
+from .words import Threshold, _check_alphabet, _Value, min_violation_length
 
 __all__ = [
     "BoundCertificate",
     "closed_form_root",
     "rational_witness",
     "condition_margin",
+    "certify_series",
     "certify",
     "asymptotic_target",
 ]
@@ -49,64 +40,90 @@ def _quadratic(k: int, n: int, strict: bool) -> tuple[int, int]:
     return k + 2 - n, k
 
 
-def condition_margin(k: int, n: int, strict: bool, x: Fraction) -> Fraction:
-    """Exact slack of the witness condition at x; nonnegative iff x qualifies."""
-    _, base = _quadratic(k, n, strict)
+def _tails(t: Threshold) -> tuple[dict[int, int], int]:
+    """{t_j: count of periods j <= q} and s = p - q; t_j <= u iff js <= uq (< if strict)."""
+    q, s = t.den, t.num - t.den
+    tails, j = {}, 1
+    while j <= q:
+        tj = min_violation_length(j, t) - j
+        last = min(q, (tj * q - t.strict) // s)
+        tails[tj], j = last - j + 1, last + 1
+    return tails, s
+
+
+def condition_margin(k: int, t: Threshold, x: Fraction) -> Fraction:
+    """Exact slack k - x - S(x) of the witness condition at x; nonnegative iff x qualifies."""
+    _check_alphabet(k)
     x = Fraction(x)
     if x <= 1:
         raise ValidationError("witness must exceed 1")
-    return base - (n - 1) * x / (x - 1) - x
+    tails, s = _tails(t)
+    return k - x - sum(c * x ** (1 - tj) for tj, c in tails.items()) / (1 - x ** -s)
 
 
 def closed_form_root(k: int, n: int, strict: bool = False) -> float | None:
-    """Largest real x satisfying the witness condition with equality.
+    """Largest real x satisfying the witness condition at n/(n-1) with equality.
 
-    None exactly when rational_witness is None, which decides in integers that
-    no x > 1 qualifies (informative, not an error).  Otherwise one floating
-    square root over the exact discriminant; relative error <= 1e-12.  A
-    discriminant beyond the floats (k above about 1.3e154) is a ValidationError.
+    None exactly when rational_witness is None: disc < 0 or b <= 2 (for disc
+    >= 0 the root exceeds 1 iff b > 2).  Else a float square root of the exact
+    discriminant, relative error <= 1e-12; ValidationError above k ~ 1.3e154.
     """
-    if rational_witness(k, n, strict, 1) is None:
-        return None
-    b, c = _quadratic(k, n, strict)
-    try:
-        return (b + math.sqrt(b * b - 4 * c)) / 2.0
-    except OverflowError:  # math.sqrt converts the discriminant to a float first
-        raise ValidationError(f"the float root needs k below about 1.3e154, got k={k}") from None
-
-
-def rational_witness(k: int, n: int, strict: bool = False,
-                     precision_bits: int = 40) -> Fraction | None:
-    """Exact rational witness within 2**-precision_bits below the root.
-
-    The root is (b + sqrt(disc)) / 2; rounding sqrt(disc) down to a multiple
-    of 2**-precision_bits with an integer square root keeps the result
-    between the parabola vertex b/2 and the root, so it satisfies the
-    condition exactly and never exceeds the true root; more precision bits
-    only ever move it upward.  None when disc < 0 or b <= 2: for disc >= 0
-    the root exceeds 1 iff b > 2, since with b <= 2 it would need b > c + 1.
-    """
-    if precision_bits < 1:
-        raise ValidationError("precision_bits must be positive")
     b, c = _quadratic(k, n, strict)
     disc = b * b - 4 * c
     if disc < 0 or b <= 2:
         return None
-    scale = 2 ** precision_bits
-    return Fraction(b * scale + math.isqrt(disc * scale * scale), 2 * scale)
+    try:
+        return (b + math.sqrt(disc)) / 2.0
+    except OverflowError:  # math.sqrt converts the discriminant to a float first
+        raise ValidationError(f"the float root needs k below about 1.3e154, got k={k}") from None
 
 
-def _witness(k: int, n: int, strict: bool, precision_bits: int) -> Fraction:
+def rational_witness(k: int, t: Threshold, precision_bits: int = 40) -> Fraction | None:
+    """The largest multiple of 2**-(precision_bits+1) in (1, k) where g >= 0, or None.
+
+    g is strictly concave, so g >= 0 on one interval [r1, r2] of (1, k), maybe
+    empty.  At x = m/D, D = 2**(precision_bits+1), g D (m^s - D^s) is the
+    integer P(m) = (kD - m)(m^s - D^s) - sum_{j<=q} m^(s+1-t_j) D^t_j.  One
+    bisection on g's slope finds an m with P(m) >= 0, one on P's sign the last.
+    """
+    if precision_bits < 1:
+        raise ValidationError("precision_bits must be positive")
+    _check_alphabet(k)
+    tails, s = _tails(t)
+    d = 2 ** (precision_bits + 1)
+    terms = [(s + 1 - tj, c * d ** tj) for tj, c in tails.items()]
+
+    def scaled(m: int) -> tuple[int, int]:  # (P(m), m^s - D^s)
+        e = m ** s - d ** s
+        return (k * d - m) * e - sum(w * m ** a for a, w in terms), e
+
+    lo, hi = d + 1, k * d - 1  # the grid points in (1, k)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        p, e = scaled(mid)
+        if p >= 0:
+            break
+        p_next, e_next = scaled(mid + 1)  # g rises from mid to mid+1, or the maximum is left
+        lo, hi = (mid + 1, hi) if p_next * e > p * e_next else (lo, mid - 1)
+    else:
+        return None
+    lo, hi = mid, k * d  # P(mid) >= 0 > P(kD)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if scaled(mid)[0] >= 0 else (lo, mid)
+    return Fraction(lo, d)
+
+
+def _witness(k: int, t: Threshold, precision_bits: int) -> Fraction:
     """rational_witness, or NoWitnessError where none exists: decided before any count."""
-    x = rational_witness(k, n, strict, precision_bits)
+    x = rational_witness(k, t, precision_bits)
     if x is None:
-        raise NoWitnessError(f"no witness: the condition admits no x > 1 at k={k}, n={n}, "
-                             f"{'strict' if strict else 'non-strict'}")
+        raise NoWitnessError(f"no witness: the condition admits no x > 1 at k={k}, threshold {t}")
     return x
 
 
 class BoundCertificate(_Value):
-    """A machine-checked growth lower bound for the n/(n-1) language over k letters.
+    """A machine-checked growth lower bound for a threshold's language over k letters.
 
     Every field was verified in exact rational arithmetic: the witness
     satisfies its condition with the stated nonnegative margin, and
@@ -114,34 +131,29 @@ class BoundCertificate(_Value):
     the count series identified by series_digest.
     """
 
-    __slots__ = ("k", "n", "strict", "x_witness", "condition_margin", "verified_up_to",
+    __slots__ = ("k", "threshold", "x_witness", "condition_margin", "verified_up_to",
                  "series_digest")
     k: int
-    n: int
-    strict: bool
+    threshold: Threshold
     x_witness: Fraction
     condition_margin: Fraction
     verified_up_to: int
     series_digest: str
 
 
-def certify(k: int, n: int, strict: bool, series: CountSeries,
-            precision_bits: int = 40) -> BoundCertificate:
-    """Check C_{i+1} >= x * C_i exactly across the whole series.
+def certify_series(series: CountSeries, precision_bits: int = 40) -> BoundCertificate:
+    """Check C_{i+1} >= x * C_i exactly across the whole series, at its own k and threshold.
 
-    A failed ratio raises LemmaViolationError: the inequality is guaranteed
-    once the witness condition holds, so failure means the counts (or the
-    witness) are wrong.  This is the toolkit's strongest self-test.
+    A tail-restricted series is refused.  A failed ratio, guaranteed once the
+    condition holds, raises LemmaViolationError: the counts are wrong.
     """
-    expected = Threshold.dejean(n, strict)
-    if series.k != k or series.threshold != expected or series.tail_max is not None:
-        raise ValidationError(
-            f"series is for k={series.k}, threshold {series.threshold}, "
-            f"tail_max={series.tail_max}; expected k={k}, threshold {expected}, unrestricted")
+    k, t = series.k, series.threshold
+    if series.tail_max is not None:
+        raise ValidationError(f"series has tail_max={series.tail_max}; certify needs all words")
     if series.max_length < 2:
         raise ValidationError("series too short to certify (need counts up to length 2)")
-    x = _witness(k, n, strict, precision_bits)
-    margin = condition_margin(k, n, strict, x)
+    x = _witness(k, t, precision_bits)
+    margin = condition_margin(k, t, x)
     if margin < 0:
         raise LemmaViolationError(f"witness {x} fails its own condition (margin {margin})")
     counts = series.counts
@@ -149,11 +161,22 @@ def certify(k: int, n: int, strict: bool, series: CountSeries,
         if counts[i + 1] * x.denominator < x.numerator * counts[i]:
             raise LemmaViolationError(
                 f"ratio check failed at i={i}: C_{i + 1}={counts[i + 1]} < "
-                f"{x} * C_{i}={counts[i]} (k={k}, n={n}, strict={strict}); "
+                f"{x} * C_{i}={counts[i]} (k={k}, threshold {t}); "
                 f"this indicates a counting bug")
     return BoundCertificate(
-        k=k, n=n, strict=strict, x_witness=x, condition_margin=margin,
+        k=k, threshold=t, x_witness=x, condition_margin=margin,
         verified_up_to=series.max_length - 1, series_digest=series.digest())
+
+
+def certify(k: int, n: int, strict: bool, series: CountSeries,
+            precision_bits: int = 40) -> BoundCertificate:
+    """certify_series of a series at k and Threshold.dejean(n, strict): the Dejean spelling
+    that perfbench/make_expected.py calls positionally."""
+    expected = Threshold.dejean(n, strict)
+    if series.k != k or series.threshold != expected:
+        raise ValidationError(f"series is for k={series.k}, threshold {series.threshold}; "
+                              f"expected k={k}, threshold {expected}")
+    return certify_series(series, precision_bits)
 
 
 def asymptotic_target(k: int, n: int, strict: bool = False) -> float:

@@ -26,7 +26,7 @@ import sys
 
 from ._output import _emit
 from .analyze import REPORT_COLUMNS, conjecture_report, fj_audit
-from .bounds import _witness, certify
+from .bounds import _witness, certify_series
 from .cache import CountCache
 from .counting import (DEFAULT_NAIVE_BUDGET, METHODS, CountSeries, _check_workers, count_free,
                        count_tail_restricted)
@@ -123,14 +123,21 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _threshold(args) -> tuple[Threshold, dict]:
+    if args.beta is None:
+        return Threshold.dejean(args.n, args.plus), {"n": args.n}
+    t = Threshold.parse(args.beta, strict=args.plus)
+    return t, {"beta": str(t).rstrip("+")}
+
+
 def cmd_certify(args) -> int:
-    t = Threshold.dejean(args.n, args.plus)
-    fields = {"k": args.k, "n": args.n, "plus": args.plus}
+    t, given = _threshold(args)
+    fields = {"k": args.k, **given, "plus": t.strict}
     try:
-        if args.max_len >= 2:  # a shorter series stays a usage error, as certify reports it
-            _witness(args.k, args.n, args.plus, args.precision_bits)
+        if args.max_len >= 2:  # a shorter series stays a usage error, as certify_series reports it
+            _witness(args.k, t, args.precision_bits)
         series = _series_for(args.k, t, args.max_len, "canonical", None, args)
-        cert = certify(args.k, args.n, args.plus, series, args.precision_bits)
+        cert = certify_series(series, args.precision_bits)
     except NoWitnessError as exc:
         _emit(args, {"command": "certify", "status": "no-witness", **fields, "detail": str(exc)},
               [{**fields, "status": "no-witness"}], (*fields, "status"))
@@ -148,9 +155,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    t = (Threshold.dejean(args.n, args.plus) if args.beta is None
-         else Threshold.parse(args.beta, strict=args.plus))
-    given = {"n": args.n} if args.beta is None else {"beta": str(t).rstrip("+")}
+    t, given = _threshold(args)
     audit = fj_audit(args.k, t, args.len, budget=args.budget)
     # fj_audit raises LemmaViolationError (exit 4) for a row above its bound, so every row passes.
     rows = [{"j": r.period, "F_j_count": r.count, "bound": r.bound, "pass": True}
@@ -228,6 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the generated_at field for byte-reproducible output")
 
+    language = argparse.ArgumentParser(add_help=False)  # audit's and certify's
+    language.add_argument("--k", type=int, required=True)
+    given = language.add_mutually_exclusive_group(required=True)
+    given.add_argument("--n", type=int, help="threshold is n/(n-1)")
+    given.add_argument("--beta", help="exponent bound, 'p' or 'p/q'")
+    language.add_argument("--plus", action="store_true")
+
     parser = argparse.ArgumentParser(
         prog="powfree",
         description="Exact toolkit for power-free words: detection, counting, "
@@ -252,22 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to forbidden powers with tail at most this long")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[common, language],
                        help="produce an exactly-checked growth lower-bound certificate")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="threshold is n/(n-1)")
-    p.add_argument("--plus", action="store_true")
     p.add_argument("--max-len", type=int, default=10, help="series length to verify against")
     p.add_argument("--precision-bits", type=int, default=40)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("audit", parents=[common],
+    p = sub.add_parser("audit", parents=[common, language],
                        help="exhaustive per-period census of rejected extensions")
-    p.add_argument("--k", type=int, required=True)
-    given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("--n", type=int, help="threshold is n/(n-1)")
-    given.add_argument("--beta", help="exponent bound, 'p' or 'p/q'")
-    p.add_argument("--plus", action="store_true")
     p.add_argument("--len", type=int, required=True, help="prefix length i; words of length i+1")
     p.set_defaults(func=cmd_audit)
 

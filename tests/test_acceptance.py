@@ -106,8 +106,9 @@ def test_criterion_07_closed_form_condition_consistency():
     for n in range(2, 7):
         for k in range(n + 4, n + 101):
             for strict in (False, True):
+                t = Threshold.dejean(n, strict)
                 root = closed_form_root(k, n, strict)
-                witness = rational_witness(k, n, strict)
+                witness = rational_witness(k, t)
                 assert (root is None) == (witness is None)
                 if root is None:
                     # the quadratic has no real solution here (e.g. k=10, n=6)
@@ -115,7 +116,7 @@ def test_criterion_07_closed_form_condition_consistency():
                 base = k + 1 if strict else k
                 assert abs(base - (n - 1) * root / (root - 1) - root) <= 1e-9
                 assert float(witness) <= root + 1e-9
-                assert condition_margin(k, n, strict, witness) >= 0
+                assert condition_margin(k, t, witness) >= 0
 
 
 def test_criterion_08_asymptotics():

@@ -429,11 +429,55 @@ class TestCertify:
         assert code == 1 and json.loads(out)["status"] == "no-witness"
         assert not cache.exists()
 
+    @pytest.mark.parametrize("plus", [[], ["--plus"]], ids=["", "plus"])
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_beta_of_the_form_n_over_n_minus_1_is_the_n_certificate(self, capsys, n, plus):
+        beta = str(Threshold.dejean(n))
+        argv = ["certify", "--k", "12", "--max-len", "6", *plus, "--no-timestamp"]
+        _, by_n = run(capsys, *argv, "--n", str(n))
+        code, by_beta = run(capsys, *argv, "--beta", beta)
+        assert code == 0 and json.loads(by_beta)["status"] == "ok"
+        by_n = [("beta", beta) if key == "n" else (key, value)
+                for key, value in json.loads(by_n).items()]
+        assert list(json.loads(by_beta).items()) == by_n
+        _, by_n = run(capsys, *argv, "--n", str(n), "--out", "csv")
+        _, by_beta = run(capsys, *argv, "--beta", beta, "--out", "csv")
+        (head_n, row_n), (head_beta, row_beta) = by_n.splitlines(), by_beta.splitlines()
+        assert head_beta == head_n.replace("k,n,", "k,beta,", 1)
+        assert row_beta == row_n.replace(f"12,{n},", f"12,{beta},", 1)
+
+    def test_beta_beyond_dejean(self, capsys):
+        code, out = run(capsys, "certify", "--k", "20", "--beta", "7/5", "--no-timestamp")
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "ok" and doc["beta"] == "7/5" and "n" not in doc
+        assert int(doc["x_witness_num"]) / int(doc["x_witness_den"]) == pytest.approx(17.82485)
+        assert doc["series_digest"] == count_free(20, Threshold(7, 5), 10).digest()
+
+    def test_no_witness_at_beta_is_decided_before_any_count(self, capsys, monkeypatch, tmp_path):
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted although no witness exists")
+
+        monkeypatch.setattr("powfree.cli.count_free", no_count)
+        cache = tmp_path / "c.jsonl"
+        code, out = run(capsys, "certify", "--k", "6", "--beta", "7/5", "--max-len", "200",
+                        "--cache", str(cache), "--no-timestamp")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "no-witness" and not cache.exists()
+        assert doc["detail"] == "no witness: the condition admits no x > 1 at k=6, threshold 7/5"
+
+    @pytest.mark.parametrize("given", [["--n", "3", "--beta", "3/2"], []], ids=["both", "neither"])
+    def test_n_or_beta_exactly_once(self, capsys, given):
+        with pytest.raises(SystemExit) as info:
+            main(["certify", "--k", "20", *given, "--max-len", "4"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "--n" in captured.err and "--beta" in captured.err
+
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal bug")
 
-        monkeypatch.setattr("powfree.cli.certify", broken)
+        monkeypatch.setattr("powfree.cli.certify_series", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["certify", "--k", "20", "--n", "3", "--max-len", "4", "--no-timestamp"])
 
@@ -582,6 +626,7 @@ class TestUsageErrors:
         ("count --k 3 --beta 2 --max-len 3 --tail-max 0", "tail_max must be positive"),
         ("report --n 3 --k 20 --tail-max 0", "tail_max must be positive"),
         ("certify --k 20 --n 3 --precision-bits 0", "precision_bits must be positive"),
+        ("certify --k 20 --beta 7/5 --precision-bits 0", "precision_bits must be positive"),
         ("audit --k 4 --n 3 --len -1", "audit prefix length i must be at least 0"),
         ("audit --k 4 --beta 1 --len 3", "threshold must exceed 1, got 1/1"),
         ("certify --k 3 --n 2 --max-len 1", "series too short to certify"),
