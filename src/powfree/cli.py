@@ -47,10 +47,10 @@ def parse_cli_word(text: str) -> Word:
     if re.fullmatch(r"[A-Za-z]+", text):
         return Word.from_text(text)
     if re.fullmatch(r"\d+(,\d+)*", text):
-        try:
-            letters = tuple(int(x) for x in text.split(","))
-        except ValueError:  # more digits than int() converts from a string
-            raise ValidationError("letter index has too many digits") from None
+        # main() lifts CPython's limit on int-str conversions for counts; letter indices keep it.
+        if max(map(len, text.split(","))) > 4300:
+            raise ValidationError("letter index has too many digits")
+        letters = tuple(int(x) for x in text.split(","))
         if any(a < 1 for a in letters):
             raise ValidationError("letter indices must be positive")
         return Word(letters, max(letters))
@@ -291,6 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Counts and rationals are exact at any size: no limit on int-str conversions (CPython's
+    # default since 3.10.7 is 4,300 digits).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -21,19 +21,22 @@ tally(k, max_length, periods, windows, letters, distincts), walks a whole
 frontier in one call and returns the completions as a new table of Python
 ints.  Its last four arguments are bytes, which _walk packs: the pairs'
 periods and windows, the frontier's prefixes back to back (all of one
-length) and one distinct count per prefix.  Each node keeps its forbidden
-next letters in a bitmask, tallies its children by popcount and walks them;
-every 2**20 nodes it runs Python's signal handlers, so Ctrl-C stops it.  Its
-limits are the bytes it takes: L <= 255 and fewer than 64 letters.  The
-Python walk, _dfs, is the reference; it runs only where no kernel loads
-(without a compiler, Python's headers or a usable cache directory), and
-beyond those limits: longer than 255 letters, which only polynomially
-growing languages such as binary overlap-free words reach, or with 64
-letters or more.  It is the kernel's walk line for line: each
-pattern it visits makes one pass, words._forbidden_next, for the old letters
-that would end a forbidden power after it (each window forbids at most one;
-the fresh letter never completes a power), tallies its children and walks
-them, so it visits every length below L.
+length) and one distinct count per prefix.  Each node gets its forbidden
+next letters as a bitmask from its parent, tallies its children by popcount
+and makes one pass over the windows up to two letters longer than itself,
+which gives every child's mask; it walks the free children, but tallies
+those of length L-1 into row L from their masks without visiting them.
+Every 2**20 visited nodes it runs Python's signal handlers, so Ctrl-C stops
+it.  Its limits are the bytes it takes: L <= 255 and fewer than 64 letters.
+The Python walk, _dfs, is the reference the kernel's tables are tested
+against; it runs only where no kernel loads (without a compiler, Python's
+headers or a usable cache directory), and beyond those limits: longer than
+255 letters, which only polynomially growing languages such as binary
+overlap-free words reach, or with 64 letters or more.  It walks one letter
+at a time: each pattern it visits makes one pass, words._forbidden_next, for
+the old letters that would end a forbidden power after it (each window
+forbids at most one; the fresh letter never completes a power), tallies its
+children and walks them, so it visits every length below L.
 
 Every walk is first deepened by _grow, one level at a time, until the
 frontier holds _TASKS_PER_WORKER prefixes per worker, or reaches length L-1,
@@ -80,9 +83,17 @@ DEFAULT_NAIVE_BUDGET = 10**8
 _TASKS_PER_WORKER = 8
 # A pool starts when the window tests of a walk to L -- its patterns shorter
 # than L, estimated from the frontier's rows, times the (period, window) pairs
-# -- exceed the crossover of the walk in use.  Measured on 2 cores at 2 workers:
-# the kernel's pool ties with one worker up to 31 M tests and wins from 67 M on
-# k=20 languages (CHANGES.md); _dfs's on k = 2-5 languages in BENCH_11.json.
+# -- exceed the crossover of the walk in use.  Measured on 2 cores, count --k 20
+# with one worker against a pool of two, alternating, medians (BENCH_39.json):
+#   tests    beta  L   1 worker  pool     pool faster
+#   26.8 M   3/2   15  0.150 s   0.207 s   0 of 9
+#   33.3 M   6/5+  17  0.163 s   0.226 s   0 of 9
+#   151.8 M  3/2+  15  0.352 s   0.299 s  14 of 15
+#   168.6 M  3/2   16  0.410 s   0.308 s  14 of 15
+#   178.1 M  4/3   17  0.367 s   0.298 s  15 of 15
+#   192.9 M  5/4+  17  0.386 s   0.282 s  13 of 15
+#   1233 M   3/2   17  1.844 s   1.118 s   9 of 9
+# _dfs's crossover was measured on k = 2-5 languages in BENCH_11.json.
 _KERNEL_POOL_TESTS = 50_000_000
 _DFS_POOL_TESTS = 200_000
 
@@ -206,9 +217,10 @@ def _dfs(k, pairs, max_length, table, w, distinct):
     """Walk free canonical patterns extending w, tallying table[length][distinct].
 
     Canonical patterns introduce letters in increasing order, so the next
-    letter is one already used or distinct + 1 (while that stays <= k).  Step
-    for step _walk.c's walk: one words._forbidden_next pass, a tally of the
-    children, and a walk into the free ones while they are shorter than L.
+    letter is one already used or distinct + 1 (while that stays <= k).  The
+    one-letter walk, and the reference that _walk.c's tables are tested
+    against: each visited pattern makes its own words._forbidden_next pass,
+    tallies its children and walks the free ones while they are shorter than L.
     """
     p = len(w)
     bad = _forbidden_next(w, pairs)
@@ -343,10 +355,13 @@ def _kernel():
     tally takes k <= max_length, k <= 63, max_length <= 255 and four bytes:
     the pairs' periods and windows; letters, the frontier's prefixes back to
     back, all of one length below max_length; and distincts, one count <= k per
-    prefix.  It returns a new table as _walk does, and raises ValueError on
-    bytes that break that contract.  The first call builds the library if it
-    is missing.  Only a library in a directory private to this user, itself
-    private, is loaded, as powfree._walk.
+    prefix.  It returns a new table as _walk does, _dfs's table of the same
+    prefixes, and raises ValueError on bytes that break that contract.  Its
+    nodes get their masks from their parents' window passes, and the
+    patterns of length max_length-1 are tallied without a visit (_walk.c's
+    header).  The first call builds the library if it is missing.  Only a
+    library in a directory private to this user, itself private, is loaded,
+    as powfree._walk.
     """
     path = _kernel_file()
     _build_kernel(path)
@@ -368,8 +383,8 @@ def _kernel():
 
 
 # The kernel, where one loads and its bytes hold the walk: L <= 255 and fewer than 64 letters.
-# Its uint64 cells need no cap: a visited node adds at most 64 to them, so none nears 2**64
-# before the walk has visited 2**58 nodes, centuries at tens of nanoseconds a node.
+# Its uint64 cells need no cap: a visited node adds at most 64 + 64*64 < 2**13 to them, so none
+# nears 2**64 before the walk has visited 2**51 nodes, years at tens of nanoseconds a node.
 def _kernel_for(k, max_length):
     return _kernel() if max_length <= 255 and min(k, max_length) <= 63 else None
 

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import powfree
-from powfree import (REPORT_COLUMNS, CountCache, CountSeries, Threshold, count_free,
-                     count_tail_restricted)
+from powfree import (REPORT_COLUMNS, CountCache, CountSeries, Threshold, certify_series,
+                     count_free, count_tail_restricted)
 from powfree import _output, cli, counting
 from powfree._output import _frac_str
 from powfree.cli import main
@@ -91,6 +91,17 @@ class TestCheck:
     def test_bad_beta_is_usage_error(self, capsys):
         code, _ = run(capsys, "check", "abc", "--beta", "1")
         assert code == 2
+
+
+@pytest.fixture
+def digits_unlimited():
+    """Lift CPython's int-str digit limit (3.10.7 on) for this test's own conversions."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestCount:
@@ -358,6 +369,25 @@ class TestCountCache:
             f"skipping corrupt cache record {path}:1 (tail_max must be positive)",
             "powfree count: tail_max must be positive"]
 
+    def test_counts_past_the_int_str_digit_limit(self, tmp_path, digits_unlimited):
+        # C_4 of square-free words at k = 10**1500 has 6,000 digits, past CPython's 4,300: it is
+        # printed exactly, written to the cache, and read back from it rather than skipped as
+        # corrupt.  A fresh interpreter starts at the default limit.
+        k = 10**1500
+        expected = [1, k, k * (k - 1), k * (k - 1)**2, k * (k - 1)**3 - k * (k - 1)]
+        path = tmp_path / "c.jsonl"
+        argv = [sys.executable, "-m", "powfree.cli", "count", "--k", str(k), "--beta", "2",
+                "--max-len", "4", "--cache", str(path), "--no-timestamp"]
+        first = subprocess.run(argv, env=subprocess_env(), capture_output=True, text=True,
+                               timeout=60)
+        assert (first.returncode, first.stderr) == (0, "")
+        assert json.loads(first.stdout)["counts"] == [str(c) for c in expected]
+        stored = path.read_bytes()
+        again = subprocess.run(argv, env=subprocess_env(), capture_output=True, text=True,
+                               timeout=60)
+        assert (again.returncode, again.stderr, again.stdout) == (0, "", first.stdout)
+        assert path.read_bytes() == stored
+
 
 class TestCertify:
     def test_certificate_document(self, capsys):
@@ -415,6 +445,19 @@ class TestCertify:
         doc = json.loads(out)
         assert code == 0 and doc["status"] == "ok" and doc["k"] == k
         assert doc["series_digest"] == count_free(k, Threshold.dejean(3), 8).digest()
+
+    def test_a_margin_past_the_int_str_digit_limit(self, digits_unlimited):
+        # At 400, S(x) sums powers x**-399 of a 41-bit witness: the margin's terms run past
+        # CPython's 4,300 digits, and a fresh interpreter starts at that limit.
+        done = subprocess.run([sys.executable, "-m", "powfree.cli", "certify", "--k", "3",
+                               "--beta", "400", "--max-len", "3", "--no-timestamp"],
+                              env=subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        doc = json.loads(done.stdout)
+        assert doc["status"] == "ok" and len(doc["condition_margin_num"]) > 4300
+        cert = certify_series(count_free(3, Threshold(400), 3))
+        assert (doc["condition_margin_num"], doc["condition_margin_den"]) == \
+            (str(cert.condition_margin.numerator), str(cert.condition_margin.denominator))
 
     def test_no_witness_is_decided_before_any_count(self, capsys, monkeypatch, tmp_path):
         # Counting ternary square-free words to 200 letters would not finish; nothing is counted
@@ -1147,7 +1190,7 @@ class TestExitPath:
     @staticmethod
     def _interrupted(workers, group, signals, gap=0.3):
         """Exit code, stdout, stderr and seconds from the first SIGINT to the end of a walk of
-        about 40 s that gets signals SIGINTs, gap seconds apart, once it runs.
+        about 13 s in one process that gets signals SIGINTs, gap seconds apart, once it runs.
 
         Two cores are reported, so that --workers 2 starts the pool; the probe says when
         entry() is about to start.  The session must hold no process 10 s after the first

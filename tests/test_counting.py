@@ -440,17 +440,25 @@ def test_kernel_refuses_bad_arguments(args, error, message):
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 20])
+@pytest.mark.parametrize("k,below", [pytest.param(k, None, id=f"{k}") for k in (2, 3, 4, 5, 20)]
+                         + [pytest.param(k, below, id=f"{k}-at-L-{below}")
+                            for k in (1, 2, 20) for below in (1, 2)])
 @pytest.mark.parametrize("tail_max", [None, 1, 2])
-def test_one_tally_over_a_frontier_is_the_python_walk(k, tail_max):
+def test_one_tally_over_a_frontier_is_the_python_walk(k, below, tail_max):
     # Every language is walked to the longest L <= 25 at which its free patterns stay
-    # few enough for _dfs, from a frontier of 16 prefixes, as _pattern_table grows it.
+    # few enough for _dfs, from a frontier of 16 prefixes, as _pattern_table grows it, or
+    # from every free prefix of length L - below: at L-1 the kernel tallies row L from each
+    # prefix's own mask alone, at L-2 from the masks of children it never visits.
     # The tables of one tally per prefix, summed as the pool's are, are the same table.
     assert counting._kernel() is not None
     for t in WALK_THRESHOLDS:
         for L in range(2, 26):
             pairs = _window_checks(t, L, tail_max)
-            _, frontier, _ = counting._frontier(k, pairs, L, 16)
+            if below is None:
+                _, frontier, _ = counting._frontier(k, pairs, L, 16)
+            else:
+                _, frontier, depth = counting._frontier(k, pairs, L + 1 - below, float("inf"))
+                assert depth == L - below or not frontier
             compiled = counting._walk(k, pairs, L, frontier)
             if sum(map(sum, compiled)) > 3_000:
                 break
@@ -496,7 +504,8 @@ def test_kernel_walks_past_25_letters_as_the_python_walk(monkeypatch, k, t, tail
 
 # Seeded random tally calls: k <= L <= 10 but for one in twenty, canonical prefixes shorter
 # than L but for one in ten.  Each byte string holds valid values but for one in ten, which
-# holds bytes of any value, its length off by at most one.  Each call returns L+1 rows of k+1 ints or raises ValueError or TypeError (an
+# holds bytes of any value, its length off by at most one.  Each call returns L+1 rows of k+1
+# ints, _dfs's table of the same pairs and prefixes, or raises ValueError or TypeError (an
 # OverflowError for an int beyond C's); a crash kills only this interpreter.
 _FUZZ = """
 import random
@@ -532,6 +541,14 @@ for _ in range(3000):
         continue
     assert len(table) == L + 1, args
     assert all(len(row) == k + 1 and all(type(c) is int for c in row) for row in table), args
+    # The bytes it took hold a valid call: _dfs over the same pairs and prefixes is the table.
+    periods, windows, letters, distincts = args[2:]
+    p = len(letters) // len(distincts) if distincts else 0
+    python = counting._new_table(k, L)
+    for i, distinct in enumerate(distincts):
+        counting._dfs(k, list(zip(periods, windows)), L, python, list(letters[i * p:i * p + p]),
+                      distinct)
+    assert table == python, args
     returned += 1
 print(returned, refused)
 """
@@ -549,7 +566,7 @@ def test_random_tally_arguments_return_a_table_or_raise():
     assert returned >= 1000 and refused >= 1000
 
 
-# A walk of about 40 s: 3/2-free words at k=20 and L=18, on a 2-vCPU host.
+# A walk of about 13 s: 3/2-free words at k=20 and L=18, on a 2-vCPU host.
 _LONG_WALK = """
 import time
 from powfree import Threshold, counting
