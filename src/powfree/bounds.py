@@ -141,18 +141,22 @@ class BoundCertificate(_Value):
     series_digest: str
 
 
-def certify_series(series: CountSeries, precision_bits: int = 40) -> BoundCertificate:
+def certify_series(series: CountSeries, precision_bits: int = 40,
+                   witness: Fraction | None = None) -> BoundCertificate:
     """Check C_{i+1} >= x * C_i exactly across the whole series, at its own k and threshold.
 
-    A tail-restricted series is refused.  A failed ratio, guaranteed once the
-    condition holds, raises LemmaViolationError: the counts are wrong.
+    x is witness when given, the caller's rational_witness(k, t, precision_bits),
+    so a caller that searched first does not search again; its condition is
+    checked either way.  A tail-restricted series is refused.  A failed ratio,
+    guaranteed once the condition holds, raises LemmaViolationError: the counts
+    are wrong.
     """
     k, t = series.k, series.threshold
     if series.tail_max is not None:
         raise ValidationError(f"series has tail_max={series.tail_max}; certify needs all words")
     if series.max_length < 2:
         raise ValidationError("series too short to certify (need counts up to length 2)")
-    x = _witness(k, t, precision_bits)
+    x = _witness(k, t, precision_bits) if witness is None else witness
     margin = condition_margin(k, t, x)
     if margin < 0:
         raise LemmaViolationError(f"witness {x} fails its own condition (margin {margin})")

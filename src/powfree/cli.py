@@ -79,17 +79,17 @@ def _resolve_cache(args) -> CountCache | None:
 
 
 def _series_for(k: int, t: Threshold, max_length: int, method: str | None,
-                tail_max: int | None, args) -> CountSeries:
+                tail_max: int | None, args, budget: int = DEFAULT_NAIVE_BUDGET) -> CountSeries:
     cache = _resolve_cache(args)
     if cache is not None:
         stored = cache.get(k, t, tail_max)
         if stored is not None and stored.max_length >= max_length:
             return stored.prefix(max_length)
     if tail_max is None:
-        series = count_free(k, t, max_length, method, workers=args.workers, budget=args.budget)
+        series = count_free(k, t, max_length, method, workers=args.workers, budget=budget)
     else:
         series = count_tail_restricted(k, t, tail_max, max_length, method,
-                                       workers=args.workers, budget=args.budget)
+                                       workers=args.workers, budget=budget)
     if cache is not None:
         cache.put(series)
     return series
@@ -117,7 +117,7 @@ def cmd_check(args) -> int:
 def cmd_count(args) -> int:
     t = Threshold.parse(args.beta, strict=args.plus)
     method = None if args.engine == "auto" else args.engine
-    series = _series_for(args.k, t, args.max_len, method, args.tail_max, args)
+    series = _series_for(args.k, t, args.max_len, method, args.tail_max, args, args.budget)
     _emit(args, {"command": "count", **series.to_record()},
           [{"i": i, "count": str(c)} for i, c in enumerate(series.counts)], ("i", "count"))
     return EXIT_OK
@@ -134,10 +134,11 @@ def cmd_certify(args) -> int:
     t, given = _threshold(args)
     fields = {"k": args.k, **given, "plus": t.strict}
     try:
-        if args.max_len >= 2:  # a shorter series stays a usage error, as certify_series reports it
-            _witness(args.k, t, args.precision_bits)
+        # One witness search, before any count; a shorter series stays a usage error, as
+        # certify_series reports it.
+        x = _witness(args.k, t, args.precision_bits) if args.max_len >= 2 else None
         series = _series_for(args.k, t, args.max_len, "canonical", None, args)
-        cert = certify_series(series, args.precision_bits)
+        cert = certify_series(series, args.precision_bits, x)
     except NoWitnessError as exc:
         _emit(args, {"command": "certify", "status": "no-witness", **fields, "detail": str(exc)},
               [{**fields, "status": "no-witness"}], (*fields, "status"))
@@ -218,43 +219,50 @@ def _worker_count(text: str) -> int:
     return workers
 
 
+def _command(sub, name: str, summary: str, *, cache=False, workers=False, budget=False,
+             language=False) -> argparse.ArgumentParser:
+    """The parser of command name: --out, those of --cache, --workers and --budget that it
+    reads, --no-timestamp and, for audit and certify, --k, --n or --beta, and --plus."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--out", choices=("json", "csv"), default="json",
+                   help="output format (default json)")
+    if cache:
+        p.add_argument("--cache", metavar="PATH", default=None,
+                       help="count cache file (default $POWFREE_CACHE if set)")
+    if workers:
+        p.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
+                       help="parallel workers for long enumerations, at most one per core "
+                            "(default: available cores)")
+    if budget:
+        p.add_argument("--budget", type=int, default=DEFAULT_NAIVE_BUDGET,
+                       help="work budget: candidate words k**L for the naive engine, "
+                            "letters of the next pattern level for audit")
+    p.add_argument("--no-timestamp", action="store_true",
+                   help="omit the generated_at field for byte-reproducible output")
+    if language:
+        p.add_argument("--k", type=int, required=True)
+        given = p.add_mutually_exclusive_group(required=True)
+        given.add_argument("--n", type=int, help="threshold is n/(n-1)")
+        given.add_argument("--beta", help="exponent bound, 'p' or 'p/q'")
+        p.add_argument("--plus", action="store_true")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", choices=("json", "csv"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--cache", metavar="PATH", default=None,
-                        help="count cache file (default $POWFREE_CACHE if set)")
-    common.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
-                        help="parallel workers for long enumerations, at most one per core "
-                             "(default: available cores)")
-    common.add_argument("--budget", type=int, default=DEFAULT_NAIVE_BUDGET,
-                        help="work budget: candidate words k**L for the naive engine, "
-                             "letters of the next pattern level for audit")
-    common.add_argument("--no-timestamp", action="store_true",
-                        help="omit the generated_at field for byte-reproducible output")
-
-    language = argparse.ArgumentParser(add_help=False)  # audit's and certify's
-    language.add_argument("--k", type=int, required=True)
-    given = language.add_mutually_exclusive_group(required=True)
-    given.add_argument("--n", type=int, help="threshold is n/(n-1)")
-    given.add_argument("--beta", help="exponent bound, 'p' or 'p/q'")
-    language.add_argument("--plus", action="store_true")
-
     parser = argparse.ArgumentParser(
         prog="powfree",
         description="Exact toolkit for power-free words: detection, counting, "
                     "growth-rate certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="test a word for forbidden powers")
+    p = _command(sub, "check", "test a word for forbidden powers")
     p.add_argument("word", help="letters a..z, or comma-separated integers")
     p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
     p.add_argument("--plus", action="store_true", help="forbid only exponents strictly above beta")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("count", parents=[common],
-                       help="count threshold-free words of each length")
+    p = _command(sub, "count", "count threshold-free words of each length",
+                 cache=True, workers=True, budget=True)
     p.add_argument("--k", type=int, required=True, help="alphabet size")
     p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
     p.add_argument("--plus", action="store_true")
@@ -264,26 +272,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to forbidden powers with tail at most this long")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("certify", parents=[common, language],
-                       help="produce an exactly-checked growth lower-bound certificate")
+    p = _command(sub, "certify", "produce an exactly-checked growth lower-bound certificate",
+                 cache=True, workers=True, language=True)
     p.add_argument("--max-len", type=int, default=10, help="series length to verify against")
     p.add_argument("--precision-bits", type=int, default=40)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("audit", parents=[common, language],
-                       help="exhaustive per-period census of rejected extensions")
+    p = _command(sub, "audit", "exhaustive per-period census of rejected extensions",
+                 budget=True, language=True)
     p.add_argument("--len", type=int, required=True, help="prefix length i; words of length i+1")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="exploratory table of bounds, targets, and enumerations")
+    p = _command(sub, "report", "exploratory table of bounds, targets, and enumerations",
+                 workers=True)
     p.add_argument("--n", required=True, help="values, e.g. '2..4' or '2,3'")
     p.add_argument("--k", required=True, help="values, e.g. '50,100,200'")
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--tail-max", type=int, default=2)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("cache", parents=[common], help="inspect or clear the count cache")
+    p = _command(sub, "cache", "inspect or clear the count cache", cache=True)
     p.add_argument("action", choices=("list", "clear"), nargs="?", default="list")
     p.set_defaults(func=cmd_cache)
 
@@ -295,8 +303,7 @@ def main(argv=None) -> int:
     # default since 3.10.7 is 4,300 digits).
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # the parser is garbage once it has parsed
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -60,6 +60,7 @@ import os
 import re
 import sys
 import zlib
+from decimal import Decimal  # fractions, which words imports, loads it anyway
 from itertools import product
 from math import perm
 from pathlib import Path
@@ -145,7 +146,7 @@ class CountSeries(_Value):
 
         t = self.threshold
         key = f"{self.k}|{t.num}/{t.den}|{int(t.strict)}|{self.tail_max}|"
-        key += ",".join(str(c) for c in self.counts)
+        key += ",".join(map(_digits, self.counts))
         return sha256(key.encode()).hexdigest()
 
     def to_record(self) -> dict:
@@ -157,7 +158,7 @@ class CountSeries(_Value):
             "strict": t.strict,
             "tail_max": self.tail_max,
             "method": self.method,
-            "counts": [str(c) for c in self.counts],
+            "counts": list(map(_digits, self.counts)),
         }
 
     @classmethod
@@ -181,7 +182,24 @@ class CountSeries(_Value):
         # to_record writes lowest terms, and get and put find a key by its written fields.
         if (t.num, t.den) != (num, den):
             raise ValidationError(f"threshold {num}/{den} is not in lowest terms")
-        return cls(k=k, threshold=t, counts=map(int, counts), method=method, tail_max=tail_max)
+        return cls(k=k, threshold=t, counts=map(_integer, counts), method=method, tail_max=tail_max)
+
+
+def _digits(c: int) -> str:
+    """str(c) past CPython's limit on int-str digits (4,300 by default), which the CLI lifts
+    and a library caller may keep: Decimal converts without it, and leaves it as it is."""
+    try:
+        return str(c)
+    except ValueError:
+        return str(Decimal(c))
+
+
+def _integer(text: str) -> int:
+    """int(text) of a canonical decimal string of any length, as _digits writes it."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
 
 
 def _check_fields(k, method, tail_max):

@@ -6,10 +6,14 @@ import json
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import powfree
 from powfree import (CountCache, CountSeries, Threshold, ValidationError, count_free,
                      count_tail_restricted)
 from powfree import cache as cache_module
@@ -560,3 +564,42 @@ def test_a_line_nested_too_deeply_to_parse_is_reported_by_every_reader(cache, ca
     assert [rec.getMessage().split(" (")[0] for rec in caplog.records] == [
         f"skipping corrupt cache record {cache.path}:1"] * 3
     assert cache.path.read_text() == json.dumps(count_free(3, t, 4).to_record()) + "\n"
+
+
+_PAST_THE_DIGIT_LIMIT = """
+import hashlib, sys
+from powfree import CountCache, CountSeries, Threshold, count_free
+
+limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+k = 10**1500
+s = count_free(k, Threshold(2), 4)
+assert s.counts == (1, k, k * (k - 1), k * (k - 1)**2, k * (k - 1)**3 - k * (k - 1))
+record = s.to_record()
+assert [len(c) for c in record["counts"]] == [1, 1501, 3000, 4500, 6000]
+assert CountSeries.from_record(record) == s
+digest = s.digest()
+cache = CountCache(sys.argv[1])
+cache.put(s)
+assert cache.get(k, Threshold(2)) == s
+assert [e.max_length for e in cache.entries()] == [4]
+assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+if limit:
+    sys.set_int_max_str_digits(0)
+key = f"{k}|2/1|0|None|" + ",".join(map(str, s.counts))
+assert digest == hashlib.sha256(key.encode()).hexdigest()
+print("ok")
+"""
+
+
+def test_counts_past_the_int_str_digit_limit_outside_the_cli(tmp_path):
+    # C_4 of square-free words at k = 10**1500 has 6,000 digits, past CPython's default limit
+    # of 4,300 on int-str conversions.  A library caller keeps that limit, and the series
+    # still round-trips through its record, its digest and the cache without changing it.
+    # A fresh interpreter: any in-process cli.main has lifted the limit for good.
+    src = str(Path(powfree.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _PAST_THE_DIGIT_LIMIT,
+                           str(tmp_path / "c.jsonl")], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "ok\n")

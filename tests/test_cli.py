@@ -1,5 +1,6 @@
 """Command-line surface: schemas, exit codes, caching, reproducibility."""
 
+import argparse
 import errno
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 import powfree
 from powfree import (REPORT_COLUMNS, CountCache, CountSeries, Threshold, certify_series,
                      count_free, count_tail_restricted)
-from powfree import _output, cli, counting
+from powfree import _output, bounds, cli, counting
 from powfree._output import _frac_str
 from powfree.cli import main
 
@@ -472,6 +473,30 @@ class TestCertify:
         assert code == 1 and json.loads(out)["status"] == "no-witness"
         assert not cache.exists()
 
+    @pytest.mark.parametrize("given", [["--n", "3"], ["--beta", "7/5"]], ids=["n", "beta"])
+    def test_one_witness_search_per_certificate(self, capsys, monkeypatch, tmp_path, given):
+        t = Threshold.dejean(3) if given[0] == "--n" else Threshold(7, 5)
+        expected = certify_series(count_free(12, t, 6))
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        search = bounds.rational_witness
+        monkeypatch.setattr(bounds, "rational_witness", counted)
+        argv = ["certify", "--k", "12", *given, "--max-len", "6", "--no-timestamp"]
+        cache = ["--cache", str(tmp_path / "c.jsonl")]
+        for extra in ([], cache, cache):  # no cache, a miss that stores, a hit
+            code, out = run(capsys, *argv, *extra)
+            doc = json.loads(out)
+            assert (code, doc["status"], doc["series_digest"]) == \
+                (0, "ok", expected.series_digest)
+            assert (doc["x_witness_num"], doc["x_witness_den"]) == \
+                (str(expected.x_witness.numerator), str(expected.x_witness.denominator))
+            assert searches == [(12, t, 40)]
+            searches.clear()
+
     @pytest.mark.parametrize("plus", [[], ["--plus"]], ids=["", "plus"])
     @pytest.mark.parametrize("n", range(2, 6))
     def test_beta_of_the_form_n_over_n_minus_1_is_the_n_certificate(self, capsys, n, plus):
@@ -684,7 +709,7 @@ class TestUsageErrors:
         ("report --n 4..2 --k 20", "empty range '4..2'"),
         ("count --k 3 --beta 2 --max-len 3 --workers abc", "invalid int value: 'abc'"),
         ("count --k 3 --beta 2 --max-len 3 --workers 0", "workers must be at least 1"),
-        ("check abc --beta 2 --workers -1", "workers must be at least 1"),
+        ("report --n 3 --k 20 --workers -1", "workers must be at least 1"),
     ])
     def test_the_owner_of_the_rule_names_it(self, capsys, argv, rule):
         argv = argv.split()
@@ -700,6 +725,52 @@ class TestUsageErrors:
         assert (code, captured.out) == (2, "")
         assert len(lines) == 1
         assert lines[0].startswith(f"powfree {argv[0]}: ") and rule in lines[0]
+
+
+def _option_strings(parser):
+    """{command: its option strings in the order --help lists them}."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [o for a in p._actions for o in a.option_strings]
+            for name, p in sub.choices.items()}
+
+
+class TestSharedOptions:
+    """Each command accepts --out and --no-timestamp, and of --cache, --workers and --budget
+    only those it reads."""
+
+    def test_each_command_has_the_options_it_reads(self):
+        assert _option_strings(cli.build_parser()) == {
+            "check": ["-h", "--help", "--out", "--no-timestamp", "--beta", "--plus"],
+            "count": ["-h", "--help", "--out", "--cache", "--workers", "--budget",
+                      "--no-timestamp", "--k", "--beta", "--plus", "--max-len", "--engine",
+                      "--tail-max"],
+            "certify": ["-h", "--help", "--out", "--cache", "--workers", "--no-timestamp",
+                        "--k", "--n", "--beta", "--plus", "--max-len", "--precision-bits"],
+            "audit": ["-h", "--help", "--out", "--budget", "--no-timestamp", "--k", "--n",
+                      "--beta", "--plus", "--len"],
+            "report": ["-h", "--help", "--out", "--workers", "--no-timestamp", "--n", "--k",
+                       "--max-len", "--tail-max"],
+            "cache": ["-h", "--help", "--out", "--cache", "--no-timestamp"],
+        }
+
+    @pytest.mark.parametrize("argv,pair", [
+        ("check abc --beta 2", "--cache x"),
+        ("check abc --beta 2", "--workers 2"),
+        ("check abc --beta 2", "--budget 10"),
+        ("audit --k 3 --n 3 --len 2", "--cache x"),
+        ("audit --k 3 --n 3 --len 2", "--workers 2"),
+        ("report --n 3 --k 20", "--cache x"),
+        ("report --n 3 --k 20", "--budget 10"),
+        ("cache list", "--workers 2"),
+        ("cache list", "--budget 10"),
+        ("certify --k 20 --n 3", "--budget 10"),
+    ])
+    def test_an_option_the_command_does_not_read_is_refused(self, capsys, argv, pair):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv.split(), *pair.split()])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.splitlines()[-1] == f"powfree: error: unrecognized arguments: {pair}"
 
 
 class TestReproducibility:
