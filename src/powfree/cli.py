@@ -116,8 +116,7 @@ def cmd_check(args) -> int:
 
 def cmd_count(args) -> int:
     t = Threshold.parse(args.beta, strict=args.plus)
-    method = None if args.engine == "auto" else args.engine
-    series = _series_for(args.k, t, args.max_len, method, args.tail_max, args, args.budget)
+    series = _series_for(args.k, t, args.max_len, args.engine, args.tail_max, args, args.budget)
     _emit(args, {"command": "count", **series.to_record()},
           [{"i": i, "count": str(c)} for i, c in enumerate(series.counts)], ("i", "count"))
     return EXIT_OK
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
     p.add_argument("--plus", action="store_true")
     p.add_argument("--max-len", type=int, required=True, help="largest length to count")
-    p.add_argument("--engine", choices=("auto", *METHODS), default="auto")
+    p.add_argument("--engine", choices=METHODS, default="canonical")
     p.add_argument("--tail-max", type=int, default=None,
                    help="restrict to forbidden powers with tail at most this long")
     p.set_defaults(func=cmd_count)
@@ -300,24 +299,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # Counts and rationals are exact at any size: no limit on int-str conversions (CPython's
-    # default since 3.10.7 is 4,300 digits).
-    if hasattr(sys, "set_int_max_str_digits"):
+    # default since 3.10.7 is 4,300 digits) while main runs, output included. The caller's
+    # limit is back when main returns or raises.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)  # the parser is garbage once it has parsed
     try:
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"powfree {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"powfree {args.command}: budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except LemmaViolationError as exc:
-        print(f"powfree {args.command}: lemma violation: {exc}", file=sys.stderr)
-        return EXIT_LEMMA
-    except KeyboardInterrupt:
-        print(f"powfree {args.command}: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        args = build_parser().parse_args(argv)  # the parser is garbage once it has parsed
+        try:
+            return args.func(args)
+        except ValidationError as exc:
+            print(f"powfree {args.command}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except BudgetExceededError as exc:
+            print(f"powfree {args.command}: budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except LemmaViolationError as exc:
+            print(f"powfree {args.command}: lemma violation: {exc}", file=sys.stderr)
+            return EXIT_LEMMA
+        except KeyboardInterrupt:
+            print(f"powfree {args.command}: interrupted", file=sys.stderr)
+            return EXIT_INTERRUPTED
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _closed_pipe() -> int:

@@ -1,7 +1,8 @@
 """Exact counting of threshold-free words, by two interchangeable engines.
 
-naive      filters every word of every length through the detector; it is
-           the test oracle and refuses work beyond its budget.
+naive      filters every word of every length through the detector's scan
+           (words._first_window); it is the test oracle and refuses work
+           beyond its budget.
 canonical  (the default) one depth-first walk over canonical patterns: first
            occurrences of distinct letters appear in increasing order.  It
            fills the table P[L][d] of free patterns of length L with d <= k
@@ -66,7 +67,7 @@ from math import perm
 from pathlib import Path
 
 from .errors import BudgetExceededError, ValidationError
-from .words import (Threshold, _check_alphabet, _Value, _forbidden_next, _suffix_violation,
+from .words import (Threshold, _check_alphabet, _first_window, _forbidden_next, _Value,
                     _window_checks)
 
 __all__ = [
@@ -485,15 +486,8 @@ def _count_naive(k, t, max_length, tail_max, budget):
             parameter="max-len",
         )
     pairs = _window_checks(t, max_length, tail_max)
-    counts = [0] * (max_length + 1)
-    for i in range(max_length + 1):
-        for w in product(range(1, k + 1), repeat=i):
-            for end in range(2, i + 1):
-                if _suffix_violation(w, end, pairs) is not None:
-                    break
-            else:
-                counts[i] += 1
-    return counts
+    return [sum(_first_window(w, pairs) is None for w in product(range(1, k + 1), repeat=i))
+            for i in range(max_length + 1)]
 
 
 def _pattern_table(k, t, max_length, tail_max, workers):

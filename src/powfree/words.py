@@ -5,13 +5,12 @@ when w[t] == w[t-j] for every t in [s+j, e); its exponent is the rational
 (e-s)/j.  Every exponent comparison below is an integer cross
 multiplication; detection never touches floating point.
 
-The window tests share one window list (_window_checks).  Growing a word a
-letter at a time (the naive engine) tests only the windows ending at the new
-letter (_suffix_violation); a pattern of the counting walk or of its level
-step finds, in one pass, every old letter that would end a window after it
-(_forbidden_next); the audit's census (analyze._census) makes the same pass
-and tallies each window it finds by its period.
-A whole word (find_violation) is scanned one period at a time: O(n) bytes of
+The two window tests share one window list (_window_checks).  A pattern of
+the counting walk or of its level step finds, in one pass, every old letter
+that would end a window after it (_forbidden_next); the audit's census
+(analyze._census) makes the same pass and tallies each window it finds by its
+period.  A whole word, for find_violation and for every word the naive engine
+counts, is scanned one period at a time (_first_window): O(n) bytes of
 big-integer and bytes.find work in C per period, O(n^2/beta) bytes in all.
 """
 
@@ -155,10 +154,6 @@ class Threshold(_Value):
         rhs = period * self.num
         return lhs > rhs if self.strict else lhs >= rhs
 
-    def order_key(self) -> tuple[Fraction, int]:
-        """Sort key for the extended order: beta sits immediately below beta-plus."""
-        return (Fraction(self.num, self.den), 1 if self.strict else 0)
-
     def __str__(self) -> str:
         base = str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
         return base + "+" if self.strict else base
@@ -243,7 +238,7 @@ def _window_checks(t: Threshold, max_length: int, tail_max: int | None = None):
     forbidden suffix with the same period contains the minimal one, so the
     minimal window is periodic whenever any violating window is.  Pairs are
     ordered by window ascending (windows are nondecreasing in the period), so
-    a suffix test can stop at the first window longer than the word.  With
+    a window test can stop at the first window longer than the word.  With
     tail_max set, periods whose minimal window has a tail longer than
     tail_max are exempt (and so are all longer windows at that period, whose
     tails are longer still).
@@ -258,16 +253,6 @@ def _window_checks(t: Threshold, max_length: int, tail_max: int | None = None):
             pairs.append((j, m))
         j += 1
     return pairs
-
-
-def _suffix_violation(w, end, pairs):
-    """First (period, window) pair whose window ending at w[end-1] is periodic, or None."""
-    for j, m in pairs:
-        if m > end:
-            break
-        if w[end - 1] == w[end - 1 - j] and w[end - m + j:end] == w[end - m:end - j]:
-            return j, m
-    return None
 
 
 def _forbidden_next(w, pairs):
@@ -289,32 +274,33 @@ def _forbidden_next(w, pairs):
     return bad
 
 
-def find_violation(word: Word, t: Threshold) -> ViolationWitness | None:
-    """Earliest-ending forbidden power of word under t, or None if t-free.
+def _first_window(letters, pairs):
+    """Earliest-ending periodic window of letters, as (end, period, window), or None.
 
-    Deterministic: smallest end index wins, ties broken by smallest period,
-    and the reported length is the minimal violating length at that period.
-
-    The scan goes one period at a time.  Each byte lane of the letters (lane
-    r holds byte r of every letter, one byte per letter) is read as one big
-    integer and XORed with itself shifted by j letters; OR-ing the lanes
-    gives a difference string whose byte p is zero iff letter p equals
-    letter p-j.  A run of m-j zero bytes starting at p >= j is a window of
-    period j and length m ending where the run ends, so bytes.find of the
-    first such run gives the earliest window at that period.  Every letter
-    is one byte of the difference string, so a run can only start on a
-    letter.  Each find stops before the best end so far, and the scan stops
-    at the first window no shorter than that end.  Each period costs O(n)
-    byte operations in C; the whole scan is O(n^2/beta) bytes.
+    pairs are _window_checks' (period, window) pairs, ordered by window.  The
+    scan goes one period at a time.  Each byte lane of the letters (lane r
+    holds byte r of every letter, one byte per letter) is read as one big
+    integer and XORed with itself shifted by j letters; OR-ing the lanes gives
+    a difference string whose byte p is zero iff letter p equals letter p-j.
+    A run of m-j zero bytes starting at p >= j is a window of period j and
+    length m ending where the run ends, so bytes.find of the first such run
+    gives the earliest window at that period.  Every letter is one byte of
+    the difference string, so a run can only start on a letter.  Each find
+    stops before the best end so far, and the scan stops at the first window
+    no shorter than that end, so ties go to the smaller period and windows
+    longer than the word are never tried.  Each period costs O(n) byte
+    operations in C.
     """
-    letters = word.letters
     n = len(letters)
-    width = max(1, (max(letters, default=0).bit_length() + 7) // 8)
-    lanes = [int.from_bytes(bytes((a >> shift) & 255 for a in letters), "big")
-             for shift in range(0, 8 * width, 8)]
+    try:  # letters below 256, the common case, are their own lane
+        lanes = [int.from_bytes(bytes(letters), "big")]
+    except ValueError:
+        width = (max(letters).bit_length() + 7) // 8
+        lanes = [int.from_bytes(bytes((a >> shift) & 255 for a in letters), "big")
+                 for shift in range(0, 8 * width, 8)]
     hit = None
     best_end = n + 1
-    for j, m in _window_checks(t, n):
+    for j, m in pairs:
         if m >= best_end:
             break
         diff = 0
@@ -323,9 +309,20 @@ def find_violation(word: Word, t: Threshold) -> ViolationWitness | None:
         p = diff.to_bytes(n, "big").find(bytes(m - j), j, best_end - 1)
         if p >= 0:
             best_end = p + m - j
-            hit = (j, m)
+            hit = (best_end, j, m)
+    return hit
+
+
+def find_violation(word: Word, t: Threshold) -> ViolationWitness | None:
+    """Earliest-ending forbidden power of word under t, or None if t-free.
+
+    Deterministic: smallest end index wins, ties broken by smallest period,
+    and the reported length is the minimal violating length at that period.
+    One scan of the word's windows (_first_window): O(n^2/beta) bytes in all.
+    """
+    hit = _first_window(word.letters, _window_checks(t, len(word)))
     if hit is None:
         return None
-    period, length = hit
-    return ViolationWitness(start=best_end - length, period=period, length=length,
+    end, period, length = hit
+    return ViolationWitness(start=end - length, period=period, length=length,
                             exponent=Fraction(length, period))

@@ -1,7 +1,9 @@
 """Brute-force reference implementations, independent of the package.
 
-Everything here scans all factors of all words directly; nothing is shared
-with the library's minimal-window machinery, so agreement is meaningful.
+Everything here scans all factors of all words directly, except that
+power_ending_at tries only the least forbidden length of each period, which
+it works out from the threshold itself; nothing is shared with the library's
+minimal-window machinery, so agreement is meaningful.
 """
 
 from itertools import product
@@ -48,6 +50,24 @@ def is_free(letters, num: int, den: int, strict: bool, tail_max=None) -> bool:
                 if factor_is_power(letters, start, period, length):
                     return False
     return True
+
+
+def power_ending_at(letters, end: int, num: int, den: int, strict: bool, tail_max=None):
+    """(period, length) of a forbidden power ending at letters[end-1], or None.
+
+    The smallest such period wins, with the least forbidden length at that
+    period: a longer forbidden power of one period ends in the shortest one.
+    """
+    for period in range(1, end):
+        length = period * num // den + 1 if strict else -(-period * num // den)
+        if length > end:
+            break  # the least forbidden length never falls as the period grows
+        if tail_max is not None and length - period > tail_max:
+            continue
+        if (letters[end - 1] == letters[end - 1 - period]
+                and factor_is_power(letters, end - length, period, length)):
+            return period, length
+    return None
 
 
 def count_series(k: int, num: int, den: int, strict: bool, max_length: int,

@@ -17,7 +17,7 @@ from powfree import (
 
 from powfree.analyze import _census
 from powfree.counting import _grow
-from powfree.words import _suffix_violation, _window_checks
+from powfree.words import _window_checks
 
 from oracles import count_series, factor_is_power, forbidden_exponent, is_free
 
@@ -55,7 +55,7 @@ CENSUS_THRESHOLDS += [Threshold(7, 4), Threshold(5, 2, True), Threshold(3), Thre
 
 
 def reference_census(k, end, pairs, leaves):
-    """_census's result, from one suffix test per old letter and pair."""
+    """_census's result, from the oracle's test of each window per old letter."""
     f_total = 0
     counts = [0] * len(pairs)
     last = [None] * len(pairs)
@@ -63,8 +63,8 @@ def reference_census(k, end, pairs, leaves):
     for w, d in leaves:
         for a in range(1, d + 1):
             v = w + (a,)
-            hits = [c for c, pair in enumerate(pairs)
-                    if _suffix_violation(v, end, [pair]) is not None]
+            hits = [c for c, (j, m) in enumerate(pairs)
+                    if factor_is_power(v, end - m, j, m)]
             f_total += math.perm(k, d) if hits else 0
             for c in hits:
                 j, m = pairs[c]
@@ -134,7 +134,7 @@ class TestExtensionAudit:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_census_matches_a_per_pair_reference(self, k, t):
         # Every level of up to 5,000 leaves, i = 0..9, against a census that tests each old
-        # letter against each pair alone with the suffix test.
+        # letter against each pair alone with the oracle's factor test.
         grow_pairs = _window_checks(t, 10)
         level = [((), 0)]
         for i in range(10):

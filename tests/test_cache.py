@@ -595,7 +595,7 @@ def test_counts_past_the_int_str_digit_limit_outside_the_cli(tmp_path):
     # C_4 of square-free words at k = 10**1500 has 6,000 digits, past CPython's default limit
     # of 4,300 on int-str conversions.  A library caller keeps that limit, and the series
     # still round-trips through its record, its digest and the cache without changing it.
-    # A fresh interpreter: any in-process cli.main has lifted the limit for good.
+    # A fresh interpreter starts at CPython's default limit, whatever this test run has set.
     src = str(Path(powfree.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

@@ -139,10 +139,12 @@ class TestCount:
         code, _ = run(capsys, "count", "--k", "10", "--beta", "2", "--max-len", "9",
                       "--engine", "naive")
         assert code == 3
-        with pytest.raises(SystemExit) as info:  # the retired engine is a usage error
-            main(["count", "--k", "3", "--beta", "2", "--max-len", "4",
-                  "--engine", "incremental"])
-        assert info.value.code == 2
+        # A retired engine and auto, once another name for the default, are usage errors.
+        for engine in ("incremental", "auto"):
+            with pytest.raises(SystemExit) as info:
+                main(["count", "--k", "3", "--beta", "2", "--max-len", "4", "--engine", engine])
+            assert info.value.code == 2
+            assert f"invalid choice: '{engine}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_usage_error(self, workers):
@@ -388,6 +390,44 @@ class TestCountCache:
                                timeout=60)
         assert (again.returncode, again.stderr, again.stdout) == (0, "", first.stdout)
         assert path.read_bytes() == stored
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-str digit limit before Python 3.10.7")
+    def test_main_restores_the_int_str_digit_limit(self):
+        # main prints 6,000-digit counts with no limit, and the caller's limit is back when it
+        # returns or raises.  A fresh interpreter, so no other test's limit is read.
+        done = subprocess.run([sys.executable, "-c", _RESTORES_THE_DIGIT_LIMIT],
+                              env=subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "ok\n")
+
+
+_RESTORES_THE_DIGIT_LIMIT = """
+import contextlib, io, json, sys
+from powfree.cli import main
+
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert sys.get_int_max_str_digits() == 4321, argv
+    return code, out.getvalue()
+
+
+sys.set_int_max_str_digits(4321)
+k = 10**1500
+code, out = run("count", "--k", str(k), "--beta", "2", "--max-len", "4", "--no-timestamp")
+assert run("check", "abc", "--beta", "2", "--no-timestamp")[0] == 0
+assert run("check", "abc", "--beta", "2", "--cache", "x")[0] == 2
+counts = json.loads(out)["counts"]
+sys.set_int_max_str_digits(0)
+assert code == 0 and counts == [str(c) for c in (1, k, k * (k - 1), k * (k - 1)**2,
+                                                 k * (k - 1)**3 - k * (k - 1))]
+print("ok")
+"""
 
 
 class TestCertify:

@@ -14,9 +14,9 @@ from powfree import (
     find_violation,
     min_violation_length,
 )
-from powfree.words import _forbidden_next, _suffix_violation, _window_checks
+from powfree.words import _forbidden_next, _window_checks
 
-from oracles import all_violations, is_free
+from oracles import all_violations, is_free, power_ending_at
 
 DEJEAN_THRESHOLDS = [Threshold.dejean(n, s) for n in (2, 3, 4, 5) for s in (False, True)]
 SCAN_THRESHOLDS = DEJEAN_THRESHOLDS + [Threshold(7, 4), Threshold(7, 4, True), Threshold(3)]
@@ -40,10 +40,9 @@ def oracle_first_violation(letters, t):
 
 
 def scan_by_end(letters, t):
-    """First forbidden power by end index: the minimal-window test at every end."""
-    pairs = _window_checks(t, len(letters))
+    """First forbidden power by end index: the oracle's test of the powers ending at every end."""
     for end in range(2, len(letters) + 1):
-        hit = _suffix_violation(letters, end, pairs)
+        hit = power_ending_at(letters, end, t.num, t.den, t.strict)
         if hit is not None:
             j, m = hit
             return end - m, j, m
@@ -87,12 +86,6 @@ class TestThreshold:
         assert Threshold(3, 2).forbids(3, 2)
         assert not Threshold(3, 2, True).forbids(3, 2)
         assert not t.forbids(4, 4)  # exponent 1 is never a repetition
-
-    def test_extended_order_key(self):
-        keys = [Threshold(3, 2).order_key(), Threshold(3, 2, True).order_key(),
-                Threshold(2).order_key(), Threshold(2, 1, True).order_key()]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == 4
 
 
 class TestWord:
@@ -238,7 +231,7 @@ class TestFindViolation:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 4), max_size=10))
     def test_monotone_in_extended_order(self, letters):
-        ordered = sorted(DEJEAN_THRESHOLDS, key=Threshold.order_key)
+        ordered = sorted(DEJEAN_THRESHOLDS, key=lambda t: (Fraction(t.num, t.den), t.strict))
         w = Word(tuple(letters), 4)
         free = [find_violation(w, t) is None for t in ordered]
         # once free under a threshold, free under every larger one
@@ -264,7 +257,7 @@ class TestViolationWitness:
 def extension_ok(w, t):
     """Whether w, whose one-shorter prefix is t-free, is t-free: the windows ending at its
     last letter decide it."""
-    return _suffix_violation(w.letters, len(w), _window_checks(t, len(w))) is None
+    return power_ending_at(w.letters, len(w), t.num, t.den, t.strict) is None
 
 
 class TestExtensionOk:
@@ -305,7 +298,8 @@ class TestForbiddenNext:
         w = []
         for a in draws:  # keep the draws that leave the prefix free
             w.append(a)
-            if _suffix_violation(w, len(w), pairs) is not None:
+            if power_ending_at(w, len(w), t.num, t.den, t.strict, tail_max) is not None:
                 w.pop()
-        expected = {a for a in range(1, 6) if _suffix_violation(w + [a], len(w) + 1, pairs)}
+        expected = {a for a in range(1, 6)
+                    if power_ending_at(w + [a], len(w) + 1, t.num, t.den, t.strict, tail_max)}
         assert _forbidden_next(w, pairs) == expected
