@@ -11,6 +11,10 @@ per pattern: a pair rejects at most one old letter, so each hit is tallied
 into its period class as it is found, and checked against the class's
 previous member for the suffix-determination (injectivity) check, so no list
 of rejected extensions is kept.
+
+The report sets each Dejean threshold's float root, the largest root of the
+README's quadratic, beside its witnesses and its target k + c_0 + c_1/k, the
+first two terms of bounds.lower_series.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bounds import asymptotic_target, closed_form_root, rational_witness
+from .bounds import lower_series, rational_witness
 from .counting import DEFAULT_NAIVE_BUDGET, CountSeries, _grow, count_free, count_tail_restricted
 from .errors import BudgetExceededError, LemmaViolationError, ValidationError
-from .words import Threshold, _Value, _window_checks
+from .words import Threshold, _check_alphabet, _Value, _window_checks
 
 __all__ = [
     "FjAuditRow",
@@ -172,6 +176,36 @@ def _last_ratio(series: CountSeries) -> float | None:
     return series.counts[-1] / series.counts[-2]
 
 
+def _closed_form_root(k: int, n: int, strict: bool) -> float | None:
+    """report's float root: the largest real x with x^2 - b x + c = 0, the condition at n/(n-1).
+
+    b, c = k+2-n, k (k+3-n, k+1 if strict), as the README states them.  None
+    exactly when rational_witness is None: disc < 0 or b <= 2 (for disc >= 0
+    the root exceeds 1 iff b > 2).  Else a float square root of the exact
+    discriminant, relative error <= 1e-12; ValidationError above k ~ 1.3e154.
+    The report check in perfbench/workloads.py recomputes it with this formula.
+    """
+    Threshold.dejean(n)
+    _check_alphabet(k)
+    b, c = (k + 3 - n, k + 1) if strict else (k + 2 - n, k)
+    disc = b * b - 4 * c
+    if disc < 0 or b <= 2:
+        return None
+    try:
+        return (b + math.sqrt(disc)) / 2.0
+    except OverflowError:  # math.sqrt converts the discriminant to a float first
+        raise ValidationError(f"the float root needs k below about 1.3e154, got k={k}") from None
+
+
+def _target(k: int, terms: tuple[Fraction, ...]) -> float:
+    """float(k + c_0 + c_1/k), correctly rounded, from lower_series' first two terms."""
+    c0, c1 = terms
+    try:
+        return float(k + c0 + c1 / k)
+    except OverflowError:
+        raise ValidationError(f"the float target needs n below about 1.8e308 (k={k})") from None
+
+
 def conjecture_report(n_values, k_values, max_length: int = 8, tail_max: int = 2,
                       *, workers: int = 1) -> list[ReportRow]:
     """Exploratory side-by-side of certified bounds, targets, and enumerations.
@@ -184,15 +218,16 @@ def conjecture_report(n_values, k_values, max_length: int = 8, tail_max: int = 2
         raise ValidationError("max_length must be at least 2")
     rows = []
     for n in sorted(set(n_values)):
+        t, t_plus = Threshold.dejean(n), Threshold.dejean(n, True)
+        terms, terms_plus = lower_series(t, 2), lower_series(t_plus, 2)
         for k in sorted(set(k_values)):
-            root = closed_form_root(k, n, False)
-            root_plus = closed_form_root(k, n, True)
-            t = Threshold.dejean(n)
+            root = _closed_form_root(k, n, False)
+            root_plus = _closed_form_root(k, n, True)
             witness = rational_witness(k, t)
-            witness_plus = rational_witness(k, Threshold.dejean(n, True))
-            target = asymptotic_target(k, n, False)
-            target_plus = asymptotic_target(k, n, True)
-            root_plus_next = closed_form_root(k, n + 1, True)
+            witness_plus = rational_witness(k, t_plus)
+            target = _target(k, terms)
+            target_plus = _target(k, terms_plus)
+            root_plus_next = _closed_form_root(k, n + 1, True)
             series = count_free(k, t, max_length, "canonical", workers=workers)
             series_prime = count_tail_restricted(k, t, tail_max, max_length,
                                                  "canonical", workers=workers)

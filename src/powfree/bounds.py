@@ -3,13 +3,12 @@
 A rational x > 1 with g(x) = k - x - S(x) >= 0, S(x) = sum_j x^(1-t_j) over
 the periods j >= 1 and t_j = min_violation_length(j, t) - j, keeps every
 count ratio C_{i+1}/C_i of t-free words at or above x, so growth >= x (the
-README derives it).  At n/(n-1) the condition is the quadratic whose root is
-report's float column.  Certificates check it and every ratio exactly.
+README derives it).  Certificates check it and every ratio exactly;
+lower_series expands the root where g = 0 in 1/k, exactly, at every threshold.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .counting import CountSeries
@@ -18,26 +17,12 @@ from .words import Threshold, _check_alphabet, _Value, min_violation_length
 
 __all__ = [
     "BoundCertificate",
-    "closed_form_root",
     "rational_witness",
     "condition_margin",
+    "lower_series",
     "certify_series",
     "certify",
-    "asymptotic_target",
 ]
-
-
-def _quadratic(k: int, n: int, strict: bool) -> tuple[int, int]:
-    """Coefficients (b, c) of x^2 - b x + c <= 0, the witness condition at (k, n).
-
-    c is the condition's base, k or k+1.  A ValidationError unless n and k are
-    a threshold's (Threshold.dejean) and an alphabet size (words).
-    """
-    Threshold.dejean(n)
-    _check_alphabet(k)
-    if strict:
-        return k + 3 - n, k + 1
-    return k + 2 - n, k
 
 
 def _tails(t: Threshold) -> tuple[dict[int, int], int]:
@@ -59,23 +44,6 @@ def condition_margin(k: int, t: Threshold, x: Fraction) -> Fraction:
         raise ValidationError("witness must exceed 1")
     tails, s = _tails(t)
     return k - x - sum(c * x ** (1 - tj) for tj, c in tails.items()) / (1 - x ** -s)
-
-
-def closed_form_root(k: int, n: int, strict: bool = False) -> float | None:
-    """Largest real x satisfying the witness condition at n/(n-1) with equality.
-
-    None exactly when rational_witness is None: disc < 0 or b <= 2 (for disc
-    >= 0 the root exceeds 1 iff b > 2).  Else a float square root of the exact
-    discriminant, relative error <= 1e-12; ValidationError above k ~ 1.3e154.
-    """
-    b, c = _quadratic(k, n, strict)
-    disc = b * b - 4 * c
-    if disc < 0 or b <= 2:
-        return None
-    try:
-        return (b + math.sqrt(disc)) / 2.0
-    except OverflowError:  # math.sqrt converts the discriminant to a float first
-        raise ValidationError(f"the float root needs k below about 1.3e154, got k={k}") from None
 
 
 def rational_witness(k: int, t: Threshold, precision_bits: int = 40) -> Fraction | None:
@@ -112,6 +80,36 @@ def rational_witness(k: int, t: Threshold, precision_bits: int = 40) -> Fraction
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if scaled(mid)[0] >= 0 else (lo, mid)
     return Fraction(lo, d)
+
+
+def lower_series(t: Threshold, terms: int) -> tuple[Fraction, ...]:
+    """c_0..c_{terms-1} of the root where g = 0, x = k + c_0 + c_1/k + ..., exactly.
+
+    With y = 1/k and x = u/y, x = k - S(x) reads u = 1 - sum_j y^t_j u^(1-t_j),
+    so u mod y^(r+1) needs only the periods with t_j <= r, counted per tail
+    from t_{j+q} = t_j + s.  Each fixed-point round from u = 1 fixes one more
+    coefficient of u, and c_i is that of y^(i+1): c_0 = -N_1 and c_1 = -N_2,
+    N_t the number of periods with tail t.
+    """
+    if terms < 1:
+        raise ValidationError("terms must be positive")
+    tails, s = _tails(t)
+    size = terms + 1
+    count = [0] * size  # count[a] = N_a
+    for tj, c in tails.items():
+        for a in range(tj, size, s):
+            count[a] += c
+    u = [1] + [0] * terms
+    for _ in range(terms):
+        inverse = [1]  # 1/u mod y^size
+        for d in range(1, size):
+            inverse.append(-sum(u[i] * inverse[d - i] for i in range(1, d + 1)))
+        power, u = [1] + [0] * terms, [1] + [0] * terms  # power = u^(1-a) of the last round
+        for a in range(1, size):
+            for d in range(a, size):
+                u[d] -= count[a] * power[d - a]
+            power = [sum(power[i] * inverse[d - i] for i in range(d + 1)) for d in range(size)]
+    return tuple(Fraction(c) for c in u[1:])
 
 
 def _witness(k: int, t: Threshold, precision_bits: int) -> Fraction:
@@ -181,9 +179,3 @@ def certify(k: int, n: int, strict: bool, series: CountSeries,
         raise ValidationError(f"series is for k={series.k}, threshold {series.threshold}; "
                               f"expected k={k}, threshold {expected}")
     return certify_series(series, precision_bits)
-
-
-def asymptotic_target(k: int, n: int, strict: bool = False) -> float:
-    """The conjectured growth value with the order-1/k^2 term dropped."""
-    b, _ = _quadratic(k, n, strict)
-    return b - 1 - (n - 1) / k

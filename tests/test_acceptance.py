@@ -4,6 +4,7 @@ Run `pytest tests/test_acceptance.py -v` for one pass/fail line per
 criterion.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -12,18 +13,18 @@ import pytest
 from powfree import (
     NoWitnessError,
     Threshold,
-    asymptotic_target,
     certify,
-    closed_form_root,
     condition_margin,
     count_free,
     count_tail_restricted,
     fj_audit,
+    lower_series,
     rational_witness,
     suffix_determination_check,
 )
 
 from oracles import count_series, is_free
+from test_bounds import isqrt_witness
 
 
 def test_criterion_01_base_cases():
@@ -107,12 +108,13 @@ def test_criterion_07_closed_form_condition_consistency():
         for k in range(n + 4, n + 101):
             for strict in (False, True):
                 t = Threshold.dejean(n, strict)
-                root = closed_form_root(k, n, strict)
                 witness = rational_witness(k, t)
-                assert (root is None) == (witness is None)
-                if root is None:
+                assert witness == isqrt_witness(k, n, strict, 40)
+                if witness is None:
                     # the quadratic has no real solution here (e.g. k=10, n=6)
                     continue
+                b, c = (k + 3 - n, k + 1) if strict else (k + 2 - n, k)
+                root = (b + math.sqrt(b * b - 4 * c)) / 2
                 base = k + 1 if strict else k
                 assert abs(base - (n - 1) * root / (root - 1) - root) <= 1e-9
                 assert float(witness) <= root + 1e-9
@@ -122,12 +124,11 @@ def test_criterion_07_closed_form_condition_consistency():
 def test_criterion_08_asymptotics():
     """Scaled expansion residual stays bounded; stated coefficients hold."""
     for k in (10**2, 10**3, 10**4):
-        root = closed_form_root(k, 3)
-        assert abs(root - (k + 1 - 3 - 2 / k)) * k * k <= 10
-    # The target is k + (1-n) + (1-n)/k; at k a power of two each term is a float.
+        root = isqrt_witness(k, 3, False, 80)  # within 2**-81 below the root
+        assert abs(root - (k + 1 - 3 - Fraction(2, k))) * k * k <= 10
+    # The root is k + (1-n) + (1-n)/k + O(1/k^2).
     for n in range(2, 7):
-        for k in (2**7, 2**10):
-            assert Fraction(asymptotic_target(k, n)) == k + (1 - n) + Fraction(1 - n, k)
+        assert lower_series(Threshold.dejean(n), 2) == (1 - n, 1 - n)
 
 
 def test_criterion_09_no_certificate_regime():

@@ -1,4 +1,4 @@
-"""Witness conditions, closed-form roots, exact certification."""
+"""Witness conditions, closed-form roots, the lower root's series, exact certification."""
 
 import math
 import re
@@ -12,16 +12,18 @@ from powfree import (
     NoWitnessError,
     Threshold,
     ValidationError,
-    asymptotic_target,
     certify,
     certify_series,
-    closed_form_root,
     condition_margin,
     count_free,
     count_tail_restricted,
+    lower_series,
     min_violation_length,
     rational_witness,
 )
+from powfree.analyze import _closed_form_root
+
+from oracles import forbidden_exponent
 
 
 def float_margin(k, n, strict, x):
@@ -50,21 +52,26 @@ def tails(t):
 
 class TestClosedFormRoot:
     def test_values(self):
-        assert closed_form_root(20, 3) == (19 + math.sqrt(281)) / 2  # the float bits
-        assert closed_form_root(7, 3) == pytest.approx((6 + math.sqrt(8)) / 2, abs=1e-12)
-        assert closed_form_root(10, 3, True) == pytest.approx((10 + math.sqrt(56)) / 2, abs=1e-12)
+        assert _closed_form_root(20, 3, False) == (19 + math.sqrt(281)) / 2  # the float bits
+        assert _closed_form_root(7, 3, False) == pytest.approx((6 + math.sqrt(8)) / 2, abs=1e-12)
+        assert _closed_form_root(10, 3, True) == pytest.approx((10 + math.sqrt(56)) / 2, abs=1e-12)
 
     def test_no_root_cases(self):
-        assert closed_form_root(2, 2, True) is None
-        assert closed_form_root(3, 3) is None
-        assert closed_form_root(3, 3, True) is None
-        assert closed_form_root(10, 6) is None  # discriminant 36 - 40 < 0
+        assert _closed_form_root(2, 2, True) is None
+        assert _closed_form_root(3, 3, False) is None
+        assert _closed_form_root(3, 3, True) is None
+        assert _closed_form_root(10, 6, False) is None  # discriminant 36 - 40 < 0
+        for n in range(2, 13):
+            for k in range(1, 251):
+                for strict in (False, True):
+                    none = isqrt_witness(k, n, strict, 1) is None
+                    assert (_closed_form_root(k, n, strict) is None) == none, (k, n, strict)
 
     def test_root_satisfies_condition(self):
         for n in range(2, 7):
             for k in range(n + 4, n + 41):
                 for strict in (False, True):
-                    root = closed_form_root(k, n, strict)
+                    root = _closed_form_root(k, n, strict)
                     if root is None:
                         continue
                     assert abs(float_margin(k, n, strict, root)) <= 1e-9, (k, n, strict)
@@ -73,42 +80,40 @@ class TestClosedFormRoot:
         for n in (2, 10, 20):
             for k in (10**3, 10**5, 10**6):
                 for strict in (False, True):
-                    root = closed_form_root(k, n, strict)
+                    root = _closed_form_root(k, n, strict)
                     assert abs(float_margin(k, n, strict, root)) <= 1e-9, (k, n, strict)
 
     def test_a_discriminant_beyond_the_floats_is_refused(self):
         # rational_witness stays exact there; only the float root cannot be taken.
-        assert closed_form_root(10**154, 3) == pytest.approx(1e154)
+        assert _closed_form_root(10**154, 3, False) == pytest.approx(1e154)
         with pytest.raises(ValidationError, match="the float root needs k below about 1.3e154"):
-            closed_form_root(2 * 10**154, 3)
+            _closed_form_root(2 * 10**154, 3, False)
         assert rational_witness(2 * 10**154, dejean(3)) is not None
 
     def test_exact_rational_root_case(self):
         # discriminant 1 at (k, n) = (6, 3): the root is exactly 3
-        assert closed_form_root(6, 3) == pytest.approx(3.0, abs=1e-12)
+        assert _closed_form_root(6, 3, False) == pytest.approx(3.0, abs=1e-12)
         assert condition_margin(6, dejean(3), Fraction(3)) == 0
 
     def test_strict_root_dominates_plain(self):
         for n in (2, 3, 4, 6):
             for k in range(n + 5, n + 60, 7):
-                plain = closed_form_root(k, n, False)
-                strict = closed_form_root(k, n, True)
+                plain = _closed_form_root(k, n, False)
+                strict = _closed_form_root(k, n, True)
                 if plain is not None and strict is not None:
                     assert strict > plain
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            closed_form_root(5, 1)
+            _closed_form_root(5, 1, False)
         with pytest.raises(ValueError):
-            closed_form_root(0, 3)
+            _closed_form_root(0, 3, False)
 
     @pytest.mark.parametrize("function,args,message", [
         (condition_margin, (0, Threshold(7, 5), Fraction(2)), "alphabet size must be positive"),
         (rational_witness, (0, Threshold(7, 5)), "alphabet size must be positive"),
-        (closed_form_root, (20, 0, True), "need n >= 2, got 0"),
-        (closed_form_root, (0, 3), "alphabet size must be positive"),
-        (asymptotic_target, (20, 1), "need n >= 2, got 1"),
-        (asymptotic_target, (0, 3, True), "alphabet size must be positive"),
+        (_closed_form_root, (20, 0, True), "need n >= 2, got 0"),
+        (_closed_form_root, (0, 3, False), "alphabet size must be positive"),
     ])
     def test_every_function_of_k_and_n_refuses_the_same_pairs(self, function, args, message):
         with pytest.raises(ValidationError, match=message):
@@ -118,17 +123,16 @@ class TestClosedFormRoot:
 class TestRationalWitness:
     def test_close_below_root_and_exact(self):
         for k, n, strict in ((20, 3, False), (7, 3, False), (10, 3, True), (12, 4, True)):
-            root = closed_form_root(k, n, strict)
+            root = isqrt_witness(k, n, strict, 80)  # within 2**-81 below the root
             w = rational_witness(k, dejean(n, strict), precision_bits=30)
-            assert w > 1
-            assert float(w) <= root + 1e-9
-            assert root - float(w) <= 2 ** -30 + 1e-9
+            assert 1 < w <= root
+            assert root - w < Fraction(1, 2 ** 30)
             assert condition_margin(k, dejean(n, strict), w) >= 0
         # exact: one step of 2**-p above the witness is already past the root
         for n in range(2, 8):
             for k in range(n + 1, 80):
                 for strict in (False, True):
-                    if closed_form_root(k, n, strict) is None:
+                    if isqrt_witness(k, n, strict, 1) is None:
                         continue
                     t = dejean(n, strict)
                     for bits in (1, 7, 40):
@@ -140,7 +144,7 @@ class TestRationalWitness:
         # (1, 5): b = -2 and c = 1, a discriminant of 0 and a root of -1, not above 1.
         for k, n, strict in ((2, 2, True), (3, 3, False), (10, 6, False), (2, 2, False),
                              (1, 5, False)):
-            assert closed_form_root(k, n, strict) is None
+            assert isqrt_witness(k, n, strict, 40) is None
             assert rational_witness(k, dejean(n, strict)) is None
 
     def test_none_exactly_when_no_real_root_exceeds_1(self):
@@ -154,7 +158,7 @@ class TestRationalWitness:
                     poly = sympy.Poly([1, -b, c], x)
                     none = poly.count_roots(1) == (poly.eval(1) == 0)
                     assert (rational_witness(k, dejean(n, strict)) is None) == none, (k, n, strict)
-                    assert (closed_form_root(k, n, strict) is None) == none, (k, n, strict)
+                    assert (isqrt_witness(k, n, strict, 1) is None) == none, (k, n, strict)
 
     def test_equals_the_isqrt_formula_at_dejean(self):
         # At n/(n-1) the bisection's last grid point with g >= 0 is the closed form's, the
@@ -314,45 +318,88 @@ class TestCertify:
             certify(10, 3, False, short)
 
 
+def plain_or_plus(beta):
+    return Threshold.parse(beta[:-1], True) if beta.endswith("+") else Threshold.parse(beta)
+
+
+def tail_counts(t, largest):
+    """[_, N_1, .., N_largest]: N_a periods j whose least forbidden length is j + a, by the oracle.
+
+    A tail a >= j (p - q) / q bounds the periods that can have a <= largest.
+    """
+    counts = [0] * (largest + 1)
+    for j in range(1, largest * t.den // (t.num - t.den) + 1):
+        length = j + 1
+        while not forbidden_exponent(length, j, t.num, t.den, t.strict):
+            length += 1
+        if length - j <= largest:
+            counts[length - j] += 1
+    return counts
+
+
 class TestAsymptoticTarget:
+    """The lower root's terms k + c_0 + c_1/k + ..., whose first two are report's target."""
+
     def test_values(self):
-        assert asymptotic_target(20, 3) == pytest.approx(17.9, abs=1e-12)
-        assert asymptotic_target(20, 3, True) == pytest.approx(18.9, abs=1e-12)
-        assert asymptotic_target(100, 2) == pytest.approx(98.99, abs=1e-12)
+        table = {"3/2": (-2, -2, -6, -22), "4/3": (-3, -3, -12, -57), "5/4": (-4, -4, -20, -116),
+                 "7/5": (-2, -3, -8, -32), "11/8": (-2, -3, -9, -35),
+                 "19/17": (-8, -9, -80, -794), "3/2+": (-1, -2, -4, -12), "2": (-1, -1, -2, -5)}
+        for beta, terms in table.items():
+            assert lower_series(plain_or_plus(beta), 4) == terms, beta
 
     def test_root_stays_above_target_minus_curvature_term(self):
         # the 1/k^2 coefficient of the root expansion is n(1-n) = -6 at n=3,
         # so any constant above 6.5 works at these k; 5 would not
         for k in (50, 100, 200, 400):
             for strict in (False, True):
-                root = closed_form_root(k, 3, strict)
-                target = asymptotic_target(k, 3, strict)
-                assert root >= target - 7 / k ** 2, (k, strict)
+                c0, c1 = lower_series(dejean(3, strict), 2)
+                root = isqrt_witness(k, 3, strict, 80)
+                assert root >= k + c0 + c1 / k - Fraction(7, k ** 2), (k, strict)
 
 
 class TestTaylorCoefficients:
-    """asymptotic_target(k, n) is k * (c0 + c1/k + c2/k^2), the first three terms of the
-    non-strict root's expansion in 1/k.  At k a power of two every term is a float, so the
-    target is compared as a Fraction, exactly."""
+    """lower_series(t, r) is c_0..c_{r-1} of the witness root's expansion in 1/k,
+    x = k + c_0 + c_1/k + ..., exact at every threshold."""
 
     def test_stated_coefficients(self):
-        for n in range(2, 7):
-            for k in (2 ** 4, 2 ** 10, 2 ** 20):
-                assert Fraction(asymptotic_target(k, n)) == k + (1 - n) + Fraction(1 - n, k)
+        # c_0 = -N_1 and c_1 = -N_2 on every p/q in (1, 2) with q <= 10, in both readings.
+        thresholds = [Threshold(p, q, strict) for q in range(2, 11) for p in range(q + 1, 2 * q)
+                      if math.gcd(p, q) == 1 for strict in (False, True)]
+        assert len(thresholds) == 62
+        for t in thresholds:
+            _, n1, n2 = tail_counts(t, 2)
+            assert lower_series(t, 2) == (-n1, -n2), t
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 101])
     def test_against_symbolic_expansion(self, n):
+        # u = x/k in y = 1/k, from the README's quadratics: c_i is the coefficient of y^(i+1).
+        # At 101/100 the fifth term needs the periods up to 400, whose tails reach 4.
         y = sympy.symbols("y")
-        f = (1 + 2 * y - n * y + sympy.sqrt(4 * y ** 2 + (1 - n * y) ** 2 - 4 * n * y ** 2)) / 2
-        poly = sympy.series(f, y, 0, 3).removeO()
-        c0, c1, c2 = (int(poly.coeff(y, d)) for d in range(3))
-        for k in (2 ** 4, 2 ** 10, 2 ** 20):
-            assert Fraction(asymptotic_target(k, n)) == c0 * k + c1 + Fraction(c2, k)
+        for strict in (False, True):
+            b, c = (1 + (3 - n) * y, y + y * y) if strict else (1 + (2 - n) * y, y)
+            poly = sympy.series((b + sympy.sqrt(b * b - 4 * c)) / 2, y, 0, 6).removeO()
+            terms = tuple(int(poly.coeff(y, d)) for d in range(1, 6))
+            assert lower_series(dejean(n, strict), 5) == terms, (n, strict)
 
     def test_residual_scaled_by_k2_stays_bounded(self):
+        c0, c1 = lower_series(dejean(3), 2)
         for k in (100, 1000, 10000):
-            assert abs(closed_form_root(k, 3) - asymptotic_target(k, 3)) * k * k <= 10
+            assert abs(isqrt_witness(k, 3, False, 80) - (k + c0 + c1 / k)) * k * k <= 10
 
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            asymptotic_target(20, 1)
+    @pytest.mark.parametrize("beta", ["7/5", "11/8", "19/17", "3/2+", "5/2"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_scaled_residual_tends_to_the_next_term(self, beta, r):
+        # k^r (root - the r-term sum) -> c_r; at 19/17, r = 2 it reads about -100, -89, -84, -82.
+        t = plain_or_plus(beta)
+        *head, c_r = lower_series(t, r + 1)
+        scaled = [k ** r * (rational_witness(k, t, 120) - k - sum(c * Fraction(k) ** -i
+                                                                   for i, c in enumerate(head)))
+                  for k in (50, 100, 200, 400)]
+        gaps = [abs(v - c_r) for v in scaled]
+        assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == 4, (scaled, c_r)
+        assert scaled == sorted(scaled) or scaled == sorted(scaled, reverse=True), (scaled, c_r)
+
+    @pytest.mark.parametrize("terms", [0, -1])
+    def test_rejects_fewer_than_one_term(self, terms):
+        with pytest.raises(ValidationError, match="terms must be positive"):
+            lower_series(dejean(3), terms)

@@ -703,6 +703,15 @@ class TestReport:
         assert captured.err.startswith("powfree report: the float root needs k below about")
         assert len(captured.err.splitlines()) == 1
 
+    def test_a_target_beyond_the_floats_is_a_usage_error(self, capsys):
+        # k + c_0 + c_1/k is about -n: at n = 10**400 it leaves the floats, as the root does
+        # past k = 1.3e154, and the report exits 2 rather than ending in a traceback.
+        code = main(["report", "--n", str(10**400), "--k", "5", "--max-len", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("powfree report: the float target needs n below about")
+        assert len(captured.err.splitlines()) == 1
+
     def test_json_nested_by_n_then_k(self, capsys):
         code, out = run(capsys, "report", "--n", "2..3", "--k", "20", "--max-len", "4",
                         "--no-timestamp")
