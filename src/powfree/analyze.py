@@ -115,7 +115,7 @@ def fj_audit(k: int, t: Threshold, i: int, budget: int = DEFAULT_NAIVE_BUDGET) -
     for length in range(1, i + 1):
         if len(leaves) * k * length > budget:
             raise BudgetExceededError(f"audit walk: {len(leaves) * k * length} pattern letters "
-                                      f"exceed the work budget {budget}", parameter="len")
+                                      f"exceed the work budget {budget}")
         leaves = _grow(k, pairs, leaves)
         if length < i:
             leaves = list(leaves)

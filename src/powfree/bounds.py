@@ -112,7 +112,7 @@ def lower_series(t: Threshold, terms: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in u[1:])
 
 
-def _witness(k: int, t: Threshold, precision_bits: int) -> Fraction:
+def _witness(k: int, t: Threshold, precision_bits: int = 40) -> Fraction:
     """rational_witness, or NoWitnessError where none exists: decided before any count."""
     x = rational_witness(k, t, precision_bits)
     if x is None:

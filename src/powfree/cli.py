@@ -31,7 +31,7 @@ from .cache import CountCache
 from .counting import (DEFAULT_NAIVE_BUDGET, METHODS, CountSeries, _check_workers, count_free,
                        count_tail_restricted)
 from .errors import BudgetExceededError, LemmaViolationError, NoWitnessError, ValidationError
-from .words import Threshold, Word, find_violation
+from .words import Threshold, find_violation
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -42,18 +42,15 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C
 EXIT_PIPE = 141  # 128 + SIGPIPE: how a shell reports a writer that a closed pipe killed
 
 
-def parse_cli_word(text: str) -> Word:
+def parse_cli_word(text: str) -> tuple[int, ...]:
     """ASCII letters a..z map to 1..26; larger alphabets use comma-separated ints."""
     if re.fullmatch(r"[A-Za-z]+", text):
-        return Word.from_text(text)
+        return tuple(ord(ch) - ord("a") + 1 for ch in text.lower())
     if re.fullmatch(r"\d+(,\d+)*", text):
         # main() lifts CPython's limit on int-str conversions for counts; letter indices keep it.
         if max(map(len, text.split(","))) > 4300:
             raise ValidationError("letter index has too many digits")
-        letters = tuple(int(x) for x in text.split(","))
-        if any(a < 1 for a in letters):
-            raise ValidationError("letter indices must be positive")
-        return Word(letters, max(letters))
+        return tuple(int(x) for x in text.split(","))
     raise ValidationError("word must be ASCII letters or comma-separated positive integers")
 
 
@@ -135,9 +132,9 @@ def cmd_certify(args) -> int:
     try:
         # One witness search, before any count; a shorter series stays a usage error, as
         # certify_series reports it.
-        x = _witness(args.k, t, args.precision_bits) if args.max_len >= 2 else None
+        x = _witness(args.k, t) if args.max_len >= 2 else None
         series = _series_for(args.k, t, args.max_len, "canonical", None, args)
-        cert = certify_series(series, args.precision_bits, x)
+        cert = certify_series(series, witness=x)
     except NoWitnessError as exc:
         _emit(args, {"command": "certify", "status": "no-witness", **fields, "detail": str(exc)},
               [{**fields, "status": "no-witness"}], (*fields, "status"))
@@ -274,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "certify", "produce an exactly-checked growth lower-bound certificate",
                  cache=True, workers=True, language=True)
     p.add_argument("--max-len", type=int, default=10, help="series length to verify against")
-    p.add_argument("--precision-bits", type=int, default=40)
     p.set_defaults(func=cmd_certify)
 
     p = _command(sub, "audit", "exhaustive per-period census of rejected extensions",

@@ -482,9 +482,7 @@ def _count_naive(k, t, max_length, tail_max, budget):
     if k ** max_length > budget:
         raise BudgetExceededError(
             f"naive engine: k**max_length = {k}**{max_length} candidate words exceed the "
-            f"work budget {budget}; use the canonical engine",
-            parameter="max-len",
-        )
+            f"work budget {budget}; use the canonical engine")
     pairs = _window_checks(t, max_length, tail_max)
     return [sum(_first_window(w, pairs) is None for w in product(range(1, k + 1), repeat=i))
             for i in range(max_length + 1)]

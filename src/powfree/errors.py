@@ -23,10 +23,6 @@ class ValidationError(PowfreeError, ValueError):
 class BudgetExceededError(PowfreeError):
     """An exhaustive operation would exceed its configured work budget."""
 
-    def __init__(self, message: str, parameter: str | None = None):
-        super().__init__(message)
-        self.parameter = parameter
-
 
 class NoWitnessError(PowfreeError):
     """The witness condition admits no x > 1 at these parameters."""

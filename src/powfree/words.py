@@ -1,9 +1,11 @@
 """Domain types and exact fractional-power detection.
 
-Letters are integer indices 1..k.  A factor w[s:e] is a power of period j
-when w[t] == w[t-j] for every t in [s+j, e); its exponent is the rational
-(e-s)/j.  Every exponent comparison below is an integer cross
-multiplication; detection never touches floating point.
+A word is a sequence of positive integer letters: a tuple, a list or bytes,
+with no type of its own.  A factor w[s:e] is a power of period j when
+w[t] == w[t-j] for every t in [s+j, e); its exponent is the rational
+(e-s)/j.  Whether a power is forbidden has one rule, min_violation_length,
+and every exponent comparison is an integer cross multiplication; detection
+never touches floating point.
 
 The two window tests share one window list (_window_checks).  A pattern of
 the counting walk or of its level step finds, in one pass, every old letter
@@ -23,7 +25,6 @@ from .errors import ValidationError
 
 __all__ = [
     "Threshold",
-    "Word",
     "ViolationWitness",
     "min_violation_length",
     "find_violation",
@@ -146,14 +147,6 @@ class Threshold(_Value):
         except ValueError as exc:
             raise ValidationError(f"cannot parse threshold {text!r}: {exc}") from None
 
-    def forbids(self, length: int, period: int) -> bool:
-        """Whether a power of this length and period is a violation."""
-        if length <= period:
-            return False
-        lhs = length * self.den
-        rhs = period * self.num
-        return lhs > rhs if self.strict else lhs >= rhs
-
     def __str__(self) -> str:
         base = str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
         return base + "+" if self.strict else base
@@ -165,51 +158,22 @@ def _check_alphabet(k: int) -> None:
         raise ValidationError("alphabet size must be positive")
 
 
-class Word(_Value):
-    """A finite sequence of letters over the alphabet {1..k}."""
-
-    __slots__ = ("letters", "k")
-    letters: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        _check_alphabet(self.k)
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for a in self.letters:
-            if not 1 <= a <= self.k:
-                raise ValidationError(f"letter {a} outside alphabet 1..{self.k}")
-
-    @classmethod
-    def from_text(cls, text: str, k: int = 26) -> "Word":
-        """Map ASCII letters a..z (case-insensitive) to indices 1..26."""
-        letters = []
-        for ch in text.lower():
-            if not "a" <= ch <= "z":
-                raise ValidationError(f"not an ASCII letter: {ch!r}")
-            letters.append(ord(ch) - ord("a") + 1)
-        return cls(tuple(letters), k)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
-
-
 class ViolationWitness(_Value):
     """A located forbidden power: word[start : start+length] has the given period."""
 
-    __slots__ = ("start", "period", "length", "exponent")
+    __slots__ = ("start", "period", "length")
     start: int
     period: int
     length: int
-    exponent: Fraction
 
     def __post_init__(self):
         if self.start < 0 or self.period < 1 or self.length <= self.period:
             raise ValidationError("witness must describe a power of exponent > 1")
-        if self.exponent != Fraction(self.length, self.period):
-            raise ValidationError("exponent must equal length/period")
+
+    @property
+    def exponent(self) -> Fraction:
+        """length/period, exactly."""
+        return Fraction(self.length, self.period)
 
     @property
     def tail_length(self) -> int:
@@ -313,16 +277,18 @@ def _first_window(letters, pairs):
     return hit
 
 
-def find_violation(word: Word, t: Threshold) -> ViolationWitness | None:
-    """Earliest-ending forbidden power of word under t, or None if t-free.
+def find_violation(letters, t: Threshold) -> ViolationWitness | None:
+    """Earliest-ending forbidden power of letters under t, or None if t-free.
 
-    Deterministic: smallest end index wins, ties broken by smallest period,
-    and the reported length is the minimal violating length at that period.
-    One scan of the word's windows (_first_window): O(n^2/beta) bytes in all.
+    The alphabet is whatever letters occur.  Deterministic: smallest end
+    index wins, ties broken by smallest period, and the reported length is
+    the minimal violating length at that period.  One scan of the word's
+    windows (_first_window): O(n^2/beta) bytes in all.
     """
-    hit = _first_window(word.letters, _window_checks(t, len(word)))
+    if letters and min(letters) < 1:
+        raise ValidationError("letter indices must be positive")
+    hit = _first_window(letters, _window_checks(t, len(letters)))
     if hit is None:
         return None
     end, period, length = hit
-    return ViolationWitness(start=end - length, period=period, length=length,
-                            exponent=Fraction(length, period))
+    return ViolationWitness(start=end - length, period=period, length=length)

@@ -16,7 +16,7 @@ import pytest
 
 import powfree
 from powfree import (REPORT_COLUMNS, CountCache, CountSeries, Threshold, certify_series,
-                     count_free, count_tail_restricted)
+                     count_free, count_tail_restricted, find_violation)
 from powfree import _output, bounds, cli, counting
 from powfree._output import _frac_str
 from powfree.cli import main
@@ -50,6 +50,23 @@ class TestCheck:
         assert doc["witness"]["period"] == 4
         assert doc["witness"]["length"] == 8
         assert doc["witness"]["exponent_num"] == "2"
+
+    def test_witness_is_that_of_the_bytes(self, capsys):
+        # Detection reads only which letters are equal, so the bytes of hotshots, letters 104 to
+        # 116, give the witness that check prints for hotshots read as 1..26.
+        _, out = run(capsys, "check", "hotshots", "--beta", "2", "--no-timestamp")
+        w = find_violation(b"hotshots", Threshold(2))
+        assert json.loads(out)["witness"] == {
+            "start": w.start, "period": w.period, "length": w.length,
+            "exponent_num": str(w.exponent.numerator), "exponent_den": str(w.exponent.denominator),
+            "tail_length": w.tail_length}
+
+    def test_letters_from_text(self):
+        assert cli.parse_cli_word("az") == (1, 26)
+        assert cli.parse_cli_word("AbC") == (1, 2, 3)
+        assert cli.parse_cli_word("3,300,0") == (3, 300, 0)  # find_violation refuses the 0
+        with pytest.raises(ValueError):
+            cli.parse_cli_word("a1")
 
     def test_square_free_word(self, capsys):
         code, out = run(capsys, "check", "minimize", "--beta", "2", "--no-timestamp")
@@ -742,8 +759,6 @@ class TestUsageErrors:
         ("count --k 3 --beta 2 --max-len -1", "max_length must be nonnegative"),
         ("count --k 3 --beta 2 --max-len 3 --tail-max 0", "tail_max must be positive"),
         ("report --n 3 --k 20 --tail-max 0", "tail_max must be positive"),
-        ("certify --k 20 --n 3 --precision-bits 0", "precision_bits must be positive"),
-        ("certify --k 20 --beta 7/5 --precision-bits 0", "precision_bits must be positive"),
         ("audit --k 4 --n 3 --len -1", "audit prefix length i must be at least 0"),
         ("audit --k 4 --beta 1 --len 3", "threshold must exceed 1, got 1/1"),
         ("certify --k 3 --n 2 --max-len 1", "series too short to certify"),
@@ -794,7 +809,7 @@ class TestSharedOptions:
                       "--no-timestamp", "--k", "--beta", "--plus", "--max-len", "--engine",
                       "--tail-max"],
             "certify": ["-h", "--help", "--out", "--cache", "--workers", "--no-timestamp",
-                        "--k", "--n", "--beta", "--plus", "--max-len", "--precision-bits"],
+                        "--k", "--n", "--beta", "--plus", "--max-len"],
             "audit": ["-h", "--help", "--out", "--budget", "--no-timestamp", "--k", "--n",
                       "--beta", "--plus", "--len"],
             "report": ["-h", "--help", "--out", "--workers", "--no-timestamp", "--n", "--k",

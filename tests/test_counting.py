@@ -239,7 +239,7 @@ def test_naive_budget_refused():
     with pytest.raises(BudgetExceededError) as info:
         count_free(10, Threshold(2), 4, "naive", budget=1000)
     assert "budget" in str(info.value)
-    assert info.value.parameter == "max-len"
+    assert "10**4 candidate words" in str(info.value)  # names what exceeded it
     assert "engine" in str(info.value)  # suggests an alternative
 
 

@@ -6,7 +6,6 @@ And the package surface they are published on.
 import copy
 import pickle
 import types
-from fractions import Fraction
 
 import pytest
 
@@ -21,7 +20,6 @@ from powfree import (
     Threshold,
     ValidationError,
     ViolationWitness,
-    Word,
     certify,
     conjecture_report,
     count_free,
@@ -34,8 +32,7 @@ def _samples():
     audit = fj_audit(3, Threshold.dejean(3), 4)
     return [
         Threshold(3, 2, True),
-        Word((1, 2, 1), 3),
-        ViolationWitness(start=0, period=1, length=2, exponent=Fraction(2)),
+        ViolationWitness(start=0, period=1, length=2),
         series,
         certify(10, 3, False, series),
         audit.rows[0],
@@ -45,15 +42,14 @@ def _samples():
 
 
 SAMPLES = _samples()
-TYPES = (Threshold, Word, ViolationWitness, CountSeries, BoundCertificate, FjAuditRow, FjAudit,
-         ReportRow)
+TYPES = (Threshold, ViolationWitness, CountSeries, BoundCertificate, FjAuditRow, FjAudit, ReportRow)
 
 
 def _fields(value):
     return {name: getattr(value, name) for name in type(value)._fields}
 
 
-def test_samples_cover_the_eight_types():
+def test_samples_cover_the_seven_types():
     assert tuple(type(v) for v in SAMPLES) == TYPES
 
 
@@ -124,8 +120,8 @@ def test_fields_bind_positionally_by_keyword_and_by_default():
     assert Threshold(3) == Threshold(num=3) == Threshold(3, 1, False)
     assert Threshold(3, strict=True) == Threshold(3, 1, True)
     assert CountSeries(3, Threshold(2), (1,), "canonical").tail_max is None
-    with pytest.raises(TypeError, match="missing field 'k'"):
-        Word((1,))
+    with pytest.raises(TypeError, match="missing field 'length'"):
+        ViolationWitness(0, 1)
     with pytest.raises(TypeError, match="takes 3 fields"):
         Threshold(3, 2, True, 0)
     with pytest.raises(TypeError, match="repeated"):
