@@ -10,7 +10,7 @@ validate the records of their key, and put copies the other keys' lines
 into the new file as it reads them, so neither holds more than one line and
 the kept record.  entries reads every record with the same
 CountSeries.from_record as get and keeps one key tuple and one int (the
-longest length and the method) per key; it builds a key's CacheEntry only
+longest length, not the engine) per key; it builds a key's CacheEntry only
 when its iterator hands that entry out.  A stored threshold is in lowest
 terms: get and put find a key by its written fields, so from_record refuses
 another spelling (4/2) as corrupt rather than let entries list a record that
@@ -40,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from .counting import METHODS, CountSeries, _log
+from .counting import CountSeries, _log
 from .errors import ValidationError
 from .words import Threshold
 
@@ -60,12 +60,6 @@ def _head(texts) -> str:
 _INT = "(?:0|-?[1-9][0-9]*)"
 _ANY_HEAD = re.compile(_head((_INT, f"({_INT})", f"({_INT})", "(?:true|false)",
                               f"(?:null|{_INT})")))
-
-
-def _other_terms(num, den) -> bool:
-    """Whether num and den are the ints of a threshold not in lowest terms, which
-    from_record refuses and no get or put asks for."""
-    return type(num) is int and type(den) is int and math.gcd(num, den) != 1
 
 
 def _utf8(line: str) -> None:
@@ -89,17 +83,16 @@ def _longest(records: Iterable[CountSeries]) -> CountSeries | None:
     return kept
 
 
-# A key's longest record as entries lists it: its fields without the counts.  A
-# named tuple, not a words._Value: entries builds one per key, ten times faster.
-CacheEntry = namedtuple("CacheEntry", "k threshold tail_max method max_length")
+# A key's longest record as entries lists it: its key and length, without the engine or
+# the counts.  A named tuple, not a words._Value: entries builds one per key, ten times faster.
+CacheEntry = namedtuple("CacheEntry", "k threshold tail_max max_length")
 
 
 def _listed(kept: dict[tuple, int]) -> Iterator[CacheEntry]:
     """The CacheEntry of each key of an entries index, in key order, built as it is asked for."""
     for key in sorted(kept):
         k, num, den, strict, tail_max = key
-        length, method = divmod(kept[key], len(METHODS))
-        yield CacheEntry(k, Threshold(num, den, strict), tail_max or None, METHODS[method], length)
+        yield CacheEntry(k, Threshold(num, den, strict), tail_max or None, kept[key])
 
 
 def _usage_errors(method):
@@ -147,8 +140,9 @@ class CountCache:
                 if not line.strip():
                     continue
                 head = None if own is None or line.startswith(own) else _ANY_HEAD.match(line)
+                # put parses a head not in lowest terms, which from_record refuses, to drop it.
                 other = head is not None and (others is None
-                                              or not _other_terms(*map(int, head.groups())))
+                                              or math.gcd(*map(int, head.groups())) == 1)
                 try:
                     if not line.isascii():
                         _utf8(line)
@@ -187,18 +181,17 @@ class CountCache:
         """Every key's longest valid record, without its counts, in key order.
 
         Each record is read with CountSeries.from_record, as get reads it, and
-        only its key, length and method are kept.  The whole file is read
-        before entries returns.
+        only its key and length are kept.  The whole file is read before
+        entries returns.
         """
-        # One int per key, max_length * len(METHODS) + the method's index, under the key
-        # (k, num, den, strict, tail_max or 0): a stored tail_max is at least 1, so 0
-        # stands for none, and the keys sort in the listed order.
+        # One int per key, its longest length, under (k, num, den, strict, tail_max or 0):
+        # a stored tail_max is at least 1, so 0 stands for none, and keys sort as listed.
         kept: dict[tuple, int] = {}
         for series in self._records():
             t, length = series.threshold, series.max_length
             key = (series.k, t.num, t.den, t.strict, series.tail_max or 0)
-            if key not in kept or length > kept[key] // len(METHODS):
-                kept[key] = length * len(METHODS) + METHODS.index(series.method)
+            if length > kept.get(key, -1):
+                kept[key] = length
         return _listed(kept)
 
     @_usage_errors

@@ -75,12 +75,13 @@ def _resolve_cache(args) -> CountCache | None:
     return CountCache(path) if path else None
 
 
-def _series_for(k: int, t: Threshold, max_length: int, method: str | None,
+def _series_for(k: int, t: Threshold, max_length: int, method: str,
                 tail_max: int | None, args, budget: int = DEFAULT_NAIVE_BUDGET) -> CountSeries:
-    cache = _resolve_cache(args)
+    # The cache memoizes the canonical walk, for a length the count accepts; naive recounts.
+    cache = _resolve_cache(args) if method == "canonical" else None
     if cache is not None:
         stored = cache.get(k, t, tail_max)
-        if stored is not None and stored.max_length >= max_length:
+        if stored is not None and 0 <= max_length <= stored.max_length:
             return stored.prefix(max_length)
     if tail_max is None:
         series = count_free(k, t, max_length, method, workers=args.workers, budget=budget)
@@ -195,12 +196,10 @@ def cmd_cache(args) -> int:
         if args.out == "json":
             _emit(args, {"command": "cache", "action": "clear", "path": str(cache.path)}, [], ())
         return EXIT_OK
-    rows = ({"k": s.k, "beta": str(s.threshold).rstrip("+"),
-             "plus": s.threshold.strict,
-             "tail_max": s.tail_max, "method": s.method,
-             "max_length": s.max_length} for s in cache.entries())
+    rows = ({"k": s.k, "beta": str(s.threshold).rstrip("+"), "plus": s.threshold.strict,
+             "tail_max": s.tail_max, "max_length": s.max_length} for s in cache.entries())
     _emit(args, {"command": "cache", "action": "list", "path": str(cache.path), "entries": rows},
-          rows, ("k", "beta", "plus", "tail_max", "method", "max_length"))
+          rows, ("k", "beta", "plus", "tail_max", "max_length"))
     return EXIT_OK
 
 

@@ -302,7 +302,7 @@ def test_a_file_removed_before_it_is_opened_reads_as_empty(cache, monkeypatch):
     with monkeypatch.context() as mp:
         _opened_after_a_clear(mp, cache)
         cache.put(count_free(3, t, 5))
-    assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 5)]
+    assert list(cache.entries()) == [CacheEntry(3, t, None, 5)]
 
 
 def _write_records(path, records, counts=(1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204)):
@@ -344,7 +344,7 @@ def test_entries_keep_no_counts(cache):
     finally:
         tracemalloc.stop()
     assert [e.k for e in listed] == list(range(1, 201))
-    assert listed[0] == CacheEntry(1, Threshold(2), None, "canonical", 19)
+    assert listed[0] == CacheEntry(1, Threshold(2), None, 19)
     assert not any(hasattr(e, "counts") for e in listed)
     assert held < 200_000, held  # 200 records of 8 KB of digits would hold 1.6 MB
 
@@ -366,8 +366,8 @@ def test_entries_hold_a_small_index_of_many_keys(cache):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == CacheEntry(1, Threshold(7, 4), None, "canonical", 2)
-    assert last == CacheEntry(24000, Threshold(7, 4, True), 2, "canonical", 2)
+    assert first == CacheEntry(1, Threshold(7, 4), None, 2)
+    assert last == CacheEntry(24000, Threshold(7, 4, True), 2, 2)
     assert peak < 6_000_000, peak
 
 
@@ -409,7 +409,7 @@ def test_entries_warn_of_and_skip_corrupt_and_mistyped_records(cache, caplog):
     lines = [json.dumps(good.to_record()), "{not json", json.dumps(mistyped), json.dumps(empty)]
     cache.path.write_text("\n".join(lines) + "\n")
     with caplog.at_level(logging.WARNING):
-        assert list(cache.entries()) == [CacheEntry(3, Threshold(2), None, "canonical", 5)]
+        assert list(cache.entries()) == [CacheEntry(3, Threshold(2), None, 5)]
     assert [rec.getMessage().partition(" (")[0] for rec in caplog.records] == [
         f"skipping corrupt cache record {cache.path}:{i}" for i in (2, 3, 4)]
 
@@ -442,8 +442,7 @@ def test_entries_refuse_exactly_the_records_a_get_refuses(cache, record):
         assert list(cache.entries()) == []
     else:
         assert list(cache.entries()) == [CacheEntry(series.k, series.threshold,
-                                                    series.tail_max, series.method,
-                                                    series.max_length)]
+                                                    series.tail_max, series.max_length)]
 
 
 def test_entries_warn_of_and_skip_a_threshold_not_in_lowest_terms(cache, caplog):
@@ -458,7 +457,7 @@ def test_entries_warn_of_and_skip_a_threshold_not_in_lowest_terms(cache, caplog)
     assert [rec.getMessage() for rec in caplog.records] == [
         f"skipping corrupt cache record {cache.path}:1 (threshold 4/2 is not in lowest terms)"]
     cache.path.write_text(other_terms + json.dumps(count_free(3, t, 4).to_record()) + "\n")
-    assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 4)]
+    assert list(cache.entries()) == [CacheEntry(3, t, None, 4)]
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -476,7 +475,7 @@ def test_put_drops_a_threshold_not_in_lowest_terms(cache, caplog, k):
     assert cache.path.read_text() == json.dumps(stored.to_record()) + "\n"
     caplog.clear()
     with caplog.at_level(logging.WARNING):
-        assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 3)]
+        assert list(cache.entries()) == [CacheEntry(3, t, None, 3)]
     assert caplog.records == []
 
 
@@ -497,8 +496,8 @@ def test_put_drops_a_threshold_not_in_lowest_terms_in_any_field_order(cache, cap
     assert cache.path.read_text() == kept + json.dumps(stored.to_record()) + "\n"
     caplog.clear()
     with caplog.at_level(logging.WARNING):
-        assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 3),
-                                         CacheEntry(4, t, None, "canonical", 1)]
+        assert list(cache.entries()) == [CacheEntry(3, t, None, 3),
+                                         CacheEntry(4, t, None, 1)]
     assert caplog.records == []
 
 
@@ -524,7 +523,7 @@ def test_put_drops_another_keys_line_with_a_mistyped_field(cache, caplog, mistyp
     assert cache.path.read_text() == json.dumps(stored.to_record()) + "\n"
     caplog.clear()
     with caplog.at_level(logging.WARNING):
-        assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 4)]
+        assert list(cache.entries()) == [CacheEntry(3, t, None, 4)]
     assert caplog.records == []
 
 
@@ -541,7 +540,7 @@ def test_a_line_that_is_not_utf8_is_reported_by_get_and_entries_and_dropped_by_p
     cache.path.write_bytes(good + NOT_UTF8 + other)
     with caplog.at_level(logging.WARNING):
         assert cache.get(3, t) == count_free(3, t, 5)
-        assert list(cache.entries()) == [CacheEntry(3, t, None, "canonical", 5)]
+        assert list(cache.entries()) == [CacheEntry(3, t, None, 5)]
     assert [rec.getMessage() for rec in caplog.records] == [
         f"skipping corrupt cache record {cache.path}:{i} (line is not UTF-8)"
         for i in (2, 3)] * 2

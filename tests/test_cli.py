@@ -1,7 +1,9 @@
 """Command-line surface: schemas, exit codes, caching, reproducibility."""
 
 import argparse
+import contextlib
 import errno
+import io
 import json
 import os
 import shutil
@@ -208,7 +210,7 @@ class TestCountCache:
         assert code == 0
         entries = json.loads(out)["entries"]
         assert entries == [{"k": 3, "beta": "2", "plus": False, "tail_max": None,
-                            "method": "canonical", "max_length": 4}]
+                            "max_length": 4}]
         code, _ = run(capsys, "cache", "clear", "--cache", str(path), "--no-timestamp")
         assert code == 0 and not path.exists()
 
@@ -219,11 +221,16 @@ class TestCountCache:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         stored = CountCache(path).get(3, Threshold(2))
         assert stored.counts == (1, 3, 6, 12, 18) and stored.method == "canonical"
+        before = path.read_bytes()
+        code, out = run(capsys, "count", "--k", "3", "--beta", "2", "--max-len", "3",
+                        "--cache", str(path), "--no-timestamp")
+        assert code == 0 and path.read_bytes() == before
+        assert json.loads(out)["method"] == "canonical"
+        assert json.loads(out)["counts"] == ["1", "3", "6", "12"]
         code, out = run(capsys, "cache", "list", "--cache", str(path), "--no-timestamp")
         assert code == 0
         assert json.loads(out)["entries"] == [{"k": 3, "beta": "2", "plus": False,
-                                               "tail_max": None, "method": "canonical",
-                                               "max_length": 4}]
+                                               "tail_max": None, "max_length": 4}]
 
     def test_csv_list_and_clear(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -232,9 +239,9 @@ class TestCountCache:
         cache.put(count_tail_restricted(4, Threshold(3, 2, True), 2, 5, "canonical"))
         code, out = run(capsys, "cache", "list", "--cache", str(path), "--out", "csv")
         assert code == 0
-        assert out.splitlines() == ["k,beta,plus,tail_max,method,max_length",
-                                    "3,2,false,,canonical,4",
-                                    "4,3/2,true,2,canonical,5"]
+        assert out.splitlines() == ["k,beta,plus,tail_max,max_length",
+                                    "3,2,false,,4",
+                                    "4,3/2,true,2,5"]
         code, out = run(capsys, "cache", "clear", "--cache", str(path), "--out", "csv")
         assert code == 0 and out == "" and not path.exists()
 
@@ -445,6 +452,75 @@ assert code == 0 and counts == [str(c) for c in (1, k, k * (k - 1), k * (k - 1)*
                                                  k * (k - 1)**3 - k * (k - 1))]
 print("ok")
 """
+
+
+# The keys of the grid below, each counted by the canonical walk to WARM_LENGTH into a cache.
+WARM_KEYS = [["--k", "3", "--beta", "2"], ["--k", "3", "--beta", "2", "--tail-max", "1"],
+             ["--k", "2", "--beta", "3", "--plus"], ["--k", "4", "--beta", "3/2", "--tail-max", "2"],
+             ["--k", "20", "--beta", "7/5", "--tail-max", "1"], ["--k", "20", "--beta", "3/2"],
+             ["--k", "10", "--beta", "4/3", "--plus"], ["--k", "20", "--beta", "7/5"]]
+WARM_LENGTH = 8
+
+TRANSPARENCY_GRID = [
+    # Valid counts: served from a warm cache, or longer than it and extending it.
+    ["count", "--k", "3", "--beta", "2", "--max-len", "6"],
+    ["count", "--k", "3", "--beta", "2", "--max-len", "10", "--out", "csv"],
+    ["count", "--k", "2", "--beta", "3", "--plus", "--max-len", "8"],
+    ["count", "--k", "4", "--beta", "3/2", "--tail-max", "2", "--max-len", "5"],
+    ["count", "--k", "20", "--beta", "7/5", "--tail-max", "1", "--max-len", "0"],
+    # The naive oracle recounts under its budget whatever the cache holds.
+    ["count", "--k", "3", "--beta", "2", "--max-len", "6", "--engine", "naive"],
+    ["count", "--k", "3", "--beta", "2", "--tail-max", "1", "--max-len", "5", "--engine",
+     "naive", "--out", "csv"],
+    ["count", "--k", "3", "--beta", "2", "--max-len", "6", "--engine", "naive", "--budget", "1"],
+    ["count", "--k", "4", "--beta", "3/2", "--tail-max", "2", "--max-len", "5", "--engine",
+     "naive", "--budget", "1"],
+    # Requests the count refuses, whatever the cache holds.
+    ["count", "--k", "3", "--beta", "2", "--max-len", "-1"],
+    ["count", "--k", "3", "--beta", "2", "--max-len", "-1", "--engine", "naive"],
+    ["count", "--k", "0", "--beta", "2", "--max-len", "4"],
+    ["count", "--k", "3", "--beta", "2", "--tail-max", "0", "--max-len", "4"],
+    ["count", "--k", "3", "--beta", "2", "--tail-max", "0", "--max-len", "4", "--engine", "naive"],
+    ["certify", "--k", "20", "--n", "3", "--max-len", "6"],
+    ["certify", "--k", "20", "--n", "3", "--max-len", "10", "--out", "csv"],
+    ["certify", "--k", "10", "--n", "4", "--plus", "--max-len", "7"],
+    ["certify", "--k", "20", "--beta", "7/5", "--max-len", "5"],
+    ["certify", "--k", "3", "--n", "2", "--max-len", "6"],  # no witness
+    ["certify", "--k", "20", "--n", "3", "--max-len", "-1"],
+    ["certify", "--k", "20", "--n", "3", "--max-len", "1"],
+    ["certify", "--k", "0", "--n", "3", "--max-len", "6"],
+]
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """The bytes of a cache that canonical counts of WARM_KEYS wrote."""
+    path = tmp_path_factory.mktemp("warm") / "c.jsonl"
+    for key in WARM_KEYS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["count", *key, "--max-len", str(WARM_LENGTH), "--cache", str(path)]) == 0
+    return path.read_bytes()
+
+
+class TestCacheTransparency:
+    """The cache memoizes the canonical walk: it changes no command's answer."""
+
+    @pytest.mark.parametrize("argv", TRANSPARENCY_GRID, ids=" ".join)
+    def test_no_cache_an_empty_and_a_warm_cache_answer_alike(self, capsys, monkeypatch,
+                                                             tmp_path, warm_cache, argv):
+        monkeypatch.delenv("POWFREE_CACHE", raising=False)
+        answers = []
+        for name, data in (("none", None), ("empty", b""), ("warm", warm_cache)):
+            cache = []
+            if data is not None:
+                path = tmp_path / f"{name}.jsonl"
+                path.write_bytes(data)
+                cache = ["--cache", str(path)]
+            code = main([*argv, *cache, "--no-timestamp"])
+            answers.append((name, code, *capsys.readouterr()))
+            if data is not None and "naive" in argv:
+                assert path.read_bytes() == data, name  # the oracle stores nothing
+        assert [answer[1:] for answer in answers] == [answers[0][1:]] * 3, answers
 
 
 class TestCertify:
@@ -915,7 +991,7 @@ class TestOutputShapes:
         _, out = run(capsys, "cache", "list", "--cache", str(path), "--no-timestamp")
         doc = json.loads(out)
         assert list(doc) == ["command", "action", "path", "entries"]
-        assert list(doc["entries"][0]) == ["k", "beta", "plus", "tail_max", "method", "max_length"]
+        assert list(doc["entries"][0]) == ["k", "beta", "plus", "tail_max", "max_length"]
         _, out = run(capsys, "cache", "clear", "--cache", str(path), "--no-timestamp")
         assert list(json.loads(out)) == ["command", "action", "path"]
 
@@ -992,7 +1068,7 @@ def _edge_cache(name):
     """(file bytes or None for no file, the entries cache list shows) of an edge cache."""
     t = Threshold(2)
     one = _line(count_free(3, t, 5))
-    shown = [(3, "2", False, None, "canonical", 5)]
+    shown = [(3, "2", False, None, 5)]
     bad = count_free(5, t, 5).to_record()
     bad["counts"] = ["1", "-3"]
     if name == "missing":
@@ -1003,35 +1079,35 @@ def _edge_cache(name):
         return one, shown
     if name == "two-lengths":
         data = _line(count_free(3, t, 4)) + _line(count_free(3, t, 7)) + _line(count_free(3, t, 6))
-        return data, [(3, "2", False, None, "canonical", 7)]
-    if name == "naive":  # of two records of one length, the first is listed
+        return data, [(3, "2", False, None, 7)]
+    if name == "naive":  # records of the naive engine, which older releases stored
         data = (_line(count_free(3, Threshold(5, 2), 4, "naive")) + one
                 + _line(count_free(3, t, 5, "naive")) + _line(count_free(2, t, 5, "naive")))
-        return data, [(2, "2", False, None, "naive", 5), (3, "2", False, None, "canonical", 5),
-                      (3, "5/2", False, None, "naive", 4)]
+        return data, [(2, "2", False, None, 5), (3, "2", False, None, 5),
+                      (3, "5/2", False, None, 4)]
     if name == "tail-max":
         data = b"".join(_line(count_tail_restricted(4, Threshold(7, 5, plus), tail, 5))
                         for plus in (True, False) for tail in (3, 1))
         data += _line(count_free(4, Threshold(7, 5), 5))
-        return data, [(4, "7/5", False, tail, "canonical", 5) for tail in (None, 1, 3)] + [
-            (4, "7/5", True, tail, "canonical", 5) for tail in (1, 3)]
+        return data, [(4, "7/5", False, tail, 5) for tail in (None, 1, 3)] + [
+            (4, "7/5", True, tail, 5) for tail in (1, 3)]
     if name == "other-terms":  # a threshold not in lowest terms is corrupt, as get never serves it
         data = (_line(count_free(3, t, 8), num=4, den=2) + _line(count_free(3, t, 6))
                 + _line(count_free(2, t, 5), num=6, den=3))
-        return data, [(3, "2", False, None, "canonical", 6)]
+        return data, [(3, "2", False, None, 6)]
     if name == "corrupt":
         data = (one + b"{not json\n" + json.dumps(bad).encode() + b"\n" + b'{"k": 2, "num": 2}\n'
                 + _line(count_free(4, t, 5), k=4.0) + _line(count_free(2, t, 4))[:-20] + b"\n\n"
                 + b"[" * 100_000 + b"]" * 100_000 + b"\n"  # too deep for json.loads
                 + _line(count_free(6, t, 3))[:-1])
-        return data, shown + [(6, "2", False, None, "canonical", 3)]
+        return data, shown + [(6, "2", False, None, 3)]
     if name == "not-utf8":
         return b"\xff\xfe bad\n" + one + _line(count_free(4, t, 5))[:-5] + b"\xe9\"]}\n", shown
     assert name == "many-keys"  # more rows than one call of the emitter's encoder takes
     keys = [(k, plus) for k in range(2, 2 + 2 * _output._EMIT_ROWS) for plus in (False, True)]
     data = b"".join(_line(CountSeries(k, Threshold(3, 2, plus), (1, k), "canonical"))
                     for k, plus in reversed(keys))
-    return data, [(k, "3/2", plus, None, "canonical", 1) for k, plus in keys]
+    return data, [(k, "3/2", plus, None, 1) for k, plus in keys]
 
 
 EDGE_CACHES = ("missing", "empty", "one-key", "two-lengths", "naive", "tail-max", "other-terms",
@@ -1041,7 +1117,7 @@ EDGE_CACHES = ("missing", "empty", "one-key", "two-lengths", "naive", "tail-max"
 class TestCacheListBytes:
     """cache list writes its rows as it makes them, in the bytes of a materialised document."""
 
-    COLUMNS = ("k", "beta", "plus", "tail_max", "method", "max_length")
+    COLUMNS = ("k", "beta", "plus", "tail_max", "max_length")
 
     @pytest.fixture(params=EDGE_CACHES)
     def edge(self, request, tmp_path):
