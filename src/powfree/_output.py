@@ -1,9 +1,9 @@
 """The command-line interface's one emitter: a command's result on stdout, as JSON or CSV.
 
 Not in cli.py: without bytecode (PYTHONDONTWRITEBYTECODE) every invocation
-compiles cli.py after loading every other module, so the size of cli.py adds
-to every command's peak RSS, while this module is compiled after cli.py's
-compile has freed its memory.
+compiles cli.py, after errors and words and before the layers its command
+runs, so the size of cli.py adds to every command's peak RSS, while this
+module is compiled after cli.py's compile has freed its memory.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import sys
 import time
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import islice
 
 # Characters per write of the JSON emitter, and rows per call of its encoder.
@@ -20,7 +19,8 @@ _EMIT_BATCH = 1 << 16
 _EMIT_ROWS = 64
 
 
-def _frac_str(x: Fraction) -> str:
+def _frac_str(x) -> str:
+    """A Fraction as "num/den"."""
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -42,9 +42,11 @@ def _emit(args, doc: dict, rows: Iterable[dict], columns) -> None:
     if args.out == "csv":
         import csv  # only CSV output needs it
 
+        # A Fraction cell exists only once fractions is loaded; the emitter never loads it.
+        fraction = getattr(sys.modules.get("fractions"), "Fraction", ())
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_csv_cell(row.get(c)) for c in columns] for row in rows)
+        writer.writerows([_csv_cell(row.get(c), fraction) for c in columns] for row in rows)
         return
     if not args.no_timestamp:
         # Not datetime: importing it would cost every command ~0.4 MB of resident memory.
@@ -71,11 +73,12 @@ def _emit(args, doc: dict, rows: Iterable[dict], columns) -> None:
     sys.stdout.write("".join(batch))
 
 
-def _csv_cell(value):
+def _csv_cell(value, fraction):
+    """The CSV cell of value; fraction is fractions.Fraction, or () if fractions is not loaded."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
+    if isinstance(value, fraction):
         return _frac_str(value)
     return value

@@ -18,18 +18,15 @@ os._exit once the output is flushed and the exit handlers have run.
 from __future__ import annotations
 
 import _signal  # loaded at every start-up, unlike signal
-import argparse
 import atexit
 import os
 import re
 import sys
 
+# analyze, bounds, cache and counting are the package's lazy modules: each runs at its first
+# attribute read, so the layers are read at call time and a command runs only those it uses.
+from . import analyze, bounds, cache, counting
 from ._output import _emit
-from .analyze import REPORT_COLUMNS, conjecture_report, fj_audit
-from .bounds import _witness, certify_series
-from .cache import CountCache
-from .counting import (DEFAULT_NAIVE_BUDGET, METHODS, CountSeries, _check_workers, count_free,
-                       count_tail_restricted)
 from .errors import BudgetExceededError, LemmaViolationError, NoWitnessError, ValidationError
 from .words import Threshold, find_violation
 
@@ -70,26 +67,27 @@ def parse_int_values(text: str) -> list[int]:
     return sorted(set(values))
 
 
-def _resolve_cache(args) -> CountCache | None:
+def _resolve_cache(args) -> cache.CountCache | None:
     path = args.cache or os.environ.get("POWFREE_CACHE")
-    return CountCache(path) if path else None
+    return cache.CountCache(path) if path else None
 
 
 def _series_for(k: int, t: Threshold, max_length: int, method: str,
-                tail_max: int | None, args, budget: int = DEFAULT_NAIVE_BUDGET) -> CountSeries:
+                tail_max: int | None, args, budget: int) -> counting.CountSeries:
     # The cache memoizes the canonical walk, for a length the count accepts; naive recounts.
-    cache = _resolve_cache(args) if method == "canonical" else None
-    if cache is not None:
-        stored = cache.get(k, t, tail_max)
+    store = _resolve_cache(args) if method == "canonical" else None
+    if store is not None:
+        stored = store.get(k, t, tail_max)
         if stored is not None and 0 <= max_length <= stored.max_length:
             return stored.prefix(max_length)
     if tail_max is None:
-        series = count_free(k, t, max_length, method, workers=args.workers, budget=budget)
+        series = counting.count_free(k, t, max_length, method, workers=args.workers,
+                                     budget=budget)
     else:
-        series = count_tail_restricted(k, t, tail_max, max_length, method,
-                                       workers=args.workers, budget=budget)
-    if cache is not None:
-        cache.put(series)
+        series = counting.count_tail_restricted(k, t, tail_max, max_length, method,
+                                                workers=args.workers, budget=budget)
+    if store is not None:
+        store.put(series)
     return series
 
 
@@ -133,9 +131,10 @@ def cmd_certify(args) -> int:
     try:
         # One witness search, before any count; a shorter series stays a usage error, as
         # certify_series reports it.
-        x = _witness(args.k, t) if args.max_len >= 2 else None
-        series = _series_for(args.k, t, args.max_len, "canonical", None, args)
-        cert = certify_series(series, witness=x)
+        x = bounds._witness(args.k, t) if args.max_len >= 2 else None
+        series = _series_for(args.k, t, args.max_len, "canonical", None, args,
+                             counting.DEFAULT_NAIVE_BUDGET)
+        cert = bounds.certify_series(series, witness=x)
     except NoWitnessError as exc:
         _emit(args, {"command": "certify", "status": "no-witness", **fields, "detail": str(exc)},
               [{**fields, "status": "no-witness"}], (*fields, "status"))
@@ -154,7 +153,7 @@ def cmd_certify(args) -> int:
 
 def cmd_audit(args) -> int:
     t, given = _threshold(args)
-    audit = fj_audit(args.k, t, args.len, budget=args.budget)
+    audit = analyze.fj_audit(args.k, t, args.len, budget=args.budget)
     # fj_audit raises LemmaViolationError (exit 4) for a row above its bound, so every row passes.
     rows = [{"j": r.period, "F_j_count": r.count, "bound": r.bound, "pass": True}
             for r in audit.rows]
@@ -175,38 +174,41 @@ def cmd_audit(args) -> int:
 def cmd_report(args) -> int:
     n_values = parse_int_values(args.n)
     k_values = parse_int_values(args.k)
-    rows = [{c: getattr(r, c) for c in REPORT_COLUMNS}
-            for r in conjecture_report(n_values, k_values, max_length=args.max_len,
-                                       tail_max=args.tail_max, workers=args.workers)]
+    columns = analyze.REPORT_COLUMNS
+    rows = [{c: getattr(r, c) for c in columns}
+            for r in analyze.conjecture_report(n_values, k_values, max_length=args.max_len,
+                                               tail_max=args.tail_max, workers=args.workers)]
     nested: dict = {}
     for row in rows:
         entry = {c: v for c, v in row.items() if c not in ("k", "n")}
         nested.setdefault(str(row["n"]), {})[str(row["k"])] = entry
-    _emit(args, {"command": "report", "columns": list(REPORT_COLUMNS),
-                 "rows_by_n_then_k": nested}, rows, REPORT_COLUMNS)
+    _emit(args, {"command": "report", "columns": list(columns),
+                 "rows_by_n_then_k": nested}, rows, columns)
     return EXIT_OK
 
 
 def cmd_cache(args) -> int:
-    cache = _resolve_cache(args)
-    if cache is None:
+    store = _resolve_cache(args)
+    if store is None:
         raise ValidationError("no cache configured: pass --cache PATH or set POWFREE_CACHE")
     if args.action == "clear":
-        cache.clear()
+        store.clear()
         if args.out == "json":
-            _emit(args, {"command": "cache", "action": "clear", "path": str(cache.path)}, [], ())
+            _emit(args, {"command": "cache", "action": "clear", "path": str(store.path)}, [], ())
         return EXIT_OK
     rows = ({"k": s.k, "beta": str(s.threshold).rstrip("+"), "plus": s.threshold.strict,
-             "tail_max": s.tail_max, "max_length": s.max_length} for s in cache.entries())
-    _emit(args, {"command": "cache", "action": "list", "path": str(cache.path), "entries": rows},
+             "tail_max": s.tail_max, "max_length": s.max_length} for s in store.entries())
+    _emit(args, {"command": "cache", "action": "list", "path": str(store.path), "entries": rows},
           rows, ("k", "beta", "plus", "tail_max", "max_length"))
     return EXIT_OK
 
 
 def _worker_count(text: str) -> int:
+    import argparse  # loaded by then: only a parser calls this
+
     try:
         workers = int(text)
-        _check_workers(workers)
+        counting._check_workers(workers)
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
@@ -214,11 +216,14 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _command(sub, name: str, summary: str, *, cache=False, workers=False, budget=False,
-             language=False) -> argparse.ArgumentParser:
-    """The parser of command name: --out, those of --cache, --workers and --budget that it
-    reads, --no-timestamp and, for audit and certify, --k, --n or --beta, and --plus."""
+def _command(sub, built: str | None, name: str, summary: str, *, cache=False, workers=False,
+             budget=False, language=False) -> argparse.ArgumentParser | None:
+    """Register command name with its summary.  If built is None or name, return its parser
+    with --out, those of --cache, --workers and --budget that it reads, --no-timestamp and,
+    for audit and certify, --k, --n or --beta, and --plus; else None."""
     p = sub.add_parser(name, help=summary)
+    if built not in (None, name):
+        return None
     p.add_argument("--out", choices=("json", "csv"), default="json",
                    help="output format (default json)")
     if cache:
@@ -229,7 +234,7 @@ def _command(sub, name: str, summary: str, *, cache=False, workers=False, budget
                        help="parallel workers for long enumerations, at most one per core "
                             "(default: available cores)")
     if budget:
-        p.add_argument("--budget", type=int, default=DEFAULT_NAIVE_BUDGET,
+        p.add_argument("--budget", type=int, default=counting.DEFAULT_NAIVE_BUDGET,
                        help="work budget: candidate words k**L for the naive engine, "
                             "letters of the next pattern level for audit")
     p.add_argument("--no-timestamp", action="store_true",
@@ -243,56 +248,77 @@ def _command(sub, name: str, summary: str, *, cache=False, workers=False, budget
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with the arguments of command only, or of all six
+    if command is None.  Help and usage errors read the same either way."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="powfree",
         description="Exact toolkit for power-free words: detection, counting, "
                     "growth-rate certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "check", "test a word for forbidden powers")
-    p.add_argument("word", help="letters a..z, or comma-separated integers")
-    p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
-    p.add_argument("--plus", action="store_true", help="forbid only exponents strictly above beta")
-    p.set_defaults(func=cmd_check)
+    if p := _command(sub, command, "check", "test a word for forbidden powers"):
+        p.add_argument("word", help="letters a..z, or comma-separated integers")
+        p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
+        p.add_argument("--plus", action="store_true",
+                       help="forbid only exponents strictly above beta")
+        p.set_defaults(func=cmd_check)
 
-    p = _command(sub, "count", "count threshold-free words of each length",
-                 cache=True, workers=True, budget=True)
-    p.add_argument("--k", type=int, required=True, help="alphabet size")
-    p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
-    p.add_argument("--plus", action="store_true")
-    p.add_argument("--max-len", type=int, required=True, help="largest length to count")
-    p.add_argument("--engine", choices=METHODS, default="canonical")
-    p.add_argument("--tail-max", type=int, default=None,
-                   help="restrict to forbidden powers with tail at most this long")
-    p.set_defaults(func=cmd_count)
+    if p := _command(sub, command, "count", "count threshold-free words of each length",
+                     cache=True, workers=True, budget=True):
+        p.add_argument("--k", type=int, required=True, help="alphabet size")
+        p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
+        p.add_argument("--plus", action="store_true")
+        p.add_argument("--max-len", type=int, required=True, help="largest length to count")
+        p.add_argument("--engine", choices=counting.METHODS, default="canonical")
+        p.add_argument("--tail-max", type=int, default=None,
+                       help="restrict to forbidden powers with tail at most this long")
+        p.set_defaults(func=cmd_count)
 
-    p = _command(sub, "certify", "produce an exactly-checked growth lower-bound certificate",
-                 cache=True, workers=True, language=True)
-    p.add_argument("--max-len", type=int, default=10, help="series length to verify against")
-    p.set_defaults(func=cmd_certify)
+    if p := _command(sub, command, "certify",
+                     "produce an exactly-checked growth lower-bound certificate",
+                     cache=True, workers=True, language=True):
+        p.add_argument("--max-len", type=int, default=10, help="series length to verify against")
+        p.set_defaults(func=cmd_certify)
 
-    p = _command(sub, "audit", "exhaustive per-period census of rejected extensions",
-                 budget=True, language=True)
-    p.add_argument("--len", type=int, required=True, help="prefix length i; words of length i+1")
-    p.set_defaults(func=cmd_audit)
+    if p := _command(sub, command, "audit", "exhaustive per-period census of rejected extensions",
+                     budget=True, language=True):
+        p.add_argument("--len", type=int, required=True,
+                       help="prefix length i; words of length i+1")
+        p.set_defaults(func=cmd_audit)
 
-    p = _command(sub, "report", "exploratory table of bounds, targets, and enumerations",
-                 workers=True)
-    p.add_argument("--n", required=True, help="values, e.g. '2..4' or '2,3'")
-    p.add_argument("--k", required=True, help="values, e.g. '50,100,200'")
-    p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--tail-max", type=int, default=2)
-    p.set_defaults(func=cmd_report)
+    if p := _command(sub, command, "report",
+                     "exploratory table of bounds, targets, and enumerations", workers=True):
+        p.add_argument("--n", required=True, help="values, e.g. '2..4' or '2,3'")
+        p.add_argument("--k", required=True, help="values, e.g. '50,100,200'")
+        p.add_argument("--max-len", type=int, default=8)
+        p.add_argument("--tail-max", type=int, default=2)
+        p.set_defaults(func=cmd_report)
 
-    p = _command(sub, "cache", "inspect or clear the count cache", cache=True)
-    p.add_argument("action", choices=("list", "clear"), nargs="?", default="list")
-    p.set_defaults(func=cmd_cache)
+    if p := _command(sub, command, "cache", "inspect or clear the count cache", cache=True):
+        p.add_argument("action", choices=("list", "clear"), nargs="?", default="list")
+        p.set_defaults(func=cmd_cache)
 
     return parser
 
 
+# The layers each command runs.  main runs them before it imports argparse: run after it
+# (compiled from source under PYTHONDONTWRITEBYTECODE), they raised the peak RSS of audit,
+# certify and count by 0.26-0.39 MB (medians of 11 runs, 2-vCPU host).
+_LAYERS = {"check": (), "count": (counting,), "certify": (counting, bounds),
+           "audit": (analyze,), "report": (analyze, bounds), "cache": (cache,)}
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The command argparse runs is the first argument that names one: the parent parser has
+    # no option that takes a value.  Whatever else comes first is a usage error of the parent,
+    # which reads the same without the commands' arguments.
+    command = next((arg for arg in argv if arg in _LAYERS), None)
+    for layer in _LAYERS.get(command, ()):
+        vars(layer)  # any attribute read runs a lazy module
     # Counts and rationals are exact at any size: no limit on int-str conversions (CPython's
     # default since 3.10.7 is 4,300 digits) while main runs, output included. The caller's
     # limit is back when main returns or raises.
@@ -300,7 +326,8 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)  # the parser is garbage once it has parsed
+        # The parser is garbage once it has parsed.
+        args = build_parser(command).parse_args(argv)
         try:
             return args.func(args)
         except ValidationError as exc:

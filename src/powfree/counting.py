@@ -61,7 +61,6 @@ import os
 import re
 import sys
 import zlib
-from decimal import Decimal  # fractions, which words imports, loads it anyway
 from itertools import product
 from math import perm
 from pathlib import Path
@@ -176,8 +175,9 @@ class CountSeries(_Value):
         if type(counts) is not list or not _canonical(counts):
             raise ValidationError("counts are not a nonempty list of canonical decimal strings")
         method = str(record["method"])
-        if method == "incremental":
-            # Earlier releases had a third engine; its counts are the same.
+        if method in ("incremental", "naive"):
+            # Earlier releases had a third engine and stored the naive engine's counts too; the
+            # counts are the same, and only the walk stores records now.
             method = "canonical"
         t = Threshold(num, den, strict)
         # to_record writes lowest terms, and get and put find a key by its written fields.
@@ -192,6 +192,8 @@ def _digits(c: int) -> str:
     try:
         return str(c)
     except ValueError:
+        from decimal import Decimal  # here: only counts past the limit need it
+
         return str(Decimal(c))
 
 
@@ -200,6 +202,8 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        from decimal import Decimal
+
         return int(Decimal(text))
 
 

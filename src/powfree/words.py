@@ -22,7 +22,6 @@ work in C per period, O(n^2/beta) bytes in all.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ValidationError
 
@@ -176,6 +175,8 @@ class ViolationWitness(_Value):
     @property
     def exponent(self) -> Fraction:
         """length/period, exactly."""
+        from fractions import Fraction  # here: a command that prints no exponent never loads it
+
         return Fraction(self.length, self.period)
 
     @property

@@ -522,6 +522,18 @@ class TestCacheTransparency:
                 assert path.read_bytes() == data, name  # the oracle stores nothing
         assert [answer[1:] for answer in answers] == [answers[0][1:]] * 3, answers
 
+    def test_a_record_of_the_naive_engine_is_served_as_the_walks(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        # Earlier releases stored the naive engine's counts too: the walk's counts, so a served
+        # record reads canonical, as the count without a cache does.
+        monkeypatch.delenv("POWFREE_CACHE", raising=False)
+        path = tmp_path / "c.jsonl"
+        CountCache(path).put(count_free(3, Threshold(2), 6, "naive"))
+        assert '"method": "naive"' in path.read_text(encoding="utf-8")
+        argv = ["count", "--k", "3", "--beta", "2", "--max-len", "5", "--no-timestamp"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--cache", str(path))
+        assert json.loads(run(capsys, *argv)[1])["method"] == "canonical"
+
 
 class TestCertify:
     def test_certificate_document(self, capsys):
@@ -599,7 +611,7 @@ class TestCertify:
         def no_count(*args, **kwargs):
             raise AssertionError("counted although no witness exists")
 
-        monkeypatch.setattr("powfree.cli.count_free", no_count)
+        monkeypatch.setattr("powfree.counting.count_free", no_count)
         cache = tmp_path / "c.jsonl"
         code, out = run(capsys, "certify", "--k", "3", "--n", "2", "--max-len", "200",
                         "--cache", str(cache), "--no-timestamp")
@@ -658,7 +670,7 @@ class TestCertify:
         def no_count(*args, **kwargs):
             raise AssertionError("counted although no witness exists")
 
-        monkeypatch.setattr("powfree.cli.count_free", no_count)
+        monkeypatch.setattr("powfree.counting.count_free", no_count)
         cache = tmp_path / "c.jsonl"
         code, out = run(capsys, "certify", "--k", "6", "--beta", "7/5", "--max-len", "200",
                         "--cache", str(cache), "--no-timestamp")
@@ -678,7 +690,7 @@ class TestCertify:
         def broken(*args, **kwargs):
             raise ValueError("internal bug")
 
-        monkeypatch.setattr("powfree.cli.certify_series", broken)
+        monkeypatch.setattr("powfree.bounds.certify_series", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["certify", "--k", "20", "--n", "3", "--max-len", "4", "--no-timestamp"])
 
@@ -1281,6 +1293,194 @@ class TestEntryPoint:
         argv = ["certify", "--k", "20", "--n", "3", "--max-len", "14"]
         loaded = self._loaded_after_command(("ctypes", "powfree._walk"), *argv)
         assert loaded == ["powfree._walk"]
+
+
+class TestLazyLayers:
+    """analyze, bounds, cache and counting run only in a command that calls them; each case
+    runs in a fresh interpreter, without bytecode, as every benchmark run does."""
+
+    @staticmethod
+    def _probe(code):
+        env = {**subprocess_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+        env.pop("POWFREE_CACHE", None)
+        # -S: the site hooks of some installs (a certifi .pth) load modules of their own.
+        return subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120).stdout
+
+    @pytest.mark.parametrize("argv,layers", [
+        (["check", "abcab", "--beta", "2"], []),
+        (["check", "abcabc", "--beta", "2"], []),
+        (["count", "--k", "3", "--beta", "2", "--max-len", "6"], ["counting"]),
+        (["count", "--k", "3", "--beta", "2", "--max-len", "6", "--cache", "{cache}"],
+         ["cache", "counting"]),
+        (["certify", "--k", "20", "--n", "3", "--max-len", "8"], ["bounds", "counting"]),
+        (["audit", "--k", "4", "--n", "3", "--len", "8"], ["analyze", "counting"]),
+        (["report", "--n", "3", "--k", "20", "--max-len", "4"],
+         ["analyze", "bounds", "counting"]),
+        (["cache", "list", "--cache", "{cache}"], ["cache", "counting"]),
+    ], ids=["check-free", "check-power", "count", "count-cache", "certify", "audit", "report",
+            "cache-list"])
+    def test_a_command_runs_only_its_layers(self, tmp_path, argv, layers):
+        # A lazy module that has not run holds only what LazyLoader put in it: no __all__.
+        argv = [a.format(cache=tmp_path / "c.jsonl") for a in argv] + ["--no-timestamp"]
+        probe = ("import contextlib, io, sys, powfree.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    powfree.cli.main({argv!r})\n"
+                 "print(*[name for name in ('analyze', 'bounds', 'cache', 'counting')\n"
+                 "        if '__all__' in object.__getattribute__(sys.modules['powfree.' + name],\n"
+                 "                                                '__dict__')])\n"
+                 "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))")
+        ran, standard = self._probe(probe).split("\n")[:2]
+        assert ran.split() == layers
+        if argv[0] in ("check", "count", "audit"):
+            # A free word's check, a count and an audit print no rational.
+            assert standard.split() == (["decimal", "fractions"] if "abcabc" in argv else [])
+
+    def test_every_traced_call_resolves_after_the_import(self):
+        # perfbench/launcher.py looks each (module, attribute) up right after import powfree.cli.
+        launcher = Path(__file__).resolve().parents[1] / "perfbench"
+        probe = (f"import sys; sys.path.insert(0, {str(launcher)!r})\n"
+                 "from launcher import TRACED\n"
+                 "import powfree.cli\n"
+                 "for module, attr in TRACED:\n"
+                 "    owner = sys.modules[module]\n"
+                 "    for part in attr.split('.'):\n"
+                 "        owner = getattr(owner, part)\n"
+                 "    assert callable(owner), (module, attr)\n"
+                 "print('resolved')")
+        assert self._probe(probe) == "resolved\n"
+
+    def test_the_parser_after_a_run_has_every_command(self):
+        # main builds one command's arguments; a later build_parser() builds all six.
+        probe = ("import contextlib, io, json, powfree.cli as cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    cli.main(['check', 'abc', '--beta', '2', '--no-timestamp'])\n"
+                 "sub = cli.build_parser()._subparsers._group_actions[0]\n"
+                 "print(json.dumps({name: [o for a in p._actions for o in a.option_strings]\n"
+                 "                  for name, p in sub.choices.items()}))")
+        assert json.loads(self._probe(probe)) == _option_strings(cli.build_parser())
+
+
+# The help of powfree and of each command, as argparse formats it 200 columns wide: the same
+# bytes on Python 3.10-3.13, whether main builds every command's arguments or one command's.
+HELP = {
+    "": """\
+usage: powfree [-h] {check,count,certify,audit,report,cache} ...
+
+Exact toolkit for power-free words: detection, counting, growth-rate certificates.
+
+positional arguments:
+  {check,count,certify,audit,report,cache}
+    check               test a word for forbidden powers
+    count               count threshold-free words of each length
+    certify             produce an exactly-checked growth lower-bound certificate
+    audit               exhaustive per-period census of rejected extensions
+    report              exploratory table of bounds, targets, and enumerations
+    cache               inspect or clear the count cache
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "check": """\
+usage: powfree check [-h] [--out {json,csv}] [--no-timestamp] --beta BETA [--plus] word
+
+positional arguments:
+  word              letters a..z, or comma-separated integers
+
+options:
+  -h, --help        show this help message and exit
+  --out {json,csv}  output format (default json)
+  --no-timestamp    omit the generated_at field for byte-reproducible output
+  --beta BETA       exponent bound, 'p' or 'p/q'
+  --plus            forbid only exponents strictly above beta
+""",
+    "count": """\
+usage: powfree count [-h] [--out {json,csv}] [--cache PATH] [--workers WORKERS] [--budget BUDGET] [--no-timestamp] --k K --beta BETA [--plus] --max-len MAX_LEN [--engine {naive,canonical}]
+                     [--tail-max TAIL_MAX]
+
+options:
+  -h, --help            show this help message and exit
+  --out {json,csv}      output format (default json)
+  --cache PATH          count cache file (default $POWFREE_CACHE if set)
+  --workers WORKERS     parallel workers for long enumerations, at most one per core (default: available cores)
+  --budget BUDGET       work budget: candidate words k**L for the naive engine, letters of the next pattern level for audit
+  --no-timestamp        omit the generated_at field for byte-reproducible output
+  --k K                 alphabet size
+  --beta BETA           exponent bound, 'p' or 'p/q'
+  --plus
+  --max-len MAX_LEN     largest length to count
+  --engine {naive,canonical}
+  --tail-max TAIL_MAX   restrict to forbidden powers with tail at most this long
+""",
+    "certify": """\
+usage: powfree certify [-h] [--out {json,csv}] [--cache PATH] [--workers WORKERS] [--no-timestamp] --k K (--n N | --beta BETA) [--plus] [--max-len MAX_LEN]
+
+options:
+  -h, --help         show this help message and exit
+  --out {json,csv}   output format (default json)
+  --cache PATH       count cache file (default $POWFREE_CACHE if set)
+  --workers WORKERS  parallel workers for long enumerations, at most one per core (default: available cores)
+  --no-timestamp     omit the generated_at field for byte-reproducible output
+  --k K
+  --n N              threshold is n/(n-1)
+  --beta BETA        exponent bound, 'p' or 'p/q'
+  --plus
+  --max-len MAX_LEN  series length to verify against
+""",
+    "audit": """\
+usage: powfree audit [-h] [--out {json,csv}] [--budget BUDGET] [--no-timestamp] --k K (--n N | --beta BETA) [--plus] --len LEN
+
+options:
+  -h, --help        show this help message and exit
+  --out {json,csv}  output format (default json)
+  --budget BUDGET   work budget: candidate words k**L for the naive engine, letters of the next pattern level for audit
+  --no-timestamp    omit the generated_at field for byte-reproducible output
+  --k K
+  --n N             threshold is n/(n-1)
+  --beta BETA       exponent bound, 'p' or 'p/q'
+  --plus
+  --len LEN         prefix length i; words of length i+1
+""",
+    "report": """\
+usage: powfree report [-h] [--out {json,csv}] [--workers WORKERS] [--no-timestamp] --n N --k K [--max-len MAX_LEN] [--tail-max TAIL_MAX]
+
+options:
+  -h, --help           show this help message and exit
+  --out {json,csv}     output format (default json)
+  --workers WORKERS    parallel workers for long enumerations, at most one per core (default: available cores)
+  --no-timestamp       omit the generated_at field for byte-reproducible output
+  --n N                values, e.g. '2..4' or '2,3'
+  --k K                values, e.g. '50,100,200'
+  --max-len MAX_LEN
+  --tail-max TAIL_MAX
+""",
+    "cache": """\
+usage: powfree cache [-h] [--out {json,csv}] [--cache PATH] [--no-timestamp] [{list,clear}]
+
+positional arguments:
+  {list,clear}
+
+options:
+  -h, --help        show this help message and exit
+  --out {json,csv}  output format (default json)
+  --cache PATH      count cache file (default $POWFREE_CACHE if set)
+  --no-timestamp    omit the generated_at field for byte-reproducible output
+""",
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", HELP, ids=[c or "powfree" for c in HELP])
+    def test_help_bytes(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "200")
+        for flag in ("-h", "--help"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag] if command else [flag])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out, captured.err) == (0, HELP[command], "")
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "-h"] if command else ["-h"])
+        assert capsys.readouterr().out == HELP[command]
 
 
 class TestExitPath:
