@@ -1,8 +1,8 @@
 /* Depth-first walk over free canonical patterns, with the tables of powfree.counting._dfs:
-   a CPython extension module with one function, tally(k, max_length, periods, windows, letters,
-   distincts), whose last four arguments are bytes.  Pair i is (periods[i], windows[i]), 1 <=
-   period < window, windows ascending.  letters holds the frontier's prefixes back to back, all
-   of one length below L, and distincts one count d <= k per prefix, whose letters are 1..d.
+   a CPython extension module with one function, tally(k, max_length, periods, windows, prefix,
+   distinct), whose periods, windows and prefix are bytes.  Pair i is (periods[i], windows[i]),
+   1 <= period < window, windows ascending.  prefix is one canonical pattern shorter than L, whose
+   letters are 1..distinct, distinct <= k.
    Appending b to the pattern w[0..p)c completes the period-j window of length m iff b == w[p+1-j]
    (c itself when j == 1) and the window's other letters repeat at distance j: c == w[p-j] and
    w[p+2-m+j..p) == w[p+2-m..p-j).  So one pass at w[0..p) over the windows of length <= p+2
@@ -128,11 +128,11 @@ static PyObject *new_table(int k, int L, const uint64_t *cells)
 
 static PyObject *tally(PyObject *self, PyObject *args)
 {
-    int k, L;
-    const char *per, *win, *letters, *distincts;
-    Py_ssize_t np, nwin, nletters, n;
-    if (!PyArg_ParseTuple(args, "iiy#y#y#y#:tally", &k, &L, &per, &np, &win, &nwin,
-                          &letters, &nletters, &distincts, &n))
+    int k, L, distinct;
+    const char *per, *win, *prefix;
+    Py_ssize_t np, nwin, p;
+    if (!PyArg_ParseTuple(args, "iiy#y#y#i:tally", &k, &L, &per, &np, &win, &nwin, &prefix, &p,
+                          &distinct))
         return NULL;
     if (k < 0 || k > L || k > 63 || L > 255)
         return PyErr_Format(PyExc_ValueError,
@@ -155,37 +155,30 @@ static PyObject *tally(PyObject *self, PyObject *args)
             return PyErr_Format(PyExc_ValueError, "window %d after window %d: windows ascend",
                                 s.win[i], s.win[i - 1]);
     }
-    Py_ssize_t p = n ? nletters / n : 0;
-    if (p * n != nletters)
-        return PyErr_Format(PyExc_ValueError, "%zd letters do not split into %zd prefixes",
-                            nletters, n);
-    if (n && p >= L)
+    if (p >= L)
         return PyErr_Format(PyExc_ValueError, "a prefix of length %zd is not shorter than L=%d",
                             p, L);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        /* Letters 1..distinct keep every shift of the bitmask below 64. */
-        int distinct = (unsigned char)distincts[i];
-        if (distinct > k)
-            return PyErr_Format(PyExc_ValueError, "distinct %d outside 0..%d", distinct, k);
-        for (Py_ssize_t j = 0; j < p; j++) {
-            int a = s.w[j] = (unsigned char)letters[i * p + j];
-            if (a < 1 || a > distinct)
-                return PyErr_Format(PyExc_ValueError, "letter %d outside 1..%d", a, distinct);
-        }
-        /* The prefix's mask is the one its parent's pass gives its last letter. */
-        uint64_t masks[distinct + 1];
-        if (p > 0)
-            child_masks(&s, (int)p - 1, distinct, masks);
-        if (walk(&s, (int)p, distinct, p > 0 ? masks[s.w[p - 1]] : 0) < 0)
-            return NULL;
+    /* Letters 1..distinct keep every shift of the bitmask below 64. */
+    if (distinct < 0 || distinct > k)
+        return PyErr_Format(PyExc_ValueError, "distinct %d outside 0..%d", distinct, k);
+    for (Py_ssize_t j = 0; j < p; j++) {
+        int a = s.w[j] = (unsigned char)prefix[j];
+        if (a < 1 || a > distinct)
+            return PyErr_Format(PyExc_ValueError, "letter %d outside 1..%d", a, distinct);
     }
+    /* The prefix's mask is the one its parent's pass gives its last letter. */
+    uint64_t masks[distinct + 1];
+    if (p > 0)
+        child_masks(&s, (int)p - 1, distinct, masks);
+    if (walk(&s, (int)p, distinct, p > 0 ? masks[s.w[p - 1]] : 0) < 0)
+        return NULL;
     return new_table(k, L, cells);
 }
 
 static PyMethodDef methods[] = {
     {"tally", tally, METH_VARARGS,
-     "tally(k, max_length, periods, windows, letters, distincts)\n\n"
-     "The table of the free completions of every prefix in letters, as bytes."},
+     "tally(k, max_length, periods, windows, prefix, distinct)\n\n"
+     "The table of the free completions of prefix, as bytes, whose letters are 1..distinct."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -112,9 +112,9 @@ def lower_series(t: Threshold, terms: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in u[1:])
 
 
-def _witness(k: int, t: Threshold, precision_bits: int = 40) -> Fraction:
+def _witness(k: int, t: Threshold) -> Fraction:
     """rational_witness, or NoWitnessError where none exists: decided before any count."""
-    x = rational_witness(k, t, precision_bits)
+    x = rational_witness(k, t)
     if x is None:
         raise NoWitnessError(f"no witness: the condition admits no x > 1 at k={k}, threshold {t}")
     return x
@@ -139,13 +139,12 @@ class BoundCertificate(_Value):
     series_digest: str
 
 
-def certify_series(series: CountSeries, precision_bits: int = 40,
-                   witness: Fraction | None = None) -> BoundCertificate:
+def certify_series(series: CountSeries, witness: Fraction | None = None) -> BoundCertificate:
     """Check C_{i+1} >= x * C_i exactly across the whole series, at its own k and threshold.
 
-    x is witness when given, the caller's rational_witness(k, t, precision_bits),
-    so a caller that searched first does not search again; its condition is
-    checked either way.  A tail-restricted series is refused.  A failed ratio,
+    x is witness when given, the caller's rational_witness(k, t), so a caller
+    that searched first does not search again; its condition is checked
+    either way.  A tail-restricted series is refused.  A failed ratio,
     guaranteed once the condition holds, raises LemmaViolationError: the counts
     are wrong.
     """
@@ -154,7 +153,7 @@ def certify_series(series: CountSeries, precision_bits: int = 40,
         raise ValidationError(f"series has tail_max={series.tail_max}; certify needs all words")
     if series.max_length < 2:
         raise ValidationError("series too short to certify (need counts up to length 2)")
-    x = _witness(k, t, precision_bits) if witness is None else witness
+    x = _witness(k, t) if witness is None else witness
     margin = condition_margin(k, t, x)
     if margin < 0:
         raise LemmaViolationError(f"witness {x} fails its own condition (margin {margin})")
@@ -170,12 +169,11 @@ def certify_series(series: CountSeries, precision_bits: int = 40,
         verified_up_to=series.max_length - 1, series_digest=series.digest())
 
 
-def certify(k: int, n: int, strict: bool, series: CountSeries,
-            precision_bits: int = 40) -> BoundCertificate:
+def certify(k: int, n: int, strict: bool, series: CountSeries) -> BoundCertificate:
     """certify_series of a series at k and Threshold.dejean(n, strict): the Dejean spelling
     that perfbench/make_expected.py calls positionally."""
     expected = Threshold.dejean(n, strict)
     if series.k != k or series.threshold != expected:
         raise ValidationError(f"series is for k={series.k}, threshold {series.threshold}; "
                               f"expected k={k}, threshold {expected}")
-    return certify_series(series, precision_bits)
+    return certify_series(series)

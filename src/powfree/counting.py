@@ -18,17 +18,16 @@ kernel, _walk.c, is a CPython extension module compiled once with the system
 C compiler and Python's headers into $XDG_CACHE_HOME/powfree/ (default
 ~/.cache/powfree/) by the first walk that finds it missing, and loaded by
 importlib's extension loader at that walk.  Its one function,
-tally(k, max_length, periods, windows, letters, distincts), walks a whole
-frontier in one call and returns the completions as a new table of Python
-ints.  Its last four arguments are bytes, which _walk packs: the pairs'
-periods and windows, the frontier's prefixes back to back (all of one
-length) and one distinct count per prefix.  Each node gets its forbidden
-next letters as a bitmask from its parent, tallies its children by popcount
-and makes one pass over the windows up to two letters longer than itself,
-which gives every child's mask; it walks the free children, but tallies
-those of length L-1 into row L from their masks without visiting them.
-Every 2**20 visited nodes it runs Python's signal handlers, so Ctrl-C stops
-it.  Its limits are the bytes it takes: L <= 255 and fewer than 64 letters.
+tally(k, max_length, periods, windows, prefix, distinct), walks the
+completions of one prefix and returns them as a new table of Python ints.
+The pairs' periods and windows and the prefix are bytes, which _walk packs;
+distinct is the prefix's letter count.  Each node gets its forbidden next
+letters as a bitmask from its parent, tallies its children by popcount and
+makes one pass over the windows up to two letters longer than itself, which
+gives every child's mask; it walks the free children, but tallies those of
+length L-1 into row L from their masks without visiting them.  Every 2**20
+visited nodes it runs Python's signal handlers, so Ctrl-C stops it.  Its
+limits are the bytes it takes: L <= 255 and fewer than 64 letters.
 The Python walk, _dfs, is the reference the kernel's tables are tested
 against; it runs only where no kernel loads (without a compiler, Python's
 headers or a usable cache directory), and beyond those limits: longer than
@@ -39,17 +38,16 @@ the old letters that would end a forbidden power after it (each window
 forbids at most one; the fresh letter never completes a power), tallies its
 children and walks them, so it visits every length below L.
 
-Every walk is first deepened by _grow, one level at a time, until the
-frontier holds _TASKS_PER_WORKER prefixes per worker, or reaches length L-1,
-or empties.  With workers > 1 (capped at the cores) the rows it tallies on
-the way give an estimate of the patterns shorter than L
-(_estimated_patterns); times the window pairs, that is the walk's window
-tests.  A pool is started only when they exceed the pool crossover measured
-for the walk in use: each prefix becomes one pool task returning its own
-table.  Otherwise the whole frontier is walked in-process into one table.
-Either way _add_tables sums the walk's tables into the frontier's rows, and
-each pattern is tested once: by _grow up to the frontier, then by the walk
-below it.
+A count walks from the empty pattern in one _walk call.  Only a run with
+workers > 1 (capped at the cores) grows a frontier: _grow deepens it one
+level at a time until it holds _TASKS_PER_WORKER prefixes per worker, or
+reaches length L-1, or empties, and the rows it tallies on the way give an
+estimate of the patterns shorter than L (_estimated_patterns); times the
+window pairs, that is the walk's window tests.  A pool is started only when
+they exceed the pool crossover measured for the walk in use: each prefix
+becomes one pool task returning its own table, and _add_tables sums them
+into the frontier's rows.  Otherwise the frontier is dropped and the count
+walks from the empty pattern, as with one worker.
 
 All counts are Python ints, hence exact at any size.
 """
@@ -372,19 +370,17 @@ def _build_kernel(path):
 
 @functools.cache
 def _kernel():
-    """The compiled walk's tally(k, max_length, periods, windows, letters, distincts),
-    or None if unbuilt.
+    """The compiled walk's tally(k, max_length, periods, windows, prefix, distinct), or None
+    if unbuilt.
 
-    tally takes k <= max_length, k <= 63, max_length <= 255 and four bytes:
-    the pairs' periods and windows; letters, the frontier's prefixes back to
-    back, all of one length below max_length; and distincts, one count <= k per
-    prefix.  It returns a new table as _walk does, _dfs's table of the same
-    prefixes, and raises ValueError on bytes that break that contract.  Its
-    nodes get their masks from their parents' window passes, and the
-    patterns of length max_length-1 are tallied without a visit (_walk.c's
-    header).  The first call builds the library if it is missing.  Only a
-    library in a directory private to this user, itself private, is loaded,
-    as powfree._walk.
+    tally takes k <= max_length, k <= 63, max_length <= 255, three bytes and an int: the
+    pairs' periods and windows; prefix, one pattern shorter than max_length; and distinct,
+    its letter count, at most k.  It returns a new table as _walk does, _dfs's table of the
+    same prefix, and raises ValueError on arguments that break that contract.  Its nodes get
+    their masks from their parents' window passes, and the patterns of length max_length-1
+    are tallied without a visit (_walk.c's header).  The first call builds the library if it
+    is missing.  Only a library in a directory private to this user, itself private, is
+    loaded, as powfree._walk.
     """
     path = _kernel_file()
     _build_kernel(path)
@@ -412,28 +408,26 @@ def _kernel_for(k, max_length):
     return _kernel() if max_length <= 255 and min(k, max_length) <= 63 else None
 
 
-def _walk(k, pairs, max_length, frontier):
-    """A new table of the free completions of each free (prefix, distinct) of frontier,
-    every prefix shorter than max_length.
+def _walk(k, pairs, max_length, item):
+    """A new table of the free completions of item, a free (prefix, distinct) whose prefix
+    is shorter than max_length.
 
-    The kernel walks them where _kernel_for gives one; otherwise _dfs does.
+    The kernel walks it where _kernel_for gives one; otherwise _dfs does.
     """
+    w, distinct = item
     kernel = _kernel_for(k, max_length)
     if kernel is not None:
         # Only distinct < k is asked, so min(k, L) serves and a huge k fits a C int.  L <= 255
-        # fits every period, window, letter and distinct in a byte, and a frontier's prefixes
-        # share one length: one level of _frontier, or one pool task's single prefix.
+        # fits every period, window and letter in a byte.
         return kernel(min(k, max_length), max_length, bytes(j for j, _ in pairs),
-                      bytes(m for _, m in pairs), bytes(a for w, _ in frontier for a in w),
-                      bytes(d for _, d in frontier))
+                      bytes(m for _, m in pairs), bytes(w), distinct)
     table = _new_table(k, max_length)
     # _dfs takes a frame per letter it appends; slowly growing languages (binary
     # overlap-free words, say) are walked deeper than the default limit of 1,000.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + max_length)
     try:
-        for w, distinct in frontier:
-            _dfs(k, pairs, max_length, table, list(w), distinct)
+        _dfs(k, pairs, max_length, table, list(w), distinct)
     finally:
         sys.setrecursionlimit(limit)
     return table
@@ -483,7 +477,9 @@ def _estimated_patterns(table, k, depth, max_length):
 
 
 def _count_naive(k, t, max_length, tail_max, budget):
-    if k ** max_length > budget:
+    # k**max_length >= 2**((k.bit_length() - 1) * max_length): a refusal that this bound
+    # decides costs no power, whose evaluation grows with max_length.
+    if (k.bit_length() - 1) * max_length > budget.bit_length() or k ** max_length > budget:
         raise BudgetExceededError(
             f"naive engine: k**max_length = {k}**{max_length} candidate words exceed the "
             f"work budget {budget}; use the canonical engine")
@@ -499,24 +495,25 @@ def _pattern_table(k, t, max_length, tail_max, workers):
         return [[1]]
 
     workers = min(workers, os.cpu_count() or 1)
-    table, frontier, depth = _frontier(k, pairs, max_length, _TASKS_PER_WORKER * workers)
-    if not frontier:
-        return table
-    crossover = _DFS_POOL_TESTS if _kernel_for(k, max_length) is None else _KERNEL_POOL_TESTS
-    if (workers > 1
-            and _estimated_patterns(table, k, depth, max_length - 1) * len(pairs) > crossover):
-        # Imported here: runs that start no pool skip the import of multiprocessing.
-        import multiprocessing
-        import signal
+    if workers > 1:
+        table, frontier, depth = _frontier(k, pairs, max_length, _TASKS_PER_WORKER * workers)
+        crossover = _DFS_POOL_TESTS if _kernel_for(k, max_length) is None else _KERNEL_POOL_TESTS
+        if (frontier and _estimated_patterns(table, k, depth, max_length - 1) * len(pairs)
+                > crossover):
+            # Imported here: runs that start no pool skip the import of multiprocessing.
+            import multiprocessing
+            import signal
 
-        task = functools.partial(_walk, k, pairs, max_length)
-        # Workers ignore Ctrl-C, so none prints a traceback. The parent terminates them as it
-        # leaves the block, by the last table or by the interrupt: a pooled walk stops at once.
-        with multiprocessing.Pool(min(workers, len(frontier)), signal.signal,
-                                  (signal.SIGINT, signal.SIG_IGN)) as pool:
-            _add_tables(table, pool.imap(task, ([item] for item in frontier)))
-    else:
-        _add_tables(table, [_walk(k, pairs, max_length, frontier)])
+            task = functools.partial(_walk, k, pairs, max_length)
+            # Workers ignore Ctrl-C, so none prints a traceback. The parent terminates them as
+            # it leaves the block, by the last table or by the interrupt: a pooled walk stops
+            # at once.
+            with multiprocessing.Pool(min(workers, len(frontier)), signal.signal,
+                                      (signal.SIGINT, signal.SIG_IGN)) as pool:
+                _add_tables(table, pool.imap(task, frontier))
+            return table
+    table = _walk(k, pairs, max_length, ((), 0))
+    table[0][0] = 1
     return table
 
 

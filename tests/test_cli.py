@@ -624,9 +624,9 @@ class TestCertify:
         expected = certify_series(count_free(12, t, 6))
         searches = []
 
-        def counted(*args):
-            searches.append(args)
-            return search(*args)
+        def counted(k, t, precision_bits=40):  # the search's own default is what certify uses
+            searches.append((k, t, precision_bits))
+            return search(k, t, precision_bits)
 
         search = bounds.rational_witness
         monkeypatch.setattr(bounds, "rational_witness", counted)

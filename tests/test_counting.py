@@ -12,6 +12,7 @@ import subprocess
 import sys
 import sysconfig
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from math import perm
@@ -146,7 +147,7 @@ def test_last_two_levels_match_per_child_tests(draws, extra_k, steps, t, tail_ma
     counting._dfs(k, pairs, L, table, list(w), distinct)
     assert table == expected
     if counting._kernel_for(k, L) is not None:
-        assert counting._walk(k, pairs, L, [(w, distinct)]) == expected
+        assert counting._walk(k, pairs, L, (w, distinct)) == expected
 
 
 @pytest.mark.parametrize("k,t,L", [(3, Threshold(2), 11), (3, Threshold(2), 12),
@@ -241,6 +242,18 @@ def test_naive_budget_refused():
     assert "budget" in str(info.value)
     assert "10**4 candidate words" in str(info.value)  # names what exceeded it
     assert "engine" in str(info.value)  # suggests an alternative
+
+
+def test_naive_refusal_does_not_raise_k_to_the_length():
+    # 1000**(10**7) has 30 million digits: the bit lengths refuse without evaluating it.  At
+    # the budget itself the naive engine still counts.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=re.escape("1000**10000000 candidate words")):
+        count_free(1000, Threshold(2), 10**7, "naive")
+    assert time.perf_counter() - start < 1
+    assert count_free(2, Threshold(3), 10, "naive", budget=1024).counts[-1] == 118
+    with pytest.raises(BudgetExceededError, match=re.escape("2**10 candidate words")):
+        count_free(2, Threshold(3), 10, "naive", budget=1023)
 
 
 class _RecordingPool(multiprocessing.pool.Pool):
@@ -363,16 +376,47 @@ def test_short_enumerations_start_no_pool(monkeypatch, walks):
             assert _InlinePool.sizes == [], (t, walk)
 
 
-def test_one_worker_makes_no_estimate(monkeypatch, walks):
-    # The estimate only picks whether a pool starts, and one worker starts none.
-    def estimate(*args):
-        raise AssertionError("one worker estimated its window tests")
+def test_one_worker_grows_no_frontier(monkeypatch, walks):
+    # The frontier and the estimate only serve a pool, and one worker starts none: it walks
+    # from the empty pattern.
+    def refused(*args):
+        raise AssertionError("one worker grew a frontier or estimated its window tests")
 
-    monkeypatch.setattr(counting, "_estimated_patterns", estimate)
+    monkeypatch.setattr(counting, "_frontier", refused)
+    monkeypatch.setattr(counting, "_estimated_patterns", refused)
     for walk in walks:
         for k, t, L in ((20, Threshold(3, 2), 12), (3, Threshold(2), 30)):
             rows = counting._pattern_table(k, t, L, None, 1)
             assert sum(rows[-1]) > 0, (k, t, L, walk)
+        assert count_free(3, Threshold(2), 7).counts == TERNARY_SQUAREFREE, walk
+        for k, t, tail_max in ((4, Threshold(3, 2), None), (3, Threshold(2, 1, True), 2)):
+            expected = tuple(count_series(k, t.num, t.den, t.strict, 7, tail_max))
+            got = (count_free(k, t, 7) if tail_max is None
+                   else count_tail_restricted(k, t, tail_max, 7))
+            assert got.counts == expected, (k, t, tail_max, walk)
+
+
+def test_a_count_walks_once_from_the_root_unless_a_pool_starts(monkeypatch, walks):
+    # Under the crossover two workers grow a frontier for the estimate, then make one walk
+    # from the empty pattern; a pool maps the walk over the frontier's prefixes instead.
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    calls = []
+    real = counting._walk
+    monkeypatch.setattr(counting, "_walk", lambda *a: calls.append(a[3]) or real(*a))
+    t = Threshold(3, 2)
+    pairs = counting._window_checks(t, 10, None)
+    _, frontier, _ = counting._frontier(20, pairs, 10, 16)
+    for walk in walks:
+        expected = count_free(20, t, 10, workers=1)
+        for crossover, walked in ((float("inf"), [((), 0)]), (0, frontier)):
+            monkeypatch.setattr(counting, "_KERNEL_POOL_TESTS", crossover)
+            monkeypatch.setattr(counting, "_DFS_POOL_TESTS", crossover)
+            monkeypatch.setattr(_InlinePool, "sizes", [])
+            calls.clear()
+            assert count_free(20, t, 10, workers=2) == expected, walk
+            assert calls == walked, walk
+            assert _InlinePool.sizes == ([] if crossover else [2]), walk
 
 
 def test_walk_beyond_the_kernel_cap_is_python(monkeypatch):
@@ -398,49 +442,50 @@ def test_kernel_refuses_a_walk_beyond_its_cap():
     # _kernel_for never hands it L = 256 or 64 letters; asked anyway, it refuses.
     tally = counting._kernel()
     assert tally is not None
-    assert tally(1, 255, b"", b"", b"\x01", b"\x01")[255] == [0, 1]
-    assert tally(63, 63, b"", b"", bytes(range(1, 63)), b"\x3e")[63][62:] == [62, 1]
+    assert tally(1, 255, b"", b"", b"\x01", 1)[255] == [0, 1]
+    assert tally(63, 63, b"", b"", bytes(range(1, 63)), 62)[63][62:] == [62, 1]
     needs = "tally needs 0 <= k <= L, k <= 63 and L <= 255, got "
     with pytest.raises(ValueError, match=re.escape(needs + "k=1, L=256")):
-        tally(1, 256, b"", b"", b"\x01", b"\x01")
+        tally(1, 256, b"", b"", b"\x01", 1)
     with pytest.raises(ValueError, match=re.escape(needs + "k=64, L=64")):
-        tally(64, 64, b"", b"", bytes(range(1, 64)), b"\x3f")
+        tally(64, 64, b"", b"", bytes(range(1, 64)), 63)
 
 
 # The periods and the windows of the squares' pairs up to length 8, as tally takes them.
 _PERIODS_8, _WINDOWS_8 = map(bytes, zip(*_window_checks(Threshold(2), 8)))
 
 
-def _squares(k, L, letters, distincts):
-    return k, L, _PERIODS_8, _WINDOWS_8, bytes(letters), bytes(distincts)
+def _squares(k, L, prefix, distinct):
+    return k, L, _PERIODS_8, _WINDOWS_8, bytes(prefix), distinct
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 @pytest.mark.parametrize("args,error,message", [
-    ((1, 256, b"", b"", b"\x01", b"\x01"), ValueError, "got k=1, L=256"),
-    (_squares(9, 8, [1, 2], [2]), ValueError, "got k=9, L=8"),
-    (_squares(-1, 8, [1, 2], [2]), ValueError, "got k=-1, L=8"),
-    (_squares(3, 8, [1, 2, 1, 3, 1, 2, 1, 3], [3]), ValueError,
+    ((1, 256, b"", b"", b"\x01", 1), ValueError, "got k=1, L=256"),
+    (_squares(9, 8, [1, 2], 2), ValueError, "got k=9, L=8"),
+    (_squares(-1, 8, [1, 2], 2), ValueError, "got k=-1, L=8"),
+    (_squares(3, 8, [1, 2, 1, 3, 1, 2, 1, 3], 3), ValueError,
      "a prefix of length 8 is not shorter than L=8"),
-    (_squares(3, 8, [1, 2], [4]), ValueError, "distinct 4 outside 0..3"),
-    (_squares(3, 8, [1, 2, 1], [2, 2]), ValueError, "3 letters do not split into 2 prefixes"),
-    (_squares(3.0, 8, [1, 2], [2]), TypeError, "integer"),
-    (_squares(3, "8", [1, 2], [2]), TypeError, "integer"),
-    (_squares(3, 8, [1, 3], [2]), ValueError, "letter 3 outside 1..2"),
-    (_squares(3, 8, [0, 1], [2]), ValueError, "letter 0 outside 1..2"),
-    (_squares(2**70, 8, [1, 2], [2]), OverflowError, "too large"),
-    ((3, 8, _PERIODS_8, _WINDOWS_8, (1, 2), b"\x02"), TypeError, "not 'tuple'"),
-    ((3, 8, list(_PERIODS_8), _WINDOWS_8, b"\x01\x02", b"\x02"), TypeError, "not 'list'"),
-    ((3, 8, _PERIODS_8, _WINDOWS_8, b"\x01\x02", bytearray(b"\x02")), TypeError,
-     "argument 6 must be read-only bytes-like object, not bytearray"),
-    ((3, 8, b"\x00", b"\x01", b"\x01\x02", b"\x02"), ValueError, "period 0 outside"),
-    ((3, 8, b"\x02", b"\x02", b"\x01\x02", b"\x02"), ValueError, "window 2 outside 3.."),
-    ((3, 8, _PERIODS_8, _WINDOWS_8[:-1], b"\x01\x02", b"\x02"), ValueError,
+    (_squares(3, 8, [1, 2], 4), ValueError, "distinct 4 outside 0..3"),
+    (_squares(3, 8, [1, 2], -1), ValueError, "distinct -1 outside 0..3"),
+    (_squares(3.0, 8, [1, 2], 2), TypeError, "integer"),
+    (_squares(3, "8", [1, 2], 2), TypeError, "integer"),
+    (_squares(3, 8, [1, 3], 2), ValueError, "letter 3 outside 1..2"),
+    (_squares(3, 8, [0, 1], 2), ValueError, "letter 0 outside 1..2"),
+    (_squares(2**70, 8, [1, 2], 2), OverflowError, "too large"),
+    (_squares(3, 8, [1, 2], 2**70), OverflowError, "too large"),
+    ((3, 8, _PERIODS_8, _WINDOWS_8, (1, 2), 2), TypeError, "not 'tuple'"),
+    ((3, 8, list(_PERIODS_8), _WINDOWS_8, b"\x01\x02", 2), TypeError, "not 'list'"),
+    ((3, 8, _PERIODS_8, _WINDOWS_8, bytearray(b"\x01\x02"), 2), TypeError,
+     "argument 5 must be read-only bytes-like object, not bytearray"),
+    ((3, 8, _PERIODS_8, _WINDOWS_8, b"\x01\x02", b"\x02"), TypeError, "integer"),
+    ((3, 8, b"\x00", b"\x01", b"\x01\x02", 2), ValueError, "period 0 outside"),
+    ((3, 8, b"\x02", b"\x02", b"\x01\x02", 2), ValueError, "window 2 outside 3.."),
+    ((3, 8, _PERIODS_8, _WINDOWS_8[:-1], b"\x01\x02", 2), ValueError,
      "a window pair must hold"),
-    (_squares(3, 8, [1, 2], []), ValueError, "2 letters do not split into 0 prefixes"),
     # The walk stops at the first window longer than the pattern; out of order, the squares'
     # pairs counted 613 patterns of length 8 instead of 13.
-    ((3, 8, _PERIODS_8[::-1], _WINDOWS_8[::-1], b"", b"\x00"), ValueError,
+    ((3, 8, _PERIODS_8[::-1], _WINDOWS_8[::-1], b"", 0), ValueError,
      "window 6 after window 8: windows ascend"),
 ])
 def test_kernel_refuses_bad_arguments(args, error, message):
@@ -461,27 +506,28 @@ def test_one_tally_over_a_frontier_is_the_python_walk(k, below, tail_max):
     # few enough for _dfs, from a frontier of 16 prefixes, as _pattern_table grows it, or
     # from every free prefix of length L - below: at L-1 the kernel tallies row L from each
     # prefix's own mask alone, at L-2 from the masks of children it never visits.
-    # The tables of one tally per prefix, summed as the pool's are, are the same table.
+    # One tally per prefix, the tables summed as the pool sums them, is _dfs's table of the
+    # same prefixes, and below the frontier it is the table of the walk from the root.
     assert counting._kernel() is not None
     for t in WALK_THRESHOLDS:
         for L in range(2, 26):
             pairs = _window_checks(t, L, tail_max)
             if below is None:
-                _, frontier, _ = counting._frontier(k, pairs, L, 16)
+                _, frontier, depth = counting._frontier(k, pairs, L, 16)
             else:
                 _, frontier, depth = counting._frontier(k, pairs, L + 1 - below, float("inf"))
                 assert depth == L - below or not frontier
-            compiled = counting._walk(k, pairs, L, frontier)
+            compiled = counting._new_table(k, L)
+            counting._add_tables(compiled, (counting._walk(k, pairs, L, item)
+                                            for item in frontier))
             if sum(map(sum, compiled)) > 3_000:
                 break
             python = counting._new_table(k, L)
             for w, distinct in frontier:
                 counting._dfs(k, pairs, L, python, list(w), distinct)
             assert compiled == python, (t, L)
-            merged = counting._new_table(k, L)
-            counting._add_tables(merged, (counting._walk(k, pairs, L, [item])
-                                          for item in frontier))
-            assert merged == compiled, (t, L)
+            root = counting._walk(k, pairs, L, ((), 0))
+            assert compiled[depth + 1:] == root[depth + 1:], (t, L)
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
@@ -514,11 +560,12 @@ def test_kernel_walks_past_25_letters_as_the_python_walk(monkeypatch, k, t, tail
         assert series.counts == counts[:length + 1], length
 
 
-# Seeded random tally calls: k <= L <= 10 but for one in twenty, canonical prefixes shorter
-# than L but for one in ten.  Each byte string holds valid values but for one in ten, which
-# holds bytes of any value, its length off by at most one.  Each call returns L+1 rows of k+1
-# ints, _dfs's table of the same pairs and prefixes, or raises ValueError or TypeError (an
-# OverflowError for an int beyond C's); a crash kills only this interpreter.
+# Seeded random tally calls: k <= L <= 10 but for one in twenty, a canonical prefix shorter
+# than L but for one in ten, and its distinct count but for one in ten.  Each byte string
+# holds valid values but for one in ten, which holds bytes of any value, its length off by at
+# most one.  Each call returns L+1 rows of k+1 ints, _dfs's table of the same pairs and
+# prefix, or raises ValueError or TypeError (an OverflowError for an int beyond C's); a crash
+# kills only this interpreter.
 _FUZZ = """
 import random
 from powfree import counting
@@ -537,13 +584,13 @@ for _ in range(3000):
     windows = sorted(rng.randrange(2, 12) for _ in range(rng.randrange(6)))
     periods = [rng.randrange(1, m) for m in windows]
     p = rng.randrange(max(L, 1)) if rng.random() < 0.9 else max(L, 0) + rng.randrange(3)
-    letters, distincts = [], []
-    for _ in range(rng.randrange(4)):  # canonical prefixes, as the walk's contract asks
-        distincts.append(0)
-        for _ in range(p):
-            letters.append(rng.randrange(1, min(distincts[-1] + 1, max(k, 1)) + 1))
-            distincts[-1] = max(distincts[-1], letters[-1])
-    args = [k, L, some(periods), some(windows), some(letters), some(distincts)]
+    prefix, distinct = [], 0
+    for _ in range(p):  # a canonical prefix, as the walk's contract asks
+        prefix.append(rng.randrange(1, min(distinct + 1, max(k, 1)) + 1))
+        distinct = max(distinct, prefix[-1])
+    if rng.random() < 0.1:
+        distinct = rng.randrange(-2, 66)
+    args = [k, L, some(periods), some(windows), some(prefix), distinct]
     if rng.random() < 0.03:
         args[rng.randrange(6)] = rng.choice([None, 1.5, "ab", [1, 2], bytearray(b"1"), 2**70])
     try:
@@ -553,13 +600,10 @@ for _ in range(3000):
         continue
     assert len(table) == L + 1, args
     assert all(len(row) == k + 1 and all(type(c) is int for c in row) for row in table), args
-    # The bytes it took hold a valid call: _dfs over the same pairs and prefixes is the table.
-    periods, windows, letters, distincts = args[2:]
-    p = len(letters) // len(distincts) if distincts else 0
+    # The arguments it took hold a valid call: _dfs over the same pairs and prefix is the table.
+    periods, windows, prefix, distinct = args[2:]
     python = counting._new_table(k, L)
-    for i, distinct in enumerate(distincts):
-        counting._dfs(k, list(zip(periods, windows)), L, python, list(letters[i * p:i * p + p]),
-                      distinct)
+    counting._dfs(k, list(zip(periods, windows)), L, python, list(prefix), distinct)
     assert table == python, args
     returned += 1
 print(returned, refused)
@@ -587,7 +631,7 @@ assert counting._kernel() is not None
 print("walking", flush=True)
 start = time.perf_counter()
 try:
-    counting._walk(20, _window_checks(Threshold(3, 2), 18), 18, [((), 0)])
+    counting._walk(20, _window_checks(Threshold(3, 2), 18), 18, ((), 0))
 except KeyboardInterrupt:
     print(time.perf_counter() - start)
 """
