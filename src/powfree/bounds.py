@@ -5,11 +5,17 @@ the periods j >= 1 and t_j = min_violation_length(j, t) - j, keeps every
 count ratio C_{i+1}/C_i of t-free words at or above x, so growth >= x (the
 README derives it).  Certificates check it and every ratio exactly;
 lower_series expands the root where g = 0 in 1/k, exactly, at every threshold.
+
+One integer evaluation of g (_scaled) serves the witness search and the
+margin: a rational is a (num, den) pair of ints in lowest terms, and the
+public functions and BoundCertificate's properties make a Fraction only when
+a caller asks for one, so certify never imports fractions, and with it
+decimal and numbers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .counting import CountSeries
 from .errors import LemmaViolationError, NoWitnessError, ValidationError
@@ -36,50 +42,90 @@ def _tails(t: Threshold) -> tuple[dict[int, int], int]:
     return tails, s
 
 
-def condition_margin(k: int, t: Threshold, x: Fraction) -> Fraction:
-    """Exact slack k - x - S(x) of the witness condition at x; nonnegative iff x qualifies."""
+def _terms(tails: dict[int, int], s: int, b: int) -> list[tuple[int, int]]:
+    """(s + 1 - t_j, c_j b^t_j) per tail: the sum of _scaled at denominator b."""
+    return [(s + 1 - tj, c * b ** tj) for tj, c in tails.items()]
+
+
+def _scaled(k: int, s: int, b: int, terms: list[tuple[int, int]], a: int) -> tuple[int, int]:
+    """(P, e) at x = a/b > 1, in integers: e = a^s - b^s > 0 and P = g(a/b) b e.
+
+    x^(1-t_j) / (1 - x^-s) = a^(s+1-t_j) b^(t_j-1) / e, so P = (kb - a) e -
+    sum_j a^(s+1-t_j) b^t_j, every exponent >= 0 (t_j <= s + 1); terms is
+    _terms(tails, s, b).
+    """
+    e = a ** s - b ** s
+    return (k * b - a) * e - sum(w * a ** p for p, w in terms), e
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with den > 0, as Fraction keeps it."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+def _text(num: int, den: int) -> str:
+    """num/den as Fraction spells it: num alone when den is 1."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _margin(k: int, t: Threshold, a: int, b: int) -> tuple[int, int]:
+    """g(a/b) as a (num, den) pair in lowest terms, den > 0; b > 0."""
     _check_alphabet(k)
-    x = Fraction(x)
-    if x <= 1:
+    if a <= b:
         raise ValidationError("witness must exceed 1")
     tails, s = _tails(t)
-    return k - x - sum(c * x ** (1 - tj) for tj, c in tails.items()) / (1 - x ** -s)
+    p, e = _scaled(k, s, b, _terms(tails, s, b), a)
+    return _reduced(p, b * e)
 
 
-def rational_witness(k: int, t: Threshold, precision_bits: int = 40) -> Fraction | None:
-    """The largest multiple of 2**-(precision_bits+1) in (1, k) where g >= 0, or None.
+def condition_margin(k: int, t: Threshold, x) -> Fraction:
+    """Exact slack k - x - S(x) of the witness condition at x, any value Fraction(x) takes;
+    nonnegative iff x qualifies."""
+    from fractions import Fraction  # here: certify reads the integer pair instead
+
+    x = Fraction(x)
+    return Fraction(*_margin(k, t, x.numerator, x.denominator))
+
+
+def _search(k: int, t: Threshold, precision_bits: int = 40) -> tuple[int, int] | None:
+    """rational_witness as a (num, den) pair in lowest terms, or None.
 
     g is strictly concave, so g >= 0 on one interval [r1, r2] of (1, k), maybe
-    empty.  At x = m/D, D = 2**(precision_bits+1), g D (m^s - D^s) is the
-    integer P(m) = (kD - m)(m^s - D^s) - sum_{j<=q} m^(s+1-t_j) D^t_j.  One
-    bisection on g's slope finds an m with P(m) >= 0, one on P's sign the last.
+    empty.  At x = m/D, D = 2**(precision_bits+1), P(m) = g D (m^s - D^s) is
+    _scaled's integer.  One bisection on g's slope finds an m with P(m) >= 0,
+    one on P's sign the last.
     """
     if precision_bits < 1:
         raise ValidationError("precision_bits must be positive")
     _check_alphabet(k)
     tails, s = _tails(t)
     d = 2 ** (precision_bits + 1)
-    terms = [(s + 1 - tj, c * d ** tj) for tj, c in tails.items()]
-
-    def scaled(m: int) -> tuple[int, int]:  # (P(m), m^s - D^s)
-        e = m ** s - d ** s
-        return (k * d - m) * e - sum(w * m ** a for a, w in terms), e
-
+    terms = _terms(tails, s, d)
     lo, hi = d + 1, k * d - 1  # the grid points in (1, k)
     while lo <= hi:
         mid = (lo + hi) // 2
-        p, e = scaled(mid)
+        p, e = _scaled(k, s, d, terms, mid)
         if p >= 0:
             break
-        p_next, e_next = scaled(mid + 1)  # g rises from mid to mid+1, or the maximum is left
+        # g rises from mid to mid+1, or the maximum is left
+        p_next, e_next = _scaled(k, s, d, terms, mid + 1)
         lo, hi = (mid + 1, hi) if p_next * e > p * e_next else (lo, mid - 1)
     else:
         return None
     lo, hi = mid, k * d  # P(mid) >= 0 > P(kD)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if scaled(mid)[0] >= 0 else (lo, mid)
-    return Fraction(lo, d)
+        lo, hi = (mid, hi) if _scaled(k, s, d, terms, mid)[0] >= 0 else (lo, mid)
+    return _reduced(lo, d)
+
+
+def rational_witness(k: int, t: Threshold, precision_bits: int = 40) -> Fraction | None:
+    """The largest multiple of 2**-(precision_bits+1) in (1, k) where g >= 0, or None."""
+    from fractions import Fraction  # here: certify takes _search's pair instead
+
+    found = _search(k, t, precision_bits)
+    return None if found is None else Fraction(*found)
 
 
 def lower_series(t: Threshold, terms: int) -> tuple[Fraction, ...]:
@@ -109,12 +155,14 @@ def lower_series(t: Threshold, terms: int) -> tuple[Fraction, ...]:
             for d in range(a, size):
                 u[d] -= count[a] * power[d - a]
             power = [sum(power[i] * inverse[d - i] for i in range(d + 1)) for d in range(size)]
+    from fractions import Fraction  # here: only report and library callers read the terms
+
     return tuple(Fraction(c) for c in u[1:])
 
 
-def _witness(k: int, t: Threshold) -> Fraction:
-    """rational_witness, or NoWitnessError where none exists: decided before any count."""
-    x = rational_witness(k, t)
+def _witness(k: int, t: Threshold) -> tuple[int, int]:
+    """_search's pair, or NoWitnessError where none exists: decided before any count."""
+    x = _search(k, t)
     if x is None:
         raise NoWitnessError(f"no witness: the condition admits no x > 1 at k={k}, threshold {t}")
     return x
@@ -124,49 +172,69 @@ class BoundCertificate(_Value):
     """A machine-checked growth lower bound for a threshold's language over k letters.
 
     Every field was verified in exact rational arithmetic: the witness
-    satisfies its condition with the stated nonnegative margin, and
-    C_{i+1} >= x_witness * C_i held for every 1 <= i <= verified_up_to of
-    the count series identified by series_digest.
+    x_witness_num/x_witness_den satisfies its condition with the stated
+    nonnegative margin condition_margin_num/condition_margin_den, both in
+    lowest terms, and C_{i+1} >= x_witness * C_i held for every
+    1 <= i <= verified_up_to of the count series identified by series_digest.
     """
 
-    __slots__ = ("k", "threshold", "x_witness", "condition_margin", "verified_up_to",
-                 "series_digest")
+    __slots__ = ("k", "threshold", "x_witness_num", "x_witness_den", "condition_margin_num",
+                 "condition_margin_den", "verified_up_to", "series_digest")
     k: int
     threshold: Threshold
-    x_witness: Fraction
-    condition_margin: Fraction
+    x_witness_num: int
+    x_witness_den: int
+    condition_margin_num: int
+    condition_margin_den: int
     verified_up_to: int
     series_digest: str
 
+    @property
+    def x_witness(self) -> Fraction:
+        """x_witness_num/x_witness_den as a Fraction."""
+        from fractions import Fraction  # here: certify prints the integers and never loads it
 
-def certify_series(series: CountSeries, witness: Fraction | None = None) -> BoundCertificate:
+        return Fraction(self.x_witness_num, self.x_witness_den)
+
+    @property
+    def condition_margin(self) -> Fraction:
+        """condition_margin_num/condition_margin_den as a Fraction."""
+        from fractions import Fraction
+
+        return Fraction(self.condition_margin_num, self.condition_margin_den)
+
+
+def certify_series(series: CountSeries,
+                   witness: tuple[int, int] | None = None) -> BoundCertificate:
     """Check C_{i+1} >= x * C_i exactly across the whole series, at its own k and threshold.
 
-    x is witness when given, the caller's rational_witness(k, t), so a caller
-    that searched first does not search again; its condition is checked
-    either way.  A tail-restricted series is refused.  A failed ratio,
-    guaranteed once the condition holds, raises LemmaViolationError: the counts
-    are wrong.
+    x is witness when given, a (num, den) pair of ints, the one the caller's
+    bounds._witness(k, t) returned, so a caller that searched first does not
+    search again; its condition is checked either way.  A tail-restricted
+    series is refused.  A failed ratio, guaranteed once the condition holds,
+    raises LemmaViolationError: the counts are wrong.
     """
     k, t = series.k, series.threshold
     if series.tail_max is not None:
         raise ValidationError(f"series has tail_max={series.tail_max}; certify needs all words")
     if series.max_length < 2:
         raise ValidationError("series too short to certify (need counts up to length 2)")
-    x = _witness(k, t) if witness is None else witness
-    margin = condition_margin(k, t, x)
-    if margin < 0:
-        raise LemmaViolationError(f"witness {x} fails its own condition (margin {margin})")
+    a, b = _witness(k, t) if witness is None else _reduced(*witness)
+    m, d = _margin(k, t, a, b)
+    if m < 0:
+        raise LemmaViolationError(f"witness {_text(a, b)} fails its own condition "
+                                  f"(margin {_text(m, d)})")
     counts = series.counts
     for i in range(1, series.max_length):
-        if counts[i + 1] * x.denominator < x.numerator * counts[i]:
+        if counts[i + 1] * b < a * counts[i]:
             raise LemmaViolationError(
                 f"ratio check failed at i={i}: C_{i + 1}={counts[i + 1]} < "
-                f"{x} * C_{i}={counts[i]} (k={k}, threshold {t}); "
+                f"{_text(a, b)} * C_{i}={counts[i]} (k={k}, threshold {t}); "
                 f"this indicates a counting bug")
     return BoundCertificate(
-        k=k, threshold=t, x_witness=x, condition_margin=margin,
-        verified_up_to=series.max_length - 1, series_digest=series.digest())
+        k=k, threshold=t, x_witness_num=a, x_witness_den=b, condition_margin_num=m,
+        condition_margin_den=d, verified_up_to=series.max_length - 1,
+        series_digest=series.digest())
 
 
 def certify(k: int, n: int, strict: bool, series: CountSeries) -> BoundCertificate:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import _signal  # loaded at every start-up, unlike signal
 import atexit
+import math
 import os
 import re
 import sys
@@ -97,12 +98,14 @@ def cmd_check(args) -> int:
     found = find_violation(word, t)
     head = {"word": args.word, "beta": str(t).rstrip("+"),
             "plus": t.strict, "free": found is None}
+    # The exponent length/period in lowest terms, without found.exponent's Fraction.
+    g = 1 if found is None else math.gcd(found.length, found.period)
     witness = None if found is None else {
         "start": found.start,
         "period": found.period,
         "length": found.length,
-        "exponent_num": str(found.exponent.numerator),
-        "exponent_den": str(found.exponent.denominator),
+        "exponent_num": str(found.length // g),
+        "exponent_den": str(found.period // g),
         "tail_length": found.tail_length,
     }
     _emit(args, {"command": "check", **head, "witness": witness}, [{**head, **(witness or {})}],
@@ -140,10 +143,10 @@ def cmd_certify(args) -> int:
               [{**fields, "status": "no-witness"}], (*fields, "status"))
         return EXIT_NEGATIVE
     fields.update({
-        "x_witness_num": str(cert.x_witness.numerator),
-        "x_witness_den": str(cert.x_witness.denominator),
-        "condition_margin_num": str(cert.condition_margin.numerator),
-        "condition_margin_den": str(cert.condition_margin.denominator),
+        "x_witness_num": str(cert.x_witness_num),
+        "x_witness_den": str(cert.x_witness_den),
+        "condition_margin_num": str(cert.condition_margin_num),
+        "condition_margin_den": str(cert.condition_margin_den),
         "verified_up_to": cert.verified_up_to,
         "series_digest": cert.series_digest,
     })

@@ -175,7 +175,7 @@ class ViolationWitness(_Value):
     @property
     def exponent(self) -> Fraction:
         """length/period, exactly."""
-        from fractions import Fraction  # here: a command that prints no exponent never loads it
+        from fractions import Fraction  # here: check prints length and period over their gcd
 
         return Fraction(self.length, self.period)
 

@@ -21,6 +21,7 @@ from powfree import (
     min_violation_length,
     rational_witness,
 )
+from powfree import bounds
 from powfree.analyze import _closed_form_root
 
 from oracles import forbidden_exponent
@@ -247,6 +248,45 @@ class TestConditionMargin:
                          for j in range(1, covers * q + 1))
             assert 0 < closed - direct <= q * x * x ** (-covers * s) / (1 - x ** -s), (x, t)
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["", "plus"])
+    def test_equals_an_independent_reference(self, strict):
+        # The search and the margin share one integer evaluation (bounds._scaled); the reference
+        # shares nothing with it: Fractions throughout, each t_j from the oracle's exponent rule.
+        thresholds = [Threshold(p, q, strict) for q in range(1, 7) for p in range(q + 1, 3 * q + 1)
+                      if math.gcd(p, q) == 1]
+        signs = set()
+        for t in thresholds:
+            for k in (1, 2, 5, 20, 101):
+                w = rational_witness(k, t)
+                grid = [] if w is None else [w, w + Fraction(1, 2 ** 41)]
+                for x in (*grid, Fraction(3, 2), Fraction(7)):
+                    margin = condition_margin(k, t, x)
+                    assert margin == reference_margin(k, t, x), (k, t, x)
+                    signs.add((margin > 0) - (margin < 0))
+                if w is not None:
+                    assert condition_margin(k, t, w + Fraction(1, 2 ** 41)) < 0 <= \
+                        condition_margin(k, t, w)
+        assert {-1, 1} <= signs
+
+    def test_a_zero_margin_reads_0_over_1(self):
+        # (k, n) = (6, 3): the root is exactly 3, a grid point, so 3 is the witness, at margin 0.
+        assert reference_margin(6, dejean(3), Fraction(3)) == 0
+        cert = certify_series(count_free(6, dejean(3), 6))
+        assert (cert.x_witness_num, cert.x_witness_den) == (3, 1)
+        assert (cert.condition_margin_num, cert.condition_margin_den) == (0, 1)
+
+
+def reference_margin(k, t, x):
+    """g(x) = k - x - sum_{j<=q} x^(1-t_j) / (1 - x^-s) in Fractions, t_j + j the least length
+    that tests/oracles.py forbids at period j."""
+    total = Fraction(0)
+    for j in range(1, t.den + 1):
+        length = j + 1
+        while not forbidden_exponent(length, j, t.num, t.den, t.strict):
+            length += 1
+        total += x ** (1 - (length - j))
+    return k - x - total / (1 - x ** -(t.num - t.den))
+
 
 class TestCertify:
     def test_certificate_fields_and_ratios(self):
@@ -285,6 +325,16 @@ class TestCertify:
         series = count_free(20, Threshold.dejean(3, True), 8, "canonical")
         assert certify(20, 3, True, series) == certify_series(series)
 
+    def test_a_given_witness_is_a_pair_in_any_terms(self):
+        t = Threshold(7, 5)
+        series = count_free(20, t, 8)
+        a, b = bounds._witness(20, t)
+        cert = certify_series(series)
+        assert certify_series(series, witness=(a, b)) == cert
+        assert certify_series(series, witness=(3 * a, 3 * b)) == cert
+        assert certify_series(series, witness=(-a, -b)) == cert
+        assert Fraction(a, b) == rational_witness(20, t) == cert.x_witness
+
     def test_a_tail_restricted_series_is_refused(self):
         series = count_tail_restricted(20, Threshold.dejean(3), 2, 6)
         with pytest.raises(ValidationError, match="tail_max=2"):
@@ -300,7 +350,7 @@ class TestCertify:
 
     def test_a_witness_above_the_root_trips_its_own_canary(self, monkeypatch):
         # The root at (20, 3) is about 17.88; at 19 the condition fails.
-        monkeypatch.setattr("powfree.bounds.rational_witness", lambda *args: Fraction(19))
+        monkeypatch.setattr("powfree.bounds._search", lambda *args: (19, 1))
         series = count_free(20, Threshold.dejean(3), 4, "canonical")
         with pytest.raises(LemmaViolationError, match="witness 19 fails its own condition"):
             certify(20, 3, False, series)

@@ -628,8 +628,8 @@ class TestCertify:
             searches.append((k, t, precision_bits))
             return search(k, t, precision_bits)
 
-        search = bounds.rational_witness
-        monkeypatch.setattr(bounds, "rational_witness", counted)
+        search = bounds._search
+        monkeypatch.setattr(bounds, "_search", counted)
         argv = ["certify", "--k", "12", *given, "--max-len", "6", "--no-timestamp"]
         cache = ["--cache", str(tmp_path / "c.jsonl")]
         for extra in ([], cache, cache):  # no cache, a miss that stores, a hit
@@ -1314,12 +1314,13 @@ class TestLazyLayers:
         (["count", "--k", "3", "--beta", "2", "--max-len", "6", "--cache", "{cache}"],
          ["cache", "counting"]),
         (["certify", "--k", "20", "--n", "3", "--max-len", "8"], ["bounds", "counting"]),
+        (["certify", "--k", "20", "--beta", "7/5", "--max-len", "6"], ["bounds", "counting"]),
         (["audit", "--k", "4", "--n", "3", "--len", "8"], ["analyze", "counting"]),
         (["report", "--n", "3", "--k", "20", "--max-len", "4"],
          ["analyze", "bounds", "counting"]),
         (["cache", "list", "--cache", "{cache}"], ["cache", "counting"]),
-    ], ids=["check-free", "check-power", "count", "count-cache", "certify", "audit", "report",
-            "cache-list"])
+    ], ids=["check-free", "check-power", "count", "count-cache", "certify", "certify-beta",
+            "audit", "report", "cache-list"])
     def test_a_command_runs_only_its_layers(self, tmp_path, argv, layers):
         # A lazy module that has not run holds only what LazyLoader put in it: no __all__.
         argv = [a.format(cache=tmp_path / "c.jsonl") for a in argv] + ["--no-timestamp"]
@@ -1332,9 +1333,9 @@ class TestLazyLayers:
                  "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))")
         ran, standard = self._probe(probe).split("\n")[:2]
         assert ran.split() == layers
-        if argv[0] in ("check", "count", "audit"):
-            # A free word's check, a count and an audit print no rational.
-            assert standard.split() == (["decimal", "fractions"] if "abcabc" in argv else [])
+        # Every command but report carries its rationals as integer pairs; report's witness
+        # columns are Fractions.
+        assert standard.split() == (["decimal", "fractions"] if argv[0] == "report" else [])
 
     def test_every_traced_call_resolves_after_the_import(self):
         # perfbench/launcher.py looks each (module, attribute) up right after import powfree.cli.

@@ -4,8 +4,10 @@ And the package surface they are published on.
 """
 
 import copy
+import json
 import pickle
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +27,7 @@ from powfree import (
     count_free,
     fj_audit,
 )
+from powfree.cli import main
 
 
 def _samples():
@@ -90,6 +93,22 @@ class TestValue:
     def test_repr_lists_the_fields_in_order(self, value):
         fields = ", ".join(f"{name}={v!r}" for name, v in _fields(value).items())
         assert repr(value) == f"{type(value).__name__}({fields})"
+
+
+def test_a_certificate_stores_the_integers_certify_prints(capsys):
+    cert = SAMPLES[3]
+    numbers = ("x_witness_num", "x_witness_den", "condition_margin_num", "condition_margin_den")
+    assert BoundCertificate._fields == ("k", "threshold", *numbers, "verified_up_to",
+                                        "series_digest")
+    assert main(["certify", "--k", "10", "--n", "3", "--max-len", "6", "--no-timestamp"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {name: str(getattr(cert, name)) for name in numbers} == \
+        {name: doc[name] for name in numbers}
+    assert cert.x_witness == Fraction(cert.x_witness_num, cert.x_witness_den)
+    assert cert.condition_margin == Fraction(cert.condition_margin_num, cert.condition_margin_den)
+    for name in ("x_witness", "condition_margin"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, Fraction(2))
 
 
 def test_threshold_repr_round_trips_through_eval():
