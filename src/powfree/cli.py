@@ -1,17 +1,17 @@
 """Command-line interface.
 
-Commands: check, count, certify, audit, report, cache.  Each command builds
-its result once, as a JSON document and the rows of a CSV table, and one
-emitter (_output._emit) prints it to stdout as JSON (default) or CSV; cache
-list hands over its rows as an iterator, and each row is made as it is
-written.  Counts and exact rationals are always emitted as decimal strings
-so downstream tools never lose precision.
+Commands: check, count, certify, audit, report, cache.  One option table holds each command's
+arguments: main reads a plain command line with it (_parse), and imports argparse, which builds
+its parser from the same table, only for help, usage errors and other spellings.  Each command
+builds its result once, as a JSON document and the rows of a CSV table, and one emitter
+(_output._emit) prints it to stdout as JSON (default) or CSV; cache list hands over its rows as
+an iterator, and each row is made as it is written.  Counts and exact rationals are always
+emitted as decimal strings so downstream tools never lose precision.
 
-Exit codes: 0 success (word free / all checks pass), 1 negative result
-(violation found, or no witness exists), 2 usage error (ValidationError), 3
-work budget exceeded, 4 exactly-checked inequality failed (internal bug
-canary), 130 interrupted (Ctrl-C), 141 stdout's reader closed the pipe.  Any
-other exception is a bug and is not caught.  entry() ends the process with
+Exit codes: 0 success (word free / all checks pass), 1 negative result (violation found, or no
+witness exists), 2 usage error (ValidationError), 3 work budget exceeded, 4 exactly-checked
+inequality failed (internal bug canary), 130 interrupted (Ctrl-C), 141 stdout's reader closed
+the pipe.  Any other exception is a bug and is not caught.  entry() ends the process with
 os._exit once the output is flushed and the exit handlers have run.
 """
 
@@ -23,6 +23,7 @@ import math
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 # analyze, bounds, cache and counting are the package's lazy modules: each runs at its first
 # attribute read, so the layers are read at call time and a command runs only those it uses.
@@ -82,8 +83,7 @@ def _series_for(k: int, t: Threshold, max_length: int, method: str,
         if stored is not None and 0 <= max_length <= stored.max_length:
             return stored.prefix(max_length)
     if tail_max is None:
-        series = counting.count_free(k, t, max_length, method, workers=args.workers,
-                                     budget=budget)
+        series = counting.count_free(k, t, max_length, method, workers=args.workers, budget=budget)
     else:
         series = counting.count_tail_restricted(k, t, tail_max, max_length, method,
                                                 workers=args.workers, budget=budget)
@@ -101,13 +101,9 @@ def cmd_check(args) -> int:
     # The exponent length/period in lowest terms, without found.exponent's Fraction.
     g = 1 if found is None else math.gcd(found.length, found.period)
     witness = None if found is None else {
-        "start": found.start,
-        "period": found.period,
-        "length": found.length,
-        "exponent_num": str(found.length // g),
-        "exponent_den": str(found.period // g),
-        "tail_length": found.tail_length,
-    }
+        "start": found.start, "period": found.period, "length": found.length,
+        "exponent_num": str(found.length // g), "exponent_den": str(found.period // g),
+        "tail_length": found.tail_length}
     _emit(args, {"command": "check", **head, "witness": witness}, [{**head, **(witness or {})}],
           (*head, "start", "period", "length", "exponent_num", "exponent_den"))
     return EXIT_OK if found is None else EXIT_NEGATIVE
@@ -142,14 +138,10 @@ def cmd_certify(args) -> int:
         _emit(args, {"command": "certify", "status": "no-witness", **fields, "detail": str(exc)},
               [{**fields, "status": "no-witness"}], (*fields, "status"))
         return EXIT_NEGATIVE
-    fields.update({
-        "x_witness_num": str(cert.x_witness_num),
-        "x_witness_den": str(cert.x_witness_den),
-        "condition_margin_num": str(cert.condition_margin_num),
-        "condition_margin_den": str(cert.condition_margin_den),
-        "verified_up_to": cert.verified_up_to,
-        "series_digest": cert.series_digest,
-    })
+    fields.update(x_witness_num=str(cert.x_witness_num), x_witness_den=str(cert.x_witness_den),
+                  condition_margin_num=str(cert.condition_margin_num),
+                  condition_margin_den=str(cert.condition_margin_den),
+                  verified_up_to=cert.verified_up_to, series_digest=cert.series_digest)
     _emit(args, {"command": "certify", "status": "ok", **fields}, [fields], tuple(fields))
     return EXIT_OK
 
@@ -160,27 +152,20 @@ def cmd_audit(args) -> int:
     # fj_audit raises LemmaViolationError (exit 4) for a row above its bound, so every row passes.
     rows = [{"j": r.period, "F_j_count": r.count, "bound": r.bound, "pass": True}
             for r in audit.rows]
-    doc = {
-        "command": "audit",
-        "k": audit.k, **given, "plus": t.strict, "i": audit.i,
-        "rows": rows,
-        "f_total": audit.f_total,
-        "k_Ci_minus_Cnext": audit.k * audit.c_i - audit.c_next,
-        "covered": sum(r["F_j_count"] for r in rows),
-        "suffix_determination": audit.suffix_determined,
-        "all_pass": audit.suffix_determined,
-    }
+    doc = {"command": "audit", "k": audit.k, **given, "plus": t.strict, "i": audit.i, "rows": rows,
+           "f_total": audit.f_total, "k_Ci_minus_Cnext": audit.k * audit.c_i - audit.c_next,
+           "covered": sum(r["F_j_count"] for r in rows),
+           "suffix_determination": audit.suffix_determined, "all_pass": audit.suffix_determined}
     _emit(args, doc, rows, ("j", "F_j_count", "bound", "pass"))
     return EXIT_OK if audit.suffix_determined else EXIT_LEMMA
 
 
 def cmd_report(args) -> int:
-    n_values = parse_int_values(args.n)
-    k_values = parse_int_values(args.k)
     columns = analyze.REPORT_COLUMNS
     rows = [{c: getattr(r, c) for c in columns}
-            for r in analyze.conjecture_report(n_values, k_values, max_length=args.max_len,
-                                               tail_max=args.tail_max, workers=args.workers)]
+            for r in analyze.conjecture_report(parse_int_values(args.n), parse_int_values(args.k),
+                                               max_length=args.max_len, tail_max=args.tail_max,
+                                               workers=args.workers)]
     nested: dict = {}
     for row in rows:
         entry = {c: v for c, v in row.items() if c not in ("k", "n")}
@@ -207,48 +192,103 @@ def cmd_cache(args) -> int:
 
 
 def _worker_count(text: str) -> int:
-    import argparse  # loaded by then: only a parser calls this
-
     try:
-        workers = int(text)
-        counting._check_workers(workers)
+        counting._check_workers(workers := int(text))
+        return workers
     except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        message = str(exc)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    return workers
+        message = f"invalid int value: {text!r}"
+    import argparse  # only a refusal needs it
+    raise argparse.ArgumentTypeError(message) from None
 
 
-def _command(sub, built: str | None, name: str, summary: str, *, cache=False, workers=False,
-             budget=False, language=False) -> argparse.ArgumentParser | None:
-    """Register command name with its summary.  If built is None or name, return its parser
-    with --out, those of --cache, --workers and --budget that it reads, --no-timestamp and,
-    for audit and certify, --k, --n or --beta, and --plus; else None."""
-    p = sub.add_parser(name, help=summary)
-    if built not in (None, name):
+# The option table: per command, its summary, the function that runs it and its arguments in
+# --help's order, each a name and add_argument's keywords; the rows marked exclusive are one
+# required group.  _arguments reads a callable default or choices: no layer runs at import.
+_OUT = "--out", dict(choices=("json", "csv"), default="json", help="output format (default json)")
+_CACHE = "--cache", dict(metavar="PATH", help="count cache file (default $POWFREE_CACHE if set)")
+_WORKERS = "--workers", dict(type=_worker_count, default=lambda: os.cpu_count() or 1,
+                             help="parallel workers for long enumerations, at most one per core "
+                                  "(default: available cores)")
+_BUDGET = "--budget", dict(type=int, default=lambda: counting.DEFAULT_NAIVE_BUDGET,
+                           help="work budget: candidate words k**L for the naive engine, "
+                                "letters of the next pattern level for audit")
+_STAMP = "--no-timestamp", dict(action="store_true",
+                                help="omit the generated_at field for byte-reproducible output")
+_BETA = dict(help="exponent bound, 'p' or 'p/q'")
+_PLUS = "--plus", dict(action="store_true")
+_LANGUAGE = (("--k", dict(type=int, required=True)),
+             ("--n", dict(type=int, help="threshold is n/(n-1)", exclusive=True)),
+             ("--beta", dict(_BETA, exclusive=True)), _PLUS)
+_TABLE = {
+    "check": ("test a word for forbidden powers", cmd_check, (
+        _OUT, _STAMP, ("word", dict(help="letters a..z, or comma-separated integers")),
+        ("--beta", dict(_BETA, required=True)),
+        ("--plus", dict(action="store_true", help="forbid only exponents strictly above beta")))),
+    "count": ("count threshold-free words of each length", cmd_count, (
+        _OUT, _CACHE, _WORKERS, _BUDGET, _STAMP,
+        ("--k", dict(type=int, required=True, help="alphabet size")),
+        ("--beta", dict(_BETA, required=True)), _PLUS,
+        ("--max-len", dict(type=int, required=True, help="largest length to count")),
+        ("--engine", dict(choices=lambda: counting.METHODS, default="canonical")),
+        ("--tail-max", dict(type=int,
+                            help="restrict to forbidden powers with tail at most this long")))),
+    "certify": ("produce an exactly-checked growth lower-bound certificate", cmd_certify, (
+        _OUT, _CACHE, _WORKERS, _STAMP, *_LANGUAGE,
+        ("--max-len", dict(type=int, default=10, help="series length to verify against")))),
+    "audit": ("exhaustive per-period census of rejected extensions", cmd_audit, (
+        _OUT, _BUDGET, _STAMP, *_LANGUAGE,
+        ("--len", dict(type=int, required=True, help="prefix length i; words of length i+1")))),
+    "report": ("exploratory table of bounds, targets, and enumerations", cmd_report, (
+        _OUT, _WORKERS, _STAMP, ("--n", dict(required=True, help="values, e.g. '2..4' or '2,3'")),
+        ("--k", dict(required=True, help="values, e.g. '50,100,200'")),
+        ("--max-len", dict(type=int, default=8)), ("--tail-max", dict(type=int, default=2)))),
+    "cache": ("inspect or clear the count cache", cmd_cache, (
+        _OUT, _CACHE, _STAMP,
+        ("action", dict(choices=("list", "clear"), nargs="?", default="list")))),
+}
+
+
+def _arguments(command: str) -> list[tuple[str, dict]]:
+    """command's rows of the table, with each callable default or choices read now."""
+    return [(name, {k: v() if k in ("default", "choices") and callable(v) else v
+                    for k, v in spec.items()}) for name, spec in _TABLE[command][2]]
+
+
+def _parse(command: str | None, argv: list[str]) -> SimpleNamespace | None:
+    """What build_parser(command).parse_args(argv) returns, if argv is command, options as the
+    table spells them, each once with one value not starting with "-" that its type and choices
+    accept, the positionals and every required option; else None (--opt=value, -h, "--", ...)."""
+    if not argv or argv[0] != command:
         return None
-    p.add_argument("--out", choices=("json", "csv"), default="json",
-                   help="output format (default json)")
-    if cache:
-        p.add_argument("--cache", metavar="PATH", default=None,
-                       help="count cache file (default $POWFREE_CACHE if set)")
-    if workers:
-        p.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
-                       help="parallel workers for long enumerations, at most one per core "
-                            "(default: available cores)")
-    if budget:
-        p.add_argument("--budget", type=int, default=counting.DEFAULT_NAIVE_BUDGET,
-                       help="work budget: candidate words k**L for the naive engine, "
-                            "letters of the next pattern level for audit")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the generated_at field for byte-reproducible output")
-    if language:
-        p.add_argument("--k", type=int, required=True)
-        given = p.add_mutually_exclusive_group(required=True)
-        given.add_argument("--n", type=int, help="threshold is n/(n-1)")
-        given.add_argument("--beta", help="exponent bound, 'p' or 'p/q'")
-        p.add_argument("--plus", action="store_true")
-    return p
+    rows = _arguments(command)
+    specs = dict(rows)
+    positionals = [name for name in specs if not name.startswith("-")]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):  # an option, and its value unless it is a flag
+            name, value = token, "" if "action" in specs.get(token, {}) else next(tokens, "-")
+        else:
+            name, value = positionals.pop(0) if positionals else None, token
+        spec = specs.get(name)
+        if spec is None or name in given or value.startswith("-"):
+            return None
+        try:
+            value = True if "action" in spec else spec.get("type", str)(value)
+        except Exception:  # argparse converts it again, and refuses it or raises as it would
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[name] = value
+    exclusive = [name in given for name, spec in rows if spec.get("exclusive")]
+    if (exclusive and sum(exclusive) != 1 or any(specs[n].get("nargs") != "?" for n in positionals)
+            or any(spec.get("required") and name not in given for name, spec in rows)):
+        return None
+    return SimpleNamespace(command=command, **{
+        name.lstrip("-").replace("-", "_"):
+            given.get(name, spec.get("default", False if "action" in spec else None))
+        for name, spec in rows}, func=_TABLE[command][1])
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -256,81 +296,42 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command is None.  Help and usage errors read the same either way."""
     import argparse
 
-    parser = argparse.ArgumentParser(
-        prog="powfree",
-        description="Exact toolkit for power-free words: detection, counting, "
-                    "growth-rate certificates.")
+    parser = argparse.ArgumentParser(prog="powfree", description="Exact toolkit for power-free "
+                                     "words: detection, counting, growth-rate certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    if p := _command(sub, command, "check", "test a word for forbidden powers"):
-        p.add_argument("word", help="letters a..z, or comma-separated integers")
-        p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
-        p.add_argument("--plus", action="store_true",
-                       help="forbid only exponents strictly above beta")
-        p.set_defaults(func=cmd_check)
-
-    if p := _command(sub, command, "count", "count threshold-free words of each length",
-                     cache=True, workers=True, budget=True):
-        p.add_argument("--k", type=int, required=True, help="alphabet size")
-        p.add_argument("--beta", required=True, help="exponent bound, 'p' or 'p/q'")
-        p.add_argument("--plus", action="store_true")
-        p.add_argument("--max-len", type=int, required=True, help="largest length to count")
-        p.add_argument("--engine", choices=counting.METHODS, default="canonical")
-        p.add_argument("--tail-max", type=int, default=None,
-                       help="restrict to forbidden powers with tail at most this long")
-        p.set_defaults(func=cmd_count)
-
-    if p := _command(sub, command, "certify",
-                     "produce an exactly-checked growth lower-bound certificate",
-                     cache=True, workers=True, language=True):
-        p.add_argument("--max-len", type=int, default=10, help="series length to verify against")
-        p.set_defaults(func=cmd_certify)
-
-    if p := _command(sub, command, "audit", "exhaustive per-period census of rejected extensions",
-                     budget=True, language=True):
-        p.add_argument("--len", type=int, required=True,
-                       help="prefix length i; words of length i+1")
-        p.set_defaults(func=cmd_audit)
-
-    if p := _command(sub, command, "report",
-                     "exploratory table of bounds, targets, and enumerations", workers=True):
-        p.add_argument("--n", required=True, help="values, e.g. '2..4' or '2,3'")
-        p.add_argument("--k", required=True, help="values, e.g. '50,100,200'")
-        p.add_argument("--max-len", type=int, default=8)
-        p.add_argument("--tail-max", type=int, default=2)
-        p.set_defaults(func=cmd_report)
-
-    if p := _command(sub, command, "cache", "inspect or clear the count cache", cache=True):
-        p.add_argument("action", choices=("list", "clear"), nargs="?", default="list")
-        p.set_defaults(func=cmd_cache)
-
+    for name, (summary, func, _) in _TABLE.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            rows = _arguments(name)
+            group = (any("exclusive" in spec for _, spec in rows)
+                     and p.add_mutually_exclusive_group(required=True))
+            for flag, spec in rows:
+                (group if spec.pop("exclusive", False) else p).add_argument(flag, **spec)
+            p.set_defaults(func=func)
     return parser
 
 
-# The layers each command runs.  main runs them before it imports argparse: run after it
-# (compiled from source under PYTHONDONTWRITEBYTECODE), they raised the peak RSS of audit,
-# certify and count by 0.26-0.39 MB (medians of 11 runs, 2-vCPU host).
+# The layers each command runs, before it parses: run after argparse (compiled from source under
+# PYTHONDONTWRITEBYTECODE), they raised audit's, certify's and count's peak RSS 0.26-0.39 MB.
 _LAYERS = {"check": (), "count": (counting,), "certify": (counting, bounds),
            "audit": (analyze,), "report": (analyze, bounds), "cache": (cache,)}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The command argparse runs is the first argument that names one: the parent parser has
-    # no option that takes a value.  Whatever else comes first is a usage error of the parent,
-    # which reads the same without the commands' arguments.
+    # The command is the first argument that names one: the parent parser has no option that
+    # takes a value, and its usage errors read the same without the commands' arguments.
     command = next((arg for arg in argv if arg in _LAYERS), None)
     for layer in _LAYERS.get(command, ()):
         vars(layer)  # any attribute read runs a lazy module
     # Counts and rationals are exact at any size: no limit on int-str conversions (CPython's
-    # default since 3.10.7 is 4,300 digits) while main runs, output included. The caller's
-    # limit is back when main returns or raises.
+    # default is 4,300 digits) while main runs; the caller's is back when main returns or raises.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        # The parser is garbage once it has parsed.
-        args = build_parser(command).parse_args(argv)
+        # argparse only for what _parse leaves to it: help, usage errors, other spellings.
+        args = _parse(command, argv) or build_parser(command).parse_args(argv)
         try:
             return args.func(args)
         except ValidationError as exc:
@@ -366,11 +367,10 @@ def _interrupt_once(signum, frame):
 def entry() -> None:
     """The powfree script and python -m powfree.cli: run main() and exit with its code.
 
-    The first Ctrl-C interrupts main(); every later one is ignored.  After the
-    exit handlers (atexit: logging, multiprocessing's finalizers) and the
-    flush, os._exit skips the interpreter's teardown, about 10 ms a run on a
-    2-vCPU host.  With a thread other than the main one alive, or a flush
-    that fails, the process exits through sys.exit as before.
+    The first Ctrl-C interrupts main(); every later one is ignored.  After the exit handlers
+    (atexit: logging, multiprocessing's finalizers) and the flush, os._exit skips the
+    interpreter's teardown, about 10 ms a run on a 2-vCPU host.  With a thread other than the
+    main one alive, or a flush that fails, the process exits through sys.exit as before.
     """
     _signal.signal(_signal.SIGINT, _interrupt_once)
     try:

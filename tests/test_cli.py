@@ -15,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powfree
 from powfree import (REPORT_COLUMNS, CountCache, CountSeries, Threshold, certify_series,
@@ -925,6 +927,112 @@ class TestSharedOptions:
         assert captured.err.splitlines()[-1] == f"powfree: error: unrecognized arguments: {pair}"
 
 
+def _argparse_vars(argv):
+    """vars() of what argparse makes of argv, as main builds it, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser(argv[0]).parse_args(argv))
+        except SystemExit:  # help, or a usage error
+            return None
+
+
+# The options of each command, those it requires and values for each: the first ones accepted
+# by every command that takes the option, the others refused by argparse's type or choices, or
+# read by argparse as an option, a number or an empty word.
+OPTIONS = {name: [o for o in options if o.startswith("--") and o != "--help"]
+           for name, options in _option_strings(cli.build_parser()).items()}
+REQUIRED = {"check": ["--beta"], "count": ["--k", "--beta", "--max-len"], "certify": ["--k"],
+            "audit": ["--k", "--len"], "report": ["--n", "--k"], "cache": []}
+FLAGS = ("--no-timestamp", "--plus")
+VALUES = {
+    "--out": (["json", "csv"], ["xml", "JSON", ""]),
+    "--cache": (["c.jsonl", ""], ["-c"]),
+    "--workers": (["1", "2"], ["0", "-1", "x", "2.0"]),
+    "--budget": (["100", "1_000"], ["-5", "1e3"]),
+    "--k": (["3", "20", " 4"], ["0", "-2", "2..4"]),
+    "--n": (["3", "2"], ["2..4", "x", "-3"]),
+    "--beta": (["2", "3/2", "7/5", ""], ["-2"]),
+    "--max-len": (["6", "8"], ["-1", "x"]),
+    "--engine": (["canonical", "naive"], ["auto", "canon"]),
+    "--tail-max": (["2", "0"], ["-1"]),
+    "--len": (["8"], ["-1", "8.0"]),
+}
+WORDS = ["abc", "1,2,1", "list", "clear", "", "check", "lst"]
+# What only argparse reads: abbreviations, --opt=value, "--", help, "-", negative numbers.
+NOISE = ["--max", "--no", "--b", "--k=3", "--beta=2", "--plus=1", "--", "-h", "--help", "-",
+         "-1", "-x", "--bogus"]
+
+
+@st.composite
+def command_lines(draw, command):
+    """command, its options and words, and at times options of any command, repeats and noise,
+    in any order: mostly plain lines, and lines that only argparse reads."""
+    def chance(tenths):
+        return draw(st.integers(1, 10)) <= tenths
+
+    def item(option):
+        good, bad = VALUES.get(option, ([], []))
+        return [option] if option in FLAGS else [option, draw(st.sampled_from(
+            good if chance(9) else good + bad))]
+
+    one_of = [o for o in ("--n", "--beta") if o in OPTIONS[command] and o not in REQUIRED[command]]
+    chosen = draw(st.sampled_from([one_of[:1], one_of[1:], one_of[:1], one_of[1:], one_of, []]))
+    items = [item(o) for o in OPTIONS[command] if o in chosen or o not in one_of
+             and chance(9 if o in REQUIRED[command] else 5)]
+    words = {"check": [1, 1, 1, 1, 0, 2], "cache": [0, 0, 1, 1, 1, 2]}.get(command, [0] * 5 + [1])
+    items += [[draw(st.sampled_from(WORDS))] for _ in range(draw(st.sampled_from(words)))]
+    for kind in draw(st.lists(st.sampled_from(["repeat", "other", "noise"]), max_size=2)
+                     if chance(5) else st.just([])):
+        if kind == "noise":
+            items.append([draw(st.sampled_from(NOISE))])
+        else:  # one of its own options again, or any command's
+            items.append(item(draw(st.sampled_from(
+                OPTIONS[command] if kind == "repeat" else [*VALUES, *FLAGS]))))
+    return [command, *(token for i in draw(st.permutations(items)) for token in i)]
+
+
+class TestExactParser:
+    """cli._parse reads plain lines without argparse; whatever it reads, argparse reads alike."""
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_what_it_reads_argparse_reads_alike(self, command, data):
+        argv = data.draw(command_lines(command))
+        parsed, expected = cli._parse(command, argv), _argparse_vars(argv)
+        if parsed is not None:
+            assert expected is not None, "argparse exits"
+            assert vars(parsed) == expected and parsed.func is expected["func"]
+
+    @pytest.mark.parametrize("line", [
+        "check abcabc --beta 2 --plus --out csv",
+        "check --beta 3/2 1,2,1",
+        "count --k 20 --beta 3/2 --tail-max 2 --max-len 14 --workers 2 --no-timestamp",
+        "count --engine naive --budget 1000 --k 3 --beta 2 --max-len 6 --cache c.jsonl",
+        "certify --k 20 --n 3 --plus --max-len 13 --workers 2",
+        "certify --beta 7/5 --k 20",
+        "audit --k 4 --n 3 --len 8 --budget 100",
+        "report --n 2..4 --k 50,100,200 --max-len 5",
+        "cache --cache c.jsonl",
+        "cache clear --out csv",
+    ])
+    def test_a_plain_line_is_read_without_argparse(self, line):
+        argv = line.split()
+        parsed = cli._parse(argv[0], argv)
+        assert parsed is not None and vars(parsed) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("line", [
+        "check abc --beta=2", "check abc --bet 2", "check abc --beta 2 --beta 3",
+        "check -- abc --beta 2", "check abc --beta 2 -h", "check abc def --beta 2",
+        "count --k 3 --beta 2 --max-len -1", "count --k 3 --beta 2 --max-len 6 --workers 0",
+        "count --k 3 --beta 2 --max-len 6 --engine auto", "certify --k 20 --n 3 --beta 2",
+        "certify --k 20", "audit --n 3 --len 8", "cache list clear", "cache lst",
+    ])
+    def test_any_other_line_is_left_to_argparse(self, line):
+        argv = line.split()
+        assert cli._parse(argv[0], argv) is None
+
+
 class TestReproducibility:
     def test_byte_identical_without_timestamp(self, capsys):
         _, first = run(capsys, "count", "--k", "3", "--beta", "2", "--max-len", "6",
@@ -1319,23 +1427,33 @@ class TestLazyLayers:
         (["report", "--n", "3", "--k", "20", "--max-len", "4"],
          ["analyze", "bounds", "counting"]),
         (["cache", "list", "--cache", "{cache}"], ["cache", "counting"]),
+        (["check", "abc", "--beta", "2", "-h"], []),
+        (["certify", "--k", "20", "--n", "3", "--beta", "2"], ["bounds", "counting"]),
     ], ids=["check-free", "check-power", "count", "count-cache", "certify", "certify-beta",
-            "audit", "report", "cache-list"])
+            "audit", "report", "cache-list", "check-help", "usage-error"])
     def test_a_command_runs_only_its_layers(self, tmp_path, argv, layers):
         # A lazy module that has not run holds only what LazyLoader put in it: no __all__.
         argv = [a.format(cache=tmp_path / "c.jsonl") for a in argv] + ["--no-timestamp"]
         probe = ("import contextlib, io, sys, powfree.cli\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    powfree.cli.main({argv!r})\n"
+                 "    with contextlib.redirect_stderr(io.StringIO()):\n"
+                 "        try:\n"
+                 f"            powfree.cli.main({argv!r})\n"
+                 "        except SystemExit:  # help, or a usage error\n"
+                 "            pass\n"
                  "print(*[name for name in ('analyze', 'bounds', 'cache', 'counting')\n"
                  "        if '__all__' in object.__getattribute__(sys.modules['powfree.' + name],\n"
                  "                                                '__dict__')])\n"
-                 "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))")
-        ran, standard = self._probe(probe).split("\n")[:2]
+                 "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+                 "print(*sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+        ran, standard, parser = self._probe(probe).split("\n")[:3]
         assert ran.split() == layers
         # Every command but report carries its rationals as integer pairs; report's witness
         # columns are Fractions.
         assert standard.split() == (["decimal", "fractions"] if argv[0] == "report" else [])
+        # argparse, with gettext and locale, only prints help and usage errors.
+        exits = "-h" in argv or "--beta" in argv and "--n" in argv
+        assert parser.split() == (["argparse", "gettext", "locale"] if exits else [])
 
     def test_every_traced_call_resolves_after_the_import(self):
         # perfbench/launcher.py looks each (module, attribute) up right after import powfree.cli.
