@@ -1,5 +1,8 @@
 """The command-line interface's one emitter: a command's result on stdout, as JSON or CSV.
 
+It prints JSON's own types (str, int, float, bool, None, dict, list) and knows no rational
+type: a command spells each exact rational as strings before it hands the result over.
+
 Not in cli.py: without bytecode (PYTHONDONTWRITEBYTECODE) every invocation
 compiles cli.py, after errors and words and before the layers its command
 runs, so the size of cli.py adds to every command's peak RSS, while this
@@ -17,11 +20,6 @@ from itertools import islice
 # Characters per write of the JSON emitter, and rows per call of its encoder.
 _EMIT_BATCH = 1 << 16
 _EMIT_ROWS = 64
-
-
-def _frac_str(x) -> str:
-    """A Fraction as "num/den"."""
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _timestamp(ns: int) -> str:
@@ -42,21 +40,18 @@ def _emit(args, doc: dict, rows: Iterable[dict], columns) -> None:
     if args.out == "csv":
         import csv  # only CSV output needs it
 
-        # A Fraction cell exists only once fractions is loaded; the emitter never loads it.
-        fraction = getattr(sys.modules.get("fractions"), "Fraction", ())
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_csv_cell(row.get(c), fraction) for c in columns] for row in rows)
+        writer.writerows([_csv_cell(row.get(c)) for c in columns] for row in rows)
         return
     if not args.no_timestamp:
         # Not datetime: importing it would cost every command ~0.4 MB of resident memory.
         doc["generated_at"] = _timestamp(time.time_ns())
-    # The bytes of print(json.dumps(doc, indent=2, default=_frac_str)).  The rows are
-    # spliced into the text of doc with an empty list in their place: neither the whole
-    # text nor a list of the rows is held, and an unbuffered stdout (PYTHONUNBUFFERED)
-    # gets one write per batch of about 64 KiB.
+    # The bytes of print(json.dumps(doc, indent=2)).  The rows are spliced into the text of
+    # doc with an empty list in their place: neither the whole text nor a list of the rows is
+    # held, and an unbuffered stdout (PYTHONUNBUFFERED) gets one write per batch of about 64 KiB.
     listed = next((key for key, value in doc.items() if value is rows), None)
-    encode = json.JSONEncoder(indent=2, default=_frac_str).encode
+    encode = json.JSONEncoder(indent=2).encode
     text = encode({**doc, listed: []} if listed else doc) + "\n"
     head, opening, tail = text.partition(f"\n  {encode(listed)}: [")
     batch, size, sep, rows = [head, opening], 0, "", iter(rows if listed else ())
@@ -73,12 +68,10 @@ def _emit(args, doc: dict, rows: Iterable[dict], columns) -> None:
     sys.stdout.write("".join(batch))
 
 
-def _csv_cell(value, fraction):
-    """The CSV cell of value; fraction is fractions.Fraction, or () if fractions is not loaded."""
+def _csv_cell(value):
+    """The CSV cell of value."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, fraction):
-        return _frac_str(value)
     return value

@@ -156,8 +156,8 @@ class ReportRow(_Value):
     root_plus: float | None
     target: float
     target_plus: float
-    witness: Fraction | None
-    witness_plus: Fraction | None
+    witness: str | None  # rational_witness as "num/den", den 1 included
+    witness_plus: str | None
     big_jump: float | None         # root_plus - root, conjectured ~ 1
     small_variation: float | None  # root(k, n) - root_plus(k, n+1), conjectured ~ 1/k
     resid_times_k2: float | None   # (root - target) * k^2, bounded if the expansion holds
@@ -196,11 +196,17 @@ def _closed_form_root(k: int, n: int, strict: bool) -> float | None:
         raise ValidationError(f"the float root needs k below about 1.3e154, got k={k}") from None
 
 
-def _target(k: int, terms: tuple[Fraction, ...]) -> float:
-    """float(k + c_0 + c_1/k), correctly rounded, from lower_series' first two terms."""
+def _witness_cell(k: int, t: Threshold) -> str | None:
+    """report's witness cell: rational_witness as "num/den", den 1 included, or None."""
+    x = bounds.rational_witness(k, t)
+    return None if x is None else f"{x[0]}/{x[1]}"
+
+
+def _target(k: int, terms: tuple[int, ...]) -> float:
+    """k + c_0 + c_1/k from lower_series' first two terms, as one correctly rounded division."""
     c0, c1 = terms
     try:
-        return float(k + c0 + c1 / k)
+        return (k * k + c0 * k + c1) / k
     except OverflowError:
         raise ValidationError(f"the float target needs n below about 1.8e308 (k={k})") from None
 
@@ -222,8 +228,6 @@ def conjecture_report(n_values, k_values, max_length: int = 8, tail_max: int = 2
         for k in sorted(set(k_values)):
             root = _closed_form_root(k, n, False)
             root_plus = _closed_form_root(k, n, True)
-            witness = bounds.rational_witness(k, t)
-            witness_plus = bounds.rational_witness(k, t_plus)
             target = _target(k, terms)
             target_plus = _target(k, terms_plus)
             root_plus_next = _closed_form_root(k, n + 1, True)
@@ -233,7 +237,7 @@ def conjecture_report(n_values, k_values, max_length: int = 8, tail_max: int = 2
             rows.append(ReportRow(
                 k=k, n=n, root=root, root_plus=root_plus,
                 target=target, target_plus=target_plus,
-                witness=witness, witness_plus=witness_plus,
+                witness=_witness_cell(k, t), witness_plus=_witness_cell(k, t_plus),
                 big_jump=None if root is None or root_plus is None else root_plus - root,
                 small_variation=None if root is None or root_plus_next is None
                 else root - root_plus_next,

@@ -7,10 +7,8 @@ README derives it).  Certificates check it and every ratio exactly;
 lower_series expands the root where g = 0 in 1/k, exactly, at every threshold.
 
 One integer evaluation of g (_scaled) serves the witness search and the
-margin: a rational is a (num, den) pair of ints in lowest terms, and the
-public functions and BoundCertificate's properties make a Fraction only when
-a caller asks for one, so certify never imports fractions, and with it
-decimal and numbers.
+margin.  An exact rational is a (num, den) pair of ints, returned in lowest
+terms with den > 0; the series' coefficients are ints.
 """
 
 from __future__ import annotations
@@ -59,19 +57,23 @@ def _scaled(k: int, s: int, b: int, terms: list[tuple[int, int]], a: int) -> tup
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms with den > 0, as Fraction keeps it."""
+    """num/den in lowest terms with den > 0."""
     g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
     return num // g, den // g
 
 
 def _text(num: int, den: int) -> str:
-    """num/den as Fraction spells it: num alone when den is 1."""
+    """num/den as an error message spells it: num alone when den is 1."""
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _margin(k: int, t: Threshold, a: int, b: int) -> tuple[int, int]:
-    """g(a/b) as a (num, den) pair in lowest terms, den > 0; b > 0."""
+def condition_margin(k: int, t: Threshold, x: tuple[int, int]) -> tuple[int, int]:
+    """Exact slack g(x) = k - x - S(x) of the witness condition at x = (num, den), den > 0,
+    as a (num, den) pair in lowest terms; nonnegative iff x qualifies."""
+    a, b = x
     _check_alphabet(k)
+    if b < 1:
+        raise ValidationError("witness denominator must be positive")
     if a <= b:
         raise ValidationError("witness must exceed 1")
     tails, s = _tails(t)
@@ -79,17 +81,9 @@ def _margin(k: int, t: Threshold, a: int, b: int) -> tuple[int, int]:
     return _reduced(p, b * e)
 
 
-def condition_margin(k: int, t: Threshold, x) -> Fraction:
-    """Exact slack k - x - S(x) of the witness condition at x, any value Fraction(x) takes;
-    nonnegative iff x qualifies."""
-    from fractions import Fraction  # here: certify reads the integer pair instead
-
-    x = Fraction(x)
-    return Fraction(*_margin(k, t, x.numerator, x.denominator))
-
-
-def _search(k: int, t: Threshold, precision_bits: int = 40) -> tuple[int, int] | None:
-    """rational_witness as a (num, den) pair in lowest terms, or None.
+def rational_witness(k: int, t: Threshold, precision_bits: int = 40) -> tuple[int, int] | None:
+    """The largest multiple of 2**-(precision_bits+1) in (1, k) where g >= 0, as a (num, den)
+    pair in lowest terms, or None.
 
     g is strictly concave, so g >= 0 on one interval [r1, r2] of (1, k), maybe
     empty.  At x = m/D, D = 2**(precision_bits+1), P(m) = g D (m^s - D^s) is
@@ -120,15 +114,7 @@ def _search(k: int, t: Threshold, precision_bits: int = 40) -> tuple[int, int] |
     return _reduced(lo, d)
 
 
-def rational_witness(k: int, t: Threshold, precision_bits: int = 40) -> Fraction | None:
-    """The largest multiple of 2**-(precision_bits+1) in (1, k) where g >= 0, or None."""
-    from fractions import Fraction  # here: certify takes _search's pair instead
-
-    found = _search(k, t, precision_bits)
-    return None if found is None else Fraction(*found)
-
-
-def lower_series(t: Threshold, terms: int) -> tuple[Fraction, ...]:
+def lower_series(t: Threshold, terms: int) -> tuple[int, ...]:
     """c_0..c_{terms-1} of the root where g = 0, x = k + c_0 + c_1/k + ..., exactly.
 
     With y = 1/k and x = u/y, x = k - S(x) reads u = 1 - sum_j y^t_j u^(1-t_j),
@@ -155,14 +141,12 @@ def lower_series(t: Threshold, terms: int) -> tuple[Fraction, ...]:
             for d in range(a, size):
                 u[d] -= count[a] * power[d - a]
             power = [sum(power[i] * inverse[d - i] for i in range(d + 1)) for d in range(size)]
-    from fractions import Fraction  # here: only report and library callers read the terms
-
-    return tuple(Fraction(c) for c in u[1:])
+    return tuple(u[1:])
 
 
 def _witness(k: int, t: Threshold) -> tuple[int, int]:
-    """_search's pair, or NoWitnessError where none exists: decided before any count."""
-    x = _search(k, t)
+    """rational_witness's pair, or NoWitnessError where none exists: decided before any count."""
+    x = rational_witness(k, t)
     if x is None:
         raise NoWitnessError(f"no witness: the condition admits no x > 1 at k={k}, threshold {t}")
     return x
@@ -189,20 +173,6 @@ class BoundCertificate(_Value):
     verified_up_to: int
     series_digest: str
 
-    @property
-    def x_witness(self) -> Fraction:
-        """x_witness_num/x_witness_den as a Fraction."""
-        from fractions import Fraction  # here: certify prints the integers and never loads it
-
-        return Fraction(self.x_witness_num, self.x_witness_den)
-
-    @property
-    def condition_margin(self) -> Fraction:
-        """condition_margin_num/condition_margin_den as a Fraction."""
-        from fractions import Fraction
-
-        return Fraction(self.condition_margin_num, self.condition_margin_den)
-
 
 def certify_series(series: CountSeries,
                    witness: tuple[int, int] | None = None) -> BoundCertificate:
@@ -220,7 +190,7 @@ def certify_series(series: CountSeries,
     if series.max_length < 2:
         raise ValidationError("series too short to certify (need counts up to length 2)")
     a, b = _witness(k, t) if witness is None else _reduced(*witness)
-    m, d = _margin(k, t, a, b)
+    m, d = condition_margin(k, t, (a, b))
     if m < 0:
         raise LemmaViolationError(f"witness {_text(a, b)} fails its own condition "
                                   f"(margin {_text(m, d)})")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import _signal  # loaded at every start-up, unlike signal
 import atexit
-import math
 import os
 import re
 import sys
@@ -98,11 +97,9 @@ def cmd_check(args) -> int:
     found = find_violation(word, t)
     head = {"word": args.word, "beta": str(t).rstrip("+"),
             "plus": t.strict, "free": found is None}
-    # The exponent length/period in lowest terms, without found.exponent's Fraction.
-    g = 1 if found is None else math.gcd(found.length, found.period)
     witness = None if found is None else {
         "start": found.start, "period": found.period, "length": found.length,
-        "exponent_num": str(found.length // g), "exponent_den": str(found.period // g),
+        "exponent_num": str(found.exponent[0]), "exponent_den": str(found.exponent[1]),
         "tail_length": found.tail_length}
     _emit(args, {"command": "check", **head, "witness": witness}, [{**head, **(witness or {})}],
           (*head, "start", "period", "length", "exponent_num", "exponent_den"))

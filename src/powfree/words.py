@@ -173,11 +173,10 @@ class ViolationWitness(_Value):
             raise ValidationError("witness must describe a power of exponent > 1")
 
     @property
-    def exponent(self) -> Fraction:
-        """length/period, exactly."""
-        from fractions import Fraction  # here: check prints length and period over their gcd
-
-        return Fraction(self.length, self.period)
+    def exponent(self) -> tuple[int, int]:
+        """length/period as a (num, den) pair in lowest terms."""
+        g = math.gcd(self.length, self.period)
+        return self.length // g, self.period // g
 
     @property
     def tail_length(self) -> int:

@@ -60,10 +60,10 @@ def test_criterion_03_ratio_certification(k, n):
     series = count_free(k, Threshold.dejean(n), 10, "canonical")
     cert = certify(k, n, False, series)
     assert cert.verified_up_to == 9
-    assert cert.condition_margin >= 0
-    x = cert.x_witness
+    assert cert.condition_margin_num >= 0
+    num, den = cert.x_witness_num, cert.x_witness_den
     for i in range(1, 10):
-        assert series.counts[i + 1] * x.denominator >= x.numerator * series.counts[i]
+        assert series.counts[i + 1] * den >= num * series.counts[i]
 
 
 @pytest.mark.parametrize("k,n", [(10, 3), (12, 4)])
@@ -72,10 +72,10 @@ def test_criterion_04_ratio_certification_strict(k, n):
     series = count_free(k, Threshold.dejean(n, True), 10, "canonical")
     cert = certify(k, n, True, series)
     assert cert.verified_up_to == 9
-    assert cert.condition_margin >= 0
-    x = cert.x_witness
+    assert cert.condition_margin_num >= 0
+    num, den = cert.x_witness_num, cert.x_witness_den
     for i in range(1, 10):
-        assert series.counts[i + 1] * x.denominator >= x.numerator * series.counts[i]
+        assert series.counts[i + 1] * den >= num * series.counts[i]
 
 
 @pytest.mark.parametrize("k,n,strict,i", [(4, 3, False, 6), (3, 2, False, 5), (2, 2, True, 6)])
@@ -108,7 +108,8 @@ def test_criterion_07_closed_form_condition_consistency():
         for k in range(n + 4, n + 101):
             for strict in (False, True):
                 t = Threshold.dejean(n, strict)
-                witness = rational_witness(k, t)
+                pair = rational_witness(k, t)
+                witness = None if pair is None else Fraction(*pair)
                 assert witness == isqrt_witness(k, n, strict, 40)
                 if witness is None:
                     # the quadratic has no real solution here (e.g. k=10, n=6)
@@ -118,7 +119,7 @@ def test_criterion_07_closed_form_condition_consistency():
                 base = k + 1 if strict else k
                 assert abs(base - (n - 1) * root / (root - 1) - root) <= 1e-9
                 assert float(witness) <= root + 1e-9
-                assert condition_margin(k, t, witness) >= 0
+                assert condition_margin(k, t, pair)[0] >= 0
 
 
 def test_criterion_08_asymptotics():
@@ -151,7 +152,7 @@ def test_criterion_10_fekete_and_bracket():
         assert series.counts[2 * i] <= series.counts[i] ** 2
     cert = certify(20, 3, False, series)
     for i in range(series.max_length + 1):
-        assert cert.x_witness ** i <= series.counts[i]
+        assert cert.x_witness_num ** i <= series.counts[i] * cert.x_witness_den ** i
 
 
 def test_criterion_11_tail_restricted_sanity():

@@ -1,6 +1,7 @@
 """The extension census and the exploratory report."""
 
 import math
+from fractions import Fraction
 from itertools import count, product
 
 import pytest
@@ -9,13 +10,15 @@ from powfree import (
     BudgetExceededError,
     LemmaViolationError,
     Threshold,
+    ValidationError,
     conjecture_report,
     count_free,
     fj_audit,
+    lower_series,
     suffix_determination_check,
 )
 
-from powfree.analyze import _census
+from powfree.analyze import _census, _target
 from powfree.counting import _grow
 from powfree.words import _window_checks
 
@@ -197,8 +200,8 @@ class TestConjectureReport:
             assert abs(r.small_variation - 1 / r.k) <= 5 / r.k ** 2
             assert abs(r.resid_times_k2) <= 10
             assert abs(r.resid_plus_times_k2) <= 10
-            assert float(r.witness) <= r.root + 1e-9
-            assert float(r.witness_plus) <= r.root_plus + 1e-9
+            assert float(Fraction(r.witness)) <= r.root + 1e-9
+            assert float(Fraction(r.witness_plus)) <= r.root_plus + 1e-9
             assert r.alpha_ratio is not None and r.alpha_ratio > 0
             assert r.alpha_prime_ratio is not None
             assert r.alpha_prime_ratio >= r.alpha_ratio - 1e-9
@@ -220,3 +223,33 @@ class TestConjectureReport:
             conjecture_report([3], [20], max_length=1)
         with pytest.raises(ValueError):
             conjecture_report([1], [20], max_length=4)
+
+    def test_witness_cells_are_num_over_den_in_lowest_terms(self):
+        # report's spelling keeps a den of 1: at (k, n) = (5, 3) the plus witness is exactly 3.
+        (row,) = conjecture_report([3], [5], max_length=3)
+        assert row.witness is None and row.witness_plus == "3/1"
+        for row in conjecture_report([2, 3], [20, 50], max_length=3):
+            for cell in (row.witness, row.witness_plus):
+                num, den = map(int, cell.split("/"))
+                assert den > 0 and math.gcd(num, den) == 1, cell
+
+
+class TestTarget:
+    """report's target k + c_0 + c_1/k is one correctly rounded division of integers."""
+
+    def test_equals_the_rounded_exact_value(self):
+        # float(k + c_0 + c_1 / k) in ints rounds c_1/k, then the sum: at (n, k) = (3, 3) that
+        # reads 0.33333333333333337 where 1/3 rounds to 0.3333333333333333.
+        for n in range(2, 9):
+            for strict in (False, True):
+                c0, c1 = terms = lower_series(Threshold.dejean(n, strict), 2)
+                for k in range(2, 1001):
+                    exact = float(Fraction(k * k + c0 * k + c1, k))
+                    assert _target(k, terms) == exact, (n, strict, k)
+        assert _target(3, lower_series(Threshold.dejean(3), 2)) == 1 / 3
+
+    def test_a_target_beyond_the_floats_is_refused(self):
+        # k + c_0 + c_1/k is about -n: at n = 2*10**308 it is below the least float.
+        terms = lower_series(Threshold.dejean(2 * 10**308), 2)
+        with pytest.raises(ValidationError, match="the float target needs n below about 1.8e308"):
+            _target(5, terms)

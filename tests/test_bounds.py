@@ -32,6 +32,23 @@ def float_margin(k, n, strict, x):
     return base - (n - 1) * x / (x - 1) - x
 
 
+def witness(k, t, bits=40):
+    """rational_witness(k, t, bits) as a Fraction, or None; its pair is in lowest terms, den > 0."""
+    w = rational_witness(k, t, bits)
+    if w is None:
+        return None
+    assert all(type(v) is int for v in w) and w[1] > 0 and math.gcd(*w) == 1, w
+    return Fraction(*w)
+
+
+def margin(k, t, x):
+    """condition_margin(k, t, x) at a Fraction x, as a Fraction; its pair is in lowest terms,
+    den > 0."""
+    m = condition_margin(k, t, (x.numerator, x.denominator))
+    assert all(type(v) is int for v in m) and m[1] > 0 and math.gcd(*m) == 1, m
+    return Fraction(*m)
+
+
 def dejean(n, strict=False):
     return Threshold.dejean(n, strict)
 
@@ -94,7 +111,7 @@ class TestClosedFormRoot:
     def test_exact_rational_root_case(self):
         # discriminant 1 at (k, n) = (6, 3): the root is exactly 3
         assert _closed_form_root(6, 3, False) == pytest.approx(3.0, abs=1e-12)
-        assert condition_margin(6, dejean(3), Fraction(3)) == 0
+        assert condition_margin(6, dejean(3), (3, 1)) == (0, 1)
 
     def test_strict_root_dominates_plain(self):
         for n in (2, 3, 4, 6):
@@ -111,7 +128,7 @@ class TestClosedFormRoot:
             _closed_form_root(0, 3, False)
 
     @pytest.mark.parametrize("function,args,message", [
-        (condition_margin, (0, Threshold(7, 5), Fraction(2)), "alphabet size must be positive"),
+        (condition_margin, (0, Threshold(7, 5), (2, 1)), "alphabet size must be positive"),
         (rational_witness, (0, Threshold(7, 5)), "alphabet size must be positive"),
         (_closed_form_root, (20, 0, True), "need n >= 2, got 0"),
         (_closed_form_root, (0, 3, False), "alphabet size must be positive"),
@@ -125,10 +142,10 @@ class TestRationalWitness:
     def test_close_below_root_and_exact(self):
         for k, n, strict in ((20, 3, False), (7, 3, False), (10, 3, True), (12, 4, True)):
             root = isqrt_witness(k, n, strict, 80)  # within 2**-81 below the root
-            w = rational_witness(k, dejean(n, strict), precision_bits=30)
+            w = witness(k, dejean(n, strict), 30)
             assert 1 < w <= root
             assert root - w < Fraction(1, 2 ** 30)
-            assert condition_margin(k, dejean(n, strict), w) >= 0
+            assert margin(k, dejean(n, strict), w) >= 0
         # exact: one step of 2**-p above the witness is already past the root
         for n in range(2, 8):
             for k in range(n + 1, 80):
@@ -137,9 +154,9 @@ class TestRationalWitness:
                         continue
                     t = dejean(n, strict)
                     for bits in (1, 7, 40):
-                        w = rational_witness(k, t, bits)
-                        assert condition_margin(k, t, w) >= 0
-                        assert condition_margin(k, t, w + Fraction(1, 2 ** bits)) < 0
+                        w = witness(k, t, bits)
+                        assert margin(k, t, w) >= 0
+                        assert margin(k, t, w + Fraction(1, 2 ** bits)) < 0
 
     def test_none_exactly_when_root_is_none(self):
         # (1, 5): b = -2 and c = 1, a discriminant of 0 and a root of -1, not above 1.
@@ -169,24 +186,25 @@ class TestRationalWitness:
                 t = dejean(n, strict)
                 for k in (*range(1, 40), 50, 100, 202, 1000, 2 * 10**154):
                     for bits in (1, 10, 40):
-                        w = rational_witness(k, t, bits)
+                        w = witness(k, t, bits)
                         assert w == isqrt_witness(k, n, strict, bits), (k, n, strict, bits)
                         if w is not None:
                             base = k + 1 if strict else k
-                            assert condition_margin(k, t, w) == base - (n - 1) * w / (w - 1) - w
-        assert rational_witness(10**200, dejean(3)) == isqrt_witness(10**200, 3, False, 40)
+                            assert margin(k, t, w) == base - (n - 1) * w / (w - 1) - w
+        assert witness(10**200, dejean(3)) == isqrt_witness(10**200, 3, False, 40)
 
-    @pytest.mark.parametrize("k,beta,witness,length", [
+    @pytest.mark.parametrize("k,beta,root,length", [
         (5, "7/4", "3.520722", 14), (8, "10/7", "5.525063", 12), (20, "7/5", "17.824850", 10),
         (3, "5/2", "2.337115", 16), (3, "3", "2.532089", 14), (3, "7/3+", "2.329913", 16),
     ])
-    def test_witnesses_beyond_dejean(self, k, beta, witness, length):
+    def test_witnesses_beyond_dejean(self, k, beta, root, length):
         t = Threshold.parse(beta)
-        x = rational_witness(k, t)
-        assert f"{float(x):.6f}" == witness and (x * 2 ** 41).denominator == 1
-        assert condition_margin(k, t, x) >= 0 > condition_margin(k, t, x + Fraction(1, 2 ** 41))
+        x = witness(k, t)
+        assert f"{float(x):.6f}" == root and (x * 2 ** 41).denominator == 1
+        assert margin(k, t, x) >= 0 > margin(k, t, x + Fraction(1, 2 ** 41))
         cert = certify_series(count_free(k, t, length, "canonical"))
-        assert (cert.k, cert.threshold, cert.x_witness) == (k, t, x)
+        pair = (cert.x_witness_num, cert.x_witness_den)
+        assert (cert.k, cert.threshold, pair) == (k, t, rational_witness(k, t))
         assert cert.verified_up_to == length - 1
 
     @pytest.mark.parametrize("strict", [False, True], ids=["", "plus"])
@@ -218,7 +236,7 @@ class TestRationalWitness:
 
     def test_monotone_in_precision(self):
         for k, n, strict in ((20, 3, False), (10, 3, True)):
-            values = [rational_witness(k, dejean(n, strict), bits) for bits in (10, 20, 30, 40)]
+            values = [witness(k, dejean(n, strict), bits) for bits in (10, 20, 30, 40)]
             for a, b in zip(values, values[1:]):
                 assert a <= b
 
@@ -226,10 +244,18 @@ class TestRationalWitness:
         with pytest.raises(ValueError):
             rational_witness(20, dejean(3), precision_bits=0)
 
-    @pytest.mark.parametrize("x", [Fraction(1), Fraction(1, 2), Fraction(-3)])
+    @pytest.mark.parametrize("x", [(1, 1), (1, 2), (-3, 1), (2, 2)])
     def test_margin_refuses_a_witness_not_above_1(self, x):
         with pytest.raises(ValidationError, match="witness must exceed 1"):
             condition_margin(20, dejean(3), x)
+
+    @pytest.mark.parametrize("x", [(3, 0), (-3, -2), (3, -2)])
+    def test_margin_refuses_a_denominator_below_1(self, x):
+        with pytest.raises(ValidationError, match="witness denominator must be positive"):
+            condition_margin(20, dejean(3), x)
+
+    def test_margin_takes_a_pair_in_any_terms(self):
+        assert condition_margin(20, dejean(3), (34, 2)) == condition_margin(20, dejean(3), (17, 1))
 
 
 class TestConditionMargin:
@@ -243,7 +269,7 @@ class TestConditionMargin:
         q, s = t.den, t.num - t.den
         covers = 60
         for x in (Fraction(3, 2), Fraction(2), Fraction(7), Fraction(1000, 7)):
-            closed = 1 - x - condition_margin(1, t, x)
+            closed = 1 - x - margin(1, t, x)
             direct = sum(x ** (1 - (min_violation_length(j, t) - j))
                          for j in range(1, covers * q + 1))
             assert 0 < closed - direct <= q * x * x ** (-covers * s) / (1 - x ** -s), (x, t)
@@ -257,15 +283,14 @@ class TestConditionMargin:
         signs = set()
         for t in thresholds:
             for k in (1, 2, 5, 20, 101):
-                w = rational_witness(k, t)
+                w = witness(k, t)
                 grid = [] if w is None else [w, w + Fraction(1, 2 ** 41)]
                 for x in (*grid, Fraction(3, 2), Fraction(7)):
-                    margin = condition_margin(k, t, x)
-                    assert margin == reference_margin(k, t, x), (k, t, x)
-                    signs.add((margin > 0) - (margin < 0))
+                    g = margin(k, t, x)
+                    assert g == reference_margin(k, t, x), (k, t, x)
+                    signs.add((g > 0) - (g < 0))
                 if w is not None:
-                    assert condition_margin(k, t, w + Fraction(1, 2 ** 41)) < 0 <= \
-                        condition_margin(k, t, w)
+                    assert margin(k, t, w + Fraction(1, 2 ** 41)) < 0 <= margin(k, t, w)
         assert {-1, 1} <= signs
 
     def test_a_zero_margin_reads_0_over_1(self):
@@ -294,9 +319,9 @@ class TestCertify:
         series = count_free(20, t, 10, "canonical")
         cert = certify(20, 3, False, series)
         assert cert.verified_up_to == 9
-        assert cert.condition_margin >= 0
+        assert cert.condition_margin_num >= 0 and cert.condition_margin_den > 0
         assert cert.series_digest == series.digest()
-        x = cert.x_witness
+        x = Fraction(cert.x_witness_num, cert.x_witness_den)
         for i in range(1, 10):
             assert Fraction(series.counts[i + 1]) >= x * series.counts[i]
 
@@ -310,8 +335,9 @@ class TestCertify:
         # b^2 - 4c is near 10**400, beyond a float; the witness comes from an integer sqrt.
         k = 10**200
         cert = certify(k, 3, False, count_free(k, Threshold.dejean(3), 8))
-        assert cert.condition_margin >= 0 and cert.verified_up_to == 7
-        assert k - 3 < cert.x_witness < k - 2  # the root is about k - 2 - 2/k
+        assert cert.condition_margin_num >= 0 and cert.verified_up_to == 7
+        # the root is about k - 2 - 2/k
+        assert k - 3 < Fraction(cert.x_witness_num, cert.x_witness_den) < k - 2
 
     def test_no_witness(self):
         series = count_free(2, Threshold.dejean(2, True), 5, "canonical")
@@ -333,7 +359,7 @@ class TestCertify:
         assert certify_series(series, witness=(a, b)) == cert
         assert certify_series(series, witness=(3 * a, 3 * b)) == cert
         assert certify_series(series, witness=(-a, -b)) == cert
-        assert Fraction(a, b) == rational_witness(20, t) == cert.x_witness
+        assert (a, b) == rational_witness(20, t) == (cert.x_witness_num, cert.x_witness_den)
 
     def test_a_tail_restricted_series_is_refused(self):
         series = count_tail_restricted(20, Threshold.dejean(3), 2, 6)
@@ -350,7 +376,7 @@ class TestCertify:
 
     def test_a_witness_above_the_root_trips_its_own_canary(self, monkeypatch):
         # The root at (20, 3) is about 17.88; at 19 the condition fails.
-        monkeypatch.setattr("powfree.bounds._search", lambda *args: (19, 1))
+        monkeypatch.setattr("powfree.bounds.rational_witness", lambda *args: (19, 1))
         series = count_free(20, Threshold.dejean(3), 4, "canonical")
         with pytest.raises(LemmaViolationError, match="witness 19 fails its own condition"):
             certify(20, 3, False, series)
@@ -395,7 +421,8 @@ class TestAsymptoticTarget:
                  "7/5": (-2, -3, -8, -32), "11/8": (-2, -3, -9, -35),
                  "19/17": (-8, -9, -80, -794), "3/2+": (-1, -2, -4, -12), "2": (-1, -1, -2, -5)}
         for beta, terms in table.items():
-            assert lower_series(plain_or_plus(beta), 4) == terms, beta
+            series = lower_series(plain_or_plus(beta), 4)
+            assert series == terms and all(type(c) is int for c in series), beta
 
     def test_root_stays_above_target_minus_curvature_term(self):
         # the 1/k^2 coefficient of the root expansion is n(1-n) = -6 at n=3,
@@ -404,7 +431,7 @@ class TestAsymptoticTarget:
             for strict in (False, True):
                 c0, c1 = lower_series(dejean(3, strict), 2)
                 root = isqrt_witness(k, 3, strict, 80)
-                assert root >= k + c0 + c1 / k - Fraction(7, k ** 2), (k, strict)
+                assert root >= k + c0 + Fraction(c1, k) - Fraction(7, k ** 2), (k, strict)
 
 
 class TestTaylorCoefficients:
@@ -434,7 +461,7 @@ class TestTaylorCoefficients:
     def test_residual_scaled_by_k2_stays_bounded(self):
         c0, c1 = lower_series(dejean(3), 2)
         for k in (100, 1000, 10000):
-            assert abs(isqrt_witness(k, 3, False, 80) - (k + c0 + c1 / k)) * k * k <= 10
+            assert abs(isqrt_witness(k, 3, False, 80) - (k + c0 + Fraction(c1, k))) * k * k <= 10
 
     @pytest.mark.parametrize("beta", ["7/5", "11/8", "19/17", "3/2+", "5/2"])
     @pytest.mark.parametrize("r", [2, 3])
@@ -442,8 +469,8 @@ class TestTaylorCoefficients:
         # k^r (root - the r-term sum) -> c_r; at 19/17, r = 2 it reads about -100, -89, -84, -82.
         t = plain_or_plus(beta)
         *head, c_r = lower_series(t, r + 1)
-        scaled = [k ** r * (rational_witness(k, t, 120) - k - sum(c * Fraction(k) ** -i
-                                                                   for i, c in enumerate(head)))
+        scaled = [k ** r * (witness(k, t, 120) - k - sum(c * Fraction(k) ** -i
+                                                         for i, c in enumerate(head)))
                   for k in (50, 100, 200, 400)]
         gaps = [abs(v - c_r) for v in scaled]
         assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == 4, (scaled, c_r)

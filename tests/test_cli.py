@@ -22,7 +22,6 @@ import powfree
 from powfree import (REPORT_COLUMNS, CountCache, CountSeries, Threshold, certify_series,
                      count_free, count_tail_restricted, find_violation)
 from powfree import _output, bounds, cli, counting
-from powfree._output import _frac_str
 from powfree.cli import main
 
 
@@ -62,7 +61,7 @@ class TestCheck:
         w = find_violation(b"hotshots", Threshold(2))
         assert json.loads(out)["witness"] == {
             "start": w.start, "period": w.period, "length": w.length,
-            "exponent_num": str(w.exponent.numerator), "exponent_den": str(w.exponent.denominator),
+            "exponent_num": str(w.exponent[0]), "exponent_den": str(w.exponent[1]),
             "tail_length": w.tail_length}
 
     def test_letters_from_text(self):
@@ -605,7 +604,7 @@ class TestCertify:
         assert doc["status"] == "ok" and len(doc["condition_margin_num"]) > 4300
         cert = certify_series(count_free(3, Threshold(400), 3))
         assert (doc["condition_margin_num"], doc["condition_margin_den"]) == \
-            (str(cert.condition_margin.numerator), str(cert.condition_margin.denominator))
+            (str(cert.condition_margin_num), str(cert.condition_margin_den))
 
     def test_no_witness_is_decided_before_any_count(self, capsys, monkeypatch, tmp_path):
         # Counting ternary square-free words to 200 letters would not finish; nothing is counted
@@ -630,8 +629,8 @@ class TestCertify:
             searches.append((k, t, precision_bits))
             return search(k, t, precision_bits)
 
-        search = bounds._search
-        monkeypatch.setattr(bounds, "_search", counted)
+        search = bounds.rational_witness
+        monkeypatch.setattr(bounds, "rational_witness", counted)
         argv = ["certify", "--k", "12", *given, "--max-len", "6", "--no-timestamp"]
         cache = ["--cache", str(tmp_path / "c.jsonl")]
         for extra in ([], cache, cache):  # no cache, a miss that stores, a hit
@@ -640,7 +639,7 @@ class TestCertify:
             assert (code, doc["status"], doc["series_digest"]) == \
                 (0, "ok", expected.series_digest)
             assert (doc["x_witness_num"], doc["x_witness_den"]) == \
-                (str(expected.x_witness.numerator), str(expected.x_witness.denominator))
+                (str(expected.x_witness_num), str(expected.x_witness_den))
             assert searches == [(12, t, 40)]
             searches.clear()
 
@@ -1126,7 +1125,7 @@ def _write_listed_cache(path, records):
 
 
 class TestJsonEmitter:
-    """_emit writes the bytes of print(json.dumps(doc, indent=2, default=_frac_str))."""
+    """_emit writes the bytes of print(json.dumps(doc, indent=2))."""
 
     @pytest.mark.parametrize("argv", [
         ["check", "hotshots", "--beta", "2"],
@@ -1135,7 +1134,7 @@ class TestJsonEmitter:
         ["certify", "--k", "20", "--n", "3", "--max-len", "8"],
         ["certify", "--k", "5", "--n", "3", "--max-len", "8"],  # no witness
         ["audit", "--k", "4", "--n", "3", "--len", "6"],
-        ["report", "--n", "2..3", "--k", "5,20", "--max-len", "5"],  # Fraction cells
+        ["report", "--n", "2..3", "--k", "5,20", "--max-len", "5"],  # "num/den" cells
         ["cache", "list", "--cache", "{cache}"],
         ["cache", "clear", "--cache", "{cache}"],
     ], ids=["check-power", "check-free", "count", "certify", "certify-no-witness", "audit",
@@ -1156,7 +1155,7 @@ class TestJsonEmitter:
         monkeypatch.setattr(cli, "_emit", recorded)
         code, out = run(capsys, *[a.format(cache=cache) for a in argv], "--no-timestamp")
         assert code in (0, 1) and len(docs) == 1
-        assert out == json.dumps(docs[0], indent=2, default=_frac_str) + "\n"
+        assert out == json.dumps(docs[0], indent=2) + "\n"
 
     def test_a_long_document_is_written_in_few_batches(self, monkeypatch, tmp_path):
         # Under PYTHONUNBUFFERED every write is a system call: one per JSON chunk
@@ -1444,13 +1443,12 @@ class TestLazyLayers:
                  "print(*[name for name in ('analyze', 'bounds', 'cache', 'counting')\n"
                  "        if '__all__' in object.__getattribute__(sys.modules['powfree.' + name],\n"
                  "                                                '__dict__')])\n"
-                 "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+                 "print(*sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
                  "print(*sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
         ran, standard, parser = self._probe(probe).split("\n")[:3]
         assert ran.split() == layers
-        # Every command but report carries its rationals as integer pairs; report's witness
-        # columns are Fractions.
-        assert standard.split() == (["decimal", "fractions"] if argv[0] == "report" else [])
+        # Every command carries its rationals as integer pairs, report's witness columns too.
+        assert standard.split() == []
         # argparse, with gettext and locale, only prints help and usage errors.
         exits = "-h" in argv or "--beta" in argv and "--n" in argv
         assert parser.split() == (["argparse", "gettext", "locale"] if exits else [])
