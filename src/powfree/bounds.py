@@ -8,14 +8,16 @@ lower_series expands the root where g = 0 in 1/k, exactly, at every threshold.
 
 One integer evaluation of g (_scaled) serves the witness search and the
 margin.  An exact rational is a (num, den) pair of ints, returned in lowest
-terms with den > 0; the series' coefficients are ints.
+terms with den > 0; the series' coefficients are ints.  counting is bound
+lazily and only the certificates' annotations name it, so the witness
+search, condition_margin and lower_series run without it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .counting import CountSeries
+from . import counting
 from .errors import LemmaViolationError, NoWitnessError, ValidationError
 from .words import Threshold, _check_alphabet, _Value, min_violation_length
 
@@ -174,7 +176,7 @@ class BoundCertificate(_Value):
     series_digest: str
 
 
-def certify_series(series: CountSeries,
+def certify_series(series: counting.CountSeries,
                    witness: tuple[int, int] | None = None) -> BoundCertificate:
     """Check C_{i+1} >= x * C_i exactly across the whole series, at its own k and threshold.
 
@@ -207,7 +209,7 @@ def certify_series(series: CountSeries,
         series_digest=series.digest())
 
 
-def certify(k: int, n: int, strict: bool, series: CountSeries) -> BoundCertificate:
+def certify(k: int, n: int, strict: bool, series: counting.CountSeries) -> BoundCertificate:
     """certify_series of a series at k and Threshold.dejean(n, strict): the Dejean spelling
     that perfbench/make_expected.py calls positionally."""
     expected = Threshold.dejean(n, strict)

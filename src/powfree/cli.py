@@ -25,7 +25,8 @@ import sys
 from types import SimpleNamespace
 
 # analyze, bounds, cache and counting are the package's lazy modules: each runs at its first
-# attribute read, so the layers are read at call time and a command runs only those it uses.
+# attribute read, as a command's line is read (--budget, --engine, --workers) or in its cmd_*
+# function, so a command runs only the layers it uses.
 from . import analyze, bounds, cache, counting
 from ._output import _emit
 from .errors import BudgetExceededError, LemmaViolationError, NoWitnessError, ValidationError
@@ -124,12 +125,14 @@ def _threshold(args) -> tuple[Threshold, dict]:
 def cmd_certify(args) -> int:
     t, given = _threshold(args)
     fields = {"k": args.k, **given, "plus": t.strict}
+    # counting runs first, as with --workers: run from cache's import, after json and pathlib,
+    # it raised a cached certify's peak RSS by 0.05-0.13 MB.
+    budget = counting.DEFAULT_NAIVE_BUDGET
     try:
         # One witness search, before any count; a shorter series stays a usage error, as
         # certify_series reports it.
         x = bounds._witness(args.k, t) if args.max_len >= 2 else None
-        series = _series_for(args.k, t, args.max_len, "canonical", None, args,
-                             counting.DEFAULT_NAIVE_BUDGET)
+        series = _series_for(args.k, t, args.max_len, "canonical", None, args, budget)
         cert = bounds.certify_series(series, witness=x)
     except NoWitnessError as exc:
         _emit(args, {"command": "certify", "status": "no-witness", **fields, "detail": str(exc)},
@@ -289,8 +292,8 @@ def _parse(command: str | None, argv: list[str]) -> SimpleNamespace | None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, with the arguments of command only, or of all six
-    if command is None.  Help and usage errors read the same either way."""
+    """The parser of every command, with the arguments of command only (none for ""), or of
+    all six if command is None.  Help and usage errors read the same either way."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="powfree", description="Exact toolkit for power-free "
@@ -308,19 +311,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# The layers each command runs, before it parses: run after argparse (compiled from source under
-# PYTHONDONTWRITEBYTECODE), they raised audit's, certify's and count's peak RSS 0.26-0.39 MB.
-_LAYERS = {"check": (), "count": (counting,), "certify": (counting, bounds),
-           "audit": (analyze,), "report": (analyze, bounds), "cache": (cache,)}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # The command is the first argument that names one: the parent parser has no option that
     # takes a value, and its usage errors read the same without the commands' arguments.
-    command = next((arg for arg in argv if arg in _LAYERS), None)
-    for layer in _LAYERS.get(command, ()):
-        vars(layer)  # any attribute read runs a lazy module
+    command = next((arg for arg in argv if arg in _TABLE), None)
     # Counts and rationals are exact at any size: no limit on int-str conversions (CPython's
     # default is 4,300 digits) while main runs; the caller's is back when main returns or raises.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -328,7 +323,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         # argparse only for what _parse leaves to it: help, usage errors, other spellings.
-        args = _parse(command, argv) or build_parser(command).parse_args(argv)
+        args = _parse(command, argv) or build_parser(command or "").parse_args(argv)
         try:
             return args.func(args)
         except ValidationError as exc:

@@ -1421,15 +1421,19 @@ class TestLazyLayers:
         (["count", "--k", "3", "--beta", "2", "--max-len", "6", "--cache", "{cache}"],
          ["cache", "counting"]),
         (["certify", "--k", "20", "--n", "3", "--max-len", "8"], ["bounds", "counting"]),
+        (["certify", "--k", "20", "--n", "3", "--max-len", "8", "--workers", "2"],
+         ["bounds", "counting"]),
         (["certify", "--k", "20", "--beta", "7/5", "--max-len", "6"], ["bounds", "counting"]),
         (["audit", "--k", "4", "--n", "3", "--len", "8"], ["analyze", "counting"]),
         (["report", "--n", "3", "--k", "20", "--max-len", "4"],
          ["analyze", "bounds", "counting"]),
         (["cache", "list", "--cache", "{cache}"], ["cache", "counting"]),
         (["check", "abc", "--beta", "2", "-h"], []),
-        (["certify", "--k", "20", "--n", "3", "--beta", "2"], ["bounds", "counting"]),
-    ], ids=["check-free", "check-power", "count", "count-cache", "certify", "certify-beta",
-            "audit", "report", "cache-list", "check-help", "usage-error"])
+        (["certify", "--k", "20", "--n", "3", "--beta", "2"], []),
+        (["bogus"], []),
+    ], ids=["check-free", "check-power", "count", "count-cache", "certify", "certify-workers",
+            "certify-beta", "audit", "report", "cache-list", "check-help", "usage-error",
+            "no-command"])
     def test_a_command_runs_only_its_layers(self, tmp_path, argv, layers):
         # A lazy module that has not run holds only what LazyLoader put in it: no __all__.
         argv = [a.format(cache=tmp_path / "c.jsonl") for a in argv] + ["--no-timestamp"]
@@ -1450,8 +1454,16 @@ class TestLazyLayers:
         # Every command carries its rationals as integer pairs, report's witness columns too.
         assert standard.split() == []
         # argparse, with gettext and locale, only prints help and usage errors.
-        exits = "-h" in argv or "--beta" in argv and "--n" in argv
+        exits = "-h" in argv or "--beta" in argv and "--n" in argv or argv[0] not in cli._TABLE
         assert parser.split() == (["argparse", "gettext", "locale"] if exits else [])
+
+    def test_the_witness_search_runs_bounds_alone(self):
+        probe = ("import sys, powfree\n"
+                 "powfree.rational_witness(20, powfree.Threshold(3, 2))\n"
+                 "print(*[name for name in ('analyze', 'bounds', 'cache', 'counting')\n"
+                 "        if '__all__' in object.__getattribute__(sys.modules['powfree.' + name],\n"
+                 "                                                '__dict__')])")
+        assert self._probe(probe).split() == ["bounds"]
 
     def test_every_traced_call_resolves_after_the_import(self):
         # perfbench/launcher.py looks each (module, attribute) up right after import powfree.cli.
